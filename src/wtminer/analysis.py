@@ -66,9 +66,6 @@ class AnalysisResult:
     per_cause: dict[str, CauseImpact]
     per_transition: tuple[TransitionImpact, ...]
 
-    def cause_wt(self, cause: str) -> int:
-        return self.per_cause[cause].wt_seconds
-
 
 def analyze(
     log: EventLog,

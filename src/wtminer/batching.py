@@ -65,10 +65,6 @@ class BatchingResult:
     by_instance: dict[ActivityInstance, Batch]
 
 
-def _resource_order(inst: ActivityInstance) -> tuple:
-    return (inst.started, inst.completed, inst.activity, inst.case_id)
-
-
 def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> BatchingResult:
     """Find maximal batches per (activity, resource) group.
 
@@ -81,18 +77,13 @@ def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> Ba
     """
     if config is None:
         config = BatchingConfig()
-    by_resource: dict[str, list[ActivityInstance]] = {}
-    for inst in log.instances:
-        if inst.resource == UNKNOWN_RESOURCE:
-            continue
-        if inst.enabled is None:
-            raise ValueError("batch detection requires enablement to be computed")
-        by_resource.setdefault(inst.resource, []).append(inst)
-
     batches: list[Batch] = []
     by_instance: dict[ActivityInstance, Batch] = {}
-    for resource in sorted(by_resource):
-        seq = sorted(by_resource[resource], key=_resource_order)
+    for resource, seq in log.by_resource.items():
+        if resource == UNKNOWN_RESOURCE:
+            continue
+        if any(inst.enabled is None for inst in seq):
+            raise ValueError("batch detection requires enablement to be computed")
         i = 0
         while i < len(seq):
             run = [seq[i]]

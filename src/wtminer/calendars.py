@@ -106,24 +106,11 @@ class WeeklyCalendar:
                 merged.append([s, s + granule_s])
         return tuple((s, e) for s, e in merged)
 
-    def covers(self, t: TimeInstant) -> bool:
-        minute = (t % SECONDS_PER_DAY) // 60
-        return (weekday_of(t), minute // self.granule_minutes) in self.working
-
 
 @dataclass(frozen=True)
 class AbsoluteAvailability:
     resource: str
     available: IntervalSet
-
-
-def _observations(log: EventLog, resource: str) -> list[TimeInstant]:
-    out: list[TimeInstant] = []
-    for inst in log.instances:
-        if inst.resource == resource:
-            out.append(inst.started)
-            out.append(inst.completed)
-    return out
 
 
 def discover_calendar(
@@ -140,7 +127,11 @@ def discover_calendar(
         params = CalendarParams()
     if resource == UNKNOWN_RESOURCE:
         return WeeklyCalendar.always_on(resource, params.granule_minutes)
-    obs = _observations(log, resource)
+    obs = [
+        t
+        for inst in log.by_resource.get(resource, ())
+        for t in (inst.started, inst.completed)
+    ]
     if not obs:
         raise ValueError(f"resource {resource!r} has no instances in the log")
 

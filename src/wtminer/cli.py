@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,21 +21,6 @@ from wtminer.pipeline import PipelineConfig, run_pipeline
 from wtminer.report import atomic_write_text, summary_text, write_report_files
 from wtminer.synth import CAUSE_FLAGS, InjectionSpec, generate, write_files
 
-THREADS_ENV_VAR = "WT_MINER_THREADS"
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be positive, got {value}")
-    return value
-
 
 def _load_mapping(path: str | None) -> ColumnMapping | None:
     if path is None:
@@ -53,6 +37,14 @@ def _load_mapping(path: str | None) -> ColumnMapping | None:
     return ColumnMapping.from_dict(payload)
 
 
+def _calendar_params(args: argparse.Namespace) -> CalendarParams:
+    return CalendarParams(
+        granule_minutes=args.granule,
+        confidence=args.confidence,
+        support=args.support,
+    )
+
+
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         thresholds=OracleThresholds(
@@ -64,20 +56,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
             gap_tolerance=args.gap_tolerance,
             min_batch_size=args.min_batch_size,
         ),
-        calendars=CalendarParams(
-            granule_minutes=args.granule,
-            confidence=args.confidence,
-            support=args.support,
-        ),
-        max_workers=_threads_from_env(),
-    )
-
-
-def _calendar_params(args: argparse.Namespace) -> CalendarParams:
-    return CalendarParams(
-        granule_minutes=args.granule,
-        confidence=args.confidence,
-        support=args.support,
+        calendars=_calendar_params(args),
     )
 
 

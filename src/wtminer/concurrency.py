@@ -161,10 +161,9 @@ def compute_enablement(
         relation = ConcurrencyRelation()
     stats = EnablementStats()
     new_instances: list[ActivityInstance] = []
-    enabler_positions: list[tuple[str, int, int]] = []  # (case, target idx, source idx)
-    per_case_new: dict[str, list[ActivityInstance]] = {}
+    enabler: dict[ActivityInstance, ActivityInstance] = {}
 
-    for case_id, seq in log.cases.items():
+    for seq in log.cases.values():
         rebuilt: list[ActivityInstance] = []
         for idx, inst in enumerate(seq):
             enabler_idx: Optional[int] = None
@@ -202,13 +201,8 @@ def compute_enablement(
                 )
             )
             if enabler_idx is not None:
-                enabler_positions.append((case_id, idx, enabler_idx))
-        per_case_new[case_id] = rebuilt
+                enabler[rebuilt[idx]] = rebuilt[enabler_idx]
         new_instances.extend(rebuilt)
 
     new_log = EventLog.from_instances(new_instances)
-    enabler: dict[ActivityInstance, ActivityInstance] = {}
-    for case_id, target_idx, source_idx in enabler_positions:
-        seq = per_case_new[case_id]
-        enabler[seq[target_idx]] = seq[source_idx]
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)

@@ -18,9 +18,8 @@ the five sets partition the waiting interval exactly.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from wtminer.batching import BatchingResult, batching_interval
 from wtminer.calendars import AbsoluteAvailability
@@ -58,7 +57,7 @@ class WtDecomposition:
 
 
 class Decomposer:
-    """Shared read-only indexes plus the per-instance cascade."""
+    """The per-instance cascade over the log's resource index, batches and calendars."""
 
     def __init__(
         self,
@@ -69,18 +68,13 @@ class Decomposer:
         self.log = log
         self.batching = batching
         self.availability = availability
-        self._by_resource: dict[str, list[ActivityInstance]] = {}
-        for inst in log.instances:
-            self._by_resource.setdefault(inst.resource, []).append(inst)
-        for seq in self._by_resource.values():
-            seq.sort(key=lambda i: (i.started, i.completed))
 
     def _busy_overlaps(self, target: ActivityInstance, want_earlier: bool) -> IntervalSet:
         wait = target.waiting
         if wait.is_empty():
             return IntervalSet.empty()
         spans = []
-        for other in self._by_resource.get(target.resource, ()):
+        for other in self.log.by_resource.get(target.resource, ()):
             if other.started >= wait.end:
                 break
             if other is target:
@@ -152,16 +146,10 @@ class Decomposer:
 
 
 def decompose_all(
-    decomposer: Decomposer,
-    transition_instances: Iterable[TransitionInstance],
-    max_workers: Optional[int] = None,
+    decomposer: Decomposer, transition_instances: Iterable[TransitionInstance]
 ) -> tuple[WtDecomposition, ...]:
-    """Decompose many instances, optionally on a thread pool, keeping order."""
-    items = list(transition_instances)
-    if max_workers is not None and max_workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return tuple(pool.map(decomposer.decompose, items))
-    return tuple(decomposer.decompose(ti) for ti in items)
+    """Decompose many instances, keeping their order."""
+    return tuple(decomposer.decompose(ti) for ti in transition_instances)
 
 
 def multitasking_rate(log: EventLog) -> float:
@@ -170,14 +158,12 @@ def multitasking_rate(log: EventLog) -> float:
     The decomposition assumes resources work one instance at a time; this
     diagnostic quantifies how far a log deviates from that assumption.
     """
-    by_resource: dict[str, list[ActivityInstance]] = {}
-    for inst in log.instances:
-        if inst.resource == UNKNOWN_RESOURCE:
-            continue
-        by_resource.setdefault(inst.resource, []).append(inst)
     overlapping: set[int] = set()
-    for seq in by_resource.values():
-        seq.sort(key=lambda i: (i.started, i.completed))
+    total = 0
+    for resource, seq in log.by_resource.items():
+        if resource == UNKNOWN_RESOURCE:
+            continue
+        total += len(seq)
         active: list[ActivityInstance] = []
         for inst in seq:
             active = [a for a in active if a.completed > inst.started]
@@ -186,5 +172,4 @@ def multitasking_rate(log: EventLog) -> float:
                     overlapping.add(id(a))
                     overlapping.add(id(inst))
             active.append(inst)
-    total = sum(len(seq) for seq in by_resource.values())
     return len(overlapping) / total if total else 0.0

@@ -133,7 +133,7 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
 
     stats = IngestStats()
     instances: list[ActivityInstance] = []
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         needed = [

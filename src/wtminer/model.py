@@ -206,13 +206,13 @@ class ActivityInstance:
             raise ValueError("waiting time is undefined until enablement is known")
         return TimeInterval(self.enabled, self.started)
 
-    def sort_key(self) -> tuple:
-        enabled = -1 if self.enabled is None else self.enabled
-        return (self.started, self.completed, self.activity, self.case_id, enabled)
-
 
 def _within_case_key(inst: ActivityInstance) -> tuple:
     return (inst.started, inst.completed, inst.activity)
+
+
+def _resource_order(inst: ActivityInstance) -> tuple:
+    return (inst.started, inst.completed, inst.activity, inst.case_id)
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,23 @@ class EventLog:
         return {cid: tuple(seq) for cid, seq in by_case.items()}
 
     @cached_property
+    def by_resource(self) -> dict[str, tuple[ActivityInstance, ...]]:
+        """Each resource's instances in (started, completed, activity, case_id)
+        order, keyed by resource in sorted order; remaining ties keep log order.
+
+        Batching, calendar discovery and decomposition all read this one index.
+        """
+        grouped: dict[str, list[ActivityInstance]] = {}
+        for inst in self.instances:
+            grouped.setdefault(inst.resource, []).append(inst)
+        return {
+            resource: tuple(sorted(grouped[resource], key=_resource_order))
+            for resource in sorted(grouped)
+        }
+
+    @cached_property
     def resources(self) -> tuple[str, ...]:
-        return tuple(sorted({inst.resource for inst in self.instances}))
+        return tuple(self.by_resource)
 
     @cached_property
     def activities(self) -> tuple[str, ...]:
@@ -260,6 +275,3 @@ class EventLog:
         )
         end = max(inst.completed for inst in self.instances)
         return TimeInterval(start, end)
-
-    def with_instances(self, instances: Iterable[ActivityInstance]) -> "EventLog":
-        return EventLog.from_instances(instances)

@@ -34,7 +34,6 @@ class PipelineConfig:
     thresholds: OracleThresholds = field(default_factory=OracleThresholds)
     batching: BatchingConfig = field(default_factory=BatchingConfig)
     calendars: CalendarParams = field(default_factory=CalendarParams)
-    max_workers: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def run_pipeline(
 
     decomposer = Decomposer(enriched, batching, availability)
     ordered = [ti for transition in transitions for ti in transition.instances]
-    decompositions = decompose_all(decomposer, ordered, config.max_workers)
+    decompositions = decompose_all(decomposer, ordered)
     analysis = analyze(enriched, transitions, decompositions)
 
     return PipelineResult(

@@ -20,7 +20,7 @@ from wtminer.decomposition import CAUSES
 from wtminer.ingest import IngestStats
 from wtminer.pipeline import PipelineConfig, PipelineResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 TRANSITIONS_CSV_COLUMNS = (
     "source",
@@ -98,7 +98,6 @@ def build_report(
             "max_relaxations": config.calendars.max_relaxations,
             "gap_tolerance_s": config.batching.gap_tolerance,
             "min_batch_size": config.batching.min_batch_size,
-            "max_workers": config.max_workers,
         },
         "ingest": dict(ingest_stats.as_dict()) if ingest_stats else None,
         "enablement": dict(result.enablement.stats.as_dict()),

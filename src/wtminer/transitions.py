@@ -4,7 +4,6 @@ aggregate the pairs into activity-to-activity transitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from wtminer.concurrency import EnablementResult
 from wtminer.model import ActivityInstance, TimeInterval
@@ -48,10 +47,6 @@ class Transition:
     @property
     def is_self_loop(self) -> bool:
         return self.source_activity == self.target_activity
-
-    @cached_property
-    def mean_duration(self) -> float:
-        return self.total_duration / self.total_frequency if self.total_frequency else 0.0
 
 
 def build_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:

@@ -62,6 +62,23 @@ class TestAnalyze:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_all_instants_log_has_undefined_cte(self, tmp_path, capsys):
+        # Every instance has zero duration and starts the moment its
+        # predecessor completes: no processing and no waiting anywhere.
+        log = tmp_path / "instants.csv"
+        log.write_text(
+            "case_id,activity,resource,start_time,end_time\n"
+            "c1,a,r1,2023-01-02T09:00:00Z,2023-01-02T09:00:00Z\n"
+            "c1,b,r2,2023-01-02T09:00:00Z,2023-01-02T09:00:00Z\n"
+            "c2,a,r1,2023-01-02T10:00:00Z,2023-01-02T10:00:00Z\n"
+            "c2,b,r2,2023-01-02T10:00:00Z,2023-01-02T10:00:00Z\n"
+        )
+        out = tmp_path / "o"
+        code = main(["analyze", "--log", str(log), "--out", str(out)])
+        assert code == 1
+        assert "CTE is undefined" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_emit_calendars_included(self, synth_log, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -95,18 +112,6 @@ class TestAnalyze:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["overridden_resources"] == ["assessor"]
-
-    def test_threads_env_var(self, synth_log, tmp_path, monkeypatch):
-        monkeypatch.setenv("WT_MINER_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["analyze", "--log", str(synth_log), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["parameters"]["max_workers"] == 2
-
-    def test_threads_env_var_invalid_exits_2(self, synth_log, tmp_path, monkeypatch):
-        monkeypatch.setenv("WT_MINER_THREADS", "many")
-        code = main(["analyze", "--log", str(synth_log), "--out", str(tmp_path / "o")])
-        assert code == 2
 
     def test_mapping_file(self, tmp_path):
         gen = generate(InjectionSpec(n_cases=20, seed=1))

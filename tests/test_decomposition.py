@@ -14,7 +14,6 @@ from wtminer.calendars import (
 from wtminer.decomposition import (
     CAUSES,
     Decomposer,
-    decompose_all,
     multitasking_rate,
 )
 from wtminer.model import (
@@ -195,20 +194,6 @@ class TestDecomposeCascade:
         out = decomposer_for(log, availability).decompose(ti_for(target))
         assert out.contention == IntervalSet.of((at(5, 10), at(5, 12)))
         assert out.unavailability == IntervalSet.of((at(5, 12), at(5, 14)))
-
-    def test_decompose_all_threaded_matches_sequential(self):
-        instances = [
-            inst(f"c{k}", "b", "r1", k * 10, k * 10 + 8, k * 10 + 9)
-            for k in range(6)
-        ]
-        log = EventLog.from_instances(instances)
-        d = decomposer_for(log)
-        tis = [ti_for(i) for i in instances]
-        seq = decompose_all(d, tis)
-        par = decompose_all(d, tis, max_workers=4)
-        assert [x.cause_durations() for x in seq] == [
-            x.cause_durations() for x in par
-        ]
 
 
 class TestMultitaskingRate:

@@ -139,6 +139,19 @@ class TestLoadLog:
         assert result.log.instances[0].enabled == result.log.instances[0].started
         assert result.stats.clamped_enablements == 1
 
+    def test_excel_bom_header(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with a byte order mark.
+        path = tmp_path / "excel.csv"
+        path.write_bytes(
+            "\ufeffcase_id,activity,resource,start_time,end_time\r\n"
+            "C1,A,R1,2023-01-02T09:00:00Z,2023-01-02T09:30:00Z\r\n"
+            "C2,B,R2,2023-01-02T10:00:00Z,2023-01-02T10:30:00Z\r\n".encode("utf-8")
+        )
+        result = load_log(path)
+        assert [i.case_id for i in result.log.instances] == ["C1", "C2"]
+        assert result.stats.rows_total == 2
+        assert result.stats.rows_rejected == 0
+
     def test_determinism(self, tmp_path):
         rows = [
             "C2,B,R2,2023-01-02T10:00:00Z,2023-01-02T10:30:00Z",

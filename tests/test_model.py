@@ -15,6 +15,7 @@ from wtminer.model import (
     IngestError,
     IntervalSet,
     TimeInterval,
+    UNKNOWN_RESOURCE,
 )
 
 HORIZON = 200
@@ -186,3 +187,33 @@ class TestEventLog:
         )
         assert log.resources == ("r1", "r2")
         assert log.activities == ("a", "b")
+
+    def test_by_resource_groups_every_instance_in_work_order(self):
+        instances = [
+            ActivityInstance("c2", "b", "r1", 10, 20),
+            ActivityInstance("c1", "b", "r1", 10, 20),  # ties on (started, completed)
+            ActivityInstance("c3", "a", "r1", 10, 20),
+            ActivityInstance("c1", "a", "r1", 0, 30),
+            ActivityInstance("c1", "c", "r2", 5, 6),
+            ActivityInstance("c2", "a", UNKNOWN_RESOURCE, 1, 2),
+            ActivityInstance("c3", "b", "r1", 10, 15),
+        ]
+        log = EventLog.from_instances(instances)
+        index = log.by_resource
+        assert tuple(index) == log.resources == (UNKNOWN_RESOURCE, "r1", "r2")
+        grouped = [inst for seq in index.values() for inst in seq]
+        assert len(grouped) == len(instances)
+        assert {id(i) for i in grouped} == {id(i) for i in instances}
+        for resource, seq in index.items():
+            assert all(inst.resource == resource for inst in seq)
+        assert [(i.case_id, i.activity) for i in index["r1"]] == [
+            ("c1", "a"),
+            ("c3", "b"),
+            ("c3", "a"),
+            ("c1", "b"),
+            ("c2", "b"),
+        ]
+        for seq in index.values():
+            keys = [(i.started, i.completed, i.activity, i.case_id) for i in seq]
+            assert keys == sorted(keys)
+        assert log.by_resource is index

@@ -119,13 +119,11 @@ class TestReportShape:
             thresholds=OracleThresholds(dependency_threshold=0.7),
             batching=BatchingConfig(gap_tolerance=30),
             calendars=CalendarParams(granule_minutes=30),
-            max_workers=4,
         )
         report = build_report(mixed_result, config=config)
         assert report["parameters"]["dependency_threshold"] == 0.7
         assert report["parameters"]["gap_tolerance_s"] == 30
         assert report["parameters"]["granule_minutes"] == 30
-        assert report["parameters"]["max_workers"] == 4
 
     def test_transition_rows_sorted_by_waiting_time(self, mixed_result):
         report = build_report(mixed_result)
