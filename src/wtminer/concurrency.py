@@ -162,19 +162,26 @@ def compute_enablement(
     stats = EnablementStats()
     new_instances: list[ActivityInstance] = []
     enabler: dict[ActivityInstance, ActivityInstance] = {}
+    concurrent_with: dict[str, set[str]] = {}
+    for a, b in relation.pairs:
+        if relation.is_concurrent(a, b):
+            concurrent_with.setdefault(a, set()).add(b)
+            concurrent_with.setdefault(b, set()).add(a)
 
     for seq in log.cases.values():
         rebuilt: list[ActivityInstance] = []
+        # Per activity, (completion, index) of its latest-completing instance
+        # so far: on equal completion the later index is the greater key.
+        latest: dict[str, tuple[TimeInstant, int]] = {}
         for idx, inst in enumerate(seq):
-            enabler_idx: Optional[int] = None
-            best_completion: Optional[TimeInstant] = None
-            for j in range(idx):
-                pred = seq[j]
-                if relation.is_concurrent(pred.activity, inst.activity):
-                    continue
-                if best_completion is None or pred.completed >= best_completion:
-                    best_completion = pred.completed
-                    enabler_idx = j
+            skip = concurrent_with.get(inst.activity, ())
+            best_completion, enabler_idx = max(
+                (key for activity, key in latest.items() if activity not in skip),
+                default=(None, None),
+            )
+            seen = latest.get(inst.activity)
+            if seen is None or inst.completed >= seen[0]:
+                latest[inst.activity] = (inst.completed, idx)
             if inst.enabled is not None:
                 enabled = inst.enabled
                 stats.supplied += 1

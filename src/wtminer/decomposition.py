@@ -18,8 +18,9 @@ the five sets partition the waiting interval exactly.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from wtminer.batching import BatchingResult, batching_interval
 from wtminer.calendars import AbsoluteAvailability
@@ -56,6 +57,14 @@ class WtDecomposition:
         return self.instance.waiting.duration
 
 
+class _ResourceWindow(NamedTuple):
+    """One resource's work sequence, its start times and longest processing."""
+
+    seq: tuple[ActivityInstance, ...]
+    starts: list[int]
+    longest: int
+
+
 class Decomposer:
     """The per-instance cascade over the log's resource index, batches and calendars."""
 
@@ -68,15 +77,31 @@ class Decomposer:
         self.log = log
         self.batching = batching
         self.availability = availability
+        self._windows: dict[str, _ResourceWindow] = {}
+
+    def _window(self, resource: str) -> _ResourceWindow:
+        window = self._windows.get(resource)
+        if window is None:
+            seq = self.log.by_resource.get(resource, ())
+            window = _ResourceWindow(
+                seq,
+                [inst.started for inst in seq],
+                max((inst.completed - inst.started for inst in seq), default=0),
+            )
+            self._windows[resource] = window
+        return window
 
     def _busy_overlaps(self, target: ActivityInstance, want_earlier: bool) -> IntervalSet:
         wait = target.waiting
         if wait.is_empty():
             return IntervalSet.empty()
+        # Only instances starting in [wait.start - longest, wait.end) can
+        # overlap the wait: anything starting earlier has already completed.
+        window = self._window(target.resource)
+        lo = bisect_left(window.starts, wait.start - window.longest)
+        hi = bisect_left(window.starts, wait.end)
         spans = []
-        for other in self.log.by_resource.get(target.resource, ()):
-            if other.started >= wait.end:
-                break
+        for other in window.seq[lo:hi]:
             if other is target:
                 continue
             earlier = other.enabled <= target.enabled
@@ -101,7 +126,7 @@ class Decomposer:
         if wait.is_empty():
             return IntervalSet.empty()
         avail = self.availability[target.resource].available
-        return IntervalSet((wait,)) - avail
+        return IntervalSet((wait,)) - avail.overlapping(wait)
 
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
         target = ti.target

@@ -98,7 +98,12 @@ def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> 
     if not text:
         raise ValueError("empty timestamp")
     if fmt == EPOCH_SECONDS:
-        return int(text)
+        value = int(text)
+        try:
+            datetime.fromtimestamp(value, tz=timezone.utc)
+        except (OverflowError, OSError, ValueError) as exc:
+            raise ValueError(f"epoch seconds out of range: {text}") from exc
+        return value
     # fromisoformat in 3.10 does not accept a trailing Z.
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -123,7 +128,8 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
 
     Rows with unparseable timestamps or end < start are rejected and counted.
     A missing resource value maps to the reserved "__UNKNOWN__" label. An
-    enabled time after the start is clamped to the start and counted.
+    enabled time after the start is clamped to the start and counted. A file
+    that is not UTF-8 text or not readable as CSV raises IngestError.
     """
     if mapping is None:
         mapping = ColumnMapping()
@@ -133,29 +139,34 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
 
     stats = IngestStats()
     instances: list[ActivityInstance] = []
-    with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        needed = [
-            mapping.case_column,
-            mapping.activity_column,
-            mapping.resource_column,
-            mapping.start_column,
-            mapping.end_column,
-        ]
-        if mapping.enabled_column:
-            needed.append(mapping.enabled_column)
-        missing = [name for name in needed if name not in header]
-        if missing:
-            raise ConfigError(f"log {path} is missing mapped columns: {missing}")
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            needed = [
+                mapping.case_column,
+                mapping.activity_column,
+                mapping.resource_column,
+                mapping.start_column,
+                mapping.end_column,
+            ]
+            if mapping.enabled_column:
+                needed.append(mapping.enabled_column)
+            missing = [name for name in needed if name not in header]
+            if missing:
+                raise ConfigError(f"log {path} is missing mapped columns: {missing}")
 
-        for row in reader:
-            stats.rows_total += 1
-            inst = _parse_row(row, mapping, stats)
-            if inst is None:
-                stats.rows_rejected += 1
-            else:
-                instances.append(inst)
+            for row in reader:
+                stats.rows_total += 1
+                inst = _parse_row(row, mapping, stats)
+                if inst is None:
+                    stats.rows_rejected += 1
+                else:
+                    instances.append(inst)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"log {path} is not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise IngestError(f"log {path} is not a readable CSV: {exc}") from exc
 
     if not instances:
         raise IngestError(f"no usable activity instances in {path}")

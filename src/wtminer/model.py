@@ -7,8 +7,10 @@ waiting period with no double counting.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 # Instants are plain epoch seconds; durations are plain second counts.
@@ -77,6 +79,10 @@ def _canonicalize(intervals: Iterable[TimeInterval]) -> tuple[TimeInterval, ...]
     return tuple(merged)
 
 
+_START = attrgetter("start")
+_END = attrgetter("end")
+
+
 @dataclass(frozen=True)
 class IntervalSet:
     """Canonical set of instants: sorted, pairwise disjoint, non-touching intervals."""
@@ -85,6 +91,13 @@ class IntervalSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _canonicalize(self.intervals))
+
+    @classmethod
+    def _from_canonical(cls, intervals: tuple[TimeInterval, ...]) -> "IntervalSet":
+        # For results already sorted, disjoint, non-touching and non-empty.
+        result = object.__new__(cls)
+        object.__setattr__(result, "intervals", intervals)
+        return result
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -109,6 +122,13 @@ class IntervalSet:
                 return True
         return False
 
+    def overlapping(self, span: TimeInterval) -> "IntervalSet":
+        """The member intervals that overlap `span`, found by bisection, unclipped."""
+        ivs = self.intervals
+        lo = bisect_right(ivs, span.start, key=_END)
+        hi = bisect_left(ivs, span.end, lo=lo, key=_START)
+        return IntervalSet._from_canonical(ivs[lo:hi])
+
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # Two-pointer sweep over both canonical sequences.
         out: list[TimeInterval] = []
@@ -123,7 +143,7 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(tuple(out))
+        return IntervalSet._from_canonical(tuple(out))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
@@ -144,7 +164,7 @@ class IntervalSet:
                 k += 1
             if cursor < iv.end:
                 out.append(TimeInterval(cursor, iv.end))
-        return IntervalSet(tuple(out))
+        return IntervalSet._from_canonical(tuple(out))
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other)

@@ -25,7 +25,7 @@ from wtminer.decomposition import (
     decompose_all,
     multitasking_rate,
 )
-from wtminer.model import EventLog
+from wtminer.model import ActivityInstance, EventLog, TimeInterval
 from wtminer.transitions import Transition, discover_transitions
 
 
@@ -48,6 +48,16 @@ class PipelineResult:
     analysis: AnalysisResult
     multitasking_rate: float
     overridden_resources: tuple[str, ...]
+
+
+def _wait_hull(instances: tuple[ActivityInstance, ...]) -> TimeInterval:
+    """Smallest interval covering every non-empty wait; empty if none waits."""
+    waiting = [inst for inst in instances if inst.enabled < inst.started]
+    if not waiting:
+        return TimeInterval(0, 0)
+    return TimeInterval(
+        min(inst.enabled for inst in waiting), max(inst.started for inst in waiting)
+    )
 
 
 def run_pipeline(
@@ -79,9 +89,10 @@ def run_pipeline(
                 enriched, resource, config.calendars
             )
 
-    horizon = enriched.horizon()
+    # Availability is only read inside waits, so each resource's calendar is
+    # expanded over the hull of its own non-empty waits.
     availability = {
-        resource: expand_calendar(calendar, horizon)
+        resource: expand_calendar(calendar, _wait_hull(enriched.by_resource[resource]))
         for resource, calendar in calendars.items()
     }
 

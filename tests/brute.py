@@ -1,15 +1,26 @@
-"""Per-second reference labeler for waiting time decomposition.
+"""Deliberately naive reference implementations, used as test oracles.
 
-Deliberately naive: walk every second of the waiting interval and assign it
-to the first matching cause in dominance order. Used as an independent
-oracle against the interval-set implementation.
+`brute_cause_durations` walks every second of a waiting interval and assigns
+it to the first matching cause in dominance order. The other functions are
+the full scans that the windowed pipeline stages replaced: a quadratic
+predecessor search for enablement, a scan of the resource's whole work
+sequence for busy overlaps, and a subtraction of the whole availability set.
 """
 from __future__ import annotations
 
+from typing import Optional
+
 from wtminer.batching import BatchingResult
 from wtminer.calendars import AbsoluteAvailability
+from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
 from wtminer.decomposition import CAUSES
-from wtminer.model import ActivityInstance, EventLog, UNKNOWN_RESOURCE
+from wtminer.model import (
+    ActivityInstance,
+    EventLog,
+    IntervalSet,
+    TimeInstant,
+    UNKNOWN_RESOURCE,
+)
 
 
 def brute_cause_durations(
@@ -49,3 +60,86 @@ def brute_cause_durations(
         else:
             counts["extraneous"] += 1
     return counts
+
+
+def brute_enablement(log: EventLog, relation: ConcurrencyRelation) -> EnablementResult:
+    """Enablement by scanning every earlier instance of the case: O(k^2) per case."""
+    stats = EnablementStats()
+    new_instances: list[ActivityInstance] = []
+    enabler: dict[ActivityInstance, ActivityInstance] = {}
+
+    for seq in log.cases.values():
+        rebuilt: list[ActivityInstance] = []
+        for idx, inst in enumerate(seq):
+            enabler_idx: Optional[int] = None
+            best_completion: Optional[TimeInstant] = None
+            for j in range(idx):
+                pred = seq[j]
+                if relation.is_concurrent(pred.activity, inst.activity):
+                    continue
+                if best_completion is None or pred.completed >= best_completion:
+                    best_completion = pred.completed
+                    enabler_idx = j
+            if inst.enabled is not None:
+                enabled = inst.enabled
+                stats.supplied += 1
+            elif enabler_idx is None:
+                enabled = inst.started
+                if idx == 0:
+                    stats.first_in_case += 1
+                else:
+                    stats.concurrent_only += 1
+            else:
+                enabled = best_completion
+                if enabled > inst.started:
+                    enabled = inst.started
+                    stats.clamped += 1
+                stats.derived += 1
+            rebuilt.append(
+                ActivityInstance(
+                    case_id=inst.case_id,
+                    activity=inst.activity,
+                    resource=inst.resource,
+                    started=inst.started,
+                    completed=inst.completed,
+                    enabled=enabled,
+                )
+            )
+            if enabler_idx is not None:
+                enabler[rebuilt[idx]] = rebuilt[enabler_idx]
+        new_instances.extend(rebuilt)
+
+    new_log = EventLog.from_instances(new_instances)
+    return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)
+
+
+def brute_busy_overlaps(
+    target: ActivityInstance, log: EventLog, want_earlier: bool
+) -> IntervalSet:
+    """Same-resource processing inside the wait, scanning from the first instance."""
+    wait = target.waiting
+    if wait.is_empty():
+        return IntervalSet.empty()
+    spans = []
+    for other in log.by_resource.get(target.resource, ()):
+        if other.started >= wait.end:
+            break
+        if other is target:
+            continue
+        earlier = other.enabled <= target.enabled
+        if earlier != want_earlier:
+            continue
+        overlap = other.processing.intersect(wait)
+        if overlap is not None:
+            spans.append(overlap)
+    return IntervalSet(tuple(spans))
+
+
+def brute_raw_unavailability(
+    target: ActivityInstance, availability: dict[str, AbsoluteAvailability]
+) -> IntervalSet:
+    """The wait minus the resource's whole availability set."""
+    wait = target.waiting
+    if wait.is_empty():
+        return IntervalSet.empty()
+    return IntervalSet((wait,)) - availability[target.resource].available

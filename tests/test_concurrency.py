@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import brute_enablement
 from wtminer.concurrency import (
     ConcurrencyRelation,
     DirectlyFollowsCounts,
@@ -203,3 +206,48 @@ class TestComputeEnablement:
         for inst in result.log.instances:
             assert inst.enabled is not None
             assert inst.enabled <= inst.started
+
+
+ORACLE_ACTIVITIES = ("a", "b", "c", "d")
+ACTIVITY_PAIRS = [
+    (x, y) for i, x in enumerate(ORACLE_ACTIVITIES) for y in ORACLE_ACTIVITIES[i + 1 :]
+]
+
+
+@st.composite
+def enablement_scenarios(draw):
+    """Random relations over a few activities, so cases repeat activities; narrow
+    time ranges, so completions tie; some instances carry a supplied enabled."""
+    relation = ConcurrencyRelation.of(*draw(st.sets(st.sampled_from(ACTIVITY_PAIRS))))
+    instances = []
+    for case in range(draw(st.integers(min_value=1, max_value=3))):
+        for _ in range(draw(st.integers(min_value=1, max_value=9))):
+            started = draw(st.integers(min_value=0, max_value=20))
+            completed = started + draw(st.integers(min_value=0, max_value=6))
+            back = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+            enabled = None if back is None else started - back
+            activity = draw(st.sampled_from(ORACLE_ACTIVITIES))
+            instances.append(
+                ActivityInstance(f"c{case}", activity, "r1", started, completed, enabled)
+            )
+    return EventLog.from_instances(instances), relation
+
+
+def enabler_positions(result) -> dict[int, int]:
+    """The enabler map as log positions, so two results compare by object."""
+    position = {inst: k for k, inst in enumerate(result.log.instances)}
+    return {position[target]: position[source] for target, source in result.enabler.items()}
+
+
+class TestEnablementOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(enablement_scenarios())
+    def test_matches_quadratic_predecessor_scan(self, scenario):
+        log, relation = scenario
+        fast = compute_enablement(log, relation)
+        slow = brute_enablement(log, relation)
+        assert [i.enabled for i in fast.log.instances] == [
+            i.enabled for i in slow.log.instances
+        ]
+        assert enabler_positions(fast) == enabler_positions(slow)
+        assert fast.stats == slow.stats

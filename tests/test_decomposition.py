@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_cause_durations
+from brute import brute_busy_overlaps, brute_cause_durations, brute_raw_unavailability
 from wtminer.batching import detect_batches
 from wtminer.calendars import (
+    AbsoluteAvailability,
     WeeklyCalendar,
     expand_calendar,
 )
@@ -20,6 +21,7 @@ from wtminer.model import (
     ActivityInstance,
     EventLog,
     IntervalSet,
+    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 from wtminer.transitions import TransitionInstance
@@ -293,3 +295,52 @@ class TestDecompositionInvariants:
             # Per-second reference labeler agrees exactly.
             brute = brute_cause_durations(target, log, batching, availability)
             assert out.cause_durations() == brute
+
+
+@st.composite
+def busy_windows(draw):
+    """Same-resource work that multitasks, has zero-length instances and one
+    very long instance starting long before every other wait."""
+    instances = []
+    for k in range(draw(st.integers(min_value=1, max_value=9))):
+        res = draw(st.sampled_from(["r1", "r1", "r2"]))
+        enabled = MONDAY + draw(st.integers(min_value=0, max_value=400))
+        started = enabled + draw(st.integers(min_value=0, max_value=200))
+        completed = started + draw(st.sampled_from([0, 0, 5, 30, 120, 300]))
+        instances.append(inst(f"c{k}", "a", res, enabled, started, completed))
+    long_start = MONDAY - draw(st.integers(min_value=1000, max_value=5000))
+    long_end = MONDAY + draw(st.integers(min_value=-100, max_value=800))
+    long_enabled = long_start - draw(st.integers(min_value=0, max_value=50))
+    instances.append(inst("long", "a", "r1", long_enabled, long_start, long_end))
+    log = EventLog.from_instances(instances)
+
+    availability = {}
+    for res in log.resources:
+        spans = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=-5100, max_value=800),
+                    st.integers(min_value=0, max_value=300),
+                ),
+                max_size=8,
+            )
+        )
+        available = IntervalSet(
+            tuple(TimeInterval(MONDAY + s, MONDAY + s + n) for s, n in spans)
+        )
+        availability[res] = AbsoluteAvailability(res, available)
+    return log, availability
+
+
+class TestWindowedScans:
+    @settings(max_examples=300, deadline=None)
+    @given(busy_windows())
+    def test_windowed_scans_match_full_scans(self, scenario):
+        log, availability = scenario
+        d = Decomposer(log, detect_batches(log), availability)
+        for target in log.instances:
+            assert d.raw_contention(target) == brute_busy_overlaps(target, log, True)
+            assert d.raw_prioritization(target) == brute_busy_overlaps(target, log, False)
+            assert d.raw_unavailability(target) == brute_raw_unavailability(
+                target, availability
+            )

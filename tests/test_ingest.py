@@ -33,6 +33,10 @@ class TestParseTimestamp:
     def test_epoch_format(self):
         assert parse_timestamp("1800", "epoch") == 1800
 
+    def test_epoch_beyond_datetime_range_raises(self):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp("99999999999999", "epoch")
+
     def test_garbage_raises(self):
         with pytest.raises(ValueError):
             parse_timestamp("not a time", "iso8601")
@@ -151,6 +155,35 @@ class TestLoadLog:
         assert [i.case_id for i in result.log.instances] == ["C1", "C2"]
         assert result.stats.rows_total == 2
         assert result.stats.rows_rejected == 0
+
+    def test_latin1_byte_is_ingest_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"case_id,activity,resource,start_time,end_time\n"
+            b"C1,caf\xe9,R1,2023-01-02T09:00:00Z,2023-01-02T09:30:00Z\n"
+        )
+        with pytest.raises(IngestError, match="not UTF-8") as err:
+            load_log(path)
+        assert str(path) in str(err.value)
+
+    def test_overlong_field_is_ingest_error(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            ["C1," + "A" * 131073 + ",R1,2023-01-02T09:00:00Z,2023-01-02T09:30:00Z"],
+        )
+        with pytest.raises(IngestError, match="field larger than field limit") as err:
+            load_log(path)
+        assert str(path) in str(err.value)
+
+    def test_unrepresentable_epoch_row_rejected(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            ["C1,A,R1,1672650000,1672651800", "C1,B,R1,99999999999999,99999999999999"],
+        )
+        result = load_log(path, ColumnMapping(timestamp_format="epoch"))
+        (inst,) = result.log.instances
+        assert inst.activity == "A"
+        assert result.stats.rows_rejected == 1
 
     def test_determinism(self, tmp_path):
         rows = [

@@ -128,6 +128,22 @@ class TestIntervalSetOperations:
                 assert left.end < right.start
             assert all(not iv.is_empty() for iv in s.intervals)
 
+    @given(interval_sets(), interval_sets())
+    def test_fast_results_equal_their_canonical_form(self, a, b):
+        # intersect and subtract store their output without re-canonicalizing.
+        for result in (a.intersect(b), a.subtract(b)):
+            assert result == IntervalSet(result.intervals)
+
+    @given(
+        interval_sets(),
+        st.integers(min_value=0, max_value=HORIZON - 1),
+        st.integers(min_value=0, max_value=HORIZON - 1),
+    )
+    def test_overlapping_matches_linear_filter(self, a, x, y):
+        span = TimeInterval(min(x, y), max(x, y))
+        expected = tuple(iv for iv in a.intervals if iv.overlaps(span))
+        assert a.overlapping(span).intervals == expected
+
 
 class TestActivityInstance:
     def test_identity_equality(self):
