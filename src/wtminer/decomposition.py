@@ -28,6 +28,7 @@ from wtminer.model import (
     ActivityInstance,
     EventLog,
     IntervalSet,
+    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 from wtminer.transitions import TransitionInstance
@@ -91,83 +92,58 @@ class Decomposer:
             self._windows[resource] = window
         return window
 
-    def _busy_overlaps(self, target: ActivityInstance, want_earlier: bool) -> IntervalSet:
+    def _busy_overlaps(self, target: ActivityInstance) -> tuple[IntervalSet, IntervalSet]:
+        """Same-resource processing inside the wait, in one pass over the window:
+        work enabled no later than the target, then work enabled after it."""
         wait = target.waiting
-        if wait.is_empty():
-            return IntervalSet.empty()
         # Only instances starting in [wait.start - longest, wait.end) can
         # overlap the wait: anything starting earlier has already completed.
+        # The target itself starts at wait.end, so it is never in the window.
         window = self._window(target.resource)
         lo = bisect_left(window.starts, wait.start - window.longest)
         hi = bisect_left(window.starts, wait.end)
-        spans = []
+        earlier: list[TimeInterval] = []
+        later: list[TimeInterval] = []
         for other in window.seq[lo:hi]:
-            if other is target:
-                continue
-            earlier = other.enabled <= target.enabled
-            if earlier != want_earlier:
-                continue
             overlap = other.processing.intersect(wait)
             if overlap is not None:
-                spans.append(overlap)
-        return IntervalSet(tuple(spans))
+                (earlier if other.enabled <= target.enabled else later).append(overlap)
+        return IntervalSet(tuple(earlier)), IntervalSet(tuple(later))
 
     def raw_contention(self, target: ActivityInstance) -> IntervalSet:
         """Resource busy during the wait on work enabled no later than the target."""
-        return self._busy_overlaps(target, want_earlier=True)
+        return self._busy_overlaps(target)[0]
 
     def raw_prioritization(self, target: ActivityInstance) -> IntervalSet:
         """Resource busy during the wait on work enabled strictly after the target."""
-        return self._busy_overlaps(target, want_earlier=False)
+        return self._busy_overlaps(target)[1]
 
     def raw_unavailability(self, target: ActivityInstance) -> IntervalSet:
         """Waiting instants outside the resource's availability calendar."""
         wait = target.waiting
-        if wait.is_empty():
-            return IntervalSet.empty()
         avail = self.availability[target.resource].available
         return IntervalSet((wait,)) - avail.overlapping(wait)
 
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
         target = ti.target
-        remaining = IntervalSet((target.waiting,))
-
-        if target.resource == UNKNOWN_RESOURCE:
-            # No resource identity: no batch, no busy evidence, no calendar.
-            empty = IntervalSet.empty()
-            return WtDecomposition(
-                instance=ti,
-                batching=empty,
-                contention=empty,
-                prioritization=empty,
-                unavailability=empty,
-                extraneous=remaining,
-            )
+        wait = target.waiting
+        remaining = IntervalSet((wait,))
+        empty = IntervalSet.empty()
+        if not remaining or target.resource == UNKNOWN_RESOURCE:
+            # Nothing to split, or no resource identity: no batch, no busy
+            # evidence and no calendar, so all of the wait is extraneous.
+            return WtDecomposition(ti, empty, empty, empty, empty, remaining)
 
         batch = self.batching.by_instance.get(target)
-        if batch is not None:
-            batching_set = batching_interval(target, batch).intersect(remaining)
-        else:
-            batching_set = IntervalSet.empty()
-        remaining = remaining - batching_set
-
-        contention = self.raw_contention(target).intersect(remaining)
-        remaining = remaining - contention
-
-        prioritization = self.raw_prioritization(target).intersect(remaining)
-        remaining = remaining - prioritization
-
-        unavailability = self.raw_unavailability(target).intersect(remaining)
-        remaining = remaining - unavailability
-
-        return WtDecomposition(
-            instance=ti,
-            batching=batching_set,
-            contention=contention,
-            prioritization=prioritization,
-            unavailability=unavailability,
-            extraneous=remaining,
-        )
+        batched = batching_interval(target, batch) if batch is not None else empty
+        claimed = []
+        for raw in (batched, *self._busy_overlaps(target)):
+            claimed.append(remaining & raw)
+            remaining -= raw
+        # remaining lies inside the wait, so the availability that overlaps
+        # the wait splits it into unavailability and extraneous exactly.
+        available = self.availability[target.resource].available.overlapping(wait)
+        return WtDecomposition(ti, *claimed, remaining - available, remaining & available)
 
 
 def decompose_all(

@@ -41,6 +41,11 @@ class ColumnMapping:
     timestamp_format: str = ISO_8601
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            optional = f.name == "enabled_column" and value is None
+            if f.name.endswith("_column") and not optional and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a column name string, got {value!r}")
         if self.timestamp_format not in _TIMESTAMP_FORMATS:
             raise ConfigError(
                 f"unknown timestamp format {self.timestamp_format!r}; "
@@ -182,10 +187,12 @@ def _parse_row(row: dict, mapping: ColumnMapping, stats: IngestStats) -> Optiona
     if not resource:
         resource = UNKNOWN_RESOURCE
         stats.unknown_resources += 1
+    fmt = mapping.timestamp_format
+    # A short row leaves its trailing fields None.
     try:
-        started = parse_timestamp(row[mapping.start_column], mapping.timestamp_format, stats)
-        completed = parse_timestamp(row[mapping.end_column], mapping.timestamp_format, stats)
-    except (ValueError, KeyError, TypeError):
+        started = parse_timestamp(row.get(mapping.start_column) or "", fmt, stats)
+        completed = parse_timestamp(row.get(mapping.end_column) or "", fmt, stats)
+    except ValueError:
         return None
     if completed < started:
         return None
@@ -195,8 +202,8 @@ def _parse_row(row: dict, mapping: ColumnMapping, stats: IngestStats) -> Optiona
         raw = (row.get(mapping.enabled_column) or "").strip()
         if raw:
             try:
-                enabled = parse_timestamp(raw, mapping.timestamp_format, stats)
-            except (ValueError, TypeError):
+                enabled = parse_timestamp(raw, fmt, stats)
+            except ValueError:
                 return None
             if enabled > started:
                 enabled = started

@@ -101,7 +101,7 @@ class IntervalSet:
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls(())
+        return _EMPTY
 
     @classmethod
     def of(cls, *spans: tuple[TimeInstant, TimeInstant]) -> "IntervalSet":
@@ -186,6 +186,10 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return "{" + ", ".join(repr(iv) for iv in self.intervals) + "}"
+
+
+# Interval sets are immutable, so every caller can share one empty set.
+_EMPTY = IntervalSet._from_canonical(())
 
 
 @dataclass(frozen=True, eq=False)

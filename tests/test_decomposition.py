@@ -344,3 +344,8 @@ class TestWindowedScans:
             assert d.raw_unavailability(target) == brute_raw_unavailability(
                 target, availability
             )
+            out = d.decompose(ti_for(target))
+            assert sum(out.cause_durations().values()) == target.waiting.duration
+            assert out.cause_durations() == brute_cause_durations(
+                target, log, d.batching, availability
+            )

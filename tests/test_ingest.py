@@ -55,6 +55,11 @@ class TestColumnMapping:
         with pytest.raises(ConfigError):
             ColumnMapping.from_dict({"case_column": "c", "bogus": "x"})
 
+    @pytest.mark.parametrize("field", ["case_column", "end_column", "enabled_column"])
+    def test_non_string_column_name_is_config_error(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ColumnMapping.from_dict({field: ["case_id"]})
+
     def test_from_dict_roundtrip(self):
         m = ColumnMapping.from_dict({"enabled_column": "enabled_time"})
         assert m.enabled_column == "enabled_time"
@@ -96,6 +101,19 @@ class TestLoadLog:
         result = load_log(path)
         assert result.stats.rows_rejected == 1
         assert result.stats.rows_total == 2
+
+    def test_short_row_rejected(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            [
+                "C1,A,R1,2023-01-02T09:00:00Z,2023-01-02T10:00:00Z",
+                "C1,B,R1,2023-01-02T11:00:00Z",
+            ],
+        )
+        result = load_log(path)
+        (inst,) = result.log.instances
+        assert inst.activity == "A"
+        assert result.stats.rows_rejected == 1
 
     def test_case_grouping(self, tmp_path):
         rows = []
