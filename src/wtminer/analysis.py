@@ -73,7 +73,7 @@ def analyze(
     decompositions: tuple[WtDecomposition, ...],
 ) -> AnalysisResult:
     """Fold decompositions into process-level and transition-level impacts."""
-    total_pt = sum(inst.processing.duration for inst in log.instances)
+    total_pt = sum(inst.completed - inst.started for inst in log.instances)
     total_wt = sum(t.total_duration for t in transitions)
 
     n_transition_instances = sum(t.total_frequency for t in transitions)
@@ -85,15 +85,27 @@ def analyze(
 
     cte = compute_cte(total_pt, total_wt)
 
-    cause_totals = dict.fromkeys(CAUSES, 0)
-    by_label: dict[tuple[str, str], dict[str, int]] = {}
+    # Seconds per cause, in CAUSES order, per (source, target) label. A
+    # zero-length wait has five empty sets, so it adds nothing.
+    by_label: dict[tuple[str, str], list[int]] = {}
     for dec in decompositions:
-        label = (dec.instance.source.activity, dec.instance.target.activity)
-        slot = by_label.setdefault(label, dict.fromkeys(CAUSES, 0))
-        for cause, duration in dec.cause_durations().items():
-            cause_totals[cause] += duration
-            slot[cause] += duration
+        target = dec.instance.target
+        if target.enabled == target.started:
+            continue
+        label = (dec.instance.source.activity, target.activity)
+        slot = by_label.get(label)
+        if slot is None:
+            slot = by_label[label] = [0] * len(CAUSES)
+        slot[0] += dec.batching.total_duration
+        slot[1] += dec.contention.total_duration
+        slot[2] += dec.prioritization.total_duration
+        slot[3] += dec.unavailability.total_duration
+        slot[4] += dec.extraneous.total_duration
 
+    cause_totals = dict.fromkeys(CAUSES, 0)
+    for slot in by_label.values():
+        for cause, seconds in zip(CAUSES, slot):
+            cause_totals[cause] += seconds
     if sum(cause_totals.values()) != total_wt:
         raise WtMinerError(
             "decomposed waiting time does not add up to the transition total"
@@ -111,6 +123,7 @@ def analyze(
             delta=after - cte,
         )
 
+    no_wait = [0] * len(CAUSES)
     per_transition = []
     for t in transitions:
         after = cte_if_eliminated(total_pt, total_wt, t.total_duration)
@@ -121,7 +134,7 @@ def analyze(
                 case_frequency=t.case_frequency,
                 total_frequency=t.total_frequency,
                 total_wt_seconds=t.total_duration,
-                wt_by_cause=by_label.get(t.label, dict.fromkeys(CAUSES, 0)),
+                wt_by_cause=dict(zip(CAUSES, by_label.get(t.label, no_wait))),
                 cte_if_eliminated=after,
                 delta=after - cte,
             )

@@ -5,7 +5,8 @@ seen doing anything (starts and completions). Evidence is bucketed into
 weekly slots of granule_minutes; slots with enough relative frequency count
 as working time. If the resulting calendar explains too small a share of the
 observations, the frequency cut is relaxed stepwise. Weekly calendars expand
-to absolute availability interval sets over the log horizon.
+to absolute availability interval sets over each resource's waits, the only
+place where availability is read.
 """
 from __future__ import annotations
 
@@ -166,21 +167,23 @@ def discover_calendars(
     return {res: discover_calendar(log, res, params) for res in log.resources}
 
 
-def expand_calendar(cal: WeeklyCalendar, horizon: TimeInterval) -> AbsoluteAvailability:
-    """Tile the weekly working ranges across every week touching the horizon."""
-    if horizon.is_empty():
-        return AbsoluteAvailability(cal.resource, IntervalSet.empty())
-    spans: list[TimeInterval] = []
+def expand_calendar(cal: WeeklyCalendar, *spans: TimeInterval) -> AbsoluteAvailability:
+    """Tile the weekly working ranges across the weeks each span touches,
+    clipped to that span. No spans, or only empty ones, give the empty set."""
     ranges = cal.weekly_ranges()
-    w = week_start(horizon.start)
-    while w < horizon.end:
-        for s, e in ranges:
-            if w + e > horizon.start and w + s < horizon.end:
-                spans.append(
-                    TimeInterval(max(w + s, horizon.start), min(w + e, horizon.end))
-                )
-        w += SECONDS_PER_WEEK
-    return AbsoluteAvailability(cal.resource, IntervalSet(tuple(spans)))
+    pieces: list[TimeInterval] = []
+    for span in spans:
+        w = week_start(span.start)
+        while w < span.end:
+            for s, e in ranges:
+                if w + e > span.start and w + s < span.end:
+                    pieces.append(
+                        TimeInterval(max(w + s, span.start), min(w + e, span.end))
+                    )
+            w += SECONDS_PER_WEEK
+    # Canonicalizing merges a range ending Sunday 24:00 with the next
+    # Monday 00:00, and pieces of touching spans with each other.
+    return AbsoluteAvailability(cal.resource, IntervalSet(tuple(pieces)))
 
 
 def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:

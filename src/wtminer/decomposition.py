@@ -127,11 +127,13 @@ class Decomposer:
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
         target = ti.target
         wait = target.waiting
-        remaining = IntervalSet((wait,))
         empty = IntervalSet.empty()
-        if not remaining or target.resource == UNKNOWN_RESOURCE:
-            # Nothing to split, or no resource identity: no batch, no busy
-            # evidence and no calendar, so all of the wait is extraneous.
+        if wait.start == wait.end:
+            return WtDecomposition(ti, empty, empty, empty, empty, empty)
+        remaining = IntervalSet._from_canonical((wait,))
+        if target.resource == UNKNOWN_RESOURCE:
+            # No resource identity: no batch, no busy evidence and no
+            # calendar, so all of the wait is extraneous.
             return WtDecomposition(ti, empty, empty, empty, empty, remaining)
 
         batch = self.batching.by_instance.get(target)

@@ -25,7 +25,7 @@ from wtminer.decomposition import (
     decompose_all,
     multitasking_rate,
 )
-from wtminer.model import ActivityInstance, EventLog, TimeInterval
+from wtminer.model import EventLog, IntervalSet
 from wtminer.transitions import Transition, discover_transitions
 
 
@@ -48,16 +48,6 @@ class PipelineResult:
     analysis: AnalysisResult
     multitasking_rate: float
     overridden_resources: tuple[str, ...]
-
-
-def _wait_hull(instances: tuple[ActivityInstance, ...]) -> TimeInterval:
-    """Smallest interval covering every non-empty wait; empty if none waits."""
-    waiting = [inst for inst in instances if inst.enabled < inst.started]
-    if not waiting:
-        return TimeInterval(0, 0)
-    return TimeInterval(
-        min(inst.enabled for inst in waiting), max(inst.started for inst in waiting)
-    )
 
 
 def run_pipeline(
@@ -90,11 +80,14 @@ def run_pipeline(
             )
 
     # Availability is only read inside waits, so each resource's calendar is
-    # expanded over the hull of its own non-empty waits.
-    availability = {
-        resource: expand_calendar(calendar, _wait_hull(enriched.by_resource[resource]))
-        for resource, calendar in calendars.items()
-    }
+    # expanded over the union of its own non-empty waits.
+    availability: dict[str, AbsoluteAvailability] = {}
+    for resource, calendar in calendars.items():
+        seq = enriched.by_resource[resource]
+        waits = IntervalSet(
+            tuple(inst.waiting for inst in seq if inst.enabled < inst.started)
+        )
+        availability[resource] = expand_calendar(calendar, *waits)
 
     decomposer = Decomposer(enriched, batching, availability)
     ordered = [ti for transition in transitions for ti in transition.instances]

@@ -4,14 +4,20 @@
 it to the first matching cause in dominance order. The other functions are
 the full scans that the windowed pipeline stages replaced: a quadratic
 predecessor search for enablement, a scan of the resource's whole work
-sequence for busy overlaps, and a subtraction of the whole availability set.
+sequence for busy overlaps, a subtraction of the whole availability set, and
+a calendar tiled week by week over the hull of the spans it is read in.
 """
 from __future__ import annotations
 
 from typing import Optional
 
 from wtminer.batching import BatchingResult
-from wtminer.calendars import AbsoluteAvailability
+from wtminer.calendars import (
+    SECONDS_PER_WEEK,
+    AbsoluteAvailability,
+    WeeklyCalendar,
+    week_start,
+)
 from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
 from wtminer.decomposition import CAUSES
 from wtminer.model import (
@@ -19,6 +25,7 @@ from wtminer.model import (
     EventLog,
     IntervalSet,
     TimeInstant,
+    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 
@@ -143,3 +150,20 @@ def brute_raw_unavailability(
     if wait.is_empty():
         return IntervalSet.empty()
     return IntervalSet((wait,)) - availability[target.resource].available
+
+
+def brute_expand_calendar(cal: WeeklyCalendar, *spans: TimeInterval) -> AbsoluteAvailability:
+    """Tile the weekly ranges over every week of the spans' hull, then clip
+    the result to the spans."""
+    union = IntervalSet(spans)
+    if not union:
+        return AbsoluteAvailability(cal.resource, IntervalSet.empty())
+    hull = TimeInterval(union.intervals[0].start, union.intervals[-1].end)
+    tiles = []
+    w = week_start(hull.start)
+    while w < hull.end:
+        for s, e in cal.weekly_ranges():
+            if w + e > hull.start and w + s < hull.end:
+                tiles.append(TimeInterval(max(w + s, hull.start), min(w + e, hull.end)))
+        w += SECONDS_PER_WEEK
+    return AbsoluteAvailability(cal.resource, IntervalSet(tuple(tiles)) & union)

@@ -4,8 +4,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import brute_expand_calendar
 from wtminer.calendars import (
+    SECONDS_PER_WEEK,
     AbsoluteAvailability,
     CalendarParams,
     WeeklyCalendar,
@@ -25,6 +29,7 @@ from wtminer.model import (
     TimeInterval,
     UNKNOWN_RESOURCE,
 )
+from wtminer.pipeline import run_pipeline
 
 # 2023-01-02 00:00:00 UTC, a Monday.
 MONDAY = 1672617600
@@ -180,6 +185,109 @@ class TestExpandCalendar:
         horizon = TimeInterval(MONDAY, MONDAY + 7 * 86400)
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of((at(0, 23), at(1, 1)))
+
+
+@st.composite
+def calendars(draw) -> WeeklyCalendar:
+    kind = draw(st.sampled_from(["60", "30", "1", "always", "sunday"]))
+    if kind == "always":
+        return WeeklyCalendar.always_on("r1")
+    if kind == "sunday":
+        # Sunday 23:00-24:00, touching the next Monday 00:00 when that works too.
+        slots = {(6, 23)} | ({(0, 0)} if draw(st.booleans()) else set())
+        return WeeklyCalendar("r1", 60, frozenset(slots))
+    if kind == "1":
+        # Minute slots, as calendar overrides make them: a few day ranges.
+        slots = set()
+        for _ in range(draw(st.integers(min_value=0, max_value=4))):
+            day = draw(st.integers(min_value=0, max_value=6))
+            start = draw(st.integers(min_value=0, max_value=1439))
+            end = draw(st.integers(min_value=start + 1, max_value=1440))
+            slots.update((day, minute) for minute in range(start, end))
+        return WeeklyCalendar("r1", 1, frozenset(slots))
+    granule = int(kind)
+    slots = draw(
+        st.sets(
+            st.tuples(
+                st.integers(min_value=0, max_value=6),
+                st.integers(min_value=0, max_value=1440 // granule - 1),
+            ),
+            max_size=30,
+        )
+    )
+    return WeeklyCalendar("r1", granule, frozenset(slots))
+
+
+@st.composite
+def span_lists(draw) -> list[TimeInterval]:
+    """Unsorted spans: empty, touching, overlapping, across week boundaries
+    and several weeks long."""
+    spans: list[TimeInterval] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["free", "boundary", "touch", "overlap"]))
+        if kind in ("touch", "overlap") and spans:
+            prev = draw(st.sampled_from(spans))
+            start = prev.end if kind == "touch" else draw(
+                st.integers(min_value=prev.start, max_value=prev.end)
+            )
+        elif kind == "boundary":
+            week = draw(st.integers(min_value=-1, max_value=4))
+            start = MONDAY + week * SECONDS_PER_WEEK - draw(
+                st.integers(min_value=0, max_value=7200)
+            )
+        else:
+            start = MONDAY + draw(
+                st.integers(min_value=-86400, max_value=4 * SECONDS_PER_WEEK)
+            )
+        length = draw(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=1, max_value=7200),
+                st.integers(min_value=1, max_value=3 * SECONDS_PER_WEEK),
+            )
+        )
+        spans.append(TimeInterval(start, start + length))
+    return spans
+
+
+class TestExpandOverSpans:
+    @settings(max_examples=300, deadline=None)
+    @given(calendars(), span_lists())
+    def test_matches_hull_oracle(self, cal, spans):
+        avail = expand_calendar(cal, *spans).available
+        assert avail == brute_expand_calendar(cal, *spans).available
+        union = IntervalSet(tuple(spans))
+        for iv in avail:
+            assert any(u.start <= iv.start and iv.end <= u.end for u in union)
+
+    def test_no_spans_give_empty_set(self):
+        cal = WeeklyCalendar.always_on("r1")
+        assert expand_calendar(cal).available.is_empty()
+        assert expand_calendar(cal, TimeInterval(MONDAY, MONDAY)).available.is_empty()
+
+    def test_touching_spans_across_sunday_midnight_merge(self):
+        cal = WeeklyCalendar("r1", 60, frozenset({(6, 23), (0, 0)}))
+        sunday_night = TimeInterval(at(6, 23, 30), at(7, 0))
+        monday_morning = TimeInterval(at(7, 0), at(7, 0, 30))
+        avail = expand_calendar(cal, monday_morning, sunday_night).available
+        assert avail == IntervalSet.of((at(6, 23, 30), at(7, 0, 30)))
+
+    def test_waits_years_apart_expand_only_near_the_waits(self):
+        # Two short waits about ten years (520 weeks) apart: tiling their
+        # hull would build one interval per week in between.
+        cases = []
+        for k, week in enumerate((0, 520)):
+            day = 7 * week
+            cases += [
+                work(f"c{k}", "r1", at(day, 9, 0), at(day, 9, 10), act="a"),
+                work(f"c{k}", "r1", at(day, 9, 30), at(day, 9, 40), act="b"),
+            ]
+        result = run_pipeline(EventLog.from_instances(cases))
+        waits = [d.instance.target.waiting for d in result.decompositions]
+        assert [w.duration for w in waits if not w.is_empty()] == [1200, 1200]
+        available = result.availability["r1"].available
+        assert len(available) <= 2
+        assert available.total_duration == 2400
 
 
 class TestOverrides:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import brute_busy_overlaps, brute_cause_durations, brute_raw_unavailability
+from test_golden import _write_loopy_log
 from wtminer.batching import detect_batches
 from wtminer.calendars import (
     AbsoluteAvailability,
@@ -17,6 +18,7 @@ from wtminer.decomposition import (
     Decomposer,
     multitasking_rate,
 )
+from wtminer.ingest import load_log
 from wtminer.model import (
     ActivityInstance,
     EventLog,
@@ -24,6 +26,7 @@ from wtminer.model import (
     TimeInterval,
     UNKNOWN_RESOURCE,
 )
+from wtminer.pipeline import run_pipeline
 from wtminer.transitions import TransitionInstance
 
 MONDAY = 1672617600
@@ -349,3 +352,53 @@ class TestWindowedScans:
             assert out.cause_durations() == brute_cause_durations(
                 target, log, d.batching, availability
             )
+
+
+def _horizon_decompositions(result) -> list:
+    """Decompose the pipeline's targets again, with every calendar expanded
+    over the whole log horizon instead of over its resource's waits."""
+    horizon = result.log.horizon()
+    availability = {
+        res: expand_calendar(cal, horizon) for res, cal in result.calendars.items()
+    }
+    decomposer = Decomposer(result.log, result.batching, availability)
+    return [decomposer.decompose(dec.instance) for dec in result.decompositions]
+
+
+@st.composite
+def spread_logs(draw):
+    """Cases spread over weeks, with waits from minutes to days, and
+    optionally a minute-granule override calendar for r1."""
+    instances = []
+    for case in range(draw(st.integers(min_value=1, max_value=6))):
+        t = MONDAY + draw(st.integers(min_value=0, max_value=3 * 7 * 86400))
+        for _ in range(draw(st.integers(min_value=1, max_value=5))):
+            t += draw(st.sampled_from([0, 600, 3600, 5 * 3600, 86400, 3 * 86400]))
+            duration = draw(st.sampled_from([300, 1800, 7200]))
+            res = draw(st.sampled_from(["r1", "r2", UNKNOWN_RESOURCE]))
+            act = draw(st.sampled_from(["a", "b", "c"]))
+            instances.append(ActivityInstance(f"c{case}", act, res, t, t + duration))
+            t += duration
+    overrides = {}
+    if draw(st.booleans()):
+        end = draw(st.integers(min_value=9 * 60 + 1, max_value=1440))
+        overrides["r1"] = WeeklyCalendar(
+            "r1", 1, frozenset((d, m) for d in range(5) for m in range(9 * 60, end))
+        )
+    return EventLog.from_instances(instances), overrides
+
+
+class TestAvailabilityOverWaits:
+    def test_loopy_log_matches_horizon_expansion(self, tmp_path):
+        path = tmp_path / "loopy.csv"
+        _write_loopy_log(path)
+        result = run_pipeline(load_log(path).log)
+        assert result.analysis.per_cause["unavailability"].wt_seconds > 0
+        assert list(result.decompositions) == _horizon_decompositions(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spread_logs())
+    def test_random_logs_match_horizon_expansion(self, scenario):
+        log, overrides = scenario
+        result = run_pipeline(log, calendar_overrides=overrides)
+        assert list(result.decompositions) == _horizon_decompositions(result)
