@@ -30,6 +30,9 @@ MINUTES_PER_DAY = 1440
 # 1970-01-01 was a Thursday; weekday indices run Monday=0 .. Sunday=6.
 _EPOCH_WEEKDAY = 3
 
+# Discovery halves the frequency cut at most this many times.
+MAX_RELAXATIONS = 10
+
 DAY_NAMES = ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
 _DAY_INDEX = {name: i for i, name in enumerate(DAY_NAMES)}
 
@@ -48,7 +51,6 @@ class CalendarParams:
     granule_minutes: int = 60
     confidence: float = 0.1
     support: float = 0.1
-    max_relaxations: int = 10
 
     def __post_init__(self) -> None:
         if self.granule_minutes < 1 or MINUTES_PER_DAY % self.granule_minutes != 0:
@@ -59,8 +61,6 @@ class CalendarParams:
             raise ConfigError(f"confidence must be in [0, 1], got {self.confidence}")
         if not 0.0 <= self.support <= 1.0:
             raise ConfigError(f"support must be in [0, 1], got {self.support}")
-        if self.max_relaxations < 0:
-            raise ConfigError("max relaxations must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def discover_calendar(
 
     cut = params.confidence
     working: set[tuple[int, int]] = set()
-    for _ in range(params.max_relaxations + 1):
+    for _ in range(MAX_RELAXATIONS + 1):
         working = {key for key, f in freq.items() if f >= cut * max_freq}
         covered = sum(freq[key] for key in working)
         if covered >= params.support * total or len(working) == len(freq):

@@ -102,7 +102,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     paths = write_report_files(
         result,
         args.out,
-        config=config,
         ingest_stats=loaded.stats,
         emit_calendars=args.emit_calendars,
     )

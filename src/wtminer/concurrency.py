@@ -9,7 +9,7 @@ predecessors are enabled at their own start and carry no waiting time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from wtminer.model import (
@@ -129,18 +129,16 @@ class EnablementStats:
     clamped: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "derived": self.derived,
-            "supplied": self.supplied,
-            "first_in_case": self.first_in_case,
-            "concurrent_only": self.concurrent_only,
-            "clamped": self.clamped,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
 class EnablementResult:
-    """Log with every enabled field set, plus the enabling predecessor map."""
+    """Log with every enabled field set, plus the enabling predecessor map.
+
+    `log` keeps the input's instance order, and `enabler` (target -> source)
+    is filled in that order, so it yields the enabling pairs in log order.
+    """
 
     log: EventLog
     relation: ConcurrencyRelation
@@ -160,7 +158,6 @@ def compute_enablement(
     if relation is None:
         relation = ConcurrencyRelation()
     stats = EnablementStats()
-    new_instances: list[ActivityInstance] = []
     enabler: dict[ActivityInstance, ActivityInstance] = {}
     concurrent_with: dict[str, set[str]] = {}
     for a, b in relation.pairs:
@@ -168,26 +165,28 @@ def compute_enablement(
             concurrent_with.setdefault(a, set()).add(b)
             concurrent_with.setdefault(b, set()).add(a)
 
+    # One flat list in log order; enablers are recorded by position in it.
+    instances: list[ActivityInstance] = []
     for seq in log.cases.values():
-        rebuilt: list[ActivityInstance] = []
-        # Per activity, (completion, index) of its latest-completing instance
-        # so far: on equal completion the later index is the greater key.
+        first = len(instances)
+        # Per activity, (completion, position) of its latest-completing
+        # instance so far: on equal completion the later position wins.
         latest: dict[str, tuple[TimeInstant, int]] = {}
-        for idx, inst in enumerate(seq):
+        for pos, inst in enumerate(seq, first):
             skip = concurrent_with.get(inst.activity, ())
-            best_completion, enabler_idx = max(
+            best_completion, enabler_pos = max(
                 (key for activity, key in latest.items() if activity not in skip),
                 default=(None, None),
             )
             seen = latest.get(inst.activity)
             if seen is None or inst.completed >= seen[0]:
-                latest[inst.activity] = (inst.completed, idx)
+                latest[inst.activity] = (inst.completed, pos)
             if inst.enabled is not None:
                 enabled = inst.enabled
                 stats.supplied += 1
-            elif enabler_idx is None:
+            elif enabler_pos is None:
                 enabled = inst.started
-                if idx == 0:
+                if pos == first:
                     stats.first_in_case += 1
                 else:
                     stats.concurrent_only += 1
@@ -197,7 +196,7 @@ def compute_enablement(
                     enabled = inst.started
                     stats.clamped += 1
                 stats.derived += 1
-            rebuilt.append(
+            instances.append(
                 ActivityInstance(
                     case_id=inst.case_id,
                     activity=inst.activity,
@@ -207,9 +206,9 @@ def compute_enablement(
                     enabled=enabled,
                 )
             )
-            if enabler_idx is not None:
-                enabler[rebuilt[idx]] = rebuilt[enabler_idx]
-        new_instances.extend(rebuilt)
+            if enabler_pos is not None:
+                enabler[instances[pos]] = instances[enabler_pos]
 
-    new_log = EventLog.from_instances(new_instances)
+    # Enablement changes no sort field, so the log order still holds.
+    new_log = EventLog(tuple(instances))
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)

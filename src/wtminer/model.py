@@ -8,7 +8,7 @@ waiting period with no double counting.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
@@ -243,18 +243,21 @@ def _resource_order(inst: ActivityInstance) -> tuple:
 class EventLog:
     """Immutable collection of activity instances indexed by case.
 
-    Within each case, instances are kept in (started, completed, activity)
-    order so downstream passes see a deterministic sequence regardless of
-    input row order.
+    Instances are kept in (case_id, started, completed, activity) order so
+    downstream passes see a deterministic sequence regardless of input row
+    order. `from_instances` sorts; the constructor takes instances already in
+    that order. Either way an empty log is an `IngestError`.
     """
 
-    instances: tuple[ActivityInstance, ...] = field(default=())
+    instances: tuple[ActivityInstance, ...]
+
+    def __post_init__(self) -> None:
+        if not self.instances:
+            raise IngestError("event log contains no activity instances")
 
     @classmethod
     def from_instances(cls, instances: Iterable[ActivityInstance]) -> "EventLog":
         ordered = sorted(instances, key=lambda i: (i.case_id,) + _within_case_key(i))
-        if not ordered:
-            raise IngestError("event log contains no activity instances")
         return cls(tuple(ordered))
 
     @cached_property

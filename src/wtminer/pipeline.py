@@ -38,6 +38,7 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    config: PipelineConfig
     log: EventLog
     enablement: EnablementResult
     transitions: tuple[Transition, ...]
@@ -95,6 +96,7 @@ def run_pipeline(
     analysis = analyze(enriched, transitions, decompositions)
 
     return PipelineResult(
+        config=config,
         log=enriched,
         enablement=enablement,
         transitions=transitions,

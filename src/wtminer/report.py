@@ -15,10 +15,10 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
-from wtminer.calendars import calendar_to_ranges
+from wtminer.calendars import MAX_RELAXATIONS, calendar_to_ranges
 from wtminer.decomposition import CAUSES
 from wtminer.ingest import IngestStats
-from wtminer.pipeline import PipelineConfig, PipelineResult
+from wtminer.pipeline import PipelineResult
 
 SCHEMA_VERSION = 2
 
@@ -62,11 +62,11 @@ def _duration_fields(seconds: int) -> dict:
 
 def build_report(
     result: PipelineResult,
-    config: Optional[PipelineConfig] = None,
     ingest_stats: Optional[IngestStats] = None,
     emit_calendars: bool = False,
 ) -> dict:
-    config = config or PipelineConfig()
+    """The report dict; `parameters` echoes the config the run used."""
+    config = result.config
     analysis = result.analysis
     log = result.log
 
@@ -95,7 +95,7 @@ def build_report(
             "granule_minutes": config.calendars.granule_minutes,
             "confidence": config.calendars.confidence,
             "support": config.calendars.support,
-            "max_relaxations": config.calendars.max_relaxations,
+            "max_relaxations": MAX_RELAXATIONS,
             "gap_tolerance_s": config.batching.gap_tolerance,
             "min_batch_size": config.batching.min_batch_size,
         },
@@ -220,17 +220,13 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 def write_report_files(
     result: PipelineResult,
     out_dir: Union[str, Path],
-    config: Optional[PipelineConfig] = None,
     ingest_stats: Optional[IngestStats] = None,
     emit_calendars: bool = False,
 ) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = build_report(
-        result,
-        config=config,
-        ingest_stats=ingest_stats,
-        emit_calendars=emit_calendars,
+        result, ingest_stats=ingest_stats, emit_calendars=emit_calendars
     )
     paths = {
         "report": out / "report.json",

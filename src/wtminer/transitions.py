@@ -50,14 +50,10 @@ class Transition:
 
 
 def build_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:
-    """One TransitionInstance per instance that has an enabling predecessor."""
-    out: list[TransitionInstance] = []
-    for seq in result.log.cases.values():
-        for inst in seq:
-            source = result.enabler.get(inst)
-            if source is not None:
-                out.append(TransitionInstance(source=source, target=inst))
-    return tuple(out)
+    """One TransitionInstance per enabling pair, in the targets' log order."""
+    return tuple(
+        TransitionInstance(source, target) for target, source in result.enabler.items()
+    )
 
 
 def discover_transitions(result: EnablementResult) -> tuple[Transition, ...]:
@@ -82,7 +78,7 @@ def discover_transitions(result: EnablementResult) -> tuple[Transition, ...]:
                 instances=tuple(members),
                 case_frequency=len(cases) / n_cases,
                 total_frequency=len(members),
-                total_duration=sum(ti.waiting.duration for ti in members),
+                total_duration=sum(ti.target.started - ti.target.enabled for ti in members),
             )
         )
     transitions.sort(key=lambda t: (-t.total_duration, -t.total_frequency, t.label))

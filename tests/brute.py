@@ -3,7 +3,8 @@
 `brute_cause_durations` walks every second of a waiting interval and assigns
 it to the first matching cause in dominance order. The other functions are
 the full scans that the windowed pipeline stages replaced: a quadratic
-predecessor search for enablement, a scan of the resource's whole work
+predecessor search for enablement, a walk of the enriched log's cases that
+looks each instance's enabler up, a scan of the resource's whole work
 sequence for busy overlaps, a subtraction of the whole availability set, and
 a calendar tiled week by week over the hull of the spans it is read in.
 """
@@ -28,6 +29,7 @@ from wtminer.model import (
     TimeInterval,
     UNKNOWN_RESOURCE,
 )
+from wtminer.transitions import TransitionInstance
 
 
 def brute_cause_durations(
@@ -118,6 +120,18 @@ def brute_enablement(log: EventLog, relation: ConcurrencyRelation) -> Enablement
 
     new_log = EventLog.from_instances(new_instances)
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)
+
+
+def brute_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:
+    """Transition instances by walking the enriched log case by case and looking
+    every instance up in the enabler map."""
+    out: list[TransitionInstance] = []
+    for seq in result.log.cases.values():
+        for inst in seq:
+            source = result.enabler.get(inst)
+            if source is not None:
+                out.append(TransitionInstance(source=source, target=inst))
+    return tuple(out)
 
 
 def brute_busy_overlaps(

@@ -357,6 +357,22 @@ def test_criterion_3_injection_recall_precision(tmp_path):
           f"injection specs; artifacts only in documented modes; {elapsed:.1f}s")
 
 
+def test_criterion_3_small_grid_detected_exactly():
+    # Stricter than recall plus precision: at 20 cases per log, seeded with the
+    # combination index, every combination's detected causes are exactly the
+    # injected ones.
+    wrong = {}
+    for index, combo in enumerate(itertools.product("01", repeat=5)):
+        bits = "".join(combo)
+        gen = generate(InjectionSpec.from_bits(bits, n_cases=20, seed=index))
+        result = run_pipeline(gen.log)
+        per_cause = {c: imp.wt_seconds for c, imp in result.analysis.per_cause.items()}
+        detected = detected_causes(per_cause)
+        if detected != {c for c, on in gen.truth.flags.items() if on}:
+            wrong[bits] = sorted(detected)
+    assert not wrong, f"detected causes differ from injected ones: {wrong}"
+
+
 # --- criterion 4: hand-crafted exact intervals -------------------------------
 
 def test_criterion_4_handcrafted_exact_intervals(tmp_path):

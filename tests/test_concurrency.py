@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_enablement
+from brute import brute_enablement, brute_transition_instances
 from wtminer.concurrency import (
     ConcurrencyRelation,
     DirectlyFollowsCounts,
@@ -16,6 +16,7 @@ from wtminer.concurrency import (
     discover_concurrency,
 )
 from wtminer.model import ActivityInstance, ConfigError, EventLog
+from wtminer.transitions import build_transition_instances
 
 
 def seq_case(case_id: str, *steps: tuple[str, int, int], resource: str = "r1"):
@@ -251,3 +252,19 @@ class TestEnablementOracle:
         ]
         assert enabler_positions(fast) == enabler_positions(slow)
         assert fast.stats == slow.stats
+
+    @settings(max_examples=300, deadline=None)
+    @given(enablement_scenarios())
+    def test_keeps_log_order_and_hands_transitions_its_pairs(self, scenario):
+        log, relation = scenario
+        fast = compute_enablement(log, relation)
+
+        def key(inst):
+            return (inst.case_id, inst.activity, inst.started, inst.completed)
+
+        assert [key(i) for i in fast.log.instances] == [key(i) for i in log.instances]
+        assert EventLog.from_instances(fast.log.instances).instances == fast.log.instances
+        # Instances compare by identity, so this checks every pair by object.
+        assert [(ti.source, ti.target) for ti in build_transition_instances(fast)] == [
+            (ti.source, ti.target) for ti in brute_transition_instances(fast)
+        ]

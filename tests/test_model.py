@@ -188,6 +188,12 @@ class TestEventLog:
         with pytest.raises(IngestError):
             EventLog.from_instances([])
 
+    def test_pipeline_rejects_empty_log(self):
+        from wtminer.pipeline import run_pipeline
+
+        with pytest.raises(IngestError):
+            run_pipeline(EventLog(()))
+
     def test_horizon_covers_enablement(self):
         log = EventLog.from_instances(
             [ActivityInstance("c1", "a", "r1", 10, 20, enabled=3)]

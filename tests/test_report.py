@@ -110,20 +110,30 @@ class TestReportShape:
             "extraneous",
         ]
 
-    def test_parameters_echo_config(self, mixed_result):
+    def test_parameters_echo_config(self):
         from wtminer.batching import BatchingConfig
         from wtminer.calendars import CalendarParams
         from wtminer.concurrency import OracleThresholds
 
         config = PipelineConfig(
             thresholds=OracleThresholds(dependency_threshold=0.7),
-            batching=BatchingConfig(gap_tolerance=30),
-            calendars=CalendarParams(granule_minutes=30),
+            batching=BatchingConfig(gap_tolerance=30, min_batch_size=4),
+            calendars=CalendarParams(granule_minutes=30, confidence=0.9),
         )
-        report = build_report(mixed_result, config=config)
-        assert report["parameters"]["dependency_threshold"] == 0.7
-        assert report["parameters"]["gap_tolerance_s"] == 30
-        assert report["parameters"]["granule_minutes"] == 30
+        gen = generate(InjectionSpec.from_bits("11111", n_cases=30, seed=2))
+        report = build_report(run_pipeline(gen.log, config))
+        # Every value the run used, not the defaults.
+        assert report["parameters"] == {
+            "dependency_threshold": 0.7,
+            "min_bidirectional_observations": 1,
+            "length2_loop_guard": True,
+            "granule_minutes": 30,
+            "confidence": 0.9,
+            "support": 0.1,
+            "max_relaxations": 10,
+            "gap_tolerance_s": 30,
+            "min_batch_size": 4,
+        }
 
     def test_transition_rows_sorted_by_waiting_time(self, mixed_result):
         report = build_report(mixed_result)
