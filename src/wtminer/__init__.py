@@ -21,7 +21,6 @@ from wtminer.model import (
     IngestError,
     IntervalSet,
     TimeInstant,
-    TimeInterval,
     UNKNOWN_RESOURCE,
     WtMinerError,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "TimeInstant",
-    "TimeInterval",
     "Transition",
     "UNKNOWN_RESOURCE",
     "WeeklyCalendar",

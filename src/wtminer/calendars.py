@@ -19,8 +19,8 @@ from wtminer.model import (
     ConfigError,
     EventLog,
     IntervalSet,
+    Span,
     TimeInstant,
-    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 
@@ -167,23 +167,24 @@ def discover_calendars(
     return {res: discover_calendar(log, res, params) for res in log.resources}
 
 
-def expand_calendar(cal: WeeklyCalendar, *spans: TimeInterval) -> AbsoluteAvailability:
-    """Tile the weekly working ranges across the weeks each span touches,
-    clipped to that span. No spans, or only empty ones, give the empty set."""
+def expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
+    """Tile the weekly working ranges across the weeks each (start, end) span
+    touches, clipped to that span. No spans, or only empty ones, give the
+    empty set; a span that ends before it starts is a `ValueError`."""
     ranges = cal.weekly_ranges()
-    pieces: list[TimeInterval] = []
-    for span in spans:
-        w = week_start(span.start)
-        while w < span.end:
+    pieces: list[Span] = []
+    for start, end in spans:
+        if end < start:
+            raise ValueError(f"span end {end} before start {start}")
+        w = week_start(start)
+        while w < end:
             for s, e in ranges:
-                if w + e > span.start and w + s < span.end:
-                    pieces.append(
-                        TimeInterval(max(w + s, span.start), min(w + e, span.end))
-                    )
+                if w + e > start and w + s < end:
+                    pieces.append((max(w + s, start), min(w + e, end)))
             w += SECONDS_PER_WEEK
     # Canonicalizing merges a range ending Sunday 24:00 with the next
     # Monday 00:00, and pieces of touching spans with each other.
-    return AbsoluteAvailability(cal.resource, IntervalSet(tuple(pieces)))
+    return AbsoluteAvailability(cal.resource, IntervalSet(pieces))
 
 
 def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:

@@ -72,21 +72,21 @@ def _add_calendar_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--granule",
         type=int,
-        default=60,
+        default=CalendarParams.granule_minutes,
         metavar="MINUTES",
-        help="calendar slot width in minutes (default 60)",
+        help="calendar slot width in minutes (default %(default)s)",
     )
     parser.add_argument(
         "--confidence",
         type=float,
-        default=0.1,
-        help="slot acceptance ratio against the busiest slot (default 0.1)",
+        default=CalendarParams.confidence,
+        help="slot acceptance ratio against the busiest slot (default %(default)s)",
     )
     parser.add_argument(
         "--support",
         type=float,
-        default=0.1,
-        help="minimum share of observations the calendar must cover (default 0.1)",
+        default=CalendarParams.support,
+        help="minimum share of observations the calendar must cover (default %(default)s)",
     )
 
 
@@ -201,15 +201,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--dependency-threshold",
         type=float,
-        default=0.9,
-        help="concurrency oracle dependency threshold (default 0.9)",
+        default=OracleThresholds.dependency_threshold,
+        help="concurrency oracle dependency threshold (default %(default)s)",
     )
     analyze.add_argument(
         "--min-bidirectional",
         type=int,
-        default=1,
+        default=OracleThresholds.min_bidirectional_observations,
         metavar="N",
-        help="observations required in each direction for concurrency (default 1)",
+        help="observations required in each direction for concurrency (default %(default)s)",
     )
     analyze.add_argument(
         "--no-loop-guard",
@@ -220,16 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--gap-tolerance",
         type=int,
-        default=0,
+        default=BatchingConfig.gap_tolerance,
         metavar="SECONDS",
-        help="max idle gap between batch member starts (default 0)",
+        help="max idle gap between batch member starts (default %(default)s)",
     )
     analyze.add_argument(
         "--min-batch-size",
         type=int,
-        default=2,
+        default=BatchingConfig.min_batch_size,
         metavar="N",
-        help="smallest group reported as a batch (default 2)",
+        help="smallest group reported as a batch (default %(default)s)",
     )
     analyze.add_argument(
         "--calendar-overrides",

@@ -209,6 +209,7 @@ def compute_enablement(
             if enabler_pos is not None:
                 enabler[instances[pos]] = instances[enabler_pos]
 
-    # Enablement changes no sort field, so the log order still holds.
+    # Enablement changes no sort field, so the log's sort keeps this order,
+    # the order in which `enabler` was filled.
     new_log = EventLog(tuple(instances))
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)

@@ -28,7 +28,7 @@ from wtminer.model import (
     ActivityInstance,
     EventLog,
     IntervalSet,
-    TimeInterval,
+    Span,
     UNKNOWN_RESOURCE,
 )
 from wtminer.transitions import TransitionInstance
@@ -55,7 +55,8 @@ class WtDecomposition:
 
     @property
     def waiting_duration(self) -> int:
-        return self.instance.waiting.duration
+        target = self.instance.target
+        return target.started - target.enabled
 
 
 class _ResourceWindow(NamedTuple):
@@ -95,20 +96,21 @@ class Decomposer:
     def _busy_overlaps(self, target: ActivityInstance) -> tuple[IntervalSet, IntervalSet]:
         """Same-resource processing inside the wait, in one pass over the window:
         work enabled no later than the target, then work enabled after it."""
-        wait = target.waiting
-        # Only instances starting in [wait.start - longest, wait.end) can
+        wait_start, wait_end = target.waiting
+        # Only instances starting in [wait_start - longest, wait_end) can
         # overlap the wait: anything starting earlier has already completed.
-        # The target itself starts at wait.end, so it is never in the window.
+        # The target itself starts at wait_end, so it is never in the window.
         window = self._window(target.resource)
-        lo = bisect_left(window.starts, wait.start - window.longest)
-        hi = bisect_left(window.starts, wait.end)
-        earlier: list[TimeInterval] = []
-        later: list[TimeInterval] = []
+        lo = bisect_left(window.starts, wait_start - window.longest)
+        hi = bisect_left(window.starts, wait_end)
+        earlier: list[Span] = []
+        later: list[Span] = []
         for other in window.seq[lo:hi]:
-            overlap = other.processing.intersect(wait)
-            if overlap is not None:
-                (earlier if other.enabled <= target.enabled else later).append(overlap)
-        return IntervalSet(tuple(earlier)), IntervalSet(tuple(later))
+            start = max(other.started, wait_start)
+            end = min(other.completed, wait_end)
+            if end > start:
+                (earlier if other.enabled <= target.enabled else later).append((start, end))
+        return IntervalSet(earlier), IntervalSet(later)
 
     def raw_contention(self, target: ActivityInstance) -> IntervalSet:
         """Resource busy during the wait on work enabled no later than the target."""
@@ -128,7 +130,7 @@ class Decomposer:
         target = ti.target
         wait = target.waiting
         empty = IntervalSet.empty()
-        if wait.start == wait.end:
+        if wait[0] == wait[1]:
             return WtDecomposition(ti, empty, empty, empty, empty, empty)
         remaining = IntervalSet._from_canonical((wait,))
         if target.resource == UNKNOWN_RESOURCE:
@@ -169,10 +171,11 @@ def multitasking_rate(log: EventLog) -> float:
         total += len(seq)
         active: list[ActivityInstance] = []
         for inst in seq:
+            # The sequence is in start order, so an earlier instance overlaps
+            # `inst` exactly when it completes after `inst` starts.
             active = [a for a in active if a.completed > inst.started]
-            for a in active:
-                if a.processing.overlaps(inst.processing):
-                    overlapping.add(id(a))
-                    overlapping.add(id(inst))
+            if active:
+                overlapping.add(id(inst))
+                overlapping.update(id(a) for a in active)
             active.append(inst)
     return len(overlapping) / total if total else 0.0

@@ -1,20 +1,23 @@
-"""Core domain types: instants, half-open intervals, canonical interval sets,
-activity instances and event logs.
+"""Core domain types: instants, spans, canonical interval sets, activity
+instances and event logs.
 
-All time arithmetic is integer seconds since the Unix epoch (UTC). Intervals
-are half-open [start, end), which lets adjacent cause intervals partition a
-waiting period with no double counting.
+All time arithmetic is integer seconds since the Unix epoch (UTC). A span is
+a plain (start, end) pair read as the half-open interval [start, end), which
+lets adjacent cause intervals partition a waiting period with no double
+counting. `IntervalSet` is the one interval type that checks and stores them.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 # Instants are plain epoch seconds; durations are plain second counts.
 TimeInstant = int
+# A half-open span [start, end) of instants; `IntervalSet` checks start <= end.
+Span = tuple[TimeInstant, TimeInstant]
 
 UNKNOWN_RESOURCE = "__UNKNOWN__"
 
@@ -31,69 +34,39 @@ class IngestError(WtMinerError):
     """The input log could not be turned into a usable event log."""
 
 
-@dataclass(frozen=True, order=True)
-class TimeInterval:
-    """Half-open span [start, end) in epoch seconds. Zero length is allowed."""
-
-    start: TimeInstant
-    end: TimeInstant
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(f"interval end {self.end} before start {self.start}")
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
-    def is_empty(self) -> bool:
-        return self.end == self.start
-
-    def contains_point(self, t: TimeInstant) -> bool:
-        return self.start <= t < self.end
-
-    def overlaps(self, other: "TimeInterval") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def intersect(self, other: "TimeInterval") -> Optional["TimeInterval"]:
-        start = max(self.start, other.start)
-        end = min(self.end, other.end)
-        if end > start:
-            return TimeInterval(start, end)
-        return None
-
-    def __repr__(self) -> str:
-        return f"[{self.start}, {self.end})"
-
-
-def _canonicalize(intervals: Iterable[TimeInterval]) -> tuple[TimeInterval, ...]:
-    # Sort, drop empties, merge overlapping or touching neighbours.
-    pending = sorted(iv for iv in intervals if not iv.is_empty())
-    merged: list[TimeInterval] = []
-    for iv in pending:
-        if merged and iv.start <= merged[-1].end:
-            if iv.end > merged[-1].end:
-                merged[-1] = TimeInterval(merged[-1].start, iv.end)
+def _canonicalize(spans: Iterable[Span]) -> tuple[Span, ...]:
+    # Sort, check and drop empties, merge overlapping or touching neighbours.
+    merged: list[Span] = []
+    for start, end in sorted(spans):
+        if end < start:
+            raise ValueError(f"interval end {end} before start {start}")
+        if end == start:
+            continue
+        if merged and start <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
         else:
-            merged.append(iv)
+            merged.append((start, end))
     return tuple(merged)
 
 
-_START = attrgetter("start")
-_END = attrgetter("end")
+_START = itemgetter(0)
+_END = itemgetter(1)
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical set of instants: sorted, pairwise disjoint, non-touching intervals."""
+    """Canonical set of instants: sorted, pairwise disjoint, non-touching,
+    non-empty (start, end) pairs. A pair that ends before it starts is a
+    `ValueError`."""
 
-    intervals: tuple[TimeInterval, ...] = ()
+    intervals: tuple[Span, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", _canonicalize(self.intervals))
 
     @classmethod
-    def _from_canonical(cls, intervals: tuple[TimeInterval, ...]) -> "IntervalSet":
+    def _from_canonical(cls, intervals: tuple[Span, ...]) -> "IntervalSet":
         # For results already sorted, disjoint, non-touching and non-empty.
         result = object.__new__(cls)
         object.__setattr__(result, "intervals", intervals)
@@ -104,42 +77,43 @@ class IntervalSet:
         return _EMPTY
 
     @classmethod
-    def of(cls, *spans: tuple[TimeInstant, TimeInstant]) -> "IntervalSet":
-        return cls(tuple(TimeInterval(s, e) for s, e in spans))
+    def of(cls, *spans: Span) -> "IntervalSet":
+        return cls(spans)
 
     @property
     def total_duration(self) -> int:
-        return sum(iv.duration for iv in self.intervals)
+        return sum(end - start for start, end in self.intervals)
 
     def is_empty(self) -> bool:
         return not self.intervals
 
     def contains_point(self, t: TimeInstant) -> bool:
-        for iv in self.intervals:
-            if iv.start > t:
+        for start, end in self.intervals:
+            if start > t:
                 return False
-            if t < iv.end:
+            if t < end:
                 return True
         return False
 
-    def overlapping(self, span: TimeInterval) -> "IntervalSet":
+    def overlapping(self, span: Span) -> "IntervalSet":
         """The member intervals that overlap `span`, found by bisection, unclipped."""
         ivs = self.intervals
-        lo = bisect_right(ivs, span.start, key=_END)
-        hi = bisect_left(ivs, span.end, lo=lo, key=_START)
+        lo = bisect_right(ivs, span[0], key=_END)
+        hi = bisect_left(ivs, span[1], lo=lo, key=_START)
         return IntervalSet._from_canonical(ivs[lo:hi])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         # Two-pointer sweep over both canonical sequences.
-        out: list[TimeInterval] = []
+        out: list[Span] = []
         a, b = self.intervals, other.intervals
         i = j = 0
         while i < len(a) and j < len(b):
-            start = max(a[i].start, b[j].start)
-            end = min(a[i].end, b[j].end)
+            (a_start, a_end), (b_start, b_end) = a[i], b[j]
+            start = max(a_start, b_start)
+            end = min(a_end, b_end)
             if end > start:
-                out.append(TimeInterval(start, end))
-            if a[i].end <= b[j].end:
+                out.append((start, end))
+            if a_end <= b_end:
                 i += 1
             else:
                 j += 1
@@ -149,21 +123,21 @@ class IntervalSet:
         return IntervalSet(self.intervals + other.intervals)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[TimeInterval] = []
+        out: list[Span] = []
         holes = other.intervals
         j = 0
-        for iv in self.intervals:
-            cursor = iv.start
-            while j < len(holes) and holes[j].end <= cursor:
+        for cursor, end in self.intervals:
+            while j < len(holes) and holes[j][1] <= cursor:
                 j += 1
             k = j
-            while k < len(holes) and holes[k].start < iv.end:
-                if holes[k].start > cursor:
-                    out.append(TimeInterval(cursor, holes[k].start))
-                cursor = max(cursor, holes[k].end)
+            while k < len(holes) and holes[k][0] < end:
+                hole_start, hole_end = holes[k]
+                if hole_start > cursor:
+                    out.append((cursor, hole_start))
+                cursor = max(cursor, hole_end)
                 k += 1
-            if cursor < iv.end:
-                out.append(TimeInterval(cursor, iv.end))
+            if cursor < end:
+                out.append((cursor, end))
         return IntervalSet._from_canonical(tuple(out))
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
@@ -175,7 +149,7 @@ class IntervalSet:
     def __sub__(self, other: "IntervalSet") -> "IntervalSet":
         return self.subtract(other)
 
-    def __iter__(self) -> Iterator[TimeInterval]:
+    def __iter__(self) -> Iterator[Span]:
         return iter(self.intervals)
 
     def __len__(self) -> int:
@@ -185,7 +159,7 @@ class IntervalSet:
         return bool(self.intervals)
 
     def __repr__(self) -> str:
-        return "{" + ", ".join(repr(iv) for iv in self.intervals) + "}"
+        return "{" + ", ".join(f"[{s}, {e})" for s, e in self.intervals) + "}"
 
 
 # Interval sets are immutable, so every caller can share one empty set.
@@ -221,18 +195,14 @@ class ActivityInstance:
             )
 
     @property
-    def processing(self) -> TimeInterval:
-        return TimeInterval(self.started, self.completed)
-
-    @property
-    def waiting(self) -> TimeInterval:
+    def waiting(self) -> Span:
         if self.enabled is None:
             raise ValueError("waiting time is undefined until enablement is known")
-        return TimeInterval(self.enabled, self.started)
+        return (self.enabled, self.started)
 
 
-def _within_case_key(inst: ActivityInstance) -> tuple:
-    return (inst.started, inst.completed, inst.activity)
+def _log_order(inst: ActivityInstance) -> tuple:
+    return (inst.case_id, inst.started, inst.completed, inst.activity)
 
 
 def _resource_order(inst: ActivityInstance) -> tuple:
@@ -243,10 +213,10 @@ def _resource_order(inst: ActivityInstance) -> tuple:
 class EventLog:
     """Immutable collection of activity instances indexed by case.
 
-    Instances are kept in (case_id, started, completed, activity) order so
-    downstream passes see a deterministic sequence regardless of input row
-    order. `from_instances` sorts; the constructor takes instances already in
-    that order. Either way an empty log is an `IngestError`.
+    The constructor sorts instances into (case_id, started, completed,
+    activity) order, so downstream passes see a deterministic sequence
+    regardless of input row order; the sort is stable, so full ties keep
+    their input order. An empty log is an `IngestError`.
     """
 
     instances: tuple[ActivityInstance, ...]
@@ -254,11 +224,13 @@ class EventLog:
     def __post_init__(self) -> None:
         if not self.instances:
             raise IngestError("event log contains no activity instances")
+        object.__setattr__(
+            self, "instances", tuple(sorted(self.instances, key=_log_order))
+        )
 
     @classmethod
     def from_instances(cls, instances: Iterable[ActivityInstance]) -> "EventLog":
-        ordered = sorted(instances, key=lambda i: (i.case_id,) + _within_case_key(i))
-        return cls(tuple(ordered))
+        return cls(tuple(instances))
 
     @cached_property
     def cases(self) -> dict[str, tuple[ActivityInstance, ...]]:
@@ -294,11 +266,11 @@ class EventLog:
     def case_count(self) -> int:
         return len(self.cases)
 
-    def horizon(self) -> TimeInterval:
+    def horizon(self) -> Span:
         """Smallest interval covering every enablement, start and completion."""
         start = min(
             inst.started if inst.enabled is None else min(inst.enabled, inst.started)
             for inst in self.instances
         )
         end = max(inst.completed for inst in self.instances)
-        return TimeInterval(start, end)
+        return (start, end)

@@ -84,10 +84,7 @@ def run_pipeline(
     # expanded over the union of its own non-empty waits.
     availability: dict[str, AbsoluteAvailability] = {}
     for resource, calendar in calendars.items():
-        seq = enriched.by_resource[resource]
-        waits = IntervalSet(
-            tuple(inst.waiting for inst in seq if inst.enabled < inst.started)
-        )
+        waits = IntervalSet(inst.waiting for inst in enriched.by_resource[resource])
         availability[resource] = expand_calendar(calendar, *waits)
 
     decomposer = Decomposer(enriched, batching, availability)

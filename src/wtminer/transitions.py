@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from wtminer.concurrency import EnablementResult
-from wtminer.model import ActivityInstance, TimeInterval
+from wtminer.model import ActivityInstance
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,10 +19,6 @@ class TransitionInstance:
     def __post_init__(self) -> None:
         if self.source.case_id != self.target.case_id:
             raise ValueError("transition endpoints must share a case")
-
-    @property
-    def waiting(self) -> TimeInterval:
-        return self.target.waiting
 
     @property
     def case_id(self) -> str:

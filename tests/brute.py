@@ -5,8 +5,10 @@ it to the first matching cause in dominance order. The other functions are
 the full scans that the windowed pipeline stages replaced: a quadratic
 predecessor search for enablement, a walk of the enriched log's cases that
 looks each instance's enabler up, a scan of the resource's whole work
-sequence for busy overlaps, a subtraction of the whole availability set, and
-a calendar tiled week by week over the hull of the spans it is read in.
+sequence for busy overlaps, a subtraction of the whole availability set, a
+calendar tiled week by week over the hull of the spans it is read in, and a
+check of every same-resource pair for multitasking. Spans are plain
+(start, end) pairs, as in the pipeline.
 """
 from __future__ import annotations
 
@@ -25,8 +27,8 @@ from wtminer.model import (
     ActivityInstance,
     EventLog,
     IntervalSet,
+    Span,
     TimeInstant,
-    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 from wtminer.transitions import TransitionInstance
@@ -138,21 +140,21 @@ def brute_busy_overlaps(
     target: ActivityInstance, log: EventLog, want_earlier: bool
 ) -> IntervalSet:
     """Same-resource processing inside the wait, scanning from the first instance."""
-    wait = target.waiting
-    if wait.is_empty():
+    wait_start, wait_end = target.waiting
+    if wait_start == wait_end:
         return IntervalSet.empty()
     spans = []
     for other in log.by_resource.get(target.resource, ()):
-        if other.started >= wait.end:
+        if other.started >= wait_end:
             break
         if other is target:
             continue
         earlier = other.enabled <= target.enabled
         if earlier != want_earlier:
             continue
-        overlap = other.processing.intersect(wait)
-        if overlap is not None:
-            spans.append(overlap)
+        start, end = max(other.started, wait_start), min(other.completed, wait_end)
+        if end > start:
+            spans.append((start, end))
     return IntervalSet(tuple(spans))
 
 
@@ -161,23 +163,39 @@ def brute_raw_unavailability(
 ) -> IntervalSet:
     """The wait minus the resource's whole availability set."""
     wait = target.waiting
-    if wait.is_empty():
+    if wait[0] == wait[1]:
         return IntervalSet.empty()
     return IntervalSet((wait,)) - availability[target.resource].available
 
 
-def brute_expand_calendar(cal: WeeklyCalendar, *spans: TimeInterval) -> AbsoluteAvailability:
+def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
     """Tile the weekly ranges over every week of the spans' hull, then clip
     the result to the spans."""
     union = IntervalSet(spans)
     if not union:
         return AbsoluteAvailability(cal.resource, IntervalSet.empty())
-    hull = TimeInterval(union.intervals[0].start, union.intervals[-1].end)
+    hull_start, hull_end = union.intervals[0][0], union.intervals[-1][1]
     tiles = []
-    w = week_start(hull.start)
-    while w < hull.end:
+    w = week_start(hull_start)
+    while w < hull_end:
         for s, e in cal.weekly_ranges():
-            if w + e > hull.start and w + s < hull.end:
-                tiles.append(TimeInterval(max(w + s, hull.start), min(w + e, hull.end)))
+            if w + e > hull_start and w + s < hull_end:
+                tiles.append((max(w + s, hull_start), min(w + e, hull_end)))
         w += SECONDS_PER_WEEK
     return AbsoluteAvailability(cal.resource, IntervalSet(tuple(tiles)) & union)
+
+
+def brute_multitasking_rate(log: EventLog) -> float:
+    """Share of known-resource instances whose processing overlaps another
+    instance of the same resource, checking every pair."""
+    known = [inst for inst in log.instances if inst.resource != UNKNOWN_RESOURCE]
+    overlapping = set()
+    for i, a in enumerate(known):
+        for b in known[i + 1 :]:
+            if (
+                a.resource == b.resource
+                and a.started < b.completed
+                and b.started < a.completed
+            ):
+                overlapping.update((id(a), id(b)))
+    return len(overlapping) / len(known) if known else 0.0

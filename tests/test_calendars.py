@@ -26,7 +26,7 @@ from wtminer.model import (
     ConfigError,
     EventLog,
     IntervalSet,
-    TimeInterval,
+    Span,
     UNKNOWN_RESOURCE,
 )
 from wtminer.pipeline import run_pipeline
@@ -136,7 +136,7 @@ class TestDiscoverCalendar:
 class TestExpandCalendar:
     def test_always_on_covers_horizon(self):
         cal = WeeklyCalendar.always_on("r1")
-        horizon = TimeInterval(at(0, 3, 17), at(11, 22, 4))
+        horizon = (at(0, 3, 17), at(11, 22, 4))
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet((horizon,))
 
@@ -144,7 +144,7 @@ class TestExpandCalendar:
         cal = WeeklyCalendar(
             "r1", 60, frozenset((0, h) for h in range(9, 17))
         )
-        horizon = TimeInterval(MONDAY, MONDAY + 14 * 86400)
+        horizon = (MONDAY, MONDAY + 14 * 86400)
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of(
             (at(0, 9), at(0, 17)), (at(7, 9), at(7, 17))
@@ -152,20 +152,20 @@ class TestExpandCalendar:
 
     def test_empty_horizon(self):
         cal = WeeklyCalendar.always_on("r1")
-        avail = expand_calendar(cal, TimeInterval(MONDAY, MONDAY))
+        avail = expand_calendar(cal, (MONDAY, MONDAY))
         assert avail.available.is_empty()
 
     def test_clipped_to_horizon(self):
         cal = WeeklyCalendar("r1", 60, frozenset({(0, 9)}))
-        horizon = TimeInterval(at(0, 9, 30), at(0, 9, 45))
+        horizon = (at(0, 9, 30), at(0, 9, 45))
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of((at(0, 9, 30), at(0, 9, 45)))
 
     def test_availability_never_exceeds_horizon(self):
         cal = WeeklyCalendar.always_on("r1")
-        horizon = TimeInterval(at(0, 0), at(20, 0))
+        horizon = (at(0, 0), at(20, 0))
         avail = expand_calendar(cal, horizon)
-        assert avail.available.total_duration <= horizon.duration
+        assert avail.available.total_duration <= horizon[1] - horizon[0]
 
     def test_observations_inside_own_availability(self):
         instances = []
@@ -182,7 +182,7 @@ class TestExpandCalendar:
     def test_midnight_spanning_ranges_merge(self):
         cal = WeeklyCalendar("r1", 60, frozenset({(0, 23), (1, 0)}))
         assert cal.weekly_ranges() == ((23 * 3600, 25 * 3600),)
-        horizon = TimeInterval(MONDAY, MONDAY + 7 * 86400)
+        horizon = (MONDAY, MONDAY + 7 * 86400)
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of((at(0, 23), at(1, 1)))
 
@@ -219,16 +219,16 @@ def calendars(draw) -> WeeklyCalendar:
 
 
 @st.composite
-def span_lists(draw) -> list[TimeInterval]:
-    """Unsorted spans: empty, touching, overlapping, across week boundaries
-    and several weeks long."""
-    spans: list[TimeInterval] = []
+def span_lists(draw) -> list[Span]:
+    """Unsorted (start, end) spans: empty, touching, overlapping, across week
+    boundaries and several weeks long."""
+    spans: list[Span] = []
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         kind = draw(st.sampled_from(["free", "boundary", "touch", "overlap"]))
         if kind in ("touch", "overlap") and spans:
-            prev = draw(st.sampled_from(spans))
-            start = prev.end if kind == "touch" else draw(
-                st.integers(min_value=prev.start, max_value=prev.end)
+            prev_start, prev_end = draw(st.sampled_from(spans))
+            start = prev_end if kind == "touch" else draw(
+                st.integers(min_value=prev_start, max_value=prev_end)
             )
         elif kind == "boundary":
             week = draw(st.integers(min_value=-1, max_value=4))
@@ -246,7 +246,7 @@ def span_lists(draw) -> list[TimeInterval]:
                 st.integers(min_value=1, max_value=3 * SECONDS_PER_WEEK),
             )
         )
-        spans.append(TimeInterval(start, start + length))
+        spans.append((start, start + length))
     return spans
 
 
@@ -256,19 +256,24 @@ class TestExpandOverSpans:
     def test_matches_hull_oracle(self, cal, spans):
         avail = expand_calendar(cal, *spans).available
         assert avail == brute_expand_calendar(cal, *spans).available
-        union = IntervalSet(tuple(spans))
-        for iv in avail:
-            assert any(u.start <= iv.start and iv.end <= u.end for u in union)
+        union = IntervalSet(spans)
+        for start, end in avail:
+            assert any(u_start <= start and end <= u_end for u_start, u_end in union)
 
     def test_no_spans_give_empty_set(self):
         cal = WeeklyCalendar.always_on("r1")
         assert expand_calendar(cal).available.is_empty()
-        assert expand_calendar(cal, TimeInterval(MONDAY, MONDAY)).available.is_empty()
+        assert expand_calendar(cal, (MONDAY, MONDAY)).available.is_empty()
+
+    def test_reversed_span_is_rejected(self):
+        cal = WeeklyCalendar.always_on("r1")
+        with pytest.raises(ValueError):
+            expand_calendar(cal, (at(0, 9), at(0, 10)), (at(0, 10), at(0, 9)))
 
     def test_touching_spans_across_sunday_midnight_merge(self):
         cal = WeeklyCalendar("r1", 60, frozenset({(6, 23), (0, 0)}))
-        sunday_night = TimeInterval(at(6, 23, 30), at(7, 0))
-        monday_morning = TimeInterval(at(7, 0), at(7, 0, 30))
+        sunday_night = (at(6, 23, 30), at(7, 0))
+        monday_morning = (at(7, 0), at(7, 0, 30))
         avail = expand_calendar(cal, monday_morning, sunday_night).available
         assert avail == IntervalSet.of((at(6, 23, 30), at(7, 0, 30)))
 
@@ -283,8 +288,8 @@ class TestExpandOverSpans:
                 work(f"c{k}", "r1", at(day, 9, 30), at(day, 9, 40), act="b"),
             ]
         result = run_pipeline(EventLog.from_instances(cases))
-        waits = [d.instance.target.waiting for d in result.decompositions]
-        assert [w.duration for w in waits if not w.is_empty()] == [1200, 1200]
+        waits = [d.waiting_duration for d in result.decompositions]
+        assert [w for w in waits if w] == [1200, 1200]
         available = result.availability["r1"].available
         assert len(available) <= 2
         assert available.total_duration == 2400

@@ -1,11 +1,21 @@
 """Tests for the command-line interface: verbs, flags, exit codes."""
+import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wtminer.cli import main
+from wtminer.calendars import CalendarParams
+from wtminer.cli import _calendar_params, _pipeline_config, build_parser, main
+from wtminer.ingest import ColumnMapping, load_log
+from wtminer.model import ConfigError, IngestError
+from wtminer.pipeline import PipelineConfig
 from wtminer.synth import InjectionSpec, generate, write_files
 
 
@@ -234,3 +244,99 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestDefaults:
+    def test_analyze_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["analyze", "--log", "x", "--out", "y"])
+        assert _pipeline_config(args) == PipelineConfig()
+
+    def test_calendars_defaults_are_the_calendar_defaults(self):
+        args = build_parser().parse_args(["calendars", "--log", "x"])
+        assert _calendar_params(args) == CalendarParams()
+
+
+ISO_TIMES = (
+    "2023-01-02T09:00:00Z",
+    "2023-01-02T09:30:00Z",
+    "2023-01-02T10:00:00+01:00",
+    "2023-01-03T09:00:00",
+    "2023-01-02T09:45:00.250Z",
+    "9999-12-31T23:59:59-05:00",
+    "9999-12-31T20:00:00+14:00",
+    "0001-01-01T00:00:00+05:00",
+)
+EPOCH_TIMES = (
+    "1672650000",
+    "1672653600",
+    "1672740000",
+    "0",
+    "-1",
+    "253402300800",
+    "-62135596801",
+    "99999999999999999999",
+)
+IDS = {"case_id": ("c1", "c2"), "activity": ("a", "b"), "resource": ("R1", "R2", "")}
+TIME_COLUMNS = ("start_time", "end_time", "enabled_time")
+TRICKY = ("", " ", "\ufeff", "\x00", '"', 'a"b', "a,b", "x\ny") + ISO_TIMES + EPOCH_TIMES
+
+
+@st.composite
+def fuzzed_logs(draw):
+    """CSV bytes with permuted headers, tricky fields, reversed and
+    out-of-range times, short and long rows, and an optional mapping."""
+    mapping = draw(
+        st.sampled_from(
+            [
+                None,
+                {"timestamp_format": "epoch"},
+                {"enabled_column": "enabled_time"},
+                {"enabled_column": "enabled_time", "timestamp_format": "epoch"},
+            ]
+        )
+    )
+    times = EPOCH_TIMES if mapping and "timestamp_format" in mapping else ISO_TIMES
+    plausible = {**IDS, **dict.fromkeys(TIME_COLUMNS, times)}
+    header = list(draw(st.permutations(list(plausible))))
+    if draw(st.booleans()):
+        header.remove("enabled_time")
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        header.pop(draw(st.integers(min_value=0, max_value=len(header) - 1)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        row = [
+            draw(st.sampled_from(TRICKY if draw(st.integers(0, 3)) == 0 else plausible[name]))
+            for name in header
+        ]
+        extra = draw(st.sampled_from([0, 0, 0, -2, -1, 1, 2]))
+        rows.append(row[:extra] if extra < 0 else row + ["x"] * extra)
+    text = io.StringIO()
+    if draw(st.booleans()):
+        csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    else:
+        # Unquoted joins: stray quotes, commas and newlines break the rows.
+        text.write("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+    data = text.getvalue().encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data, mapping
+
+
+class TestFuzzedLogs:
+    @settings(max_examples=100, deadline=None)
+    @given(fuzzed_logs())
+    def test_only_typed_failures(self, scenario):
+        data, mapping = scenario
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.csv"
+            log.write_bytes(data)
+            argv = ["analyze", "--log", str(log), "--out", str(Path(tmp) / "out")]
+            if mapping is not None:
+                mapping_path = Path(tmp) / "mapping.json"
+                mapping_path.write_text(json.dumps(mapping))
+                argv += ["--mapping", str(mapping_path)]
+            assert main(argv) in (0, 1, 2)
+            try:
+                load_log(log, ColumnMapping.from_dict(mapping or {}))
+            except (ConfigError, IngestError):
+                pass

@@ -164,7 +164,7 @@ class TestComputeEnablement:
         result = compute_enablement(log)
         inst = result.log.instances[0]
         assert inst.enabled == inst.started
-        assert inst.waiting.duration == 0
+        assert inst.waiting == (inst.started, inst.started)
         assert result.stats.first_in_case == 1
 
     def test_clamp_when_predecessor_outlives_start(self):

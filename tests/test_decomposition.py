@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_busy_overlaps, brute_cause_durations, brute_raw_unavailability
+from brute import (
+    brute_busy_overlaps,
+    brute_cause_durations,
+    brute_multitasking_rate,
+    brute_raw_unavailability,
+)
 from test_golden import _write_loopy_log
 from wtminer.batching import detect_batches
 from wtminer.calendars import (
@@ -23,7 +28,6 @@ from wtminer.model import (
     ActivityInstance,
     EventLog,
     IntervalSet,
-    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 from wtminer.pipeline import run_pipeline
@@ -230,6 +234,36 @@ class TestMultitaskingRate:
         )
         assert multitasking_rate(log) == 0.0
 
+    def test_zero_length_inside_other_work_counts(self):
+        log = EventLog.from_instances(
+            [
+                inst("c1", "b", "r1", 0, 0, 10),
+                inst("c2", "b", "r1", 0, 5, 5),
+                inst("c3", "b", "r1", 0, 10, 10),
+            ]
+        )
+        assert multitasking_rate(log) == pytest.approx(2 / 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["r1", "r1", "r2", UNKNOWN_RESOURCE]),
+                st.integers(min_value=0, max_value=12),
+                st.sampled_from([0, 0, 1, 2, 3, 5, 8]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_matches_pairwise_oracle(self, rows):
+        # Small start and length ranges give equal starts, touching ends,
+        # zero-length and nested instances.
+        log = EventLog.from_instances(
+            [inst(f"c{k}", "a", res, 0, s, s + n) for k, (res, s, n) in enumerate(rows)]
+        )
+        assert multitasking_rate(log) == brute_multitasking_rate(log)
+
 
 @st.composite
 def random_scenarios(draw):
@@ -281,7 +315,8 @@ class TestDecompositionInvariants:
             out = d.decompose(ti_for(target))
             sets = out.cause_sets()
             # Additivity in integer seconds.
-            assert sum(s.total_duration for s in sets.values()) == target.waiting.duration
+            assert sum(s.total_duration for s in sets.values()) == out.waiting_duration
+            assert out.waiting_duration == target.started - target.enabled
             # Pairwise disjointness and coverage.
             union = IntervalSet.empty()
             causes = list(sets)
@@ -328,9 +363,7 @@ def busy_windows(draw):
                 max_size=8,
             )
         )
-        available = IntervalSet(
-            tuple(TimeInterval(MONDAY + s, MONDAY + s + n) for s, n in spans)
-        )
+        available = IntervalSet((MONDAY + s, MONDAY + s + n) for s, n in spans)
         availability[res] = AbsoluteAvailability(res, available)
     return log, availability
 
@@ -348,7 +381,7 @@ class TestWindowedScans:
                 target, availability
             )
             out = d.decompose(ti_for(target))
-            assert sum(out.cause_durations().values()) == target.waiting.duration
+            assert sum(out.cause_durations().values()) == target.started - target.enabled
             assert out.cause_durations() == brute_cause_durations(
                 target, log, d.batching, availability
             )

@@ -73,7 +73,7 @@ class TestLoadLog:
         result = load_log(path)
         (inst,) = result.log.instances
         assert inst.case_id == "C1"
-        assert inst.processing.duration == 1800
+        assert inst.completed - inst.started == 1800
         assert inst.enabled is None
         assert result.stats.rows_total == 1
         assert result.stats.rows_rejected == 0
@@ -149,7 +149,8 @@ class TestLoadLog:
         mapping = ColumnMapping(enabled_column="enabled_time")
         result = load_log(path, mapping)
         assert result.log.instances[0].enabled is not None
-        assert result.log.instances[0].waiting.duration == 3600
+        (inst,) = result.log.instances
+        assert inst.started - inst.enabled == 3600
 
     def test_enabled_after_start_clamped(self, tmp_path):
         path = write_csv(

@@ -1,6 +1,7 @@
 """Interval algebra and core type tests.
 
-Interval set operations are checked two ways: frozen examples worked out by
+Spans are plain (start, end) pairs and `IntervalSet` is the one interval
+type. Its operations are checked two ways: frozen examples worked out by
 hand, and randomized comparison against a per-second membership oracle.
 """
 from __future__ import annotations
@@ -14,7 +15,6 @@ from wtminer.model import (
     EventLog,
     IngestError,
     IntervalSet,
-    TimeInterval,
     UNKNOWN_RESOURCE,
 )
 
@@ -32,52 +32,63 @@ def interval_sets(draw) -> IntervalSet:
     for _ in range(n):
         a = draw(st.integers(min_value=0, max_value=HORIZON - 1))
         b = draw(st.integers(min_value=0, max_value=HORIZON - 1))
-        spans.append(TimeInterval(min(a, b), max(a, b)))
+        spans.append((min(a, b), max(a, b)))
     return IntervalSet(tuple(spans))
 
 
-class TestTimeInterval:
+class TestSingleSpan:
+    """One (start, end) pair, as `IntervalSet` checks and stores it."""
+
     def test_duration_and_emptiness(self):
-        assert TimeInterval(3, 8).duration == 5
-        assert TimeInterval(4, 4).is_empty()
-        assert not TimeInterval(4, 5).is_empty()
+        assert IntervalSet.of((3, 8)).total_duration == 5
+        assert IntervalSet.of((4, 4)).is_empty()
+        assert not IntervalSet.of((4, 5)).is_empty()
 
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
-            TimeInterval(5, 4)
+            IntervalSet.of((5, 4))
+        with pytest.raises(ValueError):
+            IntervalSet(((0, 2), (5, 4)))
+        with pytest.raises(ValueError):
+            IntervalSet([(1, 0)])
 
     def test_half_open_membership(self):
-        iv = TimeInterval(2, 5)
-        assert iv.contains_point(2)
-        assert iv.contains_point(4)
-        assert not iv.contains_point(5)
+        s = IntervalSet.of((2, 5))
+        assert s.contains_point(2)
+        assert s.contains_point(4)
+        assert not s.contains_point(5)
 
     def test_touching_intervals_do_not_overlap(self):
-        assert not TimeInterval(0, 3).overlaps(TimeInterval(3, 6))
-        assert TimeInterval(0, 4).overlaps(TimeInterval(3, 6))
+        assert (IntervalSet.of((0, 3)) & IntervalSet.of((3, 6))).is_empty()
+        assert IntervalSet.of((0, 3)).overlapping((3, 6)).is_empty()
+        assert IntervalSet.of((0, 4)).overlapping((3, 6)) == IntervalSet.of((0, 4))
 
     def test_pairwise_intersection(self):
-        assert TimeInterval(0, 4).intersect(TimeInterval(3, 7)) == TimeInterval(3, 4)
-        assert TimeInterval(0, 3).intersect(TimeInterval(3, 7)) is None
+        assert (IntervalSet.of((0, 4)) & IntervalSet.of((3, 7))).intervals == ((3, 4),)
+        assert (IntervalSet.of((0, 3)) & IntervalSet.of((3, 7))).intervals == ()
 
 
 class TestIntervalSetCanonicalForm:
     def test_merges_touching_and_overlapping(self):
         s = IntervalSet.of((0, 3), (3, 5), (4, 8), (10, 12))
-        assert s.intervals == (TimeInterval(0, 8), TimeInterval(10, 12))
+        assert s.intervals == ((0, 8), (10, 12))
 
     def test_drops_empty_intervals(self):
         s = IntervalSet.of((5, 5), (7, 9))
-        assert s.intervals == (TimeInterval(7, 9),)
+        assert s.intervals == ((7, 9),)
 
     def test_sorts_input(self):
         s = IntervalSet.of((10, 12), (0, 2))
-        assert s.intervals == (TimeInterval(0, 2), TimeInterval(10, 12))
+        assert s.intervals == ((0, 2), (10, 12))
 
     def test_empty_set(self):
         assert IntervalSet.empty().is_empty()
         assert IntervalSet.empty().total_duration == 0
         assert not IntervalSet.empty()
+
+    def test_repr_prints_half_open_spans(self):
+        assert repr(IntervalSet.of((10, 12), (0, 2))) == "{[0, 2), [10, 12)}"
+        assert repr(IntervalSet.empty()) == "{}"
 
 
 class TestIntervalSetOperations:
@@ -124,9 +135,9 @@ class TestIntervalSetOperations:
     @given(interval_sets(), interval_sets())
     def test_results_are_canonical(self, a, b):
         for s in (a & b, a | b, a - b):
-            for left, right in zip(s.intervals, s.intervals[1:]):
-                assert left.end < right.start
-            assert all(not iv.is_empty() for iv in s.intervals)
+            for (_, left_end), (right_start, _) in zip(s.intervals, s.intervals[1:]):
+                assert left_end < right_start
+            assert all(start < end for start, end in s.intervals)
 
     @given(interval_sets(), interval_sets())
     def test_fast_results_equal_their_canonical_form(self, a, b):
@@ -140,9 +151,9 @@ class TestIntervalSetOperations:
         st.integers(min_value=0, max_value=HORIZON - 1),
     )
     def test_overlapping_matches_linear_filter(self, a, x, y):
-        span = TimeInterval(min(x, y), max(x, y))
-        expected = tuple(iv for iv in a.intervals if iv.overlaps(span))
-        assert a.overlapping(span).intervals == expected
+        lo, hi = min(x, y), max(x, y)
+        expected = tuple((s, e) for s, e in a.intervals if s < hi and lo < e)
+        assert a.overlapping((lo, hi)).intervals == expected
 
 
 class TestActivityInstance:
@@ -154,8 +165,10 @@ class TestActivityInstance:
 
     def test_waiting_and_processing(self):
         inst = ActivityInstance("c1", "a", "r1", 10, 25, enabled=4)
-        assert inst.waiting == TimeInterval(4, 10)
-        assert inst.processing == TimeInterval(10, 25)
+        assert inst.waiting == (4, 10)
+        # The wait ends where processing starts, so the two spans merge.
+        processing = (inst.started, inst.completed)
+        assert IntervalSet((inst.waiting, processing)) == IntervalSet.of((4, 25))
 
     def test_waiting_requires_enablement(self):
         inst = ActivityInstance("c1", "a", "r1", 10, 25)
@@ -184,6 +197,29 @@ class TestEventLog:
         assert set(log.cases) == {"c1", "c2"}
         assert log.case_count == 2
 
+    def test_constructor_sorts_into_log_order(self):
+        # Out-of-order input once made `b` enable `a` (clamped) and reported
+        # no waiting; the constructor now sorts, so `a` enables `b` after 5 s.
+        from wtminer.pipeline import run_pipeline
+
+        a = ActivityInstance("c1", "a", "r", 0, 5)
+        b = ActivityInstance("c1", "b", "r", 10, 20)
+        log = EventLog((b, a))
+        assert log.instances == (a, b)
+        assert log.cases["c1"] == (a, b)
+        result = run_pipeline(log)
+        assert result.enablement.stats.clamped == 0
+        assert [(t.label, t.total_duration) for t in result.transitions] == [
+            (("a", "b"), 5)
+        ]
+        assert result.analysis.total_wt_seconds == 5
+
+    def test_constructor_keeps_input_order_of_full_ties(self):
+        x = ActivityInstance("c1", "a", "r1", 0, 5)
+        y = ActivityInstance("c1", "a", "r2", 0, 5)
+        assert EventLog((y, x)).instances == (y, x)
+        assert EventLog((x, y)).instances == (x, y)
+
     def test_rejects_empty_log(self):
         with pytest.raises(IngestError):
             EventLog.from_instances([])
@@ -198,7 +234,7 @@ class TestEventLog:
         log = EventLog.from_instances(
             [ActivityInstance("c1", "a", "r1", 10, 20, enabled=3)]
         )
-        assert log.horizon() == TimeInterval(3, 20)
+        assert log.horizon() == (3, 20)
 
     def test_resource_and_activity_catalogs(self):
         log = EventLog.from_instances(

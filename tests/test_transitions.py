@@ -112,7 +112,7 @@ class TestWaitingConservation:
         # Without supplied enablement, every second of waiting belongs to
         # exactly one transition instance.
         result = compute_enablement(log, discover_concurrency(log))
-        total_waiting = sum(i.waiting.duration for i in result.log.instances)
+        total_waiting = sum(i.started - i.enabled for i in result.log.instances)
         total_transitions = sum(
             t.total_duration for t in discover_transitions(result)
         )
