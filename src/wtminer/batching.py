@@ -15,7 +15,6 @@ from wtminer.model import (
     ActivityInstance,
     ConfigError,
     EventLog,
-    IntervalSet,
     TimeInstant,
     UNKNOWN_RESOURCE,
 )
@@ -125,10 +124,3 @@ def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> Ba
                 i += 1
     return BatchingResult(batches=tuple(batches), by_instance=by_instance)
 
-
-def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:
-    """Waiting attributable to batch accumulation: [enabled, τ_bc) clipped to ω."""
-    end = min(batch.accumulation_end, inst.started)
-    if end <= inst.enabled:
-        return IntervalSet.empty()
-    return IntervalSet.of((inst.enabled, end))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import sys
@@ -97,14 +98,22 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.calendar_overrides
         else None
     )
-    loaded = load_log(args.log, _load_mapping(args.mapping))
-    result = run_pipeline(loaded.log, config, overrides)
-    paths = write_report_files(
-        result,
-        args.out,
-        ingest_stats=loaded.stats,
-        emit_calendars=args.emit_calendars,
-    )
+    # Load and pipeline create no reference cycles, so the cyclic collector
+    # would only re-walk their objects as they accumulate; pause it.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        loaded = load_log(args.log, _load_mapping(args.mapping))
+        result = run_pipeline(loaded.log, config, overrides)
+        paths = write_report_files(
+            result,
+            args.out,
+            ingest_stats=loaded.stats,
+            emit_calendars=args.emit_calendars,
+        )
+    finally:
+        if collecting:
+            gc.enable()
     sys.stdout.write(summary_text(result))
     sys.stdout.write(
         f"\nReport: {paths['report']}\nTransitions: {paths['transitions']}\n"

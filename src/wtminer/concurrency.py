@@ -171,16 +171,24 @@ def compute_enablement(
         first = len(instances)
         # Per activity, (completion, position) of its latest-completing
         # instance so far: on equal completion the later position wins.
+        # `overall` is the same over every activity, the enabler of an
+        # activity with no concurrent partner.
         latest: dict[str, tuple[TimeInstant, int]] = {}
+        overall: tuple[Optional[TimeInstant], Optional[int]] = (None, None)
         for pos, inst in enumerate(seq, first):
-            skip = concurrent_with.get(inst.activity, ())
-            best_completion, enabler_pos = max(
-                (key for activity, key in latest.items() if activity not in skip),
-                default=(None, None),
-            )
+            skip = concurrent_with.get(inst.activity)
+            if skip:
+                best_completion, enabler_pos = max(
+                    (key for activity, key in latest.items() if activity not in skip),
+                    default=(None, None),
+                )
+            else:
+                best_completion, enabler_pos = overall
             seen = latest.get(inst.activity)
             if seen is None or inst.completed >= seen[0]:
                 latest[inst.activity] = (inst.completed, pos)
+                if overall[0] is None or inst.completed >= overall[0]:
+                    overall = (inst.completed, pos)
             if inst.enabled is not None:
                 enabled = inst.enabled
                 stats.supplied += 1

@@ -13,8 +13,10 @@ exactly one cause, claimed in strict dominance order:
                      calendar
 5. extraneous      - residual: none of the above explains it
 
-Each stage intersects its raw intervals with what previous stages left, so
-the five sets partition the waiting interval exactly.
+Each stage claims from what previous stages left, so the five sets
+partition the waiting interval exactly. The cascade works on bare sorted
+(start, end) lists and builds an `IntervalSet` only for each of its five
+results.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from wtminer.batching import BatchingResult, batching_interval
+from wtminer.batching import BatchingResult
 from wtminer.calendars import AbsoluteAvailability
 from wtminer.model import (
     ActivityInstance,
@@ -30,13 +32,16 @@ from wtminer.model import (
     IntervalSet,
     Span,
     UNKNOWN_RESOURCE,
+    _split,
 )
 from wtminer.transitions import TransitionInstance
+
+_EMPTY = IntervalSet.empty()
 
 CAUSES = ("batching", "contention", "prioritization", "unavailability", "extraneous")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WtDecomposition:
     """Disjoint per-cause interval sets covering one instance's waiting time."""
 
@@ -93,61 +98,76 @@ class Decomposer:
             self._windows[resource] = window
         return window
 
-    def _busy_overlaps(self, target: ActivityInstance) -> tuple[IntervalSet, IntervalSet]:
-        """Same-resource processing inside the wait, in one pass over the window:
-        work enabled no later than the target, then work enabled after it."""
-        wait_start, wait_end = target.waiting
-        # Only instances starting in [wait_start - longest, wait_end) can
-        # overlap the wait: anything starting earlier has already completed.
-        # The target itself starts at wait_end, so it is never in the window.
-        window = self._window(target.resource)
-        lo = bisect_left(window.starts, wait_start - window.longest)
-        hi = bisect_left(window.starts, wait_end)
-        earlier: list[Span] = []
-        later: list[Span] = []
-        for other in window.seq[lo:hi]:
-            start = max(other.started, wait_start)
-            end = min(other.completed, wait_end)
-            if end > start:
-                (earlier if other.enabled <= target.enabled else later).append((start, end))
-        return IntervalSet(earlier), IntervalSet(later)
-
-    def raw_contention(self, target: ActivityInstance) -> IntervalSet:
-        """Resource busy during the wait on work enabled no later than the target."""
-        return self._busy_overlaps(target)[0]
-
-    def raw_prioritization(self, target: ActivityInstance) -> IntervalSet:
-        """Resource busy during the wait on work enabled strictly after the target."""
-        return self._busy_overlaps(target)[1]
-
-    def raw_unavailability(self, target: ActivityInstance) -> IntervalSet:
-        """Waiting instants outside the resource's availability calendar."""
-        wait = target.waiting
-        avail = self.availability[target.resource].available
-        return IntervalSet((wait,)) - avail.overlapping(wait)
-
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
         target = ti.target
-        wait = target.waiting
-        empty = IntervalSet.empty()
-        if wait[0] == wait[1]:
-            return WtDecomposition(ti, empty, empty, empty, empty, empty)
-        remaining = IntervalSet._from_canonical((wait,))
-        if target.resource == UNKNOWN_RESOURCE:
+        wait_start, wait_end = target.waiting
+        if wait_start == wait_end:
+            return WtDecomposition(ti, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+        resource = target.resource
+        if resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
             # calendar, so all of the wait is extraneous.
-            return WtDecomposition(ti, empty, empty, empty, empty, remaining)
+            return WtDecomposition(
+                ti, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _result([(wait_start, wait_end)])
+            )
 
+        # Batching claims a prefix of the wait, so what it leaves is one span.
+        batching: list[Span] = []
+        rest_start = wait_start
         batch = self.batching.by_instance.get(target)
-        batched = batching_interval(target, batch) if batch is not None else empty
-        claimed = []
-        for raw in (batched, *self._busy_overlaps(target)):
-            claimed.append(remaining & raw)
-            remaining -= raw
-        # remaining lies inside the wait, so the availability that overlaps
-        # the wait splits it into unavailability and extraneous exactly.
-        available = self.availability[target.resource].available.overlapping(wait)
-        return WtDecomposition(ti, *claimed, remaining - available, remaining & available)
+        if batch is not None:
+            batch_end = min(batch.accumulation_end, wait_end)
+            if batch_end > wait_start:
+                batching.append((wait_start, batch_end))
+                rest_start = batch_end
+                if rest_start == wait_end:
+                    return WtDecomposition(
+                        ti, _result(batching), _EMPTY, _EMPTY, _EMPTY, _EMPTY
+                    )
+
+        # Same-resource processing inside the rest of the wait, in one pass
+        # over the window: work enabled no later than the target, then work
+        # enabled after it. Only instances starting in [rest_start - longest,
+        # wait_end) can overlap it: anything starting earlier has already
+        # completed. The target itself starts at wait_end, so it is never in
+        # the window. Members arrive in start order, so clipped starts never
+        # decrease and each list is merged as it grows.
+        earlier: list[Span] = []
+        later: list[Span] = []
+        window = self._window(resource)
+        lo = bisect_left(window.starts, rest_start - window.longest)
+        hi = bisect_left(window.starts, wait_end)
+        for other in window.seq[lo:hi]:
+            start = max(other.started, rest_start)
+            end = min(other.completed, wait_end)
+            if end > start:
+                spans = earlier if other.enabled <= wait_start else later
+                if spans and start <= spans[-1][1]:
+                    spans[-1] = (spans[-1][0], max(end, spans[-1][1]))
+                else:
+                    spans.append((start, end))
+
+        # Each cause claims what the previous ones left; the rest lies inside
+        # the wait, so the availability that overlaps the wait splits it into
+        # unavailability and extraneous exactly.
+        contention, remaining = _split([(rest_start, wait_end)], earlier)
+        prioritization, remaining = _split(remaining, later)
+        available = self.availability[resource].available.overlapping(
+            (wait_start, wait_end)
+        )
+        extraneous, unavailability = _split(remaining, available.intervals)
+        return WtDecomposition(
+            ti,
+            _result(batching),
+            _result(contention),
+            _result(prioritization),
+            _result(unavailability),
+            _result(extraneous),
+        )
+
+
+def _result(spans: list[Span]) -> IntervalSet:
+    return IntervalSet._from_canonical(tuple(spans)) if spans else _EMPTY
 
 
 def decompose_all(

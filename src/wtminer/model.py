@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 # Instants are plain epoch seconds; durations are plain second counts.
 TimeInstant = int
@@ -50,11 +50,35 @@ def _canonicalize(spans: Iterable[Span]) -> tuple[Span, ...]:
     return tuple(merged)
 
 
+def _split(spans: Sequence[Span], holes: Sequence[Span]) -> tuple[list[Span], list[Span]]:
+    """One sweep of canonical `spans` against canonical `holes`: the parts of
+    the spans inside the holes, and the parts outside them, both canonical."""
+    inside: list[Span] = []
+    outside: list[Span] = []
+    j = 0
+    n = len(holes)
+    for cursor, end in spans:
+        while j < n and holes[j][1] <= cursor:
+            j += 1
+        k = j
+        while k < n and holes[k][0] < end:
+            hole_start, hole_end = holes[k]
+            if hole_start > cursor:
+                outside.append((cursor, hole_start))
+                cursor = hole_start
+            inside.append((cursor, min(hole_end, end)))
+            cursor = hole_end
+            k += 1
+        if cursor < end:
+            outside.append((cursor, end))
+    return inside, outside
+
+
 _START = itemgetter(0)
 _END = itemgetter(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalSet:
     """Canonical set of instants: sorted, pairwise disjoint, non-touching,
     non-empty (start, end) pairs. A pair that ends before it starts is a
@@ -103,42 +127,15 @@ class IntervalSet:
         return IntervalSet._from_canonical(ivs[lo:hi])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        # Two-pointer sweep over both canonical sequences.
-        out: list[Span] = []
-        a, b = self.intervals, other.intervals
-        i = j = 0
-        while i < len(a) and j < len(b):
-            (a_start, a_end), (b_start, b_end) = a[i], b[j]
-            start = max(a_start, b_start)
-            end = min(a_end, b_end)
-            if end > start:
-                out.append((start, end))
-            if a_end <= b_end:
-                i += 1
-            else:
-                j += 1
-        return IntervalSet._from_canonical(tuple(out))
+        inside, _ = _split(self.intervals, other.intervals)
+        return IntervalSet._from_canonical(tuple(inside))
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self.intervals + other.intervals)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Span] = []
-        holes = other.intervals
-        j = 0
-        for cursor, end in self.intervals:
-            while j < len(holes) and holes[j][1] <= cursor:
-                j += 1
-            k = j
-            while k < len(holes) and holes[k][0] < end:
-                hole_start, hole_end = holes[k]
-                if hole_start > cursor:
-                    out.append((cursor, hole_start))
-                cursor = max(cursor, hole_end)
-                k += 1
-            if cursor < end:
-                out.append((cursor, end))
-        return IntervalSet._from_canonical(tuple(out))
+        _, outside = _split(self.intervals, other.intervals)
+        return IntervalSet._from_canonical(tuple(outside))
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other)
@@ -166,7 +163,7 @@ class IntervalSet:
 _EMPTY = IntervalSet._from_canonical(())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ActivityInstance:
     """One execution of an activity within a case.
 

@@ -25,7 +25,7 @@ from wtminer.decomposition import (
     decompose_all,
     multitasking_rate,
 )
-from wtminer.model import EventLog, IntervalSet
+from wtminer.model import EventLog, IntervalSet, UNKNOWN_RESOURCE
 from wtminer.transitions import Transition, discover_transitions
 
 
@@ -81,10 +81,15 @@ def run_pipeline(
             )
 
     # Availability is only read inside waits, so each resource's calendar is
-    # expanded over the union of its own non-empty waits.
+    # expanded over the union of its own non-empty waits. The decomposition
+    # never reads it for the unknown resource, whose set stays empty.
     availability: dict[str, AbsoluteAvailability] = {}
     for resource, calendar in calendars.items():
-        waits = IntervalSet(inst.waiting for inst in enriched.by_resource[resource])
+        waits = (
+            IntervalSet(inst.waiting for inst in enriched.by_resource[resource])
+            if resource != UNKNOWN_RESOURCE
+            else ()
+        )
         availability[resource] = expand_calendar(calendar, *waits)
 
     decomposer = Decomposer(enriched, batching, availability)

@@ -9,7 +9,7 @@ from wtminer.concurrency import EnablementResult
 from wtminer.model import ActivityInstance
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TransitionInstance:
     """One enabling pair: target waits in [enabled(target), started(target))."""
 

@@ -7,14 +7,17 @@ predecessor search for enablement, a walk of the enriched log's cases that
 looks each instance's enabler up, a scan of the resource's whole work
 sequence for busy overlaps, a subtraction of the whole availability set, a
 calendar tiled week by week over the hull of the spans it is read in, and a
-check of every same-resource pair for multitasking. Spans are plain
+check of every same-resource pair for multitasking. `SetAlgebraDecomposer`
+is the cascade as interval-set algebra, one `IntervalSet` per step, which
+the pipeline's cascade on bare pairs must match set by set. Spans are plain
 (start, end) pairs, as in the pipeline.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional
 
-from wtminer.batching import BatchingResult
+from wtminer.batching import Batch, BatchingResult
 from wtminer.calendars import (
     SECONDS_PER_WEEK,
     AbsoluteAvailability,
@@ -22,7 +25,7 @@ from wtminer.calendars import (
     week_start,
 )
 from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
-from wtminer.decomposition import CAUSES
+from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition
 from wtminer.model import (
     ActivityInstance,
     EventLog,
@@ -199,3 +202,73 @@ def brute_multitasking_rate(log: EventLog) -> float:
             ):
                 overlapping.update((id(a), id(b)))
     return len(overlapping) / len(known) if known else 0.0
+
+
+def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:
+    """Waiting attributable to batch accumulation: [enabled, τ_bc) clipped to ω."""
+    end = min(batch.accumulation_end, inst.started)
+    if end <= inst.enabled:
+        return IntervalSet.empty()
+    return IntervalSet.of((inst.enabled, end))
+
+
+class SetAlgebraDecomposer(Decomposer):
+    """The cascade in interval-set algebra over the same bisected window:
+    each cause's raw set is built, intersected with what is left and
+    subtracted from it."""
+
+    def _busy_overlaps(self, target: ActivityInstance) -> tuple[IntervalSet, IntervalSet]:
+        """Same-resource processing inside the wait, in one pass over the window:
+        work enabled no later than the target, then work enabled after it."""
+        wait_start, wait_end = target.waiting
+        # Only instances starting in [wait_start - longest, wait_end) can
+        # overlap the wait: anything starting earlier has already completed.
+        # The target itself starts at wait_end, so it is never in the window.
+        window = self._window(target.resource)
+        lo = bisect_left(window.starts, wait_start - window.longest)
+        hi = bisect_left(window.starts, wait_end)
+        earlier: list[Span] = []
+        later: list[Span] = []
+        for other in window.seq[lo:hi]:
+            start = max(other.started, wait_start)
+            end = min(other.completed, wait_end)
+            if end > start:
+                (earlier if other.enabled <= target.enabled else later).append((start, end))
+        return IntervalSet(earlier), IntervalSet(later)
+
+    def raw_contention(self, target: ActivityInstance) -> IntervalSet:
+        """Resource busy during the wait on work enabled no later than the target."""
+        return self._busy_overlaps(target)[0]
+
+    def raw_prioritization(self, target: ActivityInstance) -> IntervalSet:
+        """Resource busy during the wait on work enabled strictly after the target."""
+        return self._busy_overlaps(target)[1]
+
+    def raw_unavailability(self, target: ActivityInstance) -> IntervalSet:
+        """Waiting instants outside the resource's availability calendar."""
+        wait = target.waiting
+        avail = self.availability[target.resource].available
+        return IntervalSet((wait,)) - avail.overlapping(wait)
+
+    def decompose(self, ti: TransitionInstance) -> WtDecomposition:
+        target = ti.target
+        wait = target.waiting
+        empty = IntervalSet.empty()
+        if wait[0] == wait[1]:
+            return WtDecomposition(ti, empty, empty, empty, empty, empty)
+        remaining = IntervalSet._from_canonical((wait,))
+        if target.resource == UNKNOWN_RESOURCE:
+            # No resource identity: no batch, no busy evidence and no
+            # calendar, so all of the wait is extraneous.
+            return WtDecomposition(ti, empty, empty, empty, empty, remaining)
+
+        batch = self.batching.by_instance.get(target)
+        batched = batching_interval(target, batch) if batch is not None else empty
+        claimed = []
+        for raw in (batched, *self._busy_overlaps(target)):
+            claimed.append(remaining & raw)
+            remaining -= raw
+        # remaining lies inside the wait, so the availability that overlaps
+        # the wait splits it into unavailability and extraneous exactly.
+        available = self.availability[target.resource].available.overlapping(wait)
+        return WtDecomposition(ti, *claimed, remaining - available, remaining & available)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wtminer.batching import Batch, BatchingConfig, batching_interval, detect_batches
+from brute import batching_interval
+from wtminer.batching import Batch, BatchingConfig, detect_batches
 from wtminer.model import (
     ActivityInstance,
     ConfigError,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: verbs, flags, exit codes."""
 import csv
+import gc
 import io
 import json
 import subprocess
@@ -15,8 +16,9 @@ from wtminer.calendars import CalendarParams
 from wtminer.cli import _calendar_params, _pipeline_config, build_parser, main
 from wtminer.ingest import ColumnMapping, load_log
 from wtminer.model import ConfigError, IngestError
-from wtminer.pipeline import PipelineConfig
+from wtminer.pipeline import PipelineConfig, run_pipeline
 from wtminer.synth import InjectionSpec, generate, write_files
+from test_golden import _write_loopy_log
 
 
 @pytest.fixture()
@@ -167,6 +169,43 @@ class TestAnalyze:
             ]
         )
         assert code == 2
+
+
+class TestCollectorPause:
+    """`analyze` pauses the cyclic collector, which is safe only because load
+    and pipeline leave no reference cycles behind."""
+
+    @pytest.mark.parametrize("kind", ["all_causes", "loopy"])
+    def test_load_and_pipeline_create_no_cycles(self, kind, tmp_path):
+        path = tmp_path / f"{kind}.csv"
+        if kind == "loopy":
+            _write_loopy_log(path)
+        else:
+            spec = InjectionSpec.from_bits("11111", n_cases=80, seed=5)
+            write_files(generate(spec), path)
+        gc.collect()
+        gc.disable()
+        try:
+            loaded = load_log(path)
+            assert gc.collect() == 0
+            result = run_pipeline(loaded.log)
+            assert result.decompositions
+            del loaded, result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_collector_is_back_after_success(self, synth_log, tmp_path, capsys):
+        assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
+        assert gc.isenabled()
+
+    def test_collector_is_back_after_ingest_error(self, tmp_path, capsys):
+        log = tmp_path / "empty.csv"
+        log.write_text("case_id,activity,resource,start_time,end_time\n")
+        with pytest.raises(IngestError):
+            load_log(log)
+        assert main(["analyze", "--log", str(log), "--out", str(tmp_path / "o")]) == 1
+        assert gc.isenabled()
 
 
 class TestGenerate:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import (
+    SetAlgebraDecomposer,
     brute_busy_overlaps,
     brute_cause_durations,
     brute_multitasking_rate,
@@ -21,6 +22,7 @@ from wtminer.calendars import (
 from wtminer.decomposition import (
     CAUSES,
     Decomposer,
+    WtDecomposition,
     multitasking_rate,
 )
 from wtminer.ingest import load_log
@@ -31,6 +33,7 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
 )
 from wtminer.pipeline import run_pipeline
+from wtminer.report import write_report_files
 from wtminer.transitions import TransitionInstance
 
 MONDAY = 1672617600
@@ -63,14 +66,31 @@ def decomposer_for(log: EventLog, availability=None) -> Decomposer:
     return Decomposer(log, detect_batches(log), availability)
 
 
+def oracle_for(log: EventLog, availability=None) -> SetAlgebraDecomposer:
+    if availability is None:
+        availability = full_availability(log)
+    return SetAlgebraDecomposer(log, detect_batches(log), availability)
+
+
+def claimed(log: EventLog, target: ActivityInstance, availability=None) -> WtDecomposition:
+    """The cascade's five sets for `target`."""
+    return decomposer_for(log, availability).decompose(ti_for(target))
+
+
 class TestRawCauses:
+    """Raw cause sets from the set-algebra oracle, and what the cascade claims
+    of them when no earlier cause claims first."""
+
     def test_contention_overlap(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         busy = inst("c2", "z", "r1", 0, 2, 5)
         log = EventLog.from_instances([target, busy])
-        d = decomposer_for(log)
+        d = oracle_for(log)
         assert d.raw_contention(target) == IntervalSet.of((2, 5))
         assert d.raw_prioritization(target).is_empty()
+        out = claimed(log, target)
+        assert out.contention == IntervalSet.of((2, 5))
+        assert out.prioritization.is_empty()
 
     def test_contention_merges_overlapping_jobs(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
@@ -81,34 +101,47 @@ class TestRawCauses:
                 inst("c3", "z", "r1", 0, 2, 6),
             ]
         )
-        d = decomposer_for(log)
+        d = oracle_for(log)
         assert d.raw_contention(target) == IntervalSet.of((1, 6))
+        assert claimed(log, target).contention == IntervalSet.of((1, 6))
 
     def test_other_resource_does_not_count(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         busy = inst("c2", "z", "r2", 0, 2, 5)
-        d = decomposer_for(EventLog.from_instances([target, busy]))
+        log = EventLog.from_instances([target, busy])
+        d = oracle_for(log)
         assert d.raw_contention(target).is_empty()
+        assert claimed(log, target).contention.is_empty()
 
     def test_prioritization_overlap(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         overtaker = inst("c2", "z", "r1", 3, 4, 8)
-        d = decomposer_for(EventLog.from_instances([target, overtaker]))
+        log = EventLog.from_instances([target, overtaker])
+        d = oracle_for(log)
         assert d.raw_prioritization(target) == IntervalSet.of((4, 8))
         assert d.raw_contention(target).is_empty()
+        out = claimed(log, target)
+        assert out.prioritization == IntervalSet.of((4, 8))
+        assert out.contention.is_empty()
 
     def test_enablement_tie_counts_as_contention(self):
         target = inst("c1", "b", "r1", 5, 10, 12)
         peer = inst("c2", "z", "r1", 5, 6, 9)
-        d = decomposer_for(EventLog.from_instances([target, peer]))
+        log = EventLog.from_instances([target, peer])
+        d = oracle_for(log)
         assert d.raw_contention(target) == IntervalSet.of((6, 9))
         assert d.raw_prioritization(target).is_empty()
+        out = claimed(log, target)
+        assert out.contention == IntervalSet.of((6, 9))
+        assert out.prioritization.is_empty()
 
     def test_work_after_start_is_ignored(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         later = inst("c2", "z", "r1", 4, 11, 20)
-        d = decomposer_for(EventLog.from_instances([target, later]))
+        log = EventLog.from_instances([target, later])
+        d = oracle_for(log)
         assert d.raw_prioritization(target).is_empty()
+        assert claimed(log, target).prioritization.is_empty()
 
     def test_fifo_log_has_no_prioritization(self):
         jobs = [
@@ -116,9 +149,11 @@ class TestRawCauses:
             inst("c2", "z", "r1", 2, 10, 20),
             inst("c3", "z", "r1", 5, 20, 30),
         ]
-        d = decomposer_for(EventLog.from_instances(jobs))
+        log = EventLog.from_instances(jobs)
+        d = oracle_for(log)
         for job in jobs:
             assert d.raw_prioritization(job).is_empty()
+            assert claimed(log, job).prioritization.is_empty()
 
     def test_unavailability_subtracts_calendar(self):
         # Wait from Friday 16:00 to Monday 10:00 against weekday 08-17 hours.
@@ -128,13 +163,18 @@ class TestRawCauses:
             "r1", 60, frozenset((d, h) for d in range(5) for h in range(8, 17))
         )
         availability = {"r1": expand_calendar(cal, log.horizon())}
-        d = decomposer_for(log, availability)
+        d = oracle_for(log, availability)
         assert d.raw_unavailability(target) == IntervalSet.of((at(4, 17), at(7, 8)))
+        assert claimed(log, target, availability).unavailability == IntervalSet.of(
+            (at(4, 17), at(7, 8))
+        )
 
     def test_always_available_resource_has_none(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
-        d = decomposer_for(EventLog.from_instances([target]))
+        log = EventLog.from_instances([target])
+        d = oracle_for(log)
         assert d.raw_unavailability(target).is_empty()
+        assert claimed(log, target).unavailability.is_empty()
 
 
 class TestDecomposeCascade:
@@ -351,7 +391,10 @@ def busy_windows(draw):
     long_enabled = long_start - draw(st.integers(min_value=0, max_value=50))
     instances.append(inst("long", "a", "r1", long_enabled, long_start, long_end))
     log = EventLog.from_instances(instances)
+    return log, random_availability(draw, log)
 
+
+def random_availability(draw, log: EventLog) -> dict[str, AbsoluteAvailability]:
     availability = {}
     for res in log.resources:
         spans = draw(
@@ -365,7 +408,51 @@ def busy_windows(draw):
         )
         available = IntervalSet((MONDAY + s, MONDAY + s + n) for s, n in spans)
         availability[res] = AbsoluteAvailability(res, available)
-    return log, availability
+    return availability
+
+
+@st.composite
+def batched_windows(draw):
+    """A batch on r1, run back to back after its last member was enabled,
+    with r1 work that starts before the batch and runs into its members'
+    waits, and r1 work after it."""
+    first_start = MONDAY + draw(st.integers(min_value=100, max_value=400))
+    instances = []
+    t = first_start
+    for k in range(draw(st.integers(min_value=2, max_value=4))):
+        enabled = first_start - draw(st.integers(min_value=0, max_value=300))
+        duration = draw(st.sampled_from([0, 5, 30, 120]))
+        instances.append(inst(f"b{k}", "b", "r1", enabled, t, t + duration))
+        t += duration
+    for k in range(draw(st.integers(min_value=0, max_value=5))):
+        if draw(st.booleans()):
+            started = first_start - draw(st.integers(min_value=1, max_value=400))
+        else:
+            started = t + draw(st.integers(min_value=1, max_value=300))
+        completed = started + draw(st.sampled_from([0, 30, 200, 600]))
+        enabled = started - draw(st.integers(min_value=0, max_value=600))
+        instances.append(inst(f"o{k}", "a", "r1", enabled, started, completed))
+    log = EventLog.from_instances(instances)
+    return log, random_availability(draw, log)
+
+
+class TestCascadeMatchesSetAlgebra:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(busy_windows(), batched_windows(), random_scenarios()))
+    def test_every_cause_set_matches(self, scenario):
+        log, availability = scenario
+        batching = detect_batches(log)
+        fast = Decomposer(log, batching, availability)
+        oracle = SetAlgebraDecomposer(log, batching, availability)
+        for target in log.instances:
+            ti = ti_for(target)
+            assert fast.decompose(ti).cause_sets() == oracle.decompose(ti).cause_sets()
+
+    @settings(max_examples=50, deadline=None)
+    @given(batched_windows())
+    def test_batched_windows_hold_a_batch(self, scenario):
+        log, _ = scenario
+        assert any(inst.case_id.startswith("b") for inst in detect_batches(log).by_instance)
 
 
 class TestWindowedScans:
@@ -374,10 +461,13 @@ class TestWindowedScans:
     def test_windowed_scans_match_full_scans(self, scenario):
         log, availability = scenario
         d = Decomposer(log, detect_batches(log), availability)
+        oracle = SetAlgebraDecomposer(log, d.batching, availability)
         for target in log.instances:
-            assert d.raw_contention(target) == brute_busy_overlaps(target, log, True)
-            assert d.raw_prioritization(target) == brute_busy_overlaps(target, log, False)
-            assert d.raw_unavailability(target) == brute_raw_unavailability(
+            assert oracle.raw_contention(target) == brute_busy_overlaps(target, log, True)
+            assert oracle.raw_prioritization(target) == brute_busy_overlaps(
+                target, log, False
+            )
+            assert oracle.raw_unavailability(target) == brute_raw_unavailability(
                 target, availability
             )
             out = d.decompose(ti_for(target))
@@ -428,6 +518,28 @@ class TestAvailabilityOverWaits:
         result = run_pipeline(load_log(path).log)
         assert result.analysis.per_cause["unavailability"].wt_seconds > 0
         assert list(result.decompositions) == _horizon_decompositions(result)
+
+    def test_unknown_resource_calendar_is_not_expanded(self, tmp_path):
+        # 50 two-step cases on the unknown resource, each waiting two days
+        # less ten minutes, and one instance on r1.
+        instances = [ActivityInstance("c50", "a", "r1", MONDAY, MONDAY + 600)]
+        for k in range(50):
+            start = MONDAY + k * 3 * 86400
+            later = start + 2 * 86400
+            for act, t in (("a", start), ("b", later)):
+                instances.append(
+                    ActivityInstance(f"c{k}", act, UNKNOWN_RESOURCE, t, t + 600)
+                )
+        result = run_pipeline(EventLog.from_instances(instances))
+        assert result.availability[UNKNOWN_RESOURCE].available.is_empty()
+        assert list(result.decompositions) == _horizon_decompositions(result)
+        paths = write_report_files(result, tmp_path)
+        assert paths["transitions"].read_text(encoding="utf-8") == (
+            "source,target,case_freq,total_freq,total_wt_s,wt_batching_s,"
+            "wt_contention_s,wt_prioritization_s,wt_unavailability_s,"
+            "wt_extraneous_s,cte_impact\n"
+            "a,b,0.9804,50,8610000,0,0,0,0,8610000,0.993\n"
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(spread_logs())

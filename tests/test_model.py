@@ -6,10 +6,13 @@ hand, and randomized comparison against a per-second membership oracle.
 """
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wtminer.decomposition import WtDecomposition
 from wtminer.model import (
     ActivityInstance,
     EventLog,
@@ -17,6 +20,7 @@ from wtminer.model import (
     IntervalSet,
     UNKNOWN_RESOURCE,
 )
+from wtminer.transitions import TransitionInstance
 
 HORIZON = 200
 
@@ -162,6 +166,7 @@ class TestActivityInstance:
         y = ActivityInstance("c1", "a", "r1", 10, 20, enabled=5)
         assert x != y
         assert len({x, y}) == 2
+        assert {x: "x", y: "y"}[x] == "x"
 
     def test_waiting_and_processing(self):
         inst = ActivityInstance("c1", "a", "r1", 10, 25, enabled=4)
@@ -182,6 +187,34 @@ class TestActivityInstance:
     def test_rejects_enablement_after_start(self):
         with pytest.raises(ValueError):
             ActivityInstance("c1", "a", "r1", 10, 20, enabled=11)
+
+
+def _slotted_examples() -> list:
+    source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
+    target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
+    ti = TransitionInstance(source, target)
+    empty = IntervalSet.empty()
+    waits = IntervalSet.of((5, 9))
+    return [
+        (target, "started", 7),
+        (waits, "intervals", ()),
+        (empty, "intervals", ((0, 1),)),
+        (ti, "target", source),
+        (WtDecomposition(ti, empty, empty, empty, empty, waits), "extraneous", empty),
+    ]
+
+
+class TestSlottedTypes:
+    @pytest.mark.parametrize("obj, name, value", _slotted_examples())
+    def test_fields_cannot_be_assigned(self, obj, name, value):
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+        assert getattr(obj, name) == before
+
+    @pytest.mark.parametrize("obj, name, value", _slotted_examples())
+    def test_instances_have_no_dict(self, obj, name, value):
+        assert not hasattr(obj, "__dict__")
 
 
 class TestEventLog:
