@@ -133,8 +133,10 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
 
     Rows with unparseable timestamps or end < start are rejected and counted.
     A missing resource value maps to the reserved "__UNKNOWN__" label. An
-    enabled time after the start is clamped to the start and counted. A file
-    that is not UTF-8 text or not readable as CSV raises IngestError.
+    enabled time after the start is clamped to the start and counted. Blank
+    lines are skipped, short rows read their missing fields as empty, extra
+    fields are ignored, and a repeated header name reads its last column. A
+    file that is not UTF-8 text or not readable as CSV raises IngestError.
     """
     if mapping is None:
         mapping = ColumnMapping()
@@ -142,28 +144,35 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
     if not path.exists():
         raise ConfigError(f"log file not found: {path}")
 
+    names = (
+        mapping.case_column,
+        mapping.activity_column,
+        mapping.resource_column,
+        mapping.start_column,
+        mapping.end_column,
+        mapping.enabled_column,
+    )
     stats = IngestStats()
     instances: list[ActivityInstance] = []
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            needed = [
-                mapping.case_column,
-                mapping.activity_column,
-                mapping.resource_column,
-                mapping.start_column,
-                mapping.end_column,
-            ]
-            if mapping.enabled_column:
-                needed.append(mapping.enabled_column)
-            missing = [name for name in needed if name not in header]
+            reader = csv.reader(handle)
+            # A repeated name keeps its last column, as csv.DictReader does.
+            column = {name: i for i, name in enumerate(next(reader, []))}
+            missing = [name for name in names if name and name not in column]
             if missing:
                 raise ConfigError(f"log {path} is missing mapped columns: {missing}")
-
+            indices = tuple(column[name] if name else None for name in names)
+            # A short row reads its missing mapped fields as empty strings.
+            padding = [""] * (max(i for i in indices if i is not None) + 1)
+            stamps = _TimestampMemo(mapping.timestamp_format, stats)
             for row in reader:
+                if not row:
+                    continue  # a blank line is not a row
                 stats.rows_total += 1
-                inst = _parse_row(row, mapping, stats)
+                if len(row) < len(padding):
+                    row += padding[len(row):]
+                inst = _parse_row(row, indices, stamps, stats)
                 if inst is None:
                     stats.rows_rejected += 1
                 else:
@@ -178,32 +187,69 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
     return LoadResult(EventLog.from_instances(instances), stats)
 
 
-def _parse_row(row: dict, mapping: ColumnMapping, stats: IngestStats) -> Optional[ActivityInstance]:
-    case_id = (row.get(mapping.case_column) or "").strip()
-    activity = (row.get(mapping.activity_column) or "").strip()
+class _TimestampMemo(dict):
+    """`parse_timestamp` for one load, parsing each distinct text once.
+
+    Maps text -> (seconds, naive count, truncated count), or None when the
+    text does not parse. `read` adds a text's counts to the load's stats on
+    every row the text is on, as parsing it afresh would.
+    """
+
+    __slots__ = ("fmt", "stats", "probe")
+
+    def __init__(self, fmt: str, stats: IngestStats) -> None:
+        super().__init__()
+        self.fmt = fmt
+        self.stats = stats
+        self.probe = IngestStats()
+
+    def __missing__(self, text: str) -> Optional[tuple[TimeInstant, int, int]]:
+        probe = self.probe
+        probe.naive_timestamps = probe.truncated_timestamps = 0
+        try:
+            seconds = parse_timestamp(text, self.fmt, probe)
+        except ValueError:
+            entry = None
+        else:
+            entry = (seconds, probe.naive_timestamps, probe.truncated_timestamps)
+        self[text] = entry
+        return entry
+
+    def read(self, text: str) -> Optional[TimeInstant]:
+        entry = self[text]
+        if entry is None:
+            return None
+        seconds, naive, truncated = entry
+        self.stats.naive_timestamps += naive
+        self.stats.truncated_timestamps += truncated
+        return seconds
+
+
+def _parse_row(
+    row: list[str], indices: tuple, stamps: _TimestampMemo, stats: IngestStats
+) -> Optional[ActivityInstance]:
+    case_i, activity_i, resource_i, start_i, end_i, enabled_i = indices
+    case_id = row[case_i].strip()
+    activity = row[activity_i].strip()
     if not case_id or not activity:
         return None
-    resource = (row.get(mapping.resource_column) or "").strip()
+    resource = row[resource_i].strip()
     if not resource:
         resource = UNKNOWN_RESOURCE
         stats.unknown_resources += 1
-    fmt = mapping.timestamp_format
-    # A short row leaves its trailing fields None.
-    try:
-        started = parse_timestamp(row.get(mapping.start_column) or "", fmt, stats)
-        completed = parse_timestamp(row.get(mapping.end_column) or "", fmt, stats)
-    except ValueError:
+    started = stamps.read(row[start_i])
+    if started is None:
         return None
-    if completed < started:
+    completed = stamps.read(row[end_i])
+    if completed is None or completed < started:
         return None
 
     enabled: Optional[TimeInstant] = None
-    if mapping.enabled_column:
-        raw = (row.get(mapping.enabled_column) or "").strip()
+    if enabled_i is not None:
+        raw = row[enabled_i].strip()
         if raw:
-            try:
-                enabled = parse_timestamp(raw, fmt, stats)
-            except ValueError:
+            enabled = stamps.read(raw)
+            if enabled is None:
                 return None
             if enabled > started:
                 enabled = started

@@ -10,12 +10,16 @@ calendar tiled week by week over the hull of the spans it is read in, and a
 check of every same-resource pair for multitasking. `SetAlgebraDecomposer`
 is the cascade as interval-set algebra, one `IntervalSet` per step, which
 the pipeline's cascade on bare pairs must match set by set. Spans are plain
-(start, end) pairs, as in the pipeline.
+(start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
+through `csv.DictReader`, one dict and fresh timestamp parses per row, which
+`load_log` must match row by row and counter by counter.
 """
 from __future__ import annotations
 
+import csv
 from bisect import bisect_left
-from typing import Optional
+from pathlib import Path
+from typing import Optional, Union
 
 from wtminer.batching import Batch, BatchingResult
 from wtminer.calendars import (
@@ -26,9 +30,12 @@ from wtminer.calendars import (
 )
 from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
 from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition
+from wtminer.ingest import ColumnMapping, IngestStats, LoadResult, parse_timestamp
 from wtminer.model import (
     ActivityInstance,
+    ConfigError,
     EventLog,
+    IngestError,
     IntervalSet,
     Span,
     TimeInstant,
@@ -272,3 +279,86 @@ class SetAlgebraDecomposer(Decomposer):
         # the wait splits it into unavailability and extraneous exactly.
         available = self.availability[target.resource].available.overlapping(wait)
         return WtDecomposition(ti, *claimed, remaining - available, remaining & available)
+
+
+def dictreader_load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) -> LoadResult:
+    """Load a CSV activity-instance log through `csv.DictReader`.
+
+    Rows with unparseable timestamps or end < start are rejected and counted.
+    A missing resource value maps to the reserved "__UNKNOWN__" label. An
+    enabled time after the start is clamped to the start and counted. A file
+    that is not UTF-8 text or not readable as CSV raises IngestError.
+    """
+    if mapping is None:
+        mapping = ColumnMapping()
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"log file not found: {path}")
+
+    stats = IngestStats()
+    instances: list[ActivityInstance] = []
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            needed = [
+                mapping.case_column,
+                mapping.activity_column,
+                mapping.resource_column,
+                mapping.start_column,
+                mapping.end_column,
+            ]
+            if mapping.enabled_column:
+                needed.append(mapping.enabled_column)
+            missing = [name for name in needed if name not in header]
+            if missing:
+                raise ConfigError(f"log {path} is missing mapped columns: {missing}")
+
+            for row in reader:
+                stats.rows_total += 1
+                inst = _dictreader_parse_row(row, mapping, stats)
+                if inst is None:
+                    stats.rows_rejected += 1
+                else:
+                    instances.append(inst)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"log {path} is not UTF-8 text: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise IngestError(f"log {path} is not a readable CSV: {exc}") from exc
+
+    if not instances:
+        raise IngestError(f"no usable activity instances in {path}")
+    return LoadResult(EventLog.from_instances(instances), stats)
+
+
+def _dictreader_parse_row(row: dict, mapping: ColumnMapping, stats: IngestStats) -> Optional[ActivityInstance]:
+    case_id = (row.get(mapping.case_column) or "").strip()
+    activity = (row.get(mapping.activity_column) or "").strip()
+    if not case_id or not activity:
+        return None
+    resource = (row.get(mapping.resource_column) or "").strip()
+    if not resource:
+        resource = UNKNOWN_RESOURCE
+        stats.unknown_resources += 1
+    fmt = mapping.timestamp_format
+    # A short row leaves its trailing fields None.
+    try:
+        started = parse_timestamp(row.get(mapping.start_column) or "", fmt, stats)
+        completed = parse_timestamp(row.get(mapping.end_column) or "", fmt, stats)
+    except ValueError:
+        return None
+    if completed < started:
+        return None
+
+    enabled: Optional[TimeInstant] = None
+    if mapping.enabled_column:
+        raw = (row.get(mapping.enabled_column) or "").strip()
+        if raw:
+            try:
+                enabled = parse_timestamp(raw, fmt, stats)
+            except ValueError:
+                return None
+            if enabled > started:
+                enabled = started
+                stats.clamped_enablements += 1
+    return ActivityInstance(case_id, activity, resource, started, completed, enabled)

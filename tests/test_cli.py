@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wtminer.calendars import CalendarParams
 from wtminer.cli import _calendar_params, _pipeline_config, build_parser, main
-from wtminer.ingest import ColumnMapping, load_log
+from wtminer.ingest import ColumnMapping, format_timestamp, load_log
 from wtminer.model import ConfigError, IngestError
 from wtminer.pipeline import PipelineConfig, run_pipeline
 from wtminer.synth import InjectionSpec, generate, write_files
@@ -364,6 +364,56 @@ def fuzzed_logs(draw):
 class TestFuzzedLogs:
     @settings(max_examples=100, deadline=None)
     @given(fuzzed_logs())
+    def test_only_typed_failures(self, scenario):
+        data, mapping = scenario
+        with tempfile.TemporaryDirectory() as tmp:
+            log = Path(tmp) / "log.csv"
+            log.write_bytes(data)
+            argv = ["analyze", "--log", str(log), "--out", str(Path(tmp) / "out")]
+            if mapping is not None:
+                mapping_path = Path(tmp) / "mapping.json"
+                mapping_path.write_text(json.dumps(mapping))
+                argv += ["--mapping", str(mapping_path)]
+            assert main(argv) in (0, 1, 2)
+            try:
+                load_log(log, ColumnMapping.from_dict(mapping or {}))
+            except (ConfigError, IngestError):
+                pass
+
+
+VALID_TIMES = (
+    (1672650000, 1672651800, 1672649400),
+    (1672652400, 1672653600, 1672651800),
+    (1672650600, 1672653000, 1672650000),
+    (1672653600, 1672655400, 1672653000),
+)
+ODD_BYTES = (b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00", b"\r", b"\r\n", b'"', b",", b"\xef\xbb\xbf")
+
+
+@st.composite
+def spliced_logs(draw):
+    """A valid log with up to three spans of arbitrary bytes spliced in:
+    invalid UTF-8 mid-file, NUL bytes, stray carriage returns and quotes."""
+    mapping = draw(
+        st.sampled_from([None, {"timestamp_format": "epoch"}, {"enabled_column": "enabled_time"}])
+    )
+    epoch = mapping is not None and "timestamp_format" in mapping
+    lines = ["case_id,activity,resource,start_time,end_time,enabled_time"]
+    for k, times in enumerate(VALID_TIMES):
+        stamps = [str(t) if epoch else format_timestamp(t) for t in times]
+        lines.append(f"C{k // 2},{'AB'[k % 2]},R{k % 2},{','.join(stamps)}")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        cut = draw(st.integers(min_value=0, max_value=4))
+        chunk = draw(st.one_of(st.binary(min_size=1, max_size=8), st.sampled_from(ODD_BYTES)))
+        data = data[:at] + chunk + data[at + cut:]
+    return data, mapping
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(spliced_logs())
     def test_only_typed_failures(self, scenario):
         data, mapping = scenario
         with tempfile.TemporaryDirectory() as tmp:

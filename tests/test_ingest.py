@@ -1,8 +1,17 @@
-"""CSV ingest tests: mapping validation, row rejection, warning counters."""
+"""CSV ingest tests: mapping validation, row rejection, warning counters,
+and equivalence with the `csv.DictReader` loader kept as an oracle."""
 from __future__ import annotations
 
-import pytest
+import csv
+import io
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brute import dictreader_load_log
 from wtminer.ingest import ColumnMapping, IngestStats, load_log, parse_timestamp
 from wtminer.model import ConfigError, IngestError, UNKNOWN_RESOURCE
 
@@ -223,3 +232,183 @@ class TestLoadLog:
         result = load_log(write_csv(tmp_path, rows))
         assert result.stats.rows_total == 3
         assert len(result.log.instances) + result.stats.rows_rejected == 3
+
+    def test_blank_lines_are_not_rows(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            [
+                "",
+                "C1,A,R1,2023-01-02T09:00:00Z,2023-01-02T09:30:00Z",
+                "",
+                "",
+                "C1,B,R1,2023-01-02T09:30:00Z,2023-01-02T10:00:00Z",
+            ],
+        )
+        result = load_log(path)
+        assert result.stats.rows_total == 2
+        assert result.stats.rows_rejected == 0
+
+    def test_repeated_header_name_reads_last_column(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            ["X,A,R1,2023-01-02T09:00:00Z,2023-01-02T09:30:00Z,C7"],
+            header="case_id,activity,resource,start_time,end_time,case_id",
+        )
+        (inst,) = load_log(path).log.instances
+        assert inst.case_id == "C7"
+
+    def test_extra_fields_are_ignored(self, tmp_path):
+        path = write_csv(
+            tmp_path, ["C1,A,R1,2023-01-02T09:00:00Z,2023-01-02T09:30:00Z,x,y"]
+        )
+        result = load_log(path)
+        assert result.stats.rows_rejected == 0
+        assert len(result.log.instances) == 1
+
+    def test_header_only_file_is_ingest_error(self, tmp_path):
+        with pytest.raises(IngestError, match="no usable activity instances"):
+            load_log(write_csv(tmp_path, []))
+
+    @pytest.mark.parametrize(
+        "stamp, counter",
+        [
+            ("2023-01-02T09:00:00", "naive_timestamps"),
+            ("2023-01-02T09:00:00.500Z", "truncated_timestamps"),
+        ],
+    )
+    def test_repeated_adjusted_timestamp_counted_per_row(self, tmp_path, stamp, counter):
+        rows = [f"C{i},A,R1,{stamp},2023-01-02T10:00:00Z" for i in range(3)]
+        stats = load_log(write_csv(tmp_path, rows)).stats
+        assert getattr(stats, counter) == 3
+
+    def test_repeated_bad_timestamp_rejects_every_row(self, tmp_path):
+        rows = [
+            "C1,A,R1,whenever,2023-01-02T09:30:00Z",
+            "C1,B,R1,2023-01-02T09:00:00Z,2023-01-02T09:10:00Z",
+            "C2,A,R1,whenever,2023-01-02T09:30:00Z",
+        ]
+        result = load_log(write_csv(tmp_path, rows))
+        assert result.stats.rows_rejected == 2
+        assert len(result.log.instances) == 1
+
+    def test_back_to_back_loads_keep_their_own_counters(self, tmp_path):
+        naive = "2023-01-02T09:00:00"
+        first = tmp_path / "first"
+        second = tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        a = load_log(
+            write_csv(first, [f"C{i},A,R1,{naive},{naive}" for i in range(3)] + ["C9,A,R1,x,x"])
+        )
+        b = load_log(write_csv(second, [f"C1,A,R1,{naive},2023-01-02T10:00:00Z"]))
+        assert a.stats.naive_timestamps == 6
+        assert a.stats.rows_rejected == 1
+        assert b.stats.naive_timestamps == 1
+        assert b.stats.rows_rejected == 0
+        # A text that failed under one format is parsed afresh under another.
+        path = write_csv(tmp_path, ["C1,A,R1,1672650000,1672651800"])
+        with pytest.raises(IngestError):
+            load_log(path)
+        epoch = load_log(path, ColumnMapping(timestamp_format="epoch"))
+        assert epoch.log.instances[0].started == 1672650000
+
+
+MAPPINGS = (
+    {},
+    {"timestamp_format": "epoch"},
+    {"enabled_column": "enabled_time"},
+    {"enabled_column": "enabled_time", "timestamp_format": "epoch"},
+)
+ISO_STAMPS = (
+    "2023-01-02T09:00:00Z",
+    "2023-01-02T09:30:00z",
+    "2023-01-02T10:00:00+01:00",
+    "2023-01-02T09:15:00-00:30",
+    "2023-01-02T09:20:00",
+    "2023-01-02T09:45:00.250Z",
+    "2023-01-02T09:50:00.999999",
+    " 2023-01-02T09:40:00Z ",
+    "9999-12-31T23:59:59-05:00",
+)
+EPOCH_STAMPS = (
+    "1672650000",
+    "1672651800",
+    " 1672653600 ",
+    "1672649000",
+    "0",
+    "-1",
+    "253402300800",
+    "-62135596801",
+    "99999999999999999999",
+)
+BAD_STAMPS = ("", " ", "whenever", "2023-13-01T00:00:00Z", "1672650000.5", "a,b")
+NAMES = {
+    "case_id": ("c1", "c2", " c3 ", "", "c,4", "c\n5"),
+    "activity": ("a", "b", " a", "", 'say "hi"'),
+    "resource": ("R1", "R2", "", " ", "R 3"),
+}
+
+
+@st.composite
+def ingest_logs(draw):
+    """CSV bytes and a mapping: blank lines, an optional BOM, duplicate,
+    missing and extra header names, short and long rows, quoted commas and
+    newlines, padded fields, a few timestamp texts repeated over many rows,
+    and now and then a few arbitrary bytes spliced in."""
+    mapping = draw(st.sampled_from(MAPPINGS))
+    epoch = mapping.get("timestamp_format") == "epoch"
+    good = EPOCH_STAMPS if epoch else ISO_STAMPS
+    stamps = draw(st.lists(st.sampled_from(good * 3 + BAD_STAMPS), min_size=1, max_size=6))
+    pools = {**NAMES, "start_time": stamps, "end_time": stamps, "enabled_time": stamps}
+    header = list(draw(st.permutations(list(pools) + ["note"])))
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        header.remove(draw(st.sampled_from(list(pools))))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        header.insert(
+            draw(st.integers(min_value=0, max_value=len(header))),
+            draw(st.sampled_from(list(pools))),
+        )
+    rows: list[list[str]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        row = [draw(st.sampled_from(pools.get(name, ("n", "")))) for name in header]
+        extra = draw(st.sampled_from([0, 0, 0, 0, -3, -1, 1, 2]))
+        rows.append(row[:extra] if extra < 0 else row + ["x"] * extra)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for row in rows:
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            text.write("\n")
+        writer.writerow(row)
+    data = text.getvalue().encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data, mapping
+
+
+def _outcome(loader, path: Path, mapping: dict):
+    try:
+        result = loader(path, ColumnMapping.from_dict(mapping))
+    except (ConfigError, IngestError) as exc:
+        return type(exc).__name__, str(exc)
+    rows = [
+        (i.case_id, i.activity, i.resource, i.started, i.completed, i.enabled)
+        for i in result.log.instances
+    ]
+    return rows, result.stats.as_dict()
+
+
+class TestDictReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(ingest_logs())
+    def test_same_rows_rejects_and_counters(self, scenario):
+        data, mapping = scenario
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(data)
+            assert _outcome(load_log, path, mapping) == _outcome(
+                dictreader_load_log, path, mapping
+            )
