@@ -9,6 +9,7 @@ of the output, and say so where the change is recorded.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -261,3 +262,68 @@ def test_every_golden_log_is_analyzed(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_recorded_digests(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+# Calendar output paths on the loopy log. The overrides cover overlapping
+# entries on one day, two touching entries, odd minutes, and a Sunday range
+# ending "24:00" that wraps onto Monday 00:00.
+LOOPY_OVERRIDES = {
+    "r0": [
+        {"day": "MON", "from": "09:00", "to": "12:00"},
+        {"day": "MON", "from": "11:00", "to": "15:30"},
+    ],
+    "r1": [
+        {"day": "TUE", "from": "08:00", "to": "10:00"},
+        {"day": "TUE", "from": "10:00", "to": "12:15"},
+        {"day": "THU", "from": "07:07", "to": "19:53"},
+    ],
+    "r2": [
+        {"day": "SUN", "from": "22:00", "to": "24:00"},
+        {"day": "MON", "from": "00:00", "to": "01:30"},
+        {"day": "WED", "from": "00:00", "to": "24:00"},
+    ],
+}
+
+# sha256 of (transitions.csv, report.json) for `analyze --calendar-overrides
+# LOOPY_OVERRIDES --emit-calendars` on the loopy log.
+GOLDEN_OVERRIDES = (
+    "d29a7c7a86ee47cb4b523c835ad0f76a377925e900009b7658856d03ccf57188",
+    "3426b2c5346b5dc116b574850db2184ed12483f9b4cddb5af23ff3ae21f7d30f",
+)
+# sha256 of the `wtminer calendars` JSON for the loopy log.
+GOLDEN_DISCOVERED_CALENDARS = (
+    "552542e241ec25e9669ffe2f64f725455ff8ad8b9035fb418652594d43286aa4"
+)
+
+
+@pytest.fixture(scope="module")
+def loopy_log(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("loopy") / "loopy.csv"
+    _write_loopy_log(path)
+    return path
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_overrides_and_emitted_calendars_match_recorded_digests(loopy_log):
+    overrides = loopy_log.with_name("overrides.json")
+    overrides.write_text(json.dumps(LOOPY_OVERRIDES), encoding="utf-8")
+    dest = loopy_log.with_name("out_overrides")
+    assert main(
+        ["analyze", "--log", str(loopy_log), "--out", str(dest),
+         "--calendar-overrides", str(overrides), "--emit-calendars"]
+    ) == 0
+    report = json.loads((dest / "report.json").read_text(encoding="utf-8"))
+    assert report["overridden_resources"] == sorted(LOOPY_OVERRIDES)
+    digests = tuple(
+        _sha256(dest / file) for file in ("transitions.csv", "report.json")
+    )
+    assert digests == GOLDEN_OVERRIDES
+
+
+def test_discovered_calendars_match_recorded_digest(loopy_log):
+    dest = loopy_log.with_name("calendars.json")
+    assert main(["calendars", "--log", str(loopy_log), "--out", str(dest)]) == 0
+    assert _sha256(dest) == GOLDEN_DISCOVERED_CALENDARS
