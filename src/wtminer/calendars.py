@@ -22,6 +22,7 @@ from wtminer.model import (
     Span,
     TimeInstant,
     UNKNOWN_RESOURCE,
+    _canonicalize,
 )
 
 SECONDS_PER_DAY = 86400
@@ -65,47 +66,29 @@ class CalendarParams:
 
 @dataclass(frozen=True)
 class WeeklyCalendar:
-    """Working slots on a weekly grid: (weekday, slot index within day)."""
+    """Working time as merged [start, end) second offsets from Monday 00:00."""
 
     resource: str
     granule_minutes: int
-    working: frozenset[tuple[int, int]]
+    ranges: tuple[Span, ...]
 
     def __post_init__(self) -> None:
-        if MINUTES_PER_DAY % self.granule_minutes != 0:
+        if self.granule_minutes < 1 or MINUTES_PER_DAY % self.granule_minutes != 0:
             raise ConfigError(f"granule must divide {MINUTES_PER_DAY} minutes")
-        per_day = self.slots_per_day
-        for day, slot in self.working:
-            if not (0 <= day < 7 and 0 <= slot < per_day):
-                raise ConfigError(f"slot ({day}, {slot}) outside the weekly grid")
-
-    @property
-    def slots_per_day(self) -> int:
-        return MINUTES_PER_DAY // self.granule_minutes
+        size = self.granule_minutes * 60
+        ranges = _canonicalize(self.ranges)
+        for start, end in ranges:
+            if start < 0 or end > SECONDS_PER_WEEK or start % size or end % size:
+                raise ConfigError(f"range ({start}, {end}) outside the weekly grid")
+        object.__setattr__(self, "ranges", ranges)
 
     @classmethod
     def always_on(cls, resource: str, granule_minutes: int = 60) -> "WeeklyCalendar":
-        per_day = MINUTES_PER_DAY // granule_minutes
-        slots = frozenset((d, s) for d in range(7) for s in range(per_day))
-        return cls(resource=resource, granule_minutes=granule_minutes, working=slots)
+        return cls(resource, granule_minutes, ((0, SECONDS_PER_WEEK),))
 
     @property
     def is_always_on(self) -> bool:
-        return len(self.working) == 7 * self.slots_per_day
-
-    def weekly_ranges(self) -> tuple[tuple[int, int], ...]:
-        """Working time as merged [start, end) second offsets from Monday 00:00."""
-        granule_s = self.granule_minutes * 60
-        starts = sorted(
-            day * SECONDS_PER_DAY + slot * granule_s for day, slot in self.working
-        )
-        merged: list[list[int]] = []
-        for s in starts:
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], s + granule_s)
-            else:
-                merged.append([s, s + granule_s])
-        return tuple((s, e) for s, e in merged)
+        return self.ranges == ((0, SECONDS_PER_WEEK),)
 
 
 @dataclass(frozen=True)
@@ -152,11 +135,9 @@ def discover_calendar(
         if covered >= params.support * total or len(working) == len(freq):
             break
         cut /= 2
-    return WeeklyCalendar(
-        resource=resource,
-        granule_minutes=params.granule_minutes,
-        working=frozenset(working),
-    )
+    size = params.granule_minutes * 60
+    starts = [day * SECONDS_PER_DAY + slot * size for day, slot in working]
+    return WeeklyCalendar(resource, params.granule_minutes, [(s, s + size) for s in starts])
 
 
 def discover_calendars(
@@ -171,14 +152,13 @@ def expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
     """Tile the weekly working ranges across the weeks each (start, end) span
     touches, clipped to that span. No spans, or only empty ones, give the
     empty set; a span that ends before it starts is a `ValueError`."""
-    ranges = cal.weekly_ranges()
     pieces: list[Span] = []
     for start, end in spans:
         if end < start:
             raise ValueError(f"span end {end} before start {start}")
         w = week_start(start)
         while w < end:
-            for s, e in ranges:
+            for s, e in cal.ranges:
                 if w + e > start and w + s < end:
                     pieces.append((max(w + s, start), min(w + e, end)))
             w += SECONDS_PER_WEEK
@@ -207,14 +187,15 @@ def load_calendar_overrides(path: Union[str, Path]) -> dict[str, WeeklyCalendar]
 
     Format: {"R1": [{"day": "MON", "from": "09:00", "to": "17:00"}, ...]}.
     Overrides use a 1-minute granule so arbitrary HH:MM bounds are exact.
+    Each entry is one weekly range; overlapping and touching entries merge.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read calendar overrides {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"calendar overrides {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"calendar overrides {path} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("calendar overrides must be a JSON object keyed by resource")
 
@@ -222,7 +203,7 @@ def load_calendar_overrides(path: Union[str, Path]) -> dict[str, WeeklyCalendar]
     for resource, ranges in raw.items():
         if not isinstance(ranges, list):
             raise ConfigError(f"override for {resource!r} must be a list of ranges")
-        slots: set[tuple[int, int]] = set()
+        spans: list[Span] = []
         for entry in ranges:
             if not isinstance(entry, dict) or set(entry) != {"day", "from", "to"}:
                 raise ConfigError(
@@ -238,18 +219,16 @@ def load_calendar_overrides(path: Union[str, Path]) -> dict[str, WeeklyCalendar]
                     f"range for {resource!r} must satisfy from < to, got "
                     f"{entry['from']!r} >= {entry['to']!r}"
                 )
-            day = _DAY_INDEX[day_name]
-            slots.update((day, minute) for minute in range(start, end))
-        overrides[resource] = WeeklyCalendar(
-            resource=resource, granule_minutes=1, working=frozenset(slots)
-        )
+            day_s = _DAY_INDEX[day_name] * SECONDS_PER_DAY
+            spans.append((day_s + start * 60, day_s + end * 60))
+        overrides[resource] = WeeklyCalendar(resource, 1, spans)
     return overrides
 
 
 def calendar_to_ranges(cal: WeeklyCalendar) -> list[dict[str, str]]:
     """Serialize a weekly calendar as day/from/to dicts (split at midnight)."""
     out: list[dict[str, str]] = []
-    for s, e in cal.weekly_ranges():
+    for s, e in cal.ranges:
         cursor = s
         while cursor < e:
             day = cursor // SECONDS_PER_DAY

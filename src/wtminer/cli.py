@@ -27,12 +27,12 @@ def _load_mapping(path: str | None) -> ColumnMapping | None:
     if path is None:
         return None
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             payload = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read mapping file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"mapping file {path} is not valid JSON: {exc}")
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"mapping file {path} is not UTF-8 JSON: {exc}")
     if not isinstance(payload, dict):
         raise ConfigError("mapping file must hold a JSON object")
     return ColumnMapping.from_dict(payload)

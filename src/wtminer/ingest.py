@@ -8,6 +8,7 @@ the whole load; the counters travel with the log into the final report.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,6 +27,7 @@ ISO_8601 = "iso8601"
 EPOCH_SECONDS = "epoch"
 
 _TIMESTAMP_FORMATS = (ISO_8601, EPOCH_SECONDS)
+_EPOCH_TEXT = re.compile(r"-?[0-9]+")  # int() also takes full-width digits, "1_0" and "+1"
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,8 @@ def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> 
     if not text:
         raise ValueError("empty timestamp")
     if fmt == EPOCH_SECONDS:
+        if not _EPOCH_TEXT.fullmatch(text):
+            raise ValueError(f"epoch seconds must be ASCII digits: {text!r}")
         value = int(text)
         try:
             datetime.fromtimestamp(value, tz=timezone.utc)

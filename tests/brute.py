@@ -6,8 +6,10 @@ the full scans that the windowed pipeline stages replaced: a quadratic
 predecessor search for enablement, a walk of the enriched log's cases that
 looks each instance's enabler up, a scan of the resource's whole work
 sequence for busy overlaps, a subtraction of the whole availability set, a
-calendar tiled week by week over the hull of the spans it is read in, and a
-check of every same-resource pair for multitasking. `SetAlgebraDecomposer`
+calendar tiled week by week over the hull of the spans it is read in, a
+check of every same-resource pair for multitasking, and the cell-by-cell
+merge that turned a calendar's (weekday, slot) cells into weekly ranges
+when calendars were stored as cells. `SetAlgebraDecomposer`
 is the cascade as interval-set algebra, one `IntervalSet` per step, which
 the pipeline's cascade on bare pairs must match set by set. Spans are plain
 (start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
@@ -19,10 +21,11 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from wtminer.batching import Batch, BatchingResult
 from wtminer.calendars import (
+    SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
     AbsoluteAvailability,
     WeeklyCalendar,
@@ -188,11 +191,32 @@ def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailabi
     tiles = []
     w = week_start(hull_start)
     while w < hull_end:
-        for s, e in cal.weekly_ranges():
+        for s, e in cal.ranges:
             if w + e > hull_start and w + s < hull_end:
                 tiles.append((max(w + s, hull_start), min(w + e, hull_end)))
         w += SECONDS_PER_WEEK
     return AbsoluteAvailability(cal.resource, IntervalSet(tuple(tiles)) & union)
+
+
+def brute_weekly_ranges(granule: int, cells: Iterable[tuple[int, int]]) -> tuple[Span, ...]:
+    """Working time of (weekday, slot) cells on a grid of `granule` minutes as
+    merged [start, end) second offsets from Monday 00:00, one cell at a time."""
+    granule_s = granule * 60
+    starts = sorted(day * SECONDS_PER_DAY + slot * granule_s for day, slot in cells)
+    merged: list[list[int]] = []
+    for s in starts:
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], s + granule_s)
+        else:
+            merged.append([s, s + granule_s])
+    return tuple((s, e) for s, e in merged)
+
+
+def calendar_from_cells(
+    resource: str, granule: int, cells: Iterable[tuple[int, int]]
+) -> WeeklyCalendar:
+    """A calendar given as (weekday, slot) cells on a grid of `granule` minutes."""
+    return WeeklyCalendar(resource, granule, brute_weekly_ranges(granule, cells))
 
 
 def brute_multitasking_rate(log: EventLog) -> float:

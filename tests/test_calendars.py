@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_expand_calendar
+from brute import brute_expand_calendar, brute_weekly_ranges, calendar_from_cells
 from wtminer.calendars import (
+    SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
     AbsoluteAvailability,
     CalendarParams,
@@ -65,12 +66,12 @@ class TestDiscoverCalendar:
                 instances.append(work(f"c{k}", "r1", start, start + 45 * 60))
                 k += 1
         cal = discover_calendar(EventLog.from_instances(instances), "r1")
-        assert cal.working == frozenset((0, h) for h in range(9, 17))
+        assert cal.ranges == brute_weekly_ranges(60, ((0, h) for h in range(9, 17)))
 
     def test_single_observation(self):
         log = EventLog.from_instances([work("c1", "r1", at(2, 14, 30), at(2, 14, 30))])
         cal = discover_calendar(log, "r1")
-        assert cal.working == frozenset({(2, 14)})
+        assert cal.ranges == brute_weekly_ranges(60, {(2, 14)})
 
     def test_uniform_activity_gives_full_week(self):
         instances = []
@@ -108,9 +109,9 @@ class TestDiscoverCalendar:
         log = EventLog.from_instances(instances)
 
         narrow = discover_calendar(log, "r1", CalendarParams(support=0.1))
-        assert narrow.working == frozenset({(0, 9)})
+        assert narrow.ranges == brute_weekly_ranges(60, {(0, 9)})
         wide = discover_calendar(log, "r1", CalendarParams(support=0.9))
-        assert wide.working == frozenset({(0, 9), (1, 11), (2, 13), (3, 15)})
+        assert wide.ranges == brute_weekly_ranges(60, {(0, 9), (1, 11), (2, 13), (3, 15)})
 
     def test_discover_all_resources(self):
         log = EventLog.from_instances(
@@ -141,9 +142,7 @@ class TestExpandCalendar:
         assert avail.available == IntervalSet((horizon,))
 
     def test_weekly_tiling(self):
-        cal = WeeklyCalendar(
-            "r1", 60, frozenset((0, h) for h in range(9, 17))
-        )
+        cal = calendar_from_cells("r1", 60, ((0, h) for h in range(9, 17)))
         horizon = (MONDAY, MONDAY + 14 * 86400)
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of(
@@ -156,7 +155,7 @@ class TestExpandCalendar:
         assert avail.available.is_empty()
 
     def test_clipped_to_horizon(self):
-        cal = WeeklyCalendar("r1", 60, frozenset({(0, 9)}))
+        cal = calendar_from_cells("r1", 60, {(0, 9)})
         horizon = (at(0, 9, 30), at(0, 9, 45))
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of((at(0, 9, 30), at(0, 9, 45)))
@@ -180,42 +179,101 @@ class TestExpandCalendar:
             assert avail.available.contains_point(inst.started)
 
     def test_midnight_spanning_ranges_merge(self):
-        cal = WeeklyCalendar("r1", 60, frozenset({(0, 23), (1, 0)}))
-        assert cal.weekly_ranges() == ((23 * 3600, 25 * 3600),)
+        cal = calendar_from_cells("r1", 60, {(0, 23), (1, 0)})
+        assert cal.ranges == ((23 * 3600, 25 * 3600),)
         horizon = (MONDAY, MONDAY + 7 * 86400)
         avail = expand_calendar(cal, horizon)
         assert avail.available == IntervalSet.of((at(0, 23), at(1, 1)))
 
 
+def cell_spans(granule: int, cells) -> list[Span]:
+    """One (start, end) span per (weekday, slot) cell, unmerged."""
+    size = granule * 60
+    starts = (day * SECONDS_PER_DAY + slot * size for day, slot in cells)
+    return [(start, start + size) for start in starts]
+
+
 @st.composite
 def calendars(draw) -> WeeklyCalendar:
+    """A calendar drawn as (weekday, slot) cells and built from unmerged
+    spans; its ranges must equal the cell-by-cell merge of those cells."""
     kind = draw(st.sampled_from(["60", "30", "1", "always", "sunday"]))
     if kind == "always":
-        return WeeklyCalendar.always_on("r1")
-    if kind == "sunday":
+        granule = 60
+        slots = {(d, h) for d in range(7) for h in range(24)}
+        cal = WeeklyCalendar.always_on("r1")
+    elif kind == "sunday":
         # Sunday 23:00-24:00, touching the next Monday 00:00 when that works too.
+        granule = 60
         slots = {(6, 23)} | ({(0, 0)} if draw(st.booleans()) else set())
-        return WeeklyCalendar("r1", 60, frozenset(slots))
-    if kind == "1":
-        # Minute slots, as calendar overrides make them: a few day ranges.
+        cal = WeeklyCalendar("r1", granule, cell_spans(granule, slots))
+    elif kind == "1":
+        # Minute slots, as calendar overrides give them: a few day ranges,
+        # one span each, which may overlap or touch.
+        granule = 1
         slots = set()
+        spans = []
         for _ in range(draw(st.integers(min_value=0, max_value=4))):
             day = draw(st.integers(min_value=0, max_value=6))
             start = draw(st.integers(min_value=0, max_value=1439))
             end = draw(st.integers(min_value=start + 1, max_value=1440))
             slots.update((day, minute) for minute in range(start, end))
-        return WeeklyCalendar("r1", 1, frozenset(slots))
-    granule = int(kind)
-    slots = draw(
-        st.sets(
-            st.tuples(
-                st.integers(min_value=0, max_value=6),
-                st.integers(min_value=0, max_value=1440 // granule - 1),
-            ),
-            max_size=30,
+            day_s = day * SECONDS_PER_DAY
+            spans.append((day_s + start * 60, day_s + end * 60))
+        cal = WeeklyCalendar("r1", granule, spans)
+    else:
+        granule = int(kind)
+        slots = draw(
+            st.sets(
+                st.tuples(
+                    st.integers(min_value=0, max_value=6),
+                    st.integers(min_value=0, max_value=1440 // granule - 1),
+                ),
+                max_size=30,
+            )
         )
+        cal = WeeklyCalendar("r1", granule, cell_spans(granule, slots))
+    assert cal.ranges == brute_weekly_ranges(granule, slots)
+    return cal
+
+
+class TestWeeklyCalendar:
+    @settings(max_examples=300, deadline=None)
+    @given(calendars())
+    def test_ranges_match_cell_merge_oracle(self, cal):
+        # The strategy checks the ranges against the cell-by-cell merge.
+        assert cal.is_always_on == (cal.ranges == ((0, SECONDS_PER_WEEK),))
+        for (_, end), (start, _) in zip(cal.ranges, cal.ranges[1:]):
+            assert end < start
+
+    def test_ranges_are_stored_canonical(self):
+        cal = WeeklyCalendar("r1", 60, [(7200, 10800), (0, 3600), (3600, 7200), (0, 0)])
+        assert cal.ranges == ((0, 10800),)
+        assert cal == WeeklyCalendar("r1", 60, ((0, 10800),))
+
+    def test_always_on_is_the_whole_week(self):
+        cal = WeeklyCalendar.always_on("r1", 30)
+        assert cal.ranges == ((0, SECONDS_PER_WEEK),)
+        assert cal.granule_minutes == 30
+        assert cal.is_always_on
+        assert not WeeklyCalendar("r1", 60, ((0, SECONDS_PER_WEEK - 3600),)).is_always_on
+
+    @pytest.mark.parametrize(
+        "span",
+        [(0, 90), (1800, 3600), (-3600, 0), (SECONDS_PER_WEEK, SECONDS_PER_WEEK + 3600)],
     )
-    return WeeklyCalendar("r1", granule, frozenset(slots))
+    def test_range_off_the_weekly_grid_rejected(self, span):
+        with pytest.raises(ConfigError):
+            WeeklyCalendar("r1", 60, (span,))
+
+    @pytest.mark.parametrize("granule", [7, 0, -60])
+    def test_granule_must_divide_a_day(self, granule):
+        with pytest.raises(ConfigError):
+            WeeklyCalendar("r1", granule, ())
+
+    def test_reversed_range_is_value_error(self):
+        with pytest.raises(ValueError):
+            WeeklyCalendar("r1", 60, ((7200, 3600),))
 
 
 @st.composite
@@ -271,7 +329,7 @@ class TestExpandOverSpans:
             expand_calendar(cal, (at(0, 9), at(0, 10)), (at(0, 10), at(0, 9)))
 
     def test_touching_spans_across_sunday_midnight_merge(self):
-        cal = WeeklyCalendar("r1", 60, frozenset({(6, 23), (0, 0)}))
+        cal = calendar_from_cells("r1", 60, {(6, 23), (0, 0)})
         sunday_night = (at(6, 23, 30), at(7, 0))
         monday_morning = (at(7, 0), at(7, 0, 30))
         avail = expand_calendar(cal, monday_morning, sunday_night).available
@@ -308,7 +366,7 @@ class TestOverrides:
         cals = load_calendar_overrides(path)
         cal = cals["R1"]
         assert cal.granule_minutes == 1
-        assert cal.weekly_ranges() == ((9 * 3600, 17 * 3600),)
+        assert cal.ranges == ((9 * 3600, 17 * 3600),)
 
     def test_empty_override_file(self, tmp_path):
         assert load_calendar_overrides(self.write(tmp_path, {})) == {}
@@ -318,7 +376,7 @@ class TestOverrides:
             tmp_path, {"R1": [{"day": "SUN", "from": "22:00", "to": "24:00"}]}
         )
         cal = load_calendar_overrides(path)["R1"]
-        assert cal.weekly_ranges() == ((6 * 86400 + 22 * 3600, 7 * 86400),)
+        assert cal.ranges == ((6 * 86400 + 22 * 3600, 7 * 86400),)
 
     @pytest.mark.parametrize(
         "entry",
@@ -352,6 +410,38 @@ class TestOverrides:
         with pytest.raises(ConfigError):
             load_calendar_overrides(str(tmp_path / "nope.json"))
 
+    def test_utf8_bom_file_loads(self, tmp_path):
+        path = tmp_path / "bom.json"
+        payload = {"R1": [{"day": "MON", "from": "09:00", "to": "17:00"}]}
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode("utf-8"))
+        cal = load_calendar_overrides(path)["R1"]
+        assert cal.ranges == ((9 * 3600, 17 * 3600),)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        with pytest.raises(ConfigError, match="not UTF-8 JSON"):
+            load_calendar_overrides(path)
+
+    def test_weekday_hours_for_many_resources_are_five_ranges(self, tmp_path):
+        week = [
+            {"day": day, "from": "09:00", "to": "17:00"}
+            for day in ("MON", "TUE", "WED", "THU", "FRI")
+        ]
+        path = self.write(tmp_path, {f"R{i:04d}": week for i in range(564)})
+        cals = load_calendar_overrides(path)
+        assert len(cals) == 564
+        assert {len(cal.ranges) for cal in cals.values()} == {5}
+
+    def test_whole_days_give_the_whole_week(self, tmp_path):
+        week = [
+            {"day": day, "from": "00:00", "to": "24:00"}
+            for day in ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
+        ]
+        cal = load_calendar_overrides(self.write(tmp_path, {"R1": week}))["R1"]
+        assert cal.ranges == ((0, SECONDS_PER_WEEK),)
+        assert cal.is_always_on
+
 
 class TestSerialization:
     def test_round_trip_through_ranges(self, tmp_path):
@@ -370,7 +460,7 @@ class TestSerialization:
         ]
 
     def test_ranges_split_at_midnight(self):
-        cal = WeeklyCalendar("r1", 60, frozenset({(0, 23), (1, 0)}))
+        cal = calendar_from_cells("r1", 60, {(0, 23), (1, 0)})
         assert calendar_to_ranges(cal) == [
             {"day": "MON", "from": "23:00", "to": "24:00"},
             {"day": "TUE", "from": "00:00", "to": "01:00"},

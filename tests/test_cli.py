@@ -170,6 +170,34 @@ class TestAnalyze:
         )
         assert code == 2
 
+    def analyze_with(self, log, tmp_path, option, payload: bytes) -> int:
+        path = tmp_path / "config.json"
+        path.write_bytes(payload)
+        return main(
+            ["analyze", "--log", str(log), option, str(path), "--out", str(tmp_path / "o")]
+        )
+
+    def test_bom_mapping_file_loads(self, synth_log, tmp_path):
+        payload = b"\xef\xbb\xbf" + json.dumps({"timestamp_format": "iso8601"}).encode()
+        assert self.analyze_with(synth_log, tmp_path, "--mapping", payload) == 0
+
+    def test_non_utf8_mapping_file_exits_2(self, synth_log, tmp_path, capsys):
+        payload = b"\xff\xfe" + "{}".encode("utf-16-le")
+        assert self.analyze_with(synth_log, tmp_path, "--mapping", payload) == 2
+        assert "not UTF-8 JSON" in capsys.readouterr().err
+
+    def test_bom_calendar_overrides_load(self, synth_log, tmp_path):
+        overrides = {"assessor": [{"day": "MON", "from": "09:00", "to": "17:00"}]}
+        payload = b"\xef\xbb\xbf" + json.dumps(overrides).encode()
+        assert self.analyze_with(synth_log, tmp_path, "--calendar-overrides", payload) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["overridden_resources"] == ["assessor"]
+
+    def test_non_utf8_calendar_overrides_exit_2(self, synth_log, tmp_path, capsys):
+        payload = b"\xff\xfe" + "{}".encode("utf-16-le")
+        assert self.analyze_with(synth_log, tmp_path, "--calendar-overrides", payload) == 2
+        assert "not UTF-8 JSON" in capsys.readouterr().err
+
 
 class TestCollectorPause:
     """`analyze` pauses the cyclic collector, which is safe only because load

@@ -11,6 +11,7 @@ from brute import (
     brute_cause_durations,
     brute_multitasking_rate,
     brute_raw_unavailability,
+    calendar_from_cells,
 )
 from test_golden import _write_loopy_log
 from wtminer.batching import detect_batches
@@ -159,8 +160,8 @@ class TestRawCauses:
         # Wait from Friday 16:00 to Monday 10:00 against weekday 08-17 hours.
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
         log = EventLog.from_instances([target])
-        cal = WeeklyCalendar(
-            "r1", 60, frozenset((d, h) for d in range(5) for h in range(8, 17))
+        cal = calendar_from_cells(
+            "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
         availability = {"r1": expand_calendar(cal, log.horizon())}
         d = oracle_for(log, availability)
@@ -213,8 +214,8 @@ class TestDecomposeCascade:
     def test_unavailability_in_cascade(self):
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
         log = EventLog.from_instances([target])
-        cal = WeeklyCalendar(
-            "r1", 60, frozenset((d, h) for d in range(5) for h in range(8, 17))
+        cal = calendar_from_cells(
+            "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
         availability = {"r1": expand_calendar(cal, log.horizon())}
         out = decomposer_for(log, availability).decompose(ti_for(target))
@@ -236,8 +237,8 @@ class TestDecomposeCascade:
         target = inst("c1", "b", "r1", at(5, 10), at(5, 14), at(5, 15))
         busy = inst("c2", "z", "r1", at(5, 9), at(5, 10), at(5, 12))
         log = EventLog.from_instances([target, busy])
-        cal = WeeklyCalendar(
-            "r1", 60, frozenset((d, h) for d in range(5) for h in range(8, 17))
+        cal = calendar_from_cells(
+            "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
         availability = {"r1": expand_calendar(cal, log.horizon())}
         out = decomposer_for(log, availability).decompose(ti_for(target))
@@ -325,8 +326,8 @@ def random_scenarios(draw):
         if kind == "full" or res == UNKNOWN_RESOURCE:
             cal = WeeklyCalendar.always_on(res)
         elif kind == "hours":
-            cal = WeeklyCalendar(
-                res, 60, frozenset((d, h) for d in range(7) for h in range(8, 17))
+            cal = calendar_from_cells(
+                res, 60, ((d, h) for d in range(7) for h in range(8, 17))
             )
         else:
             slots = draw(
@@ -339,7 +340,7 @@ def random_scenarios(draw):
                     max_size=20,
                 )
             )
-            cal = WeeklyCalendar(res, 60, frozenset(slots))
+            cal = calendar_from_cells(res, 60, slots)
         availability[res] = expand_calendar(cal, log.horizon())
     return log, availability
 
@@ -505,8 +506,8 @@ def spread_logs(draw):
     overrides = {}
     if draw(st.booleans()):
         end = draw(st.integers(min_value=9 * 60 + 1, max_value=1440))
-        overrides["r1"] = WeeklyCalendar(
-            "r1", 1, frozenset((d, m) for d in range(5) for m in range(9 * 60, end))
+        overrides["r1"] = calendar_from_cells(
+            "r1", 1, ((d, m) for d in range(5) for m in range(9 * 60, end))
         )
     return EventLog.from_instances(instances), overrides
 

@@ -3,7 +3,9 @@
 Each log below is generated deterministically and analyzed in-process
 through the CLI. The sha256 of `transitions.csv` and `report.json` must
 match the recorded digests, so a refactor or speed-up that changes any
-output byte fails here. Regenerate a digest only for a deliberate change
+output byte fails here. The calendar paths are pinned the same way on the
+loopy log: `analyze --calendar-overrides ... --emit-calendars`, and the
+`wtminer calendars` dump. Regenerate a digest only for a deliberate change
 of the output, and say so where the change is recorded.
 """
 from __future__ import annotations

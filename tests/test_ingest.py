@@ -50,6 +50,31 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("not a time", "iso8601")
 
+    @staticmethod
+    def assert_epoch_rejected(tmp_path, text):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_timestamp(text, "epoch")
+        path = write_csv(
+            tmp_path, ["C1,A,R1,1672650000,1672651800", f"C1,B,R1,{text},{text}"]
+        )
+        result = load_log(path, ColumnMapping(timestamp_format="epoch"))
+        (inst,) = result.log.instances
+        assert inst.activity == "A"
+        assert result.stats.rows_rejected == 1
+
+    def test_epoch_full_width_digits_rejected(self, tmp_path):
+        full_width = "".join(chr(ord("\uff10") + int(d)) for d in "1672651800")
+        self.assert_epoch_rejected(tmp_path, full_width)
+
+    def test_epoch_underscores_rejected(self, tmp_path):
+        self.assert_epoch_rejected(tmp_path, "1_672_651_800")
+
+    def test_epoch_plus_sign_rejected(self, tmp_path):
+        self.assert_epoch_rejected(tmp_path, "+1672651800")
+
+    def test_negative_epoch_accepted(self):
+        assert parse_timestamp("-1800", "epoch") == -1800
+
 
 class TestColumnMapping:
     def test_rejects_duplicate_names(self):
