@@ -7,9 +7,8 @@ predecessor search for enablement, a walk of the enriched log's cases that
 looks each instance's enabler up, a scan of the resource's whole work
 sequence for busy overlaps, a subtraction of the whole availability set, a
 calendar tiled week by week over the hull of the spans it is read in, a
-check of every same-resource pair for multitasking, and the cell-by-cell
-merge that turned a calendar's (weekday, slot) cells into weekly ranges
-when calendars were stored as cells. `SetAlgebraDecomposer`
+check of every same-resource pair for multitasking, and a cell-by-cell
+merge of (weekday, slot) cells into weekly ranges. `SetAlgebraDecomposer`
 is the cascade as interval-set algebra, one `IntervalSet` per step, which
 the pipeline's cascade on bare pairs must match set by set. Spans are plain
 (start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
