@@ -9,6 +9,7 @@ enablement; waiting before that instant is attributable to batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from wtminer.model import (
@@ -44,18 +45,11 @@ class Batch:
         if len(self.members) < 2:
             raise ValueError("a batch needs at least two members")
 
-    @property
+    @cached_property
     def accumulation_end(self) -> TimeInstant:
-        # All members have enablement set by the time batches are built.
+        # All members have enablement set by the time batches are built; the
+        # decomposition reads this once per member, so it is computed once.
         return max(m.enabled for m in self.members)
-
-    @property
-    def first_start(self) -> TimeInstant:
-        return min(m.started for m in self.members)
-
-    @property
-    def last_completion(self) -> TimeInstant:
-        return max(m.completed for m in self.members)
 
 
 @dataclass(frozen=True)
@@ -86,13 +80,13 @@ def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> Ba
         i = 0
         while i < len(seq):
             run = [seq[i]]
-            first_start = seq[i].started
+            run_start = seq[i].started
             j = i + 1
             while j < len(seq):
                 nxt = seq[j]
                 if nxt.activity != run[0].activity:
                     break
-                if nxt.enabled > first_start:
+                if nxt.enabled > run_start:
                     break
                 if nxt.started > run[-1].completed + config.gap_tolerance:
                     break
@@ -105,7 +99,7 @@ def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> Ba
                 if follower is not None and follower.started < window_end:
                     run.pop()
                     continue
-                if i > 0 and seq[i - 1].started >= first_start and window_end > first_start:
+                if i > 0 and seq[i - 1].started >= run_start and window_end > run_start:
                     # A same-instant predecessor sits inside the window; no
                     # suffix trim can fix that.
                     del run[1:]

@@ -57,15 +57,6 @@ class ConcurrencyRelation:
 
     pairs: frozenset[tuple[str, str]] = frozenset()
 
-    @classmethod
-    def of(cls, *pairs: tuple[str, str]) -> "ConcurrencyRelation":
-        normalized = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError(f"activity {a!r} cannot be concurrent with itself")
-            normalized.add((min(a, b), max(a, b)))
-        return cls(frozenset(normalized))
-
     def is_concurrent(self, a: str, b: str) -> bool:
         if a == b:
             return False

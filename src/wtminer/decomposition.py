@@ -52,12 +52,6 @@ class WtDecomposition:
     unavailability: IntervalSet
     extraneous: IntervalSet
 
-    def cause_sets(self) -> dict[str, IntervalSet]:
-        return {cause: getattr(self, cause) for cause in CAUSES}
-
-    def cause_durations(self) -> dict[str, int]:
-        return {cause: s.total_duration for cause, s in self.cause_sets().items()}
-
     @property
     def waiting_duration(self) -> int:
         target = self.instance.target
@@ -183,19 +177,21 @@ def multitasking_rate(log: EventLog) -> float:
     The decomposition assumes resources work one instance at a time; this
     diagnostic quantifies how far a log deviates from that assumption.
     """
-    overlapping: set[int] = set()
+    overlapping = 0
     total = 0
     for resource, seq in log.by_resource.items():
         if resource == UNKNOWN_RESOURCE:
             continue
         total += len(seq)
-        active: list[ActivityInstance] = []
-        for inst in seq:
-            # The sequence is in start order, so an earlier instance overlaps
-            # `inst` exactly when it completes after `inst` starts.
-            active = [a for a in active if a.completed > inst.started]
-            if active:
-                overlapping.add(id(inst))
-                overlapping.update(id(a) for a in active)
-            active.append(inst)
-    return len(overlapping) / total if total else 0.0
+        # The sequence is in start order, so an instance overlaps an earlier
+        # one exactly when the latest completion so far is after its start,
+        # and a later one exactly when it completes after the next start. The
+        # last instance has no next one.
+        latest = seq[0].started
+        for inst, nxt in zip(seq, seq[1:]):
+            if latest > inst.started or inst.completed > nxt.started:
+                overlapping += 1
+            if inst.completed > latest:
+                latest = inst.completed
+        overlapping += latest > seq[-1].started
+    return overlapping / total if total else 0.0

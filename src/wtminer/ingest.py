@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Union

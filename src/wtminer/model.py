@@ -100,24 +100,9 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         return _EMPTY
 
-    @classmethod
-    def of(cls, *spans: Span) -> "IntervalSet":
-        return cls(spans)
-
     @property
     def total_duration(self) -> int:
         return sum(end - start for start, end in self.intervals)
-
-    def is_empty(self) -> bool:
-        return not self.intervals
-
-    def contains_point(self, t: TimeInstant) -> bool:
-        for start, end in self.intervals:
-            if start > t:
-                return False
-            if t < end:
-                return True
-        return False
 
     def overlapping(self, span: Span) -> "IntervalSet":
         """The member intervals that overlap `span`, found by bisection, unclipped."""
@@ -130,18 +115,12 @@ class IntervalSet:
         inside, _ = _split(self.intervals, other.intervals)
         return IntervalSet._from_canonical(tuple(inside))
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
-
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         _, outside = _split(self.intervals, other.intervals)
         return IntervalSet._from_canonical(tuple(outside))
 
     def __and__(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other)
-
-    def __or__(self, other: "IntervalSet") -> "IntervalSet":
-        return self.union(other)
 
     def __sub__(self, other: "IntervalSet") -> "IntervalSet":
         return self.subtract(other)
@@ -262,12 +241,3 @@ class EventLog:
     @property
     def case_count(self) -> int:
         return len(self.cases)
-
-    def horizon(self) -> Span:
-        """Smallest interval covering every enablement, start and completion."""
-        start = min(
-            inst.started if inst.enabled is None else min(inst.enabled, inst.started)
-            for inst in self.instances
-        )
-        end = max(inst.completed for inst in self.instances)
-        return (start, end)

@@ -96,10 +96,6 @@ class InjectionSpec:
         order = ("batching", "contention", "prioritization", "extraneous")
         return tuple(name for name in order if getattr(self, name))
 
-    @property
-    def bits(self) -> str:
-        return "".join("1" if getattr(self, name) else "0" for name in CAUSE_FLAGS)
-
     @classmethod
     def from_bits(cls, bits: str, n_cases: int = 20, seed: int = 0) -> "InjectionSpec":
         if len(bits) != len(CAUSE_FLAGS) or set(bits) - {"0", "1"}:

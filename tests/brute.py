@@ -14,6 +14,9 @@ the pipeline's cascade on bare pairs must match set by set. Spans are plain
 (start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
 through `csv.DictReader`, one dict and fresh timestamp parses per row, which
 `load_log` must match row by row and counter by counter.
+
+`contains_point`, `concurrency_relation`, `horizon` and `cause_durations` are
+small helpers that only tests need, so they live here and not in the package.
 """
 from __future__ import annotations
 
@@ -44,6 +47,41 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
 )
 from wtminer.transitions import TransitionInstance
+
+
+def contains_point(s: IntervalSet, t: TimeInstant) -> bool:
+    """Whether instant `t` lies in one of the half-open spans of `s`."""
+    for start, end in s:
+        if start > t:
+            return False
+        if t < end:
+            return True
+    return False
+
+
+def concurrency_relation(*pairs: tuple[str, str]) -> ConcurrencyRelation:
+    """A relation over `pairs`, each stored (min, max)-ordered, as
+    `ConcurrencyRelation.is_concurrent` looks pairs up."""
+    normalized = set()
+    for a, b in pairs:
+        if a == b:
+            raise ValueError(f"activity {a!r} cannot be concurrent with itself")
+        normalized.add((min(a, b), max(a, b)))
+    return ConcurrencyRelation(frozenset(normalized))
+
+
+def horizon(log: EventLog) -> Span:
+    """Smallest span covering every enablement, start and completion."""
+    start = min(
+        inst.started if inst.enabled is None else min(inst.enabled, inst.started)
+        for inst in log.instances
+    )
+    return (start, max(inst.completed for inst in log.instances))
+
+
+def cause_durations(dec: WtDecomposition) -> dict[str, int]:
+    """Seconds per cause, in `CAUSES` order."""
+    return {cause: getattr(dec, cause).total_duration for cause in CAUSES}
 
 
 def brute_cause_durations(
@@ -78,7 +116,7 @@ def brute_cause_durations(
             for o in same_resource
         ):
             counts["prioritization"] += 1
-        elif not available.contains_point(t):
+        elif not contains_point(available, t):
             counts["unavailability"] += 1
         else:
             counts["extraneous"] += 1
@@ -239,7 +277,7 @@ def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:
     end = min(batch.accumulation_end, inst.started)
     if end <= inst.enabled:
         return IntervalSet.empty()
-    return IntervalSet.of((inst.enabled, end))
+    return IntervalSet([(inst.enabled, end)])
 
 
 class SetAlgebraDecomposer(Decomposer):

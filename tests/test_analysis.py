@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from brute import horizon
 from wtminer.analysis import analyze, compute_cte, cte_if_eliminated
 from wtminer.batching import detect_batches
 from wtminer.calendars import WeeklyCalendar, expand_calendar
@@ -80,9 +81,9 @@ def analyzed_fixture():
     log = EventLog.from_instances(instances)
     enablement = compute_enablement(log)
     transitions = discover_transitions(enablement)
-    horizon = enablement.log.horizon()
+    span = horizon(enablement.log)
     availability = {
-        res: expand_calendar(WeeklyCalendar.always_on(res), horizon)
+        res: expand_calendar(WeeklyCalendar.always_on(res), span)
         for res in enablement.log.resources
     }
     decomposer = Decomposer(enablement.log, detect_batches(enablement.log), availability)

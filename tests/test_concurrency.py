@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_enablement, brute_transition_instances
+from brute import brute_enablement, brute_transition_instances, concurrency_relation
 from wtminer.concurrency import (
-    ConcurrencyRelation,
     DirectlyFollowsCounts,
     OracleThresholds,
     compute_enablement,
@@ -104,11 +103,11 @@ class TestDetectConcurrency:
             OracleThresholds(min_bidirectional_observations=0)
 
     def test_relation_is_symmetric_and_irreflexive(self):
-        rel = ConcurrencyRelation.of(("b", "a"))
+        rel = concurrency_relation(("b", "a"))
         assert rel.is_concurrent("a", "b") and rel.is_concurrent("b", "a")
         assert not rel.is_concurrent("a", "a")
         with pytest.raises(ValueError):
-            ConcurrencyRelation.of(("a", "a"))
+            concurrency_relation(("a", "a"))
 
 
 def parallel_split_log():
@@ -194,7 +193,7 @@ class TestComputeEnablement:
         log = EventLog.from_instances(
             seq_case("c1", ("a", 0, 10), ("b", 15, 20))
         )
-        rel = ConcurrencyRelation.of(("a", "b"))
+        rel = concurrency_relation(("a", "b"))
         result = compute_enablement(log, rel)
         b = result.log.cases["c1"][1]
         assert b.enabled == b.started
@@ -220,7 +219,7 @@ ACTIVITY_PAIRS = [(x, y) for i, x in enumerate(PARTNERED) for y in PARTNERED[i +
 def enablement_scenarios(draw):
     """Random relations over a few activities, so cases repeat activities; narrow
     time ranges, so completions tie; some instances carry a supplied enabled."""
-    relation = ConcurrencyRelation.of(*draw(st.sets(st.sampled_from(ACTIVITY_PAIRS))))
+    relation = concurrency_relation(*draw(st.sets(st.sampled_from(ACTIVITY_PAIRS))))
     instances = []
     for case in range(draw(st.integers(min_value=1, max_value=3))):
         for _ in range(draw(st.integers(min_value=1, max_value=9))):

@@ -12,6 +12,8 @@ from brute import (
     brute_multitasking_rate,
     brute_raw_unavailability,
     calendar_from_cells,
+    cause_durations,
+    horizon,
 )
 from test_golden import _write_loopy_log
 from wtminer.batching import detect_batches
@@ -54,9 +56,9 @@ def ti_for(target: ActivityInstance) -> TransitionInstance:
 
 
 def full_availability(log: EventLog):
-    horizon = log.horizon()
+    span = horizon(log)
     return {
-        res: expand_calendar(WeeklyCalendar.always_on(res), horizon)
+        res: expand_calendar(WeeklyCalendar.always_on(res), span)
         for res in log.resources
     }
 
@@ -87,11 +89,11 @@ class TestRawCauses:
         busy = inst("c2", "z", "r1", 0, 2, 5)
         log = EventLog.from_instances([target, busy])
         d = oracle_for(log)
-        assert d.raw_contention(target) == IntervalSet.of((2, 5))
-        assert d.raw_prioritization(target).is_empty()
+        assert d.raw_contention(target) == IntervalSet([(2, 5)])
+        assert not d.raw_prioritization(target)
         out = claimed(log, target)
-        assert out.contention == IntervalSet.of((2, 5))
-        assert out.prioritization.is_empty()
+        assert out.contention == IntervalSet([(2, 5)])
+        assert not out.prioritization
 
     def test_contention_merges_overlapping_jobs(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
@@ -103,46 +105,46 @@ class TestRawCauses:
             ]
         )
         d = oracle_for(log)
-        assert d.raw_contention(target) == IntervalSet.of((1, 6))
-        assert claimed(log, target).contention == IntervalSet.of((1, 6))
+        assert d.raw_contention(target) == IntervalSet([(1, 6)])
+        assert claimed(log, target).contention == IntervalSet([(1, 6)])
 
     def test_other_resource_does_not_count(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         busy = inst("c2", "z", "r2", 0, 2, 5)
         log = EventLog.from_instances([target, busy])
         d = oracle_for(log)
-        assert d.raw_contention(target).is_empty()
-        assert claimed(log, target).contention.is_empty()
+        assert not d.raw_contention(target)
+        assert not claimed(log, target).contention
 
     def test_prioritization_overlap(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         overtaker = inst("c2", "z", "r1", 3, 4, 8)
         log = EventLog.from_instances([target, overtaker])
         d = oracle_for(log)
-        assert d.raw_prioritization(target) == IntervalSet.of((4, 8))
-        assert d.raw_contention(target).is_empty()
+        assert d.raw_prioritization(target) == IntervalSet([(4, 8)])
+        assert not d.raw_contention(target)
         out = claimed(log, target)
-        assert out.prioritization == IntervalSet.of((4, 8))
-        assert out.contention.is_empty()
+        assert out.prioritization == IntervalSet([(4, 8)])
+        assert not out.contention
 
     def test_enablement_tie_counts_as_contention(self):
         target = inst("c1", "b", "r1", 5, 10, 12)
         peer = inst("c2", "z", "r1", 5, 6, 9)
         log = EventLog.from_instances([target, peer])
         d = oracle_for(log)
-        assert d.raw_contention(target) == IntervalSet.of((6, 9))
-        assert d.raw_prioritization(target).is_empty()
+        assert d.raw_contention(target) == IntervalSet([(6, 9)])
+        assert not d.raw_prioritization(target)
         out = claimed(log, target)
-        assert out.contention == IntervalSet.of((6, 9))
-        assert out.prioritization.is_empty()
+        assert out.contention == IntervalSet([(6, 9)])
+        assert not out.prioritization
 
     def test_work_after_start_is_ignored(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         later = inst("c2", "z", "r1", 4, 11, 20)
         log = EventLog.from_instances([target, later])
         d = oracle_for(log)
-        assert d.raw_prioritization(target).is_empty()
-        assert claimed(log, target).prioritization.is_empty()
+        assert not d.raw_prioritization(target)
+        assert not claimed(log, target).prioritization
 
     def test_fifo_log_has_no_prioritization(self):
         jobs = [
@@ -153,8 +155,8 @@ class TestRawCauses:
         log = EventLog.from_instances(jobs)
         d = oracle_for(log)
         for job in jobs:
-            assert d.raw_prioritization(job).is_empty()
-            assert claimed(log, job).prioritization.is_empty()
+            assert not d.raw_prioritization(job)
+            assert not claimed(log, job).prioritization
 
     def test_unavailability_subtracts_calendar(self):
         # Wait from Friday 16:00 to Monday 10:00 against weekday 08-17 hours.
@@ -163,19 +165,19 @@ class TestRawCauses:
         cal = calendar_from_cells(
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
-        availability = {"r1": expand_calendar(cal, log.horizon())}
+        availability = {"r1": expand_calendar(cal, horizon(log))}
         d = oracle_for(log, availability)
-        assert d.raw_unavailability(target) == IntervalSet.of((at(4, 17), at(7, 8)))
-        assert claimed(log, target, availability).unavailability == IntervalSet.of(
-            (at(4, 17), at(7, 8))
+        assert d.raw_unavailability(target) == IntervalSet([(at(4, 17), at(7, 8))])
+        assert claimed(log, target, availability).unavailability == IntervalSet(
+            [(at(4, 17), at(7, 8))]
         )
 
     def test_always_available_resource_has_none(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         log = EventLog.from_instances([target])
         d = oracle_for(log)
-        assert d.raw_unavailability(target).is_empty()
-        assert claimed(log, target).unavailability.is_empty()
+        assert not d.raw_unavailability(target)
+        assert not claimed(log, target).unavailability
 
 
 class TestDecomposeCascade:
@@ -186,18 +188,18 @@ class TestDecomposeCascade:
         log = EventLog.from_instances([target, partner, earlier])
         d = decomposer_for(log)
         out = d.decompose(ti_for(target))
-        assert out.batching == IntervalSet.of((0, 6))
-        assert out.contention == IntervalSet.of((6, 8))
-        assert out.prioritization.is_empty()
-        assert out.unavailability.is_empty()
-        assert out.extraneous == IntervalSet.of((8, 10))
+        assert out.batching == IntervalSet([(0, 6)])
+        assert out.contention == IntervalSet([(6, 8)])
+        assert not out.prioritization
+        assert not out.unavailability
+        assert out.extraneous == IntervalSet([(8, 10)])
 
     def test_residual_when_nothing_observed(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         d = decomposer_for(EventLog.from_instances([target]))
         out = d.decompose(ti_for(target))
-        assert out.extraneous == IntervalSet.of((0, 10))
-        assert out.cause_durations() == {
+        assert out.extraneous == IntervalSet([(0, 10)])
+        assert cause_durations(out) == {
             "batching": 0,
             "contention": 0,
             "prioritization": 0,
@@ -209,7 +211,7 @@ class TestDecomposeCascade:
         target = inst("c1", "b", "r1", 10, 10, 12)
         d = decomposer_for(EventLog.from_instances([target]))
         out = d.decompose(ti_for(target))
-        assert all(s.is_empty() for s in out.cause_sets().values())
+        assert not any(getattr(out, cause) for cause in CAUSES)
 
     def test_unavailability_in_cascade(self):
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
@@ -217,11 +219,11 @@ class TestDecomposeCascade:
         cal = calendar_from_cells(
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
-        availability = {"r1": expand_calendar(cal, log.horizon())}
+        availability = {"r1": expand_calendar(cal, horizon(log))}
         out = decomposer_for(log, availability).decompose(ti_for(target))
-        assert out.unavailability == IntervalSet.of((at(4, 17), at(7, 8)))
-        assert out.extraneous == IntervalSet.of(
-            (at(4, 16), at(4, 17)), (at(7, 8), at(7, 10))
+        assert out.unavailability == IntervalSet([(at(4, 17), at(7, 8))])
+        assert out.extraneous == IntervalSet(
+            [(at(4, 16), at(4, 17)), (at(7, 8), at(7, 10))]
         )
 
     def test_unknown_resource_falls_through_to_extraneous(self):
@@ -229,8 +231,8 @@ class TestDecomposeCascade:
         other = inst("c2", "z", UNKNOWN_RESOURCE, 0, 2, 8)
         log = EventLog.from_instances([target, other])
         out = decomposer_for(log).decompose(ti_for(target))
-        assert out.extraneous == IntervalSet.of((0, 10))
-        assert out.contention.is_empty()
+        assert out.extraneous == IntervalSet([(0, 10)])
+        assert not out.contention
 
     def test_contention_beats_unavailability(self):
         # Resource busy during off-hours: the busy evidence wins.
@@ -240,10 +242,10 @@ class TestDecomposeCascade:
         cal = calendar_from_cells(
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
-        availability = {"r1": expand_calendar(cal, log.horizon())}
+        availability = {"r1": expand_calendar(cal, horizon(log))}
         out = decomposer_for(log, availability).decompose(ti_for(target))
-        assert out.contention == IntervalSet.of((at(5, 10), at(5, 12)))
-        assert out.unavailability == IntervalSet.of((at(5, 12), at(5, 14)))
+        assert out.contention == IntervalSet([(at(5, 10), at(5, 12))])
+        assert out.unavailability == IntervalSet([(at(5, 12), at(5, 14))])
 
 
 class TestMultitaskingRate:
@@ -306,6 +308,38 @@ class TestMultitaskingRate:
         assert multitasking_rate(log) == brute_multitasking_rate(log)
 
 
+class TestLargeSimultaneousBatch:
+    def test_one_batch_of_4000_members(self):
+        # One clerk receives case k in [k, k + 1) minutes, back to back; then
+        # one shipper runs all ship instances at the same instant, when the
+        # last of them is enabled. Ship k waits (n - k - 1) minutes, all of
+        # it batch accumulation, and every ship overlaps every other ship.
+        n = 4000
+        ship_at = MONDAY + n * 60
+        instances = []
+        for k in range(n):
+            received = MONDAY + k * 60
+            instances += [
+                ActivityInstance(f"c{k}", "receive", "clerk", received, received + 60),
+                ActivityInstance(f"c{k}", "ship", "shipper", ship_at, ship_at + 600),
+            ]
+        result = run_pipeline(EventLog.from_instances(instances))
+        (batch,) = result.batching.batches
+        assert len(batch.members) == n
+        seconds = {
+            cause: sum(getattr(d, cause).total_duration for d in result.decompositions)
+            for cause in CAUSES
+        }
+        assert seconds == {
+            "batching": 60 * n * (n - 1) // 2,
+            "contention": 0,
+            "prioritization": 0,
+            "unavailability": 0,
+            "extraneous": 0,
+        }
+        assert result.multitasking_rate == 0.5
+
+
 @st.composite
 def random_scenarios(draw):
     n = draw(st.integers(min_value=2, max_value=7))
@@ -341,7 +375,7 @@ def random_scenarios(draw):
                 )
             )
             cal = calendar_from_cells(res, 60, slots)
-        availability[res] = expand_calendar(cal, log.horizon())
+        availability[res] = expand_calendar(cal, horizon(log))
     return log, availability
 
 
@@ -354,7 +388,7 @@ class TestDecompositionInvariants:
         d = Decomposer(log, batching, availability)
         for target in log.instances:
             out = d.decompose(ti_for(target))
-            sets = out.cause_sets()
+            sets = {cause: getattr(out, cause) for cause in CAUSES}
             # Additivity in integer seconds.
             assert sum(s.total_duration for s in sets.values()) == out.waiting_duration
             assert out.waiting_duration == target.started - target.enabled
@@ -363,17 +397,17 @@ class TestDecompositionInvariants:
             causes = list(sets)
             for i, a in enumerate(causes):
                 for b in causes[i + 1 :]:
-                    assert sets[a].intersect(sets[b]).is_empty()
-                union = union | sets[a]
+                    assert not sets[a].intersect(sets[b])
+                union = IntervalSet(union.intervals + sets[a].intervals)
             expected = (
-                IntervalSet.of((target.enabled, target.started))
+                IntervalSet([(target.enabled, target.started)])
                 if target.enabled < target.started
                 else IntervalSet.empty()
             )
             assert union == expected
             # Per-second reference labeler agrees exactly.
             brute = brute_cause_durations(target, log, batching, availability)
-            assert out.cause_durations() == brute
+            assert cause_durations(out) == brute
 
 
 @st.composite
@@ -447,7 +481,7 @@ class TestCascadeMatchesSetAlgebra:
         oracle = SetAlgebraDecomposer(log, batching, availability)
         for target in log.instances:
             ti = ti_for(target)
-            assert fast.decompose(ti).cause_sets() == oracle.decompose(ti).cause_sets()
+            assert fast.decompose(ti) == oracle.decompose(ti)
 
     @settings(max_examples=50, deadline=None)
     @given(batched_windows())
@@ -472,8 +506,8 @@ class TestWindowedScans:
                 target, availability
             )
             out = d.decompose(ti_for(target))
-            assert sum(out.cause_durations().values()) == target.started - target.enabled
-            assert out.cause_durations() == brute_cause_durations(
+            assert sum(cause_durations(out).values()) == target.started - target.enabled
+            assert cause_durations(out) == brute_cause_durations(
                 target, log, d.batching, availability
             )
 
@@ -481,9 +515,9 @@ class TestWindowedScans:
 def _horizon_decompositions(result) -> list:
     """Decompose the pipeline's targets again, with every calendar expanded
     over the whole log horizon instead of over its resource's waits."""
-    horizon = result.log.horizon()
+    span = horizon(result.log)
     availability = {
-        res: expand_calendar(cal, horizon) for res, cal in result.calendars.items()
+        res: expand_calendar(cal, span) for res, cal in result.calendars.items()
     }
     decomposer = Decomposer(result.log, result.batching, availability)
     return [decomposer.decompose(dec.instance) for dec in result.decompositions]
@@ -532,7 +566,7 @@ class TestAvailabilityOverWaits:
                     ActivityInstance(f"c{k}", act, UNKNOWN_RESOURCE, t, t + 600)
                 )
         result = run_pipeline(EventLog.from_instances(instances))
-        assert result.availability[UNKNOWN_RESOURCE].available.is_empty()
+        assert not result.availability[UNKNOWN_RESOURCE].available
         assert list(result.decompositions) == _horizon_decompositions(result)
         paths = write_report_files(result, tmp_path)
         assert paths["transitions"].read_text(encoding="utf-8") == (

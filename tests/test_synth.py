@@ -33,8 +33,8 @@ class TestSpecValidation:
 
     def test_bits_round_trip(self):
         spec = InjectionSpec(batching=True, unavailability=True)
-        assert spec.bits == "10010"
         again = InjectionSpec.from_bits("10010")
+        assert again == spec
         assert again.flags() == spec.flags()
 
     def test_from_bits_rejects_malformed(self):
