@@ -26,7 +26,6 @@ from wtminer.model import (
 )
 from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from wtminer.report import build_report, write_report_files
-from wtminer.synth import InjectionSpec, generate
 from wtminer.transitions import Transition, discover_transitions
 
 __version__ = "0.1.0"
@@ -68,3 +67,13 @@ __all__ = [
     "write_report_files",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Only generating logs needs `synth`, so it loads on first use and
+    # analysis never imports it.
+    if name in ("InjectionSpec", "generate"):
+        from wtminer import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

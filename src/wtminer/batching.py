@@ -79,41 +79,45 @@ def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> Ba
             raise ValueError("batch detection requires enablement to be computed")
         i = 0
         while i < len(seq):
-            run = [seq[i]]
-            run_start = seq[i].started
+            first = seq[i]
+            run_start = first.started
+            # The run is seq[i : i + len(ends)]; ends[k] is the latest
+            # completion among its first k + 1 members, so the window of
+            # any prefix is known without rescanning it.
+            ends = [first.completed]
             j = i + 1
             while j < len(seq):
                 nxt = seq[j]
-                if nxt.activity != run[0].activity:
+                if nxt.activity != first.activity:
                     break
                 if nxt.enabled > run_start:
                     break
-                if nxt.started > run[-1].completed + config.gap_tolerance:
+                if nxt.started > seq[j - 1].completed + config.gap_tolerance:
                     break
-                run.append(nxt)
+                ends.append(max(ends[-1], nxt.completed))
                 j += 1
             # Shrink until no non-member execution starts inside the window.
-            while len(run) >= 2:
-                follower = seq[i + len(run)] if i + len(run) < len(seq) else None
-                window_end = max(m.completed for m in run)
-                if follower is not None and follower.started < window_end:
-                    run.pop()
+            size = len(ends)
+            while size >= 2:
+                window_end = ends[size - 1]
+                if i + size < len(seq) and seq[i + size].started < window_end:
+                    size -= 1
                     continue
                 if i > 0 and seq[i - 1].started >= run_start and window_end > run_start:
                     # A same-instant predecessor sits inside the window; no
                     # suffix trim can fix that.
-                    del run[1:]
+                    size = 1
                 break
-            if len(run) >= config.min_batch_size:
+            if size >= config.min_batch_size:
                 batch = Batch(
-                    activity=run[0].activity,
+                    activity=first.activity,
                     resource=resource,
-                    members=tuple(run),
+                    members=seq[i : i + size],
                 )
                 batches.append(batch)
-                for member in run:
+                for member in batch.members:
                     by_instance[member] = batch
-                i += len(run)
+                i += size
             else:
                 i += 1
     return BatchingResult(batches=tuple(batches), by_instance=by_instance)

@@ -11,16 +11,17 @@ from pathlib import Path
 from wtminer.batching import BatchingConfig
 from wtminer.calendars import (
     CalendarParams,
+    WeeklyCalendar,
     calendar_to_ranges,
     discover_calendars,
     load_calendar_overrides,
 )
 from wtminer.concurrency import OracleThresholds
+from wtminer.decomposition import CAUSES
 from wtminer.ingest import ColumnMapping, load_log
 from wtminer.model import ConfigError, WtMinerError
 from wtminer.pipeline import PipelineConfig, run_pipeline
 from wtminer.report import atomic_write_text, summary_text, write_report_files
-from wtminer.synth import CAUSE_FLAGS, InjectionSpec, generate, write_files
 
 
 def _load_mapping(path: str | None) -> ColumnMapping | None:
@@ -99,38 +100,48 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         else None
     )
     # Load and pipeline create no reference cycles, so the cyclic collector
-    # would only re-walk their objects as they accumulate; pause it.
+    # would only re-walk their objects as they accumulate; pause it. It
+    # resumes after `_analyze` has returned and reference counting has freed
+    # the run, so no collection walks the finished run's objects either.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        loaded = load_log(args.log, _load_mapping(args.mapping))
-        result = run_pipeline(loaded.log, config, overrides)
-        paths = write_report_files(
-            result,
-            args.out,
-            ingest_stats=loaded.stats,
-            emit_calendars=args.emit_calendars,
-        )
+        _analyze(args, config, overrides)
     finally:
         if collecting:
             gc.enable()
+    return 0
+
+
+def _analyze(
+    args: argparse.Namespace,
+    config: PipelineConfig,
+    overrides: dict[str, WeeklyCalendar] | None,
+) -> None:
+    loaded = load_log(args.log, _load_mapping(args.mapping))
+    result = run_pipeline(loaded.log, config, overrides)
+    paths = write_report_files(
+        result,
+        args.out,
+        ingest_stats=loaded.stats,
+        emit_calendars=args.emit_calendars,
+    )
     sys.stdout.write(summary_text(result))
     sys.stdout.write(
         f"\nReport: {paths['report']}\nTransitions: {paths['transitions']}\n"
     )
-    return 0
 
 
 def _parse_causes(raw: str) -> dict[str, bool]:
     names = [part.strip() for part in raw.split(",") if part.strip()]
     if names == ["none"]:
-        return {flag: False for flag in CAUSE_FLAGS}
-    flags = {flag: False for flag in CAUSE_FLAGS}
+        return {flag: False for flag in CAUSES}
+    flags = {flag: False for flag in CAUSES}
     for name in names:
         if name not in flags:
             raise ConfigError(
                 f"unknown cause {name!r}; expected any of "
-                f"{', '.join(CAUSE_FLAGS)} or 'none'"
+                f"{', '.join(CAUSES)} or 'none'"
             )
         flags[name] = True
     if not names:
@@ -143,6 +154,9 @@ def _truth_path(csv_path: Path) -> Path:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    # Only this verb generates logs, so only it pays for importing `synth`.
+    from wtminer.synth import InjectionSpec, generate, write_files
+
     if args.grid:
         out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
@@ -260,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help=(
             "comma-separated causes to inject "
-            f"({', '.join(CAUSE_FLAGS)}) or 'none'"
+            f"({', '.join(CAUSES)}) or 'none'"
         ),
     )
     gen.add_argument("--cases", type=int, default=20, help="cases to generate")

@@ -158,7 +158,8 @@ def compute_enablement(
 
     # One flat list in log order; enablers are recorded by position in it.
     instances: list[ActivityInstance] = []
-    for seq in log.cases.values():
+    cases: dict[str, tuple[ActivityInstance, ...]] = {}
+    for case_id, seq in log.cases.items():
         first = len(instances)
         # Per activity, (completion, position) of its latest-completing
         # instance so far: on equal completion the later position wins.
@@ -207,8 +208,10 @@ def compute_enablement(
             )
             if enabler_pos is not None:
                 enabler[instances[pos]] = instances[enabler_pos]
+        cases[case_id] = tuple(instances[first:])
 
-    # Enablement changes no sort field, so the log's sort keeps this order,
-    # the order in which `enabler` was filled.
-    new_log = EventLog(tuple(instances))
+    # Enablement changes no sort field, so this is already log order, the
+    # order in which `enabler` was filled; the log is neither sorted nor
+    # grouped again.
+    new_log = EventLog._from_sorted(tuple(instances), cases)
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)

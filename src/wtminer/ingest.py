@@ -194,33 +194,39 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
 class _TimestampMemo(dict):
     """`parse_timestamp` for one load, parsing each distinct text once.
 
-    Maps text -> (seconds, naive count, truncated count), or None when the
-    text does not parse. `read` adds a text's counts to the load's stats on
-    every row the text is on, as parsing it afresh would.
+    Maps each clean text, one that needed no adjustment, to its seconds, so
+    a row reads it with one `get`. A text that is not a key takes `read`.
+    `adjusted` maps each naive or sub-second text to (seconds, naive count,
+    truncated count), and each unparseable text to None; `read` adds such a
+    text's counts to the load's stats on every row the text is on, as
+    parsing it afresh would.
     """
 
-    __slots__ = ("fmt", "stats", "probe")
+    __slots__ = ("fmt", "stats", "probe", "adjusted")
 
     def __init__(self, fmt: str, stats: IngestStats) -> None:
         super().__init__()
         self.fmt = fmt
         self.stats = stats
         self.probe = IngestStats()
-
-    def __missing__(self, text: str) -> Optional[tuple[TimeInstant, int, int]]:
-        probe = self.probe
-        probe.naive_timestamps = probe.truncated_timestamps = 0
-        try:
-            seconds = parse_timestamp(text, self.fmt, probe)
-        except ValueError:
-            entry = None
-        else:
-            entry = (seconds, probe.naive_timestamps, probe.truncated_timestamps)
-        self[text] = entry
-        return entry
+        self.adjusted: dict[str, Optional[tuple[TimeInstant, int, int]]] = {}
 
     def read(self, text: str) -> Optional[TimeInstant]:
-        entry = self[text]
+        if text in self.adjusted:
+            entry = self.adjusted[text]
+        else:
+            probe = self.probe
+            probe.naive_timestamps = probe.truncated_timestamps = 0
+            try:
+                seconds = parse_timestamp(text, self.fmt, probe)
+            except ValueError:
+                entry = None
+            else:
+                if not (probe.naive_timestamps or probe.truncated_timestamps):
+                    self[text] = seconds
+                    return seconds
+                entry = (seconds, probe.naive_timestamps, probe.truncated_timestamps)
+            self.adjusted[text] = entry
         if entry is None:
             return None
         seconds, naive, truncated = entry
@@ -241,10 +247,12 @@ def _parse_row(
     if not resource:
         resource = UNKNOWN_RESOURCE
         stats.unknown_resources += 1
-    started = stamps.read(row[start_i])
+    # A clean text is one lookup. Epoch 0 is falsy and takes `read`, which
+    # returns it as well.
+    started = stamps.get(row[start_i]) or stamps.read(row[start_i])
     if started is None:
         return None
-    completed = stamps.read(row[end_i])
+    completed = stamps.get(row[end_i]) or stamps.read(row[end_i])
     if completed is None or completed < started:
         return None
 
@@ -252,7 +260,7 @@ def _parse_row(
     if enabled_i is not None:
         raw = row[enabled_i].strip()
         if raw:
-            enabled = stamps.read(raw)
+            enabled = stamps.get(raw) or stamps.read(raw)
             if enabled is None:
                 return None
             if enabled > started:

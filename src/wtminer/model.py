@@ -208,6 +208,20 @@ class EventLog:
     def from_instances(cls, instances: Iterable[ActivityInstance]) -> "EventLog":
         return cls(tuple(instances))
 
+    @classmethod
+    def _from_sorted(
+        cls,
+        instances: tuple[ActivityInstance, ...],
+        cases: dict[str, tuple[ActivityInstance, ...]],
+    ) -> "EventLog":
+        # For non-empty instances already in log order, with `cases` the
+        # grouping the `cases` property would build from them; it is stored
+        # where that cached property keeps its value.
+        log = object.__new__(cls)
+        object.__setattr__(log, "instances", instances)
+        vars(log)["cases"] = cases
+        return log
+
     @cached_property
     def cases(self) -> dict[str, tuple[ActivityInstance, ...]]:
         by_case: dict[str, list[ActivityInstance]] = {}

@@ -7,8 +7,9 @@ predecessor search for enablement, a walk of the enriched log's cases that
 looks each instance's enabler up, a scan of the resource's whole work
 sequence for busy overlaps, a subtraction of the whole availability set, a
 calendar tiled week by week over the hull of the spans it is read in, a
-check of every same-resource pair for multitasking, and a cell-by-cell
-merge of (weekday, slot) cells into weekly ranges. `SetAlgebraDecomposer`
+check of every same-resource pair for multitasking, a cell-by-cell merge
+of (weekday, slot) cells into weekly ranges, and batch detection that
+recomputes a run's window after every shrink step. `SetAlgebraDecomposer`
 is the cascade as interval-set algebra, one `IntervalSet` per step, which
 the pipeline's cascade on bare pairs must match set by set. Spans are plain
 (start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from wtminer.batching import Batch, BatchingResult
+from wtminer.batching import Batch, BatchingConfig, BatchingResult
 from wtminer.calendars import (
     SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
@@ -270,6 +271,67 @@ def brute_multitasking_rate(log: EventLog) -> float:
             ):
                 overlapping.update((id(a), id(b)))
     return len(overlapping) / len(known) if known else 0.0
+
+
+def brute_detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> BatchingResult:
+    """`detect_batches` recomputing the run's window after every shrink step.
+
+    Within each resource's start-ordered work sequence, a run of same-activity
+    instances grows while each newcomer was enabled by the run's first start
+    and starts within gap_tolerance of the previous completion. A run is then
+    shrunk until no other instance of the resource starts inside its
+    [first start, last completion) window. Instances without a known resource
+    never batch.
+    """
+    if config is None:
+        config = BatchingConfig()
+    batches: list[Batch] = []
+    by_instance: dict[ActivityInstance, Batch] = {}
+    for resource, seq in log.by_resource.items():
+        if resource == UNKNOWN_RESOURCE:
+            continue
+        if any(inst.enabled is None for inst in seq):
+            raise ValueError("batch detection requires enablement to be computed")
+        i = 0
+        while i < len(seq):
+            run = [seq[i]]
+            run_start = seq[i].started
+            j = i + 1
+            while j < len(seq):
+                nxt = seq[j]
+                if nxt.activity != run[0].activity:
+                    break
+                if nxt.enabled > run_start:
+                    break
+                if nxt.started > run[-1].completed + config.gap_tolerance:
+                    break
+                run.append(nxt)
+                j += 1
+            # Shrink until no non-member execution starts inside the window.
+            while len(run) >= 2:
+                follower = seq[i + len(run)] if i + len(run) < len(seq) else None
+                window_end = max(m.completed for m in run)
+                if follower is not None and follower.started < window_end:
+                    run.pop()
+                    continue
+                if i > 0 and seq[i - 1].started >= run_start and window_end > run_start:
+                    # A same-instant predecessor sits inside the window; no
+                    # suffix trim can fix that.
+                    del run[1:]
+                break
+            if len(run) >= config.min_batch_size:
+                batch = Batch(
+                    activity=run[0].activity,
+                    resource=resource,
+                    members=tuple(run),
+                )
+                batches.append(batch)
+                for member in run:
+                    by_instance[member] = batch
+                i += len(run)
+            else:
+                i += 1
+    return BatchingResult(batches=tuple(batches), by_instance=by_instance)
 
 
 def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:

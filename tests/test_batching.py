@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import batching_interval
+from brute import batching_interval, brute_detect_batches
 from wtminer.batching import Batch, BatchingConfig, detect_batches
+from wtminer.concurrency import compute_enablement, discover_concurrency
 from wtminer.model import (
     ActivityInstance,
     ConfigError,
@@ -207,3 +208,58 @@ class TestBatchInvariants:
         b = detect_batches(shuffled)
         key = lambda batch: sorted((m.case_id, m.started) for m in batch.members)
         assert sorted(map(key, a.batches)) == sorted(map(key, b.batches))
+
+
+@st.composite
+def run_scenarios(draw):
+    """Work sequences of simultaneous runs, back-to-back runs with gaps and
+    single intruders of another activity, whose windows may overlap, on two
+    resources and the unknown one; plus a batching config."""
+    instances = []
+    for resource in ("r1", "r2", UNKNOWN_RESOURCE):
+        clock = draw(st.integers(min_value=0, max_value=20))
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            kind = draw(st.sampled_from(["simultaneous", "sequential", "intruder"]))
+            activity = "i" if kind == "intruder" else draw(st.sampled_from(["b", "z"]))
+            size = 1 if kind == "intruder" else draw(st.integers(min_value=2, max_value=6))
+            started = clock
+            latest = clock
+            for _ in range(size):
+                completed = started + draw(st.integers(min_value=0, max_value=12))
+                enabled = max(0, started - draw(st.integers(min_value=0, max_value=30)))
+                case = f"c{len(instances)}"
+                instances.append(inst(case, activity, resource, enabled, started, completed))
+                latest = max(latest, completed)
+                if kind == "sequential":
+                    started = completed + draw(st.integers(min_value=0, max_value=3))
+            clock = max(0, latest + draw(st.integers(min_value=-8, max_value=8)))
+    config = BatchingConfig(
+        gap_tolerance=draw(st.integers(min_value=0, max_value=4)),
+        min_batch_size=draw(st.integers(min_value=2, max_value=4)),
+    )
+    return EventLog.from_instances(instances), config
+
+
+class TestShrinkOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(run_scenarios())
+    def test_matches_rescanning_shrink(self, scenario):
+        log, config = scenario
+        # Batches compare by activity, resource and member identity.
+        assert detect_batches(log, config) == brute_detect_batches(log, config)
+
+    def test_simultaneous_run_with_intruder_finds_no_batch(self):
+        # n ship instances start at one instant on the shipper and an inspect
+        # starts there 1 s later, inside every window the ships can form;
+        # each start index shrinks its run down to one member.
+        n = 1000
+        instances = []
+        for k in range(n):
+            instances += [
+                ActivityInstance(f"c{k}", "receive", "clerk", 60 * k, 60 * k + 60),
+                ActivityInstance(f"c{k}", "ship", "shipper", 60 * n, 60 * n + 600),
+            ]
+        instances.append(ActivityInstance("x", "inspect", "shipper", 60 * n + 1, 60 * n + 61))
+        log = EventLog.from_instances(instances)
+        enriched = compute_enablement(log, discover_concurrency(log)).log
+        assert detect_batches(enriched).batches == ()

@@ -6,12 +6,15 @@ import json
 import subprocess
 import sys
 import tempfile
+import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wtminer import cli
 from wtminer.calendars import CalendarParams
 from wtminer.cli import _calendar_params, _pipeline_config, build_parser, main
 from wtminer.ingest import ColumnMapping, format_timestamp, load_log
@@ -227,6 +230,31 @@ class TestCollectorPause:
         assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
         assert gc.isenabled()
 
+    def test_collector_resumes_after_the_run_is_freed(
+        self, synth_log, tmp_path, capsys, monkeypatch
+    ):
+        # A collection after `gc.enable` would walk every object the run
+        # built if the result were still alive.
+        results = []
+        alive_at_enable = []
+        run_pipeline = cli.run_pipeline
+        enable = gc.enable
+
+        def keep_a_weakref(*args, **kwargs):
+            result = run_pipeline(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        def record_and_enable():
+            alive_at_enable.append([ref() is not None for ref in results])
+            enable()
+
+        monkeypatch.setattr(cli, "run_pipeline", keep_a_weakref)
+        monkeypatch.setattr(gc, "enable", record_and_enable)
+        assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
+        assert alive_at_enable == [[False]]
+        assert gc.isenabled()
+
     def test_collector_is_back_after_ingest_error(self, tmp_path, capsys):
         log = tmp_path / "empty.csv"
         log.write_text("case_id,activity,resource,start_time,end_time\n")
@@ -311,6 +339,42 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+
+class TestImportFootprint:
+    def test_analyze_never_imports_synth(self, synth_log, tmp_path):
+        # Only `generate` needs the synthetic-log generator; the package
+        # still exports its names, loaded on first use.
+        script = textwrap.dedent(
+            """
+            import io, sys, contextlib
+            import wtminer.cli
+            wtminer.cli.build_parser()
+            assert "wtminer.synth" not in sys.modules, "build_parser"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = wtminer.cli.main(["analyze", "--log", sys.argv[1], "--out", sys.argv[2]])
+            assert code == 0, code
+            assert "wtminer.synth" not in sys.modules, "analyze"
+            import wtminer
+            assert "InjectionSpec" in wtminer.__all__ and "generate" in wtminer.__all__
+            from wtminer import generate, InjectionSpec
+            assert generate(InjectionSpec(n_cases=2, seed=1)).log.instances
+            assert "wtminer.synth" in sys.modules
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(synth_log), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cause_names_are_the_injection_flags(self):
+        # `generate --causes` is parsed against the decomposition's causes.
+        from wtminer.decomposition import CAUSES
+        from wtminer.synth import CAUSE_FLAGS
+
+        assert CAUSES == CAUSE_FLAGS
 
 
 class TestDefaults:

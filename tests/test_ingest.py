@@ -306,6 +306,21 @@ class TestLoadLog:
         stats = load_log(write_csv(tmp_path, rows)).stats
         assert getattr(stats, counter) == 3
 
+    def test_naive_start_first_seen_on_a_rejected_row_counts_every_row(self, tmp_path):
+        # The first row parses the naive start, counts it, then is rejected
+        # for its end; the memo must count the text again on each later row.
+        naive = "2023-01-02T09:00:00"
+        rows = [
+            f"C1,A,R1,{naive},bad",
+            f"C2,A,R1,{naive},2023-01-02T10:00:00Z",
+            f"C3,A,R1,{naive},2023-01-02T10:00:00Z",
+        ]
+        path = write_csv(tmp_path, rows)
+        result = load_log(path)
+        assert result.stats.rows_rejected == 1
+        assert result.stats.naive_timestamps == 3
+        assert dictreader_load_log(path).stats == result.stats
+
     def test_repeated_bad_timestamp_rejects_every_row(self, tmp_path):
         rows = [
             "C1,A,R1,whenever,2023-01-02T09:30:00Z",
