@@ -7,7 +7,7 @@ would reach if exactly that waiting time disappeared, minus the current CTE.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from wtminer.decomposition import CAUSES, WtDecomposition
 from wtminer.model import EventLog, WtMinerError
@@ -29,8 +29,7 @@ def cte_if_eliminated(total_pt: int, total_wt: int, removed: int) -> float:
     return compute_cte(total_pt, total_wt - removed)
 
 
-@dataclass(frozen=True)
-class CauseImpact:
+class CauseImpact(NamedTuple):
     cause: str
     wt_seconds: int
     share_of_wt: float
@@ -38,8 +37,7 @@ class CauseImpact:
     delta: float
 
 
-@dataclass(frozen=True)
-class TransitionImpact:
+class TransitionImpact(NamedTuple):
     source_activity: str
     target_activity: str
     case_frequency: float
@@ -58,8 +56,7 @@ class TransitionImpact:
         return self.source_activity == self.target_activity
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
+class AnalysisResult(NamedTuple):
     total_pt_seconds: int
     total_wt_seconds: int
     cte: float

@@ -8,9 +8,8 @@ enablement; waiting before that instant is attributable to batching.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from wtminer.model import (
     ActivityInstance,
@@ -18,32 +17,28 @@ from wtminer.model import (
     EventLog,
     TimeInstant,
     UNKNOWN_RESOURCE,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class BatchingConfig:
+class BatchingConfig(_Value):
     """gap_tolerance: max idle seconds between consecutive member executions."""
 
-    gap_tolerance: int = 0
-    min_batch_size: int = 2
-
-    def __post_init__(self) -> None:
-        if self.gap_tolerance < 0:
+    def __init__(self, gap_tolerance: int = 0, min_batch_size: int = 2) -> None:
+        if gap_tolerance < 0:
             raise ConfigError("gap tolerance must be non-negative")
-        if self.min_batch_size < 2:
+        if min_batch_size < 2:
             raise ConfigError("minimum batch size must be at least 2")
+        super().__init__(gap_tolerance, min_batch_size)
 
 
-@dataclass(frozen=True)
-class Batch:
-    activity: str
-    resource: str
-    members: tuple[ActivityInstance, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
+class Batch(_Value):
+    def __init__(
+        self, activity: str, resource: str, members: tuple[ActivityInstance, ...]
+    ) -> None:
+        if len(members) < 2:
             raise ValueError("a batch needs at least two members")
+        super().__init__(activity, resource, members)
 
     @cached_property
     def accumulation_end(self) -> TimeInstant:
@@ -52,8 +47,7 @@ class Batch:
         return max(m.enabled for m in self.members)
 
 
-@dataclass(frozen=True)
-class BatchingResult:
+class BatchingResult(NamedTuple):
     batches: tuple[Batch, ...]
     by_instance: dict[ActivityInstance, Batch]
 
@@ -81,6 +75,12 @@ def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> Ba
         while i < len(seq):
             first = seq[i]
             run_start = first.started
+            if i > 0 and seq[i - 1].started == run_start < first.completed:
+                # Every window of a run from here ends after run_start, so
+                # the same-instant predecessor rule below would leave one
+                # member: no run is grown.
+                i += 1
+                continue
             # The run is seq[i : i + len(ends)]; ends[k] is the latest
             # completion among its first k + 1 members, so the window of
             # any prefix is known without rescanning it.

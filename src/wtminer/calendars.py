@@ -11,9 +11,8 @@ place where availability is read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from wtminer.model import (
     ConfigError,
@@ -22,6 +21,7 @@ from wtminer.model import (
     Span,
     TimeInstant,
     UNKNOWN_RESOURCE,
+    _Value,
     _canonicalize,
 )
 
@@ -47,40 +47,33 @@ def week_start(t: TimeInstant) -> TimeInstant:
     return (day - weekday_of(t)) * SECONDS_PER_DAY
 
 
-@dataclass(frozen=True)
-class CalendarParams:
-    granule_minutes: int = 60
-    confidence: float = 0.1
-    support: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.granule_minutes < 1 or MINUTES_PER_DAY % self.granule_minutes != 0:
+class CalendarParams(_Value):
+    def __init__(
+        self, granule_minutes: int = 60, confidence: float = 0.1, support: float = 0.1
+    ) -> None:
+        if granule_minutes < 1 or MINUTES_PER_DAY % granule_minutes != 0:
             raise ConfigError(
-                f"granule must divide {MINUTES_PER_DAY} minutes, got {self.granule_minutes}"
+                f"granule must divide {MINUTES_PER_DAY} minutes, got {granule_minutes}"
             )
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ConfigError(f"confidence must be in [0, 1], got {self.confidence}")
-        if not 0.0 <= self.support <= 1.0:
-            raise ConfigError(f"support must be in [0, 1], got {self.support}")
+        if not 0.0 <= confidence <= 1.0:
+            raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
+        if not 0.0 <= support <= 1.0:
+            raise ConfigError(f"support must be in [0, 1], got {support}")
+        super().__init__(granule_minutes, confidence, support)
 
 
-@dataclass(frozen=True)
-class WeeklyCalendar:
+class WeeklyCalendar(_Value):
     """Working time as merged [start, end) second offsets from Monday 00:00."""
 
-    resource: str
-    granule_minutes: int
-    ranges: tuple[Span, ...]
-
-    def __post_init__(self) -> None:
-        if self.granule_minutes < 1 or MINUTES_PER_DAY % self.granule_minutes != 0:
+    def __init__(self, resource: str, granule_minutes: int, ranges: Iterable[Span]) -> None:
+        if granule_minutes < 1 or MINUTES_PER_DAY % granule_minutes != 0:
             raise ConfigError(f"granule must divide {MINUTES_PER_DAY} minutes")
-        size = self.granule_minutes * 60
-        ranges = _canonicalize(self.ranges)
+        size = granule_minutes * 60
+        ranges = _canonicalize(ranges)
         for start, end in ranges:
             if start < 0 or end > SECONDS_PER_WEEK or start % size or end % size:
                 raise ConfigError(f"range ({start}, {end}) outside the weekly grid")
-        object.__setattr__(self, "ranges", ranges)
+        super().__init__(resource, granule_minutes, ranges)
 
     @classmethod
     def always_on(cls, resource: str, granule_minutes: int = 60) -> "WeeklyCalendar":
@@ -91,8 +84,7 @@ class WeeklyCalendar:
         return self.ranges == ((0, SECONDS_PER_WEEK),)
 
 
-@dataclass(frozen=True)
-class AbsoluteAvailability:
+class AbsoluteAvailability(NamedTuple):
     resource: str
     available: IntervalSet
 

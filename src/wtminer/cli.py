@@ -71,23 +71,24 @@ def _add_log_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_calendar_options(parser: argparse.ArgumentParser) -> None:
+    defaults = CalendarParams()
     parser.add_argument(
         "--granule",
         type=int,
-        default=CalendarParams.granule_minutes,
+        default=defaults.granule_minutes,
         metavar="MINUTES",
         help="calendar slot width in minutes (default %(default)s)",
     )
     parser.add_argument(
         "--confidence",
         type=float,
-        default=CalendarParams.confidence,
+        default=defaults.confidence,
         help="slot acceptance ratio against the busiest slot (default %(default)s)",
     )
     parser.add_argument(
         "--support",
         type=float,
-        default=CalendarParams.support,
+        default=defaults.support,
         help="minimum share of observations the calendar must cover (default %(default)s)",
     )
 
@@ -213,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    thresholds = OracleThresholds()
+    batching = BatchingConfig()
 
     analyze = sub.add_parser(
         "analyze", help="analyze a CSV event log and write reports"
@@ -224,13 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--dependency-threshold",
         type=float,
-        default=OracleThresholds.dependency_threshold,
+        default=thresholds.dependency_threshold,
         help="concurrency oracle dependency threshold (default %(default)s)",
     )
     analyze.add_argument(
         "--min-bidirectional",
         type=int,
-        default=OracleThresholds.min_bidirectional_observations,
+        default=thresholds.min_bidirectional_observations,
         metavar="N",
         help="observations required in each direction for concurrency (default %(default)s)",
     )
@@ -243,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--gap-tolerance",
         type=int,
-        default=BatchingConfig.gap_tolerance,
+        default=batching.gap_tolerance,
         metavar="SECONDS",
         help="max idle gap between batch member starts (default %(default)s)",
     )
     analyze.add_argument(
         "--min-batch-size",
         type=int,
-        default=BatchingConfig.min_batch_size,
+        default=batching.min_batch_size,
         metavar="N",
         help="smallest group reported as a batch (default %(default)s)",
     )

@@ -9,36 +9,39 @@ predecessors are enabled at their own start and carry no waiting time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from wtminer.model import (
     ActivityInstance,
     ConfigError,
     EventLog,
     TimeInstant,
+    _Record,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class OracleThresholds:
+class OracleThresholds(_Value):
     """Tunables for the directly-follows concurrency oracle."""
 
-    dependency_threshold: float = 0.9
-    min_bidirectional_observations: int = 1
-    length2_loop_guard: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.dependency_threshold <= 1.0:
+    def __init__(
+        self,
+        dependency_threshold: float = 0.9,
+        min_bidirectional_observations: int = 1,
+        length2_loop_guard: bool = True,
+    ) -> None:
+        if not 0.0 <= dependency_threshold <= 1.0:
             raise ConfigError(
-                f"dependency threshold must be in [0, 1], got {self.dependency_threshold}"
+                f"dependency threshold must be in [0, 1], got {dependency_threshold}"
             )
-        if self.min_bidirectional_observations < 1:
+        if min_bidirectional_observations < 1:
             raise ConfigError("min bidirectional observations must be at least 1")
+        super().__init__(
+            dependency_threshold, min_bidirectional_observations, length2_loop_guard
+        )
 
 
-@dataclass(frozen=True)
-class DirectlyFollowsCounts:
+class DirectlyFollowsCounts(NamedTuple):
     """Adjacent-pair counts per activity ordering, plus length-2 loop counts."""
 
     pairs: dict[tuple[str, str], int]
@@ -51,11 +54,11 @@ class DirectlyFollowsCounts:
         return self.loops2.get((a, b), 0) + self.loops2.get((b, a), 0)
 
 
-@dataclass(frozen=True)
-class ConcurrencyRelation:
+class ConcurrencyRelation(_Value):
     """Symmetric, irreflexive set of activity pairs declared concurrent."""
 
-    pairs: frozenset[tuple[str, str]] = frozenset()
+    def __init__(self, pairs: frozenset[tuple[str, str]] = frozenset()) -> None:
+        super().__init__(pairs)
 
     def is_concurrent(self, a: str, b: str) -> bool:
         if a == b:
@@ -109,22 +112,21 @@ def discover_concurrency(
     return detect_concurrency(count_directly_follows(log), thresholds)
 
 
-@dataclass
-class EnablementStats:
+class EnablementStats(_Record):
     """How each instance's enablement time was determined."""
 
-    derived: int = 0
-    supplied: int = 0
-    first_in_case: int = 0
-    concurrent_only: int = 0
-    clamped: int = 0
+    def __init__(
+        self,
+        derived: int = 0,
+        supplied: int = 0,
+        first_in_case: int = 0,
+        concurrent_only: int = 0,
+        clamped: int = 0,
+    ) -> None:
+        super().__init__(derived, supplied, first_in_case, concurrent_only, clamped)
 
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-@dataclass(frozen=True)
-class EnablementResult:
+class EnablementResult(NamedTuple):
     """Log with every enabled field set, plus the enabling predecessor map.
 
     `log` keeps the input's instance order, and `enabler` (target -> source)
@@ -133,8 +135,8 @@ class EnablementResult:
 
     log: EventLog
     relation: ConcurrencyRelation
-    enabler: dict[ActivityInstance, ActivityInstance] = field(default_factory=dict)
-    stats: EnablementStats = field(default_factory=EnablementStats)
+    enabler: dict[ActivityInstance, ActivityInstance]
+    stats: EnablementStats
 
 
 def compute_enablement(
@@ -198,12 +200,12 @@ def compute_enablement(
                 stats.derived += 1
             instances.append(
                 ActivityInstance(
-                    case_id=inst.case_id,
-                    activity=inst.activity,
-                    resource=inst.resource,
-                    started=inst.started,
-                    completed=inst.completed,
-                    enabled=enabled,
+                    inst.case_id,
+                    inst.activity,
+                    inst.resource,
+                    inst.started,
+                    inst.completed,
+                    enabled,
                 )
             )
             if enabler_pos is not None:

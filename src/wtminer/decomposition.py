@@ -21,7 +21,6 @@ results.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from wtminer.batching import BatchingResult
@@ -32,6 +31,8 @@ from wtminer.model import (
     IntervalSet,
     Span,
     UNKNOWN_RESOURCE,
+    _Value,
+    _set,
     _split,
 )
 from wtminer.transitions import TransitionInstance
@@ -41,16 +42,27 @@ _EMPTY = IntervalSet.empty()
 CAUSES = ("batching", "contention", "prioritization", "unavailability", "extraneous")
 
 
-@dataclass(frozen=True, slots=True)
-class WtDecomposition:
+class WtDecomposition(_Value):
     """Disjoint per-cause interval sets covering one instance's waiting time."""
 
-    instance: TransitionInstance
-    batching: IntervalSet
-    contention: IntervalSet
-    prioritization: IntervalSet
-    unavailability: IntervalSet
-    extraneous: IntervalSet
+    # One interval set per cause, named and ordered as in `CAUSES`.
+    __slots__ = ("instance", *CAUSES)
+
+    def __init__(
+        self,
+        instance: TransitionInstance,
+        batching: IntervalSet,
+        contention: IntervalSet,
+        prioritization: IntervalSet,
+        unavailability: IntervalSet,
+        extraneous: IntervalSet,
+    ) -> None:
+        _set(self, "instance", instance)
+        _set(self, "batching", batching)
+        _set(self, "contention", contention)
+        _set(self, "prioritization", prioritization)
+        _set(self, "unavailability", unavailability)
+        _set(self, "extraneous", extraneous)
 
     @property
     def waiting_duration(self) -> int:

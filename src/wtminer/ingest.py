@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from wtminer.model import (
     ActivityInstance,
@@ -21,6 +20,8 @@ from wtminer.model import (
     IngestError,
     TimeInstant,
     UNKNOWN_RESOURCE,
+    _Record,
+    _Value,
 )
 
 ISO_8601 = "iso8601"
@@ -30,24 +31,33 @@ _TIMESTAMP_FORMATS = (ISO_8601, EPOCH_SECONDS)
 _EPOCH_TEXT = re.compile(r"-?[0-9]+")  # int() also takes full-width digits, "1_0" and "+1"
 
 
-@dataclass(frozen=True)
-class ColumnMapping:
+class ColumnMapping(_Value):
     """Names the CSV columns that hold each instance field."""
 
-    case_column: str = "case_id"
-    activity_column: str = "activity"
-    resource_column: str = "resource"
-    start_column: str = "start_time"
-    end_column: str = "end_time"
-    enabled_column: Optional[str] = None
-    timestamp_format: str = ISO_8601
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            optional = f.name == "enabled_column" and value is None
-            if f.name.endswith("_column") and not optional and not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a column name string, got {value!r}")
+    def __init__(
+        self,
+        case_column: str = "case_id",
+        activity_column: str = "activity",
+        resource_column: str = "resource",
+        start_column: str = "start_time",
+        end_column: str = "end_time",
+        enabled_column: Optional[str] = None,
+        timestamp_format: str = ISO_8601,
+    ) -> None:
+        super().__init__(
+            case_column,
+            activity_column,
+            resource_column,
+            start_column,
+            end_column,
+            enabled_column,
+            timestamp_format,
+        )
+        for name in self._fields:
+            value = getattr(self, name)
+            optional = name == "enabled_column" and value is None
+            if name.endswith("_column") and not optional and not isinstance(value, str):
+                raise ConfigError(f"{name} must be a column name string, got {value!r}")
         if self.timestamp_format not in _TIMESTAMP_FORMATS:
             raise ConfigError(
                 f"unknown timestamp format {self.timestamp_format!r}; "
@@ -67,30 +77,35 @@ class ColumnMapping:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ColumnMapping":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls._fields)
         if unknown:
             raise ConfigError(f"unknown mapping keys: {sorted(unknown)}")
         return cls(**raw)
 
 
-@dataclass
-class IngestStats:
+class IngestStats(_Record):
     """Counters describing what happened to the raw rows during the load."""
 
-    rows_total: int = 0
-    rows_rejected: int = 0
-    naive_timestamps: int = 0
-    truncated_timestamps: int = 0
-    unknown_resources: int = 0
-    clamped_enablements: int = 0
+    def __init__(
+        self,
+        rows_total: int = 0,
+        rows_rejected: int = 0,
+        naive_timestamps: int = 0,
+        truncated_timestamps: int = 0,
+        unknown_resources: int = 0,
+        clamped_enablements: int = 0,
+    ) -> None:
+        super().__init__(
+            rows_total,
+            rows_rejected,
+            naive_timestamps,
+            truncated_timestamps,
+            unknown_resources,
+            clamped_enablements,
+        )
 
-    def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(NamedTuple):
     log: EventLog
     stats: IngestStats
 

@@ -9,7 +9,6 @@ counting. `IntervalSet` is the one interval type that checks and stores them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -32,6 +31,65 @@ class ConfigError(WtMinerError):
 
 class IngestError(WtMinerError):
     """The input log could not be turned into a usable event log."""
+
+
+# A constructor sets each field once through this; the frozen types' own
+# `__setattr__` refuses every later assignment.
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable types: assigning or deleting a field raises
+    `dataclasses.FrozenInstanceError`, as on a frozen dataclass. The types are
+    written out because `@dataclass` would generate their code, and import
+    `inspect`, in every process at start-up; only this error path imports
+    `dataclasses`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class _Record:
+    """A type whose fields are its constructor's parameters, in order, as
+    `_fields` names them. Two records are equal when they are of one class
+    and their fields are equal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+
+class _Value(_Record, _Frozen):
+    """A frozen record, hashed by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.as_dict().values()))
 
 
 def _canonicalize(spans: Iterable[Span]) -> tuple[Span, ...]:
@@ -78,22 +136,21 @@ _START = itemgetter(0)
 _END = itemgetter(1)
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalSet:
+class IntervalSet(_Value):
     """Canonical set of instants: sorted, pairwise disjoint, non-touching,
     non-empty (start, end) pairs. A pair that ends before it starts is a
     `ValueError`."""
 
-    intervals: tuple[Span, ...] = ()
+    __slots__ = ("intervals",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", _canonicalize(self.intervals))
+    def __init__(self, intervals: Iterable[Span] = ()) -> None:
+        _set(self, "intervals", _canonicalize(intervals))
 
     @classmethod
     def _from_canonical(cls, intervals: tuple[Span, ...]) -> "IntervalSet":
         # For results already sorted, disjoint, non-touching and non-empty.
         result = object.__new__(cls)
-        object.__setattr__(result, "intervals", intervals)
+        _set(result, "intervals", intervals)
         return result
 
     @classmethod
@@ -142,8 +199,7 @@ class IntervalSet:
 _EMPTY = IntervalSet._from_canonical(())
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class ActivityInstance:
+class ActivityInstance(_Frozen):
     """One execution of an activity within a case.
 
     `enabled` is None until enablement has been computed or supplied.
@@ -151,24 +207,33 @@ class ActivityInstance:
     executions, so instances are safe as dict keys.
     """
 
-    case_id: str
-    activity: str
-    resource: str
-    started: TimeInstant
-    completed: TimeInstant
-    enabled: Optional[TimeInstant] = None
+    __slots__ = ("case_id", "activity", "resource", "started", "completed", "enabled")
 
-    def __post_init__(self) -> None:
-        if self.completed < self.started:
+    def __init__(
+        self,
+        case_id: str,
+        activity: str,
+        resource: str,
+        started: TimeInstant,
+        completed: TimeInstant,
+        enabled: Optional[TimeInstant] = None,
+    ) -> None:
+        if completed < started:
             raise ValueError(
-                f"instance of {self.activity!r} completes at {self.completed} "
-                f"before it starts at {self.started}"
+                f"instance of {activity!r} completes at {completed} "
+                f"before it starts at {started}"
             )
-        if self.enabled is not None and self.enabled > self.started:
+        if enabled is not None and enabled > started:
             raise ValueError(
-                f"instance of {self.activity!r} enabled at {self.enabled} "
-                f"after it starts at {self.started}"
+                f"instance of {activity!r} enabled at {enabled} "
+                f"after it starts at {started}"
             )
+        _set(self, "case_id", case_id)
+        _set(self, "activity", activity)
+        _set(self, "resource", resource)
+        _set(self, "started", started)
+        _set(self, "completed", completed)
+        _set(self, "enabled", enabled)
 
     @property
     def waiting(self) -> Span:
@@ -185,8 +250,7 @@ def _resource_order(inst: ActivityInstance) -> tuple:
     return (inst.started, inst.completed, inst.activity, inst.case_id)
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(_Value):
     """Immutable collection of activity instances indexed by case.
 
     The constructor sorts instances into (case_id, started, completed,
@@ -195,14 +259,10 @@ class EventLog:
     their input order. An empty log is an `IngestError`.
     """
 
-    instances: tuple[ActivityInstance, ...]
-
-    def __post_init__(self) -> None:
-        if not self.instances:
+    def __init__(self, instances: tuple[ActivityInstance, ...]) -> None:
+        if not instances:
             raise IngestError("event log contains no activity instances")
-        object.__setattr__(
-            self, "instances", tuple(sorted(self.instances, key=_log_order))
-        )
+        super().__init__(tuple(sorted(instances, key=_log_order)))
 
     @classmethod
     def from_instances(cls, instances: Iterable[ActivityInstance]) -> "EventLog":
@@ -218,7 +278,7 @@ class EventLog:
         # grouping the `cases` property would build from them; it is stored
         # where that cached property keeps its value.
         log = object.__new__(cls)
-        object.__setattr__(log, "instances", instances)
+        _set(log, "instances", instances)
         vars(log)["cases"] = cases
         return log
 

@@ -1,8 +1,7 @@
 """End-to-end orchestration from an event log to a waiting-time analysis."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from wtminer.analysis import AnalysisResult, analyze
 from wtminer.batching import BatchingConfig, BatchingResult, detect_batches
@@ -25,30 +24,47 @@ from wtminer.decomposition import (
     decompose_all,
     multitasking_rate,
 )
-from wtminer.model import EventLog, IntervalSet, UNKNOWN_RESOURCE
+from wtminer.model import EventLog, IntervalSet, UNKNOWN_RESOURCE, _Value
 from wtminer.transitions import Transition, discover_transitions
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    thresholds: OracleThresholds = field(default_factory=OracleThresholds)
-    batching: BatchingConfig = field(default_factory=BatchingConfig)
-    calendars: CalendarParams = field(default_factory=CalendarParams)
+class PipelineConfig(NamedTuple):
+    # The defaults are immutable, so every config can share them.
+    thresholds: OracleThresholds = OracleThresholds()
+    batching: BatchingConfig = BatchingConfig()
+    calendars: CalendarParams = CalendarParams()
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    config: PipelineConfig
-    log: EventLog
-    enablement: EnablementResult
-    transitions: tuple[Transition, ...]
-    batching: BatchingResult
-    calendars: dict[str, WeeklyCalendar]
-    availability: dict[str, AbsoluteAvailability]
-    decompositions: tuple[WtDecomposition, ...]
-    analysis: AnalysisResult
-    multitasking_rate: float
-    overridden_resources: tuple[str, ...]
+class PipelineResult(_Value):
+    # A plain class, not a tuple, so that a weak reference can show when a
+    # finished run is freed.
+    def __init__(
+        self,
+        config: PipelineConfig,
+        log: EventLog,
+        enablement: EnablementResult,
+        transitions: tuple[Transition, ...],
+        batching: BatchingResult,
+        calendars: dict[str, WeeklyCalendar],
+        availability: dict[str, AbsoluteAvailability],
+        decompositions: tuple[WtDecomposition, ...],
+        analysis: AnalysisResult,
+        multitasking_rate: float,
+        overridden_resources: tuple[str, ...],
+    ) -> None:
+        super().__init__(
+            config,
+            log,
+            enablement,
+            transitions,
+            batching,
+            calendars,
+            availability,
+            decompositions,
+            analysis,
+            multitasking_rate,
+            overridden_resources,
+        )
 
 
 def run_pipeline(

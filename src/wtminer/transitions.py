@@ -3,30 +3,30 @@ aggregate the pairs into activity-to-activity transitions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from wtminer.concurrency import EnablementResult
-from wtminer.model import ActivityInstance
+from wtminer.model import ActivityInstance, _Frozen, _set
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class TransitionInstance:
-    """One enabling pair: target waits in [enabled(target), started(target))."""
+class TransitionInstance(_Frozen):
+    """One enabling pair: target waits in [enabled(target), started(target)).
+    Equality is identity, as for its instances."""
 
-    source: ActivityInstance
-    target: ActivityInstance
+    __slots__ = ("source", "target")
 
-    def __post_init__(self) -> None:
-        if self.source.case_id != self.target.case_id:
+    def __init__(self, source: ActivityInstance, target: ActivityInstance) -> None:
+        if source.case_id != target.case_id:
             raise ValueError("transition endpoints must share a case")
+        _set(self, "source", source)
+        _set(self, "target", target)
 
     @property
     def case_id(self) -> str:
         return self.target.case_id
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """All instances of one (source activity, target activity) pair."""
 
     source_activity: str

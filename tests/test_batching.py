@@ -248,6 +248,20 @@ class TestShrinkOracle:
         # Batches compare by activity, resource and member identity.
         assert detect_batches(log, config) == brute_detect_batches(log, config)
 
+    def test_zero_length_run_after_a_same_instant_predecessor_batches(self):
+        # The predecessor rule only cuts a run whose window ends after its
+        # start, so zero-length members at the predecessor's instant batch.
+        log = EventLog.from_instances(
+            [
+                inst("x", "a", "r1", 100, 100, 100),
+                inst("c1", "b", "r1", 90, 100, 100),
+                inst("c2", "b", "r1", 95, 100, 100),
+            ]
+        )
+        result = detect_batches(log)
+        assert result == brute_detect_batches(log)
+        assert [len(batch.members) for batch in result.batches] == [2]
+
     def test_simultaneous_run_with_intruder_finds_no_batch(self):
         # n ship instances start at one instant on the shipper and an inspect
         # starts there 1 s later, inside every window the ships can form;

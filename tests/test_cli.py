@@ -369,6 +369,41 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_analyze_never_imports_dataclasses(self, synth_log, tmp_path):
+        # Generating dataclass code at import, and importing `dataclasses`
+        # with `inspect`, costs every process tens of milliseconds, so the
+        # analysis types are written out. Only a frozen type's assignment
+        # error path imports `dataclasses`, for `FrozenInstanceError`.
+        script = textwrap.dedent(
+            """
+            import io, sys, contextlib
+            import wtminer.cli
+            wtminer.cli.build_parser()
+            heavy = {"dataclasses", "inspect"}
+            assert not heavy & set(sys.modules), ("build_parser", heavy & set(sys.modules))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = wtminer.cli.main(["analyze", "--log", sys.argv[1], "--out", sys.argv[2]])
+            assert code == 0, code
+            assert not heavy & set(sys.modules), ("analyze", heavy & set(sys.modules))
+            from wtminer.model import ActivityInstance
+            inst = ActivityInstance("c1", "a", "r1", 0, 5)
+            try:
+                inst.started = 1
+            except AttributeError as exc:
+                import dataclasses
+                assert type(exc) is dataclasses.FrozenInstanceError, type(exc)
+            else:
+                raise AssertionError("assignment succeeded")
+            assert inst.started == 0
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(synth_log), str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_cause_names_are_the_injection_flags(self):
         # `generate --causes` is parsed against the decomposition's causes.
         from wtminer.decomposition import CAUSES

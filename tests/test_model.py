@@ -13,7 +13,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brute import contains_point, horizon
+from wtminer.analysis import AnalysisResult, CauseImpact, TransitionImpact
+from wtminer.batching import Batch, BatchingConfig, BatchingResult
+from wtminer.calendars import AbsoluteAvailability, CalendarParams, WeeklyCalendar
+from wtminer.concurrency import (
+    ConcurrencyRelation,
+    DirectlyFollowsCounts,
+    EnablementResult,
+    EnablementStats,
+    OracleThresholds,
+)
 from wtminer.decomposition import WtDecomposition
+from wtminer.ingest import ColumnMapping, IngestStats, LoadResult
 from wtminer.model import (
     ActivityInstance,
     EventLog,
@@ -21,7 +32,8 @@ from wtminer.model import (
     IntervalSet,
     UNKNOWN_RESOURCE,
 )
-from wtminer.transitions import TransitionInstance
+from wtminer.pipeline import PipelineConfig, PipelineResult
+from wtminer.transitions import Transition, TransitionInstance
 
 HORIZON = 200
 
@@ -213,8 +225,333 @@ class TestSlottedTypes:
         assert getattr(obj, name) == before
 
     @pytest.mark.parametrize("obj, name, value", _slotted_examples())
+    def test_fields_cannot_be_deleted(self, obj, name, value):
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert getattr(obj, name) == before
+
+    @pytest.mark.parametrize("obj, name, value", _slotted_examples())
     def test_instances_have_no_dict(self, obj, name, value):
         assert not hasattr(obj, "__dict__")
+
+
+def _keyword_examples() -> list:
+    """Each pipeline type with one value per field, in constructor order."""
+    a = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
+    b = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
+    ti = TransitionInstance(a, b)
+    waits = IntervalSet([(5, 9)])
+    empty = IntervalSet.empty()
+    log = EventLog((a, b))
+    batch = Batch("a", "r1", (a, b))
+    relation = ConcurrencyRelation(frozenset({("a", "b")}))
+    enablement = EnablementResult(log, relation, {b: a}, EnablementStats())
+    transition = Transition("a", "b", (ti,), 1.0, 1, 4)
+    decomposition = WtDecomposition(ti, empty, empty, empty, empty, waits)
+    calendar = WeeklyCalendar("r1", 60, ((0, 3600),))
+    impact = CauseImpact("extraneous", 4, 1.0, 1.0, 0.2)
+    per_transition = TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2)
+    analysis = AnalysisResult(8, 4, 0.8, {"extraneous": impact}, (per_transition,))
+    config = PipelineConfig(OracleThresholds(), BatchingConfig(), CalendarParams())
+    availability = AbsoluteAvailability("r1", waits)
+    return [
+        (IntervalSet, {"intervals": ((5, 9),)}),
+        (
+            ActivityInstance,
+            {
+                "case_id": "c1",
+                "activity": "a",
+                "resource": "r1",
+                "started": 3,
+                "completed": 5,
+                "enabled": 1,
+            },
+        ),
+        (EventLog, {"instances": (a, b)}),
+        (TransitionInstance, {"source": a, "target": b}),
+        (
+            Transition,
+            {
+                "source_activity": "a",
+                "target_activity": "b",
+                "instances": (ti,),
+                "case_frequency": 1.0,
+                "total_frequency": 1,
+                "total_duration": 4,
+            },
+        ),
+        (
+            WtDecomposition,
+            {
+                "instance": ti,
+                "batching": empty,
+                "contention": empty,
+                "prioritization": empty,
+                "unavailability": empty,
+                "extraneous": waits,
+            },
+        ),
+        (BatchingConfig, {"gap_tolerance": 3, "min_batch_size": 4}),
+        (Batch, {"activity": "a", "resource": "r1", "members": (a, b)}),
+        (BatchingResult, {"batches": (batch,), "by_instance": {a: batch, b: batch}}),
+        (
+            OracleThresholds,
+            {
+                "dependency_threshold": 0.5,
+                "min_bidirectional_observations": 2,
+                "length2_loop_guard": False,
+            },
+        ),
+        (DirectlyFollowsCounts, {"pairs": {("a", "b"): 1}, "loops2": {}}),
+        (ConcurrencyRelation, {"pairs": frozenset({("a", "b")})}),
+        (
+            EnablementStats,
+            {
+                "derived": 1,
+                "supplied": 2,
+                "first_in_case": 3,
+                "concurrent_only": 4,
+                "clamped": 5,
+            },
+        ),
+        (
+            EnablementResult,
+            {"log": log, "relation": relation, "enabler": {b: a}, "stats": EnablementStats()},
+        ),
+        (CalendarParams, {"granule_minutes": 30, "confidence": 0.2, "support": 0.3}),
+        (
+            WeeklyCalendar,
+            {"resource": "r1", "granule_minutes": 60, "ranges": ((0, 3600),)},
+        ),
+        (AbsoluteAvailability, {"resource": "r1", "available": waits}),
+        (
+            ColumnMapping,
+            {
+                "case_column": "c",
+                "activity_column": "a",
+                "resource_column": "r",
+                "start_column": "s",
+                "end_column": "e",
+                "enabled_column": "n",
+                "timestamp_format": "epoch",
+            },
+        ),
+        (
+            IngestStats,
+            {
+                "rows_total": 1,
+                "rows_rejected": 2,
+                "naive_timestamps": 3,
+                "truncated_timestamps": 4,
+                "unknown_resources": 5,
+                "clamped_enablements": 6,
+            },
+        ),
+        (LoadResult, {"log": log, "stats": IngestStats()}),
+        (
+            CauseImpact,
+            {
+                "cause": "extraneous",
+                "wt_seconds": 4,
+                "share_of_wt": 1.0,
+                "cte_if_eliminated": 1.0,
+                "delta": 0.2,
+            },
+        ),
+        (
+            TransitionImpact,
+            {
+                "source_activity": "a",
+                "target_activity": "b",
+                "case_frequency": 1.0,
+                "total_frequency": 1,
+                "total_wt_seconds": 4,
+                "wt_by_cause": {"extraneous": 4},
+                "cte_if_eliminated": 1.0,
+                "delta": 0.2,
+            },
+        ),
+        (
+            AnalysisResult,
+            {
+                "total_pt_seconds": 8,
+                "total_wt_seconds": 4,
+                "cte": 0.8,
+                "per_cause": {"extraneous": impact},
+                "per_transition": (per_transition,),
+            },
+        ),
+        (
+            PipelineConfig,
+            {
+                "thresholds": OracleThresholds(0.5),
+                "batching": BatchingConfig(1),
+                "calendars": CalendarParams(30),
+            },
+        ),
+        (
+            PipelineResult,
+            {
+                "config": config,
+                "log": log,
+                "enablement": enablement,
+                "transitions": (transition,),
+                "batching": BatchingResult((batch,), {a: batch, b: batch}),
+                "calendars": {"r1": calendar},
+                "availability": {"r1": availability},
+                "decompositions": (decomposition,),
+                "analysis": analysis,
+                "multitasking_rate": 0.5,
+                "overridden_resources": ("r1",),
+            },
+        ),
+    ]
+
+
+def _default_examples() -> list:
+    """Each type with constructor defaults, and the fields they give."""
+    return [
+        (IntervalSet, (), {"intervals": ()}),
+        (ActivityInstance, ("c1", "a", "r1", 0, 5), {"enabled": None}),
+        (BatchingConfig, (), {"gap_tolerance": 0, "min_batch_size": 2}),
+        (
+            OracleThresholds,
+            (),
+            {
+                "dependency_threshold": 0.9,
+                "min_bidirectional_observations": 1,
+                "length2_loop_guard": True,
+            },
+        ),
+        (ConcurrencyRelation, (), {"pairs": frozenset()}),
+        (EnablementStats, (), dict.fromkeys(EnablementStats().as_dict(), 0)),
+        (CalendarParams, (), {"granule_minutes": 60, "confidence": 0.1, "support": 0.1}),
+        (
+            ColumnMapping,
+            (),
+            {
+                "case_column": "case_id",
+                "activity_column": "activity",
+                "resource_column": "resource",
+                "start_column": "start_time",
+                "end_column": "end_time",
+                "enabled_column": None,
+                "timestamp_format": "iso8601",
+            },
+        ),
+        (IngestStats, (), dict.fromkeys(IngestStats().as_dict(), 0)),
+        (
+            PipelineConfig,
+            (),
+            {
+                "thresholds": OracleThresholds(),
+                "batching": BatchingConfig(),
+                "calendars": CalendarParams(),
+            },
+        ),
+    ]
+
+
+def _value_examples() -> list:
+    """(make, other): `make()` builds equal but distinct values, `other` differs."""
+    source, target = _ENDPOINTS
+    ti = TransitionInstance(source, target)
+    return [
+        (lambda: IntervalSet([(5, 9), (0, 2)]), IntervalSet([(0, 2)])),
+        (
+            lambda: WtDecomposition(
+                ti, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(),
+                IntervalSet([(5, 9)]),
+            ),
+            WtDecomposition(
+                ti, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet([(5, 9)]),
+                IntervalSet(),
+            ),
+        ),
+        (
+            lambda: WeeklyCalendar("r1", 60, [(3600, 7200), (0, 3600)]),
+            WeeklyCalendar("r2", 60, [(0, 7200)]),
+        ),
+        (lambda: OracleThresholds(0.5, 2), OracleThresholds(0.5, 3)),
+        (lambda: BatchingConfig(1, 3), BatchingConfig(1, 2)),
+        (lambda: CalendarParams(30, 0.2), CalendarParams(30, 0.3)),
+        (
+            lambda: ColumnMapping(enabled_column="n", timestamp_format="epoch"),
+            ColumnMapping(enabled_column="n"),
+        ),
+        (lambda: Batch("b", "r1", (source, target)), Batch("b", "r1", (target, source))),
+    ]
+
+
+_ENDPOINTS = (
+    ActivityInstance("c1", "a", "r1", 0, 5, enabled=0),
+    ActivityInstance("c1", "b", "r1", 9, 12, enabled=5),
+)
+
+
+def _named(cases: list) -> list:
+    return [pytest.param(*case, id=case[0].__name__) for case in cases]
+
+
+class TestTypeContracts:
+    @pytest.mark.parametrize("cls, kwargs", _named(_keyword_examples()))
+    def test_keyword_and_positional_construction(self, cls, kwargs):
+        for obj in (cls(**kwargs), cls(*kwargs.values())):
+            for name, value in kwargs.items():
+                assert getattr(obj, name) == value
+
+    @pytest.mark.parametrize("cls, args, defaults", _named(_default_examples()))
+    def test_defaults(self, cls, args, defaults):
+        obj = cls(*args)
+        for name, value in defaults.items():
+            assert getattr(obj, name) == value
+
+    @pytest.mark.parametrize(
+        "make, other",
+        [pytest.param(*case, id=type(case[1]).__name__) for case in _value_examples()],
+    )
+    def test_value_equality_and_hash(self, make, other):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != other
+        assert len({a, b, other}) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ActivityInstance("c1", "a", "r1", 0, 5, enabled=0),
+            lambda: TransitionInstance(_ENDPOINTS[0], _ENDPOINTS[1]),
+        ],
+        ids=["ActivityInstance", "TransitionInstance"],
+    )
+    def test_identity_equality(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+    @pytest.mark.parametrize(
+        "obj, name",
+        [
+            (EventLog((_ENDPOINTS[0],)), "instances"),
+            (Batch("a", "r1", _ENDPOINTS), "members"),
+            (OracleThresholds(), "dependency_threshold"),
+            (BatchingConfig(), "gap_tolerance"),
+            (CalendarParams(), "granule_minutes"),
+            (ColumnMapping(), "case_column"),
+            (WeeklyCalendar.always_on("r1"), "ranges"),
+            (ConcurrencyRelation(), "pairs"),
+        ],
+    )
+    def test_frozen_types_reject_assignment_and_deletion(self, obj, name):
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert getattr(obj, name) == before
 
 
 class TestEventLog:
