@@ -103,33 +103,35 @@ def discover_calendar(
         params = CalendarParams()
     if resource == UNKNOWN_RESOURCE:
         return WeeklyCalendar.always_on(resource, params.granule_minutes)
-    obs = [
-        t
-        for inst in log.by_resource.get(resource, ())
-        for t in (inst.started, inst.completed)
-    ]
-    if not obs:
+    seq = log.by_resource.get(resource, ())
+    if not seq:
         raise ValueError(f"resource {resource!r} has no instances in the log")
 
-    freq: dict[tuple[int, int], int] = {}
-    for t in obs:
-        slot = ((t % SECONDS_PER_DAY) // 60) // params.granule_minutes
-        key = (weekday_of(t), slot)
+    # Count each observed instant at its slot's index in the week from
+    # Monday 00:00; the slot size divides a day, so the index is
+    # weekday * slots per day + slot of the day, also before 1970.
+    size = params.granule_minutes * 60
+    shift = _EPOCH_WEEKDAY * SECONDS_PER_DAY
+    freq: dict[int, int] = {}
+    for inst in seq:
+        key = (inst.started + shift) % SECONDS_PER_WEEK // size
+        freq[key] = freq.get(key, 0) + 1
+        key = (inst.completed + shift) % SECONDS_PER_WEEK // size
         freq[key] = freq.get(key, 0) + 1
     max_freq = max(freq.values())
-    total = len(obs)
+    total = 2 * len(seq)
 
     cut = params.confidence
-    working: set[tuple[int, int]] = set()
+    working: set[int] = set()
     for _ in range(MAX_RELAXATIONS + 1):
         working = {key for key, f in freq.items() if f >= cut * max_freq}
         covered = sum(freq[key] for key in working)
         if covered >= params.support * total or len(working) == len(freq):
             break
         cut /= 2
-    size = params.granule_minutes * 60
-    starts = [day * SECONDS_PER_DAY + slot * size for day, slot in working]
-    return WeeklyCalendar(resource, params.granule_minutes, [(s, s + size) for s in starts])
+    return WeeklyCalendar(
+        resource, params.granule_minutes, [(k * size, k * size + size) for k in working]
+    )
 
 
 def discover_calendars(

@@ -21,7 +21,7 @@ from wtminer.decomposition import CAUSES
 from wtminer.ingest import ColumnMapping, load_log
 from wtminer.model import ConfigError, WtMinerError
 from wtminer.pipeline import PipelineConfig, run_pipeline
-from wtminer.report import atomic_write_text, summary_text, write_report_files
+from wtminer.report import atomic_write_text, report_json, summary_text, write_report_files
 
 
 def _load_mapping(path: str | None) -> ColumnMapping | None:
@@ -195,7 +195,7 @@ def _cmd_calendars(args: argparse.Namespace) -> int:
         resource: calendar_to_ranges(calendar)
         for resource, calendar in sorted(calendars.items())
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = report_json(payload)
     if args.out:
         atomic_write_text(args.out, text)
     else:

@@ -32,7 +32,7 @@ from wtminer.model import (
     Span,
     UNKNOWN_RESOURCE,
     _Value,
-    _set,
+    _slot_setters,
     _split,
 )
 from wtminer.transitions import TransitionInstance
@@ -57,17 +57,21 @@ class WtDecomposition(_Value):
         unavailability: IntervalSet,
         extraneous: IntervalSet,
     ) -> None:
-        _set(self, "instance", instance)
-        _set(self, "batching", batching)
-        _set(self, "contention", contention)
-        _set(self, "prioritization", prioritization)
-        _set(self, "unavailability", unavailability)
-        _set(self, "extraneous", extraneous)
+        _wd_instance(self, instance)
+        _wd_batching(self, batching)
+        _wd_contention(self, contention)
+        _wd_prioritization(self, prioritization)
+        _wd_unavailability(self, unavailability)
+        _wd_extraneous(self, extraneous)
 
     @property
     def waiting_duration(self) -> int:
         target = self.instance.target
         return target.started - target.enabled
+
+
+(_wd_instance, _wd_batching, _wd_contention, _wd_prioritization, _wd_unavailability,
+ _wd_extraneous) = _slot_setters(WtDecomposition)
 
 
 class _ResourceWindow(NamedTuple):

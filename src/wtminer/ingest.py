@@ -29,6 +29,7 @@ EPOCH_SECONDS = "epoch"
 
 _TIMESTAMP_FORMATS = (ISO_8601, EPOCH_SECONDS)
 _EPOCH_TEXT = re.compile(r"-?[0-9]+")  # int() also takes full-width digits, "1_0" and "+1"
+_EPOCH = datetime(1970, 1, 1)
 
 
 class ColumnMapping(_Value):
@@ -210,7 +211,8 @@ class _TimestampMemo(dict):
     """`parse_timestamp` for one load, parsing each distinct text once.
 
     Maps each clean text, one that needed no adjustment, to its seconds, so
-    a row reads it with one `get`. A text that is not a key takes `read`.
+    a row reads it with one `get`. A text that is not a key takes `read`,
+    which reads the YYYY-MM-DDTHH:MM:SSZ layout without `parse_timestamp`.
     `adjusted` maps each naive or sub-second text to (seconds, naive count,
     truncated count), and each unparseable text to None; `read` adds such a
     text's counts to the load's stats on every row the text is on, as
@@ -229,6 +231,9 @@ class _TimestampMemo(dict):
     def read(self, text: str) -> Optional[TimeInstant]:
         if text in self.adjusted:
             entry = self.adjusted[text]
+        elif self.fmt == ISO_8601 and (seconds := _utc_seconds(text)) is not None:
+            self[text] = seconds
+            return seconds
         else:
             probe = self.probe
             probe.naive_timestamps = probe.truncated_timestamps = 0
@@ -248,6 +253,21 @@ class _TimestampMemo(dict):
         self.stats.naive_timestamps += naive
         self.stats.truncated_timestamps += truncated
         return seconds
+
+
+def _utc_seconds(text: str) -> Optional[TimeInstant]:
+    # The seconds of a text in the exact layout YYYY-MM-DDTHH:MM:SSZ, without
+    # the offset rewrite and the float of `parse_timestamp`; else None.
+    if len(text) != 20 or text[4::3] != "--T::Z":
+        return None
+    try:
+        dt = datetime.fromisoformat(text[:19])
+    except ValueError:
+        return None
+    if dt.tzinfo is not None or dt.microsecond:
+        return None
+    delta = dt - _EPOCH
+    return delta.days * 86400 + delta.seconds
 
 
 def _parse_row(

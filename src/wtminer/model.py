@@ -34,8 +34,14 @@ class IngestError(WtMinerError):
 
 
 # A constructor sets each field once through this; the frozen types' own
-# `__setattr__` refuses every later assignment.
+# `__setattr__` refuses every later assignment. The hot types skip its
+# lookup of the slot by name: they call each slot's own bound `__set__`.
 _set = object.__setattr__
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The bound `__set__` of each of `cls`'s own slots, in `__slots__` order."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
 
 class _Frozen:
@@ -144,13 +150,13 @@ class IntervalSet(_Value):
     __slots__ = ("intervals",)
 
     def __init__(self, intervals: Iterable[Span] = ()) -> None:
-        _set(self, "intervals", _canonicalize(intervals))
+        _iv_intervals(self, _canonicalize(intervals))
 
     @classmethod
     def _from_canonical(cls, intervals: tuple[Span, ...]) -> "IntervalSet":
         # For results already sorted, disjoint, non-touching and non-empty.
         result = object.__new__(cls)
-        _set(result, "intervals", intervals)
+        _iv_intervals(result, intervals)
         return result
 
     @classmethod
@@ -195,6 +201,7 @@ class IntervalSet(_Value):
         return "{" + ", ".join(f"[{s}, {e})" for s, e in self.intervals) + "}"
 
 
+(_iv_intervals,) = _slot_setters(IntervalSet)
 # Interval sets are immutable, so every caller can share one empty set.
 _EMPTY = IntervalSet._from_canonical(())
 
@@ -228,18 +235,22 @@ class ActivityInstance(_Frozen):
                 f"instance of {activity!r} enabled at {enabled} "
                 f"after it starts at {started}"
             )
-        _set(self, "case_id", case_id)
-        _set(self, "activity", activity)
-        _set(self, "resource", resource)
-        _set(self, "started", started)
-        _set(self, "completed", completed)
-        _set(self, "enabled", enabled)
+        _ai_case_id(self, case_id)
+        _ai_activity(self, activity)
+        _ai_resource(self, resource)
+        _ai_started(self, started)
+        _ai_completed(self, completed)
+        _ai_enabled(self, enabled)
 
     @property
     def waiting(self) -> Span:
         if self.enabled is None:
             raise ValueError("waiting time is undefined until enablement is known")
         return (self.enabled, self.started)
+
+
+(_ai_case_id, _ai_activity, _ai_resource, _ai_started, _ai_completed,
+ _ai_enabled) = _slot_setters(ActivityInstance)
 
 
 def _log_order(inst: ActivityInstance) -> tuple:

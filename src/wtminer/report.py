@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from pathlib import Path
 from typing import Optional, Union
 
@@ -143,7 +144,40 @@ def build_report(
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """`json.dumps(report, indent=2, allow_nan=False) + "\\n"`, byte for byte,
+    for what `build_report` emits: dicts with str keys, lists, str, int, float,
+    bool and None. NaN and infinities are a `ValueError`, other types a `TypeError`."""
+    return _encode(report, "\n") + "\n"
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(value: object, newline: str) -> str:
+    # `newline` is the line break plus the indentation of `value`'s own line.
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"{value!r} is not a JSON number")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # Quoting a key that is not a str is a TypeError.
+        items = [_quote(key) + ": " + _encode(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_encode(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def transitions_csv(result: PipelineResult) -> str:

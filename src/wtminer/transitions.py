@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from wtminer.concurrency import EnablementResult
-from wtminer.model import ActivityInstance, _Frozen, _set
+from wtminer.model import ActivityInstance, _Frozen, _slot_setters
 
 
 class TransitionInstance(_Frozen):
@@ -18,12 +18,15 @@ class TransitionInstance(_Frozen):
     def __init__(self, source: ActivityInstance, target: ActivityInstance) -> None:
         if source.case_id != target.case_id:
             raise ValueError("transition endpoints must share a case")
-        _set(self, "source", source)
-        _set(self, "target", target)
+        _ti_source(self, source)
+        _ti_target(self, target)
 
     @property
     def case_id(self) -> str:
         return self.target.case_id
+
+
+_ti_source, _ti_target = _slot_setters(TransitionInstance)
 
 
 class Transition(NamedTuple):

@@ -15,6 +15,10 @@ the pipeline's cascade on bare pairs must match set by set. Spans are plain
 (start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
 through `csv.DictReader`, one dict and fresh timestamp parses per row, which
 `load_log` must match row by row and counter by counter.
+`brute_discover_calendar` counts observations under (weekday, slot) tuple
+keys, as discovery did before it counted week-slot indices, and
+`stdlib_report_json` is the standard library's `json.dumps` with the
+indentation `report_json` must match byte for byte.
 
 `contains_point`, `concurrency_relation`, `horizon` and `cause_durations` are
 small helpers that only tests need, so they live here and not in the package.
@@ -22,17 +26,21 @@ small helpers that only tests need, so they live here and not in the package.
 from __future__ import annotations
 
 import csv
+import json
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from wtminer.batching import Batch, BatchingConfig, BatchingResult
 from wtminer.calendars import (
+    MAX_RELAXATIONS,
     SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
     AbsoluteAvailability,
+    CalendarParams,
     WeeklyCalendar,
     week_start,
+    weekday_of,
 )
 from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
 from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition
@@ -255,6 +263,49 @@ def calendar_from_cells(
 ) -> WeeklyCalendar:
     """A calendar given as (weekday, slot) cells on a grid of `granule` minutes."""
     return WeeklyCalendar(resource, granule, brute_weekly_ranges(granule, cells))
+
+
+def brute_discover_calendar(
+    log: EventLog, resource: str, params: Optional[CalendarParams] = None
+) -> WeeklyCalendar:
+    """`discover_calendar` with each observation counted under its
+    (weekday, slot of the day) key."""
+    if params is None:
+        params = CalendarParams()
+    if resource == UNKNOWN_RESOURCE:
+        return WeeklyCalendar.always_on(resource, params.granule_minutes)
+    obs = [
+        t
+        for inst in log.by_resource.get(resource, ())
+        for t in (inst.started, inst.completed)
+    ]
+    if not obs:
+        raise ValueError(f"resource {resource!r} has no instances in the log")
+
+    freq: dict[tuple[int, int], int] = {}
+    for t in obs:
+        slot = ((t % SECONDS_PER_DAY) // 60) // params.granule_minutes
+        key = (weekday_of(t), slot)
+        freq[key] = freq.get(key, 0) + 1
+    max_freq = max(freq.values())
+    total = len(obs)
+
+    cut = params.confidence
+    working: set[tuple[int, int]] = set()
+    for _ in range(MAX_RELAXATIONS + 1):
+        working = {key for key, f in freq.items() if f >= cut * max_freq}
+        covered = sum(freq[key] for key in working)
+        if covered >= params.support * total or len(working) == len(freq):
+            break
+        cut /= 2
+    size = params.granule_minutes * 60
+    starts = [day * SECONDS_PER_DAY + slot * size for day, slot in working]
+    return WeeklyCalendar(resource, params.granule_minutes, [(s, s + size) for s in starts])
+
+
+def stdlib_report_json(report: object) -> str:
+    """The report text as the standard library writes it."""
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
 def brute_multitasking_rate(log: EventLog) -> float:

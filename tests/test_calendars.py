@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import (
+    brute_discover_calendar,
     brute_expand_calendar,
     brute_weekly_ranges,
     calendar_from_cells,
@@ -138,6 +139,39 @@ class TestDiscoverCalendar:
             CalendarParams(confidence=1.2)
         with pytest.raises(ConfigError):
             CalendarParams(support=-0.1)
+
+
+@st.composite
+def observed_logs(draw) -> EventLog:
+    """Instances on up to three resources around one origin, which may lie
+    long before 1970 or far in the future; starts cluster on a few hours of
+    the day, so slots repeat and the frequency cut has something to cut."""
+    origin = draw(st.integers(min_value=-(10**11), max_value=10**11))
+    hours = draw(st.lists(st.integers(min_value=0, max_value=23), min_size=1, max_size=4))
+    instances = []
+    for k in range(draw(st.integers(min_value=1, max_value=40))):
+        resource = draw(st.sampled_from(["r1", "r2", UNKNOWN_RESOURCE]))
+        day = draw(st.integers(min_value=0, max_value=20))
+        hour = draw(st.sampled_from(hours))
+        start = origin + day * 86400 + hour * 3600 + draw(st.integers(0, 3599))
+        end = start + draw(st.integers(min_value=0, max_value=4 * 3600))
+        instances.append(work(f"c{k}", resource, start, end))
+    return EventLog.from_instances(instances)
+
+
+class TestDiscoverCalendarOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        observed_logs(),
+        st.sampled_from([1, 5, 15, 60, 90, 1440]),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    def test_matches_tuple_keyed_discovery(self, log, granule, confidence, support):
+        params = CalendarParams(granule, confidence, support)
+        for resource in log.resources:
+            expected = brute_discover_calendar(log, resource, params)
+            assert discover_calendar(log, resource, params) == expected
 
 
 class TestExpandCalendar:

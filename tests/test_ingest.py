@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import dictreader_load_log
-from wtminer.ingest import ColumnMapping, IngestStats, load_log, parse_timestamp
+from wtminer.ingest import (
+    ISO_8601,
+    ColumnMapping,
+    IngestStats,
+    _TimestampMemo,
+    load_log,
+    parse_timestamp,
+)
 from wtminer.model import ConfigError, IngestError, UNKNOWN_RESOURCE
 
 
@@ -74,6 +81,108 @@ class TestParseTimestamp:
 
     def test_negative_epoch_accepted(self):
         assert parse_timestamp("-1800", "epoch") == -1800
+
+
+# Texts for the memo's YYYY-MM-DDTHH:MM:SSZ fast path: that layout with valid
+# and invalid fields, other shapes of 20 characters, and the other forms.
+FAST_PATH_TEXTS = [
+    "2023-01-02T09:00:00Z",
+    "1970-01-01T00:00:00Z",
+    "1969-12-31T23:59:59Z",
+    "1900-03-01T12:34:56Z",
+    "2024-02-29T23:59:59Z",
+    "0001-01-01T00:00:00Z",
+    "9999-12-31T23:59:59Z",
+    "2023-13-01T00:00:00Z",
+    "2023-00-10T00:00:00Z",
+    "2023-02-29T00:00:00Z",
+    "2023-04-31T00:00:00Z",
+    "2023-01-01T24:00:00Z",
+    "2023-01-01T00:60:00Z",
+    "2023-01-01T00:00:60Z",
+    "0000-01-01T00:00:00Z",
+    "2023-01-02T09:00:+1Z",
+    "2023-01-02T09:00:0.Z",
+    "+023-01-02T09:00:00Z",
+    "\uff12\uff10\uff12\uff13-01-02T09:00:00Z",
+    "20230102T090000.123Z",
+    "20230102T090000.1Z",
+    "2023-01-02T09:00:00z",
+    "2023-01-02 09:00:00Z",
+    " 2023-01-02T09:00:0Z",
+    " 2023-01-02T09:00:00Z",
+    "2023-01-02T09:00:00Z ",
+    "2023-01-02T09:00+01Z",
+    "2023-01-02T09:00:00+01",
+    "2023-01-02T09+01:00Z",
+    "2023-01-02T09:00:00",
+    "2023-01-02T09:00:00.5Z",
+    "2023-01-02T09:00:00.500000",
+    "2023-01-02T10:00:00+01:00",
+    "2023-01-02T09:00:00.25-02:30",
+    "2023-01-02",
+    "",
+    "not a time",
+]
+
+
+def assert_memo_matches_parse(text: str) -> None:
+    """A fresh memo read twice gives what `parse_timestamp` gives, None where
+    it raises, and adds its naive and truncated counts once per read."""
+    expected_stats = IngestStats()
+    try:
+        expected = parse_timestamp(text, ISO_8601, expected_stats)
+    except ValueError:
+        expected = None
+    stats = IngestStats()
+    memo = _TimestampMemo(ISO_8601, stats)
+    assert memo.read(text) == expected
+    assert memo.read(text) == expected
+    assert stats.naive_timestamps == 2 * expected_stats.naive_timestamps
+    assert stats.truncated_timestamps == 2 * expected_stats.truncated_timestamps
+    if expected is not None and not (
+        expected_stats.naive_timestamps or expected_stats.truncated_timestamps
+    ):
+        assert memo.get(text) == expected  # a clean text is one lookup from then on
+
+
+class TestTimestampFastPath:
+    @pytest.mark.parametrize("text", FAST_PATH_TEXTS)
+    def test_memo_matches_parse_timestamp(self, text):
+        assert_memo_matches_parse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(
+            st.integers(0, 9999),
+            st.integers(0, 13),
+            st.integers(0, 32),
+            st.integers(0, 24),
+            st.integers(0, 60),
+            st.integers(0, 60),
+        ),
+        st.sampled_from(["--T::Z", "--T::z", "-- ::Z", "--T:.Z"]),
+        st.one_of(
+            st.none(),
+            st.tuples(st.integers(0, 19), st.sampled_from("09+-.:TZz \u0661\uff10")),
+        ),
+    )
+    def test_memo_matches_parse_timestamp_on_layout_like_texts(self, fields, marks, edit):
+        # Fields at and past their ranges between the layout's separators (or
+        # near misses of them), with at most one character replaced.
+        year, month, day, hour, minute, second = fields
+        text = (
+            f"{year:04d}{marks[0]}{month:02d}{marks[1]}{day:02d}{marks[2]}"
+            f"{hour:02d}{marks[3]}{minute:02d}{marks[4]}{second:02d}{marks[5]}"
+        )
+        if edit is not None:
+            i, char = edit
+            text = text[:i] + char + text[i + 1 :]
+        assert_memo_matches_parse(text)
+
+    def test_epoch_format_does_not_read_iso_layout(self):
+        memo = _TimestampMemo("epoch", IngestStats())
+        assert memo.read("2023-01-02T09:00:00Z") is None
 
 
 class TestColumnMapping:

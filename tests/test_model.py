@@ -235,6 +235,27 @@ class TestSlottedTypes:
     def test_instances_have_no_dict(self, obj, name, value):
         assert not hasattr(obj, "__dict__")
 
+    def test_constructors_set_every_slot(self):
+        # Each hot type writes its slots through bound slot setters; every
+        # slot must hold the value given for it, and no slot is left out.
+        source = ActivityInstance("c1", "a", "r1", 0, 5, 0)
+        target = ActivityInstance("c1", "b", "r2", 9, 12, 5)
+        ti = TransitionInstance(source, target)
+        sets = [IntervalSet([(k, k + 1)]) for k in range(5)]
+        examples = [
+            (target, ("c1", "b", "r2", 9, 12, 5)),
+            (ActivityInstance("c2", "x", "r3", 3, 4), ("c2", "x", "r3", 3, 4, None)),
+            (ti, (source, target)),
+            (WtDecomposition(ti, *sets), (ti, *sets)),
+            (IntervalSet([(3, 4), (0, 1)]), (((0, 1), (3, 4)),)),
+            (IntervalSet._from_canonical(((0, 1), (3, 4))), (((0, 1), (3, 4)),)),
+        ]
+        for obj, values in examples:
+            names = type(obj).__slots__
+            assert len(names) == len(values)
+            for name, value in zip(names, values):
+                assert getattr(obj, name) == value
+
 
 def _keyword_examples() -> list:
     """Each pipeline type with one value per field, in constructor order."""

@@ -1,10 +1,19 @@
 """Tests for report serialization: JSON shape, CSV layout, determinism."""
+import importlib.util
+import itertools
 import json
+import math
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute import stdlib_report_json
+from wtminer.ingest import load_log
 from wtminer.pipeline import PipelineConfig, run_pipeline
 from wtminer.report import (
     TRANSITIONS_CSV_COLUMNS,
@@ -17,7 +26,7 @@ from wtminer.report import (
     transitions_csv,
     write_report_files,
 )
-from wtminer.synth import InjectionSpec, generate
+from wtminer.synth import InjectionSpec, generate, write_files
 
 
 def load_schema():
@@ -162,6 +171,88 @@ class TestDeterminism:
         b = run_pipeline(gen.log)
         assert report_json(build_report(a)) == report_json(build_report(b))
         assert transitions_csv(a) == transitions_csv(b)
+
+
+_SPECIAL_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9",
+                  "\u2028", "\uffff", "\U0001f600", "\ud800", "\udfff"]
+_SPECIAL_NUMBERS = [0, -1, 2**64, -(2**100), -0.0, 5e-324, 1e16, 1e300, -1e-7, 0.1]
+
+json_text = st.text(
+    alphabet=st.one_of(st.characters(), st.sampled_from(_SPECIAL_CHARS)), max_size=12
+)
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(_SPECIAL_NUMBERS),
+        json_text,
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(json_text, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _load_wide_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "wide.py"
+    spec = importlib.util.spec_from_file_location("perfbench_wide", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def real_runs(tmp_path_factory):
+    """The pipeline results and ingest stats of the 32 grid logs
+    (`generate --grid --cases 60 --seed 3`) and of the `wide` benchmark log,
+    seed 1, each loaded from its CSV as `wtminer analyze` loads it."""
+    root = tmp_path_factory.mktemp("real")
+    paths = []
+    for index, combo in enumerate(itertools.product("01", repeat=5)):
+        bits = "".join(combo)
+        path = root / f"grid_{bits}.csv"
+        write_files(generate(InjectionSpec.from_bits(bits, n_cases=60, seed=3 + index)), path)
+        paths.append(path)
+    wide = root / "wide.csv"
+    wide.write_text(_load_wide_module().generate(1).csv_text, encoding="utf-8", newline="")
+    paths.append(wide)
+    runs = []
+    for path in paths:
+        loaded = load_log(path)
+        runs.append((path.stem, run_pipeline(loaded.log), loaded.stats))
+    return runs
+
+
+class TestReportJson:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_matches_stdlib_on_json_values(self, value):
+        assert report_json(value) == stdlib_report_json(value)
+
+    @pytest.mark.parametrize("emit_calendars", [False, True])
+    def test_matches_stdlib_on_real_reports(self, real_runs, emit_calendars):
+        assert len(real_runs) == 33
+        for name, result, stats in real_runs:
+            report = build_report(result, stats, emit_calendars=emit_calendars)
+            assert report_json(report) == stdlib_report_json(report), name
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise_value_error(self, value):
+        for report in (value, {"cte": value}, [1, [value]]):
+            with pytest.raises(ValueError):
+                stdlib_report_json(report)
+            with pytest.raises(ValueError):
+                report_json(report)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {"a": {1, 2}}, [b"x"], (1,), object()])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            report_json(value)
 
 
 class TestWriting:
