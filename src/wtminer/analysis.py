@@ -7,10 +7,8 @@ would reach if exactly that waiting time disappeared, minus the current CTE.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from wtminer.decomposition import CAUSES, WtDecomposition
-from wtminer.model import EventLog, WtMinerError
+from wtminer.model import EventLog, WtMinerError, _Value, _slot_setters
 from wtminer.transitions import Transition
 
 
@@ -29,23 +27,49 @@ def cte_if_eliminated(total_pt: int, total_wt: int, removed: int) -> float:
     return compute_cte(total_pt, total_wt - removed)
 
 
-class CauseImpact(NamedTuple):
-    cause: str
-    wt_seconds: int
-    share_of_wt: float
-    cte_if_eliminated: float
-    delta: float
+class CauseImpact(_Value):
+    def __init__(
+        self,
+        cause: str,
+        wt_seconds: int,
+        share_of_wt: float,
+        cte_if_eliminated: float,
+        delta: float,
+    ) -> None:
+        super().__init__(cause, wt_seconds, share_of_wt, cte_if_eliminated, delta)
 
 
-class TransitionImpact(NamedTuple):
-    source_activity: str
-    target_activity: str
-    case_frequency: float
-    total_frequency: int
-    total_wt_seconds: int
-    wt_by_cause: dict[str, int]
-    cte_if_eliminated: float
-    delta: float
+class TransitionImpact(_Value):
+    __slots__ = (
+        "source_activity",
+        "target_activity",
+        "case_frequency",
+        "total_frequency",
+        "total_wt_seconds",
+        "wt_by_cause",
+        "cte_if_eliminated",
+        "delta",
+    )
+
+    def __init__(
+        self,
+        source_activity: str,
+        target_activity: str,
+        case_frequency: float,
+        total_frequency: int,
+        total_wt_seconds: int,
+        wt_by_cause: dict[str, int],
+        cte_if_eliminated: float,
+        delta: float,
+    ) -> None:
+        _ti_source_activity(self, source_activity)
+        _ti_target_activity(self, target_activity)
+        _ti_case_frequency(self, case_frequency)
+        _ti_total_frequency(self, total_frequency)
+        _ti_total_wt_seconds(self, total_wt_seconds)
+        _ti_wt_by_cause(self, wt_by_cause)
+        _ti_cte_if_eliminated(self, cte_if_eliminated)
+        _ti_delta(self, delta)
 
     @property
     def label(self) -> tuple[str, str]:
@@ -56,12 +80,21 @@ class TransitionImpact(NamedTuple):
         return self.source_activity == self.target_activity
 
 
-class AnalysisResult(NamedTuple):
-    total_pt_seconds: int
-    total_wt_seconds: int
-    cte: float
-    per_cause: dict[str, CauseImpact]
-    per_transition: tuple[TransitionImpact, ...]
+(_ti_source_activity, _ti_target_activity, _ti_case_frequency, _ti_total_frequency,
+ _ti_total_wt_seconds, _ti_wt_by_cause, _ti_cte_if_eliminated,
+ _ti_delta) = _slot_setters(TransitionImpact)
+
+
+class AnalysisResult(_Value):
+    def __init__(
+        self,
+        total_pt_seconds: int,
+        total_wt_seconds: int,
+        cte: float,
+        per_cause: dict[str, CauseImpact],
+        per_transition: tuple[TransitionImpact, ...],
+    ) -> None:
+        super().__init__(total_pt_seconds, total_wt_seconds, cte, per_cause, per_transition)
 
 
 def analyze(
@@ -133,14 +166,14 @@ def analyze(
         after = cte_if_eliminated(total_pt, total_wt, t.total_duration)
         per_transition.append(
             TransitionImpact(
-                source_activity=t.source_activity,
-                target_activity=t.target_activity,
-                case_frequency=t.case_frequency,
-                total_frequency=t.total_frequency,
-                total_wt_seconds=t.total_duration,
-                wt_by_cause=dict(zip(CAUSES, by_label.get(t.label, no_wait))),
-                cte_if_eliminated=after,
-                delta=after - cte,
+                t.source_activity,
+                t.target_activity,
+                t.case_frequency,
+                t.total_frequency,
+                t.total_duration,
+                dict(zip(CAUSES, by_label.get(t.label, no_wait))),
+                after,
+                after - cte,
             )
         )
     return AnalysisResult(

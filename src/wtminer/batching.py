@@ -9,7 +9,7 @@ enablement; waiting before that instant is attributable to batching.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from wtminer.model import (
     ActivityInstance,
@@ -47,9 +47,11 @@ class Batch(_Value):
         return max(m.enabled for m in self.members)
 
 
-class BatchingResult(NamedTuple):
-    batches: tuple[Batch, ...]
-    by_instance: dict[ActivityInstance, Batch]
+class BatchingResult(_Value):
+    def __init__(
+        self, batches: tuple[Batch, ...], by_instance: dict[ActivityInstance, Batch]
+    ) -> None:
+        super().__init__(batches, by_instance)
 
 
 def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> BatchingResult:

@@ -10,9 +10,8 @@ place where availability is read.
 """
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Optional, Union
 
 from wtminer.model import (
     ConfigError,
@@ -23,6 +22,7 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
     _Value,
     _canonicalize,
+    _slot_setters,
 )
 
 SECONDS_PER_DAY = 86400
@@ -84,9 +84,15 @@ class WeeklyCalendar(_Value):
         return self.ranges == ((0, SECONDS_PER_WEEK),)
 
 
-class AbsoluteAvailability(NamedTuple):
-    resource: str
-    available: IntervalSet
+class AbsoluteAvailability(_Value):
+    __slots__ = ("resource", "available")
+
+    def __init__(self, resource: str, available: IntervalSet) -> None:
+        _aa_resource(self, resource)
+        _aa_available(self, available)
+
+
+_aa_resource, _aa_available = _slot_setters(AbsoluteAvailability)
 
 
 def discover_calendar(
@@ -183,6 +189,8 @@ def load_calendar_overrides(path: Union[str, Path]) -> dict[str, WeeklyCalendar]
     Overrides use a 1-minute granule so arbitrary HH:MM bounds are exact.
     Each entry is one weekly range; overlapping and touching entries merge.
     """
+    import json  # only an override file needs the JSON reader
+
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))

@@ -4,7 +4,6 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from wtminer.report import atomic_write_text, report_json, summary_text, write_r
 def _load_mapping(path: str | None) -> ColumnMapping | None:
     if path is None:
         return None
+    import json  # only a mapping file needs the JSON reader
+
     try:
         with open(path, encoding="utf-8-sig") as handle:
             payload = json.load(handle)

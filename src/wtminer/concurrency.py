@@ -9,7 +9,7 @@ predecessors are enabled at their own start and carry no waiting time.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from wtminer.model import (
     ActivityInstance,
@@ -41,11 +41,13 @@ class OracleThresholds(_Value):
         )
 
 
-class DirectlyFollowsCounts(NamedTuple):
+class DirectlyFollowsCounts(_Value):
     """Adjacent-pair counts per activity ordering, plus length-2 loop counts."""
 
-    pairs: dict[tuple[str, str], int]
-    loops2: dict[tuple[str, str], int]
+    def __init__(
+        self, pairs: dict[tuple[str, str], int], loops2: dict[tuple[str, str], int]
+    ) -> None:
+        super().__init__(pairs, loops2)
 
     def count(self, a: str, b: str) -> int:
         return self.pairs.get((a, b), 0)
@@ -126,17 +128,21 @@ class EnablementStats(_Record):
         super().__init__(derived, supplied, first_in_case, concurrent_only, clamped)
 
 
-class EnablementResult(NamedTuple):
+class EnablementResult(_Value):
     """Log with every enabled field set, plus the enabling predecessor map.
 
     `log` keeps the input's instance order, and `enabler` (target -> source)
     is filled in that order, so it yields the enabling pairs in log order.
     """
 
-    log: EventLog
-    relation: ConcurrencyRelation
-    enabler: dict[ActivityInstance, ActivityInstance]
-    stats: EnablementStats
+    def __init__(
+        self,
+        log: EventLog,
+        relation: ConcurrencyRelation,
+        enabler: dict[ActivityInstance, ActivityInstance],
+        stats: EnablementStats,
+    ) -> None:
+        super().__init__(log, relation, enabler, stats)
 
 
 def compute_enablement(

@@ -21,7 +21,7 @@ results.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from wtminer.batching import BatchingResult
 from wtminer.calendars import AbsoluteAvailability
@@ -74,12 +74,20 @@ class WtDecomposition(_Value):
  _wd_extraneous) = _slot_setters(WtDecomposition)
 
 
-class _ResourceWindow(NamedTuple):
+class _ResourceWindow(_Value):
     """One resource's work sequence, its start times and longest processing."""
 
-    seq: tuple[ActivityInstance, ...]
-    starts: list[int]
-    longest: int
+    __slots__ = ("seq", "starts", "longest")
+
+    def __init__(
+        self, seq: tuple[ActivityInstance, ...], starts: list[int], longest: int
+    ) -> None:
+        _rw_seq(self, seq)
+        _rw_starts(self, starts)
+        _rw_longest(self, longest)
+
+
+_rw_seq, _rw_starts, _rw_longest = _slot_setters(_ResourceWindow)
 
 
 class Decomposer:

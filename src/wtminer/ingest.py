@@ -7,11 +7,23 @@ the whole load; the counters travel with the log into the final report.
 """
 from __future__ import annotations
 
-import csv
 import re
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
+
+# The C modules behind `csv` and `datetime`, without their Python wrappers.
+from _csv import Error as CsvError, reader as csv_reader
+
+try:
+    from _datetime import datetime, timezone
+
+    _C_PARSER = True
+except ImportError:  # an interpreter without the C module
+    from datetime import datetime, timezone
+
+    # Its `fromisoformat` reads " 1" and full-width digits as numbers, so the
+    # memo's unchecked YYYY-MM-DDTHH:MM:SSZ path is off.
+    _C_PARSER = False
 
 from wtminer.model import (
     ActivityInstance,
@@ -28,8 +40,24 @@ ISO_8601 = "iso8601"
 EPOCH_SECONDS = "epoch"
 
 _TIMESTAMP_FORMATS = (ISO_8601, EPOCH_SECONDS)
-_EPOCH_TEXT = re.compile(r"-?[0-9]+")  # int() also takes full-width digits, "1_0" and "+1"
 _EPOCH = datetime(1970, 1, 1)
+
+# The ISO 8601 extended forms read alike on every supported Python: a date,
+# optionally followed by T, t or a space, HH[:MM[:SS]], a fraction of the
+# second after seconds (any number of digits, after "." or ","), and an
+# offset Z, z, +HH:MM or +HH:MM:SS. `datetime.fromisoformat` reads more on
+# 3.11 and later (basic and week dates, one-digit fractions, +HHMM), and
+# reads an offset's own fraction of a second inconsistently (it drops the
+# one of +00:00:00.5), so a text must match this first. `re` compiles it on
+# first use and keeps it in its cache.
+_ISO_FORM = r"""(?x)
+    ([0-9]{4}-[0-9]{2}-[0-9]{2})
+    (?: [Tt\ ]
+        ([0-9]{2} (?: :[0-9]{2} (?: :[0-9]{2} )? )? )
+        (?: (?<=:[0-9]{2}:[0-9]{2}) [.,]([0-9]+) )?
+        ( [Zz] | [+-][0-9]{2}:[0-9]{2} (?: :[0-9]{2} )? )?
+    )?
+"""
 
 
 class ColumnMapping(_Value):
@@ -106,22 +134,25 @@ class IngestStats(_Record):
         )
 
 
-class LoadResult(NamedTuple):
-    log: EventLog
-    stats: IngestStats
+class LoadResult(_Value):
+    def __init__(self, log: EventLog, stats: IngestStats) -> None:
+        super().__init__(log, stats)
 
 
 def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> TimeInstant:
     """Parse one timestamp to epoch seconds.
 
-    Naive ISO timestamps are read as UTC; sub-second precision is floored.
-    Both adjustments bump a warning counter when stats are provided.
+    ISO texts must take one of the `_ISO_FORM` forms. Naive ones are read
+    as UTC; sub-second precision is floored. Both adjustments bump a warning
+    counter when stats are provided. Epoch texts are ASCII `-?[0-9]+`.
     """
     text = raw.strip()
     if not text:
         raise ValueError("empty timestamp")
     if fmt == EPOCH_SECONDS:
-        if not _EPOCH_TEXT.fullmatch(text):
+        # int() would also take full-width digits, "1_0" and "+1".
+        digits = text[1:] if text[0] == "-" else text
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"epoch seconds must be ASCII digits: {text!r}")
         value = int(text)
         try:
@@ -129,10 +160,7 @@ def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> 
         except (OverflowError, OSError, ValueError) as exc:
             raise ValueError(f"epoch seconds out of range: {text}") from exc
         return value
-    # fromisoformat in 3.10 does not accept a trailing Z.
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
+    dt = datetime.fromisoformat(_iso_text(text))
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
         if stats is not None:
@@ -142,6 +170,24 @@ def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> 
         if stats is not None:
             stats.truncated_timestamps += 1
     return int(dt.timestamp())
+
+
+def _iso_text(text: str) -> str:
+    """`text`, one of the `_ISO_FORM` forms, in the form that 3.10's
+    `fromisoformat` reads: separator T, fraction as six digits after ".",
+    Z as +00:00. Any other text is a `ValueError`."""
+    match = re.fullmatch(_ISO_FORM, text)
+    if match is None:
+        raise ValueError(f"not an ISO 8601 extended timestamp: {text!r}")
+    date, clock, fraction, offset = match.groups()
+    if clock is None:
+        return date
+    if fraction:
+        # Digits past the sixth are dropped, as 3.11's `fromisoformat` does.
+        clock += "." + fraction[:6].ljust(6, "0")
+    if offset in ("Z", "z"):
+        offset = "+00:00"
+    return f"{date}T{clock}{offset or ''}"
 
 
 def format_timestamp(t: TimeInstant) -> str:
@@ -176,7 +222,7 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
     instances: list[ActivityInstance] = []
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
+            reader = csv_reader(handle)
             # A repeated name keeps its last column, as csv.DictReader does.
             column = {name: i for i, name in enumerate(next(reader, []))}
             missing = [name for name in names if name and name not in column]
@@ -199,7 +245,7 @@ def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) ->
                     instances.append(inst)
     except UnicodeDecodeError as exc:
         raise IngestError(f"log {path} is not UTF-8 text: {exc.reason}") from exc
-    except csv.Error as exc:
+    except CsvError as exc:
         raise IngestError(f"log {path} is not a readable CSV: {exc}") from exc
 
     if not instances:
@@ -257,8 +303,9 @@ class _TimestampMemo(dict):
 
 def _utc_seconds(text: str) -> Optional[TimeInstant]:
     # The seconds of a text in the exact layout YYYY-MM-DDTHH:MM:SSZ, without
-    # the offset rewrite and the float of `parse_timestamp`; else None.
-    if len(text) != 20 or text[4::3] != "--T::Z":
+    # the form check, the rewrite and the float of `parse_timestamp`; else
+    # None. The C parser rejects anything but ASCII digits between the marks.
+    if len(text) != 20 or text[4::3] != "--T::Z" or not _C_PARSER:
         return None
     try:
         dt = datetime.fromisoformat(text[:19])

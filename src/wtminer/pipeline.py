@@ -1,7 +1,7 @@
 """End-to-end orchestration from an event log to a waiting-time analysis."""
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from wtminer.analysis import AnalysisResult, analyze
 from wtminer.batching import BatchingConfig, BatchingResult, detect_batches
@@ -28,11 +28,15 @@ from wtminer.model import EventLog, IntervalSet, UNKNOWN_RESOURCE, _Value
 from wtminer.transitions import Transition, discover_transitions
 
 
-class PipelineConfig(NamedTuple):
+class PipelineConfig(_Value):
     # The defaults are immutable, so every config can share them.
-    thresholds: OracleThresholds = OracleThresholds()
-    batching: BatchingConfig = BatchingConfig()
-    calendars: CalendarParams = CalendarParams()
+    def __init__(
+        self,
+        thresholds: OracleThresholds = OracleThresholds(),
+        batching: BatchingConfig = BatchingConfig(),
+        calendars: CalendarParams = CalendarParams(),
+    ) -> None:
+        super().__init__(thresholds, batching, calendars)
 
 
 class PipelineResult(_Value):
@@ -77,7 +81,8 @@ def run_pipeline(
     Calendar overrides replace the discovered calendar for the named
     resources; overrides for resources absent from the log are ignored.
     """
-    config = config or PipelineConfig()
+    if config is None:
+        config = PipelineConfig()
     relation = discover_concurrency(log, config.thresholds)
     enablement = compute_enablement(log, relation)
     enriched = enablement.log

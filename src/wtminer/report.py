@@ -7,14 +7,20 @@ with a derived human-readable rendering alongside.
 """
 from __future__ import annotations
 
-import csv
 import io
 import os
 import tempfile
-from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from pathlib import Path
 from typing import Optional, Union
+
+# The C modules behind `csv` and `json`, without their Python wrappers.
+from _csv import writer as csv_writer
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from wtminer.calendars import MAX_RELAXATIONS, calendar_to_ranges
 from wtminer.decomposition import CAUSES
@@ -182,7 +188,7 @@ def _encode(value: object, newline: str) -> str:
 
 def transitions_csv(result: PipelineResult) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    writer = csv_writer(buffer)
     writer.writerow(TRANSITIONS_CSV_COLUMNS)
     for t in result.analysis.per_transition:
         writer.writerow(

@@ -3,10 +3,8 @@ aggregate the pairs into activity-to-activity transitions.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from wtminer.concurrency import EnablementResult
-from wtminer.model import ActivityInstance, _Frozen, _slot_setters
+from wtminer.model import ActivityInstance, _Frozen, _Value, _slot_setters
 
 
 class TransitionInstance(_Frozen):
@@ -29,15 +27,33 @@ class TransitionInstance(_Frozen):
 _ti_source, _ti_target = _slot_setters(TransitionInstance)
 
 
-class Transition(NamedTuple):
+class Transition(_Value):
     """All instances of one (source activity, target activity) pair."""
 
-    source_activity: str
-    target_activity: str
-    instances: tuple[TransitionInstance, ...]
-    case_frequency: float
-    total_frequency: int
-    total_duration: int
+    __slots__ = (
+        "source_activity",
+        "target_activity",
+        "instances",
+        "case_frequency",
+        "total_frequency",
+        "total_duration",
+    )
+
+    def __init__(
+        self,
+        source_activity: str,
+        target_activity: str,
+        instances: tuple[TransitionInstance, ...],
+        case_frequency: float,
+        total_frequency: int,
+        total_duration: int,
+    ) -> None:
+        _tr_source_activity(self, source_activity)
+        _tr_target_activity(self, target_activity)
+        _tr_instances(self, instances)
+        _tr_case_frequency(self, case_frequency)
+        _tr_total_frequency(self, total_frequency)
+        _tr_total_duration(self, total_duration)
 
     @property
     def label(self) -> tuple[str, str]:
@@ -46,6 +62,10 @@ class Transition(NamedTuple):
     @property
     def is_self_loop(self) -> bool:
         return self.source_activity == self.target_activity
+
+
+(_tr_source_activity, _tr_target_activity, _tr_instances, _tr_case_frequency,
+ _tr_total_frequency, _tr_total_duration) = _slot_setters(Transition)
 
 
 def build_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:
@@ -72,12 +92,12 @@ def discover_transitions(result: EnablementResult) -> tuple[Transition, ...]:
         cases = {ti.case_id for ti in members}
         transitions.append(
             Transition(
-                source_activity=source,
-                target_activity=target,
-                instances=tuple(members),
-                case_frequency=len(cases) / n_cases,
-                total_frequency=len(members),
-                total_duration=sum(ti.target.started - ti.target.enabled for ti in members),
+                source,
+                target,
+                tuple(members),
+                len(cases) / n_cases,
+                len(members),
+                sum(ti.target.started - ti.target.enabled for ti in members),
             )
         )
     transitions.sort(key=lambda t: (-t.total_duration, -t.total_frequency, t.label))

@@ -370,21 +370,45 @@ class TestImportFootprint:
         assert proc.returncode == 0, proc.stderr
 
     def test_analyze_never_imports_dataclasses(self, synth_log, tmp_path):
-        # Generating dataclass code at import, and importing `dataclasses`
-        # with `inspect`, costs every process tens of milliseconds, so the
-        # analysis types are written out. Only a frozen type's assignment
-        # error path imports `dataclasses`, for `FrozenInstanceError`.
+        # Generating dataclass or NamedTuple code at import, and importing
+        # `dataclasses` with `inspect`, costs every process milliseconds, so
+        # the analysis types are written out; `analyze` reads and writes
+        # through the C modules `_csv`, `_datetime` and `_json`, not their
+        # Python wrappers. Only a frozen type's assignment error path imports
+        # `dataclasses`, for `FrozenInstanceError`, and only a mapping or
+        # overrides file needs `json`. Only modules added after the script
+        # starts count, so a site hook that preloads one changes nothing.
+        with synth_log.open() as handle:
+            resource = next(csv.DictReader(handle))["resource"]
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({"case_column": "case_id"}))
+        overrides = tmp_path / "overrides.json"
+        week = [{"day": "MON", "from": "09:00", "to": "17:00"}]
+        overrides.write_text(json.dumps({resource: week}))
         script = textwrap.dedent(
             """
-            import io, sys, contextlib
+            import sys
+            before = set(sys.modules)
+            import collections
+            namedtuple = collections.namedtuple
+            def refuse(*args, **kwargs):
+                raise AssertionError("collections.namedtuple called")
+            collections.namedtuple = refuse
+            import io, contextlib
             import wtminer.cli
             wtminer.cli.build_parser()
-            heavy = {"dataclasses", "inspect"}
-            assert not heavy & set(sys.modules), ("build_parser", heavy & set(sys.modules))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = wtminer.cli.main(["analyze", "--log", sys.argv[1], "--out", sys.argv[2]])
-            assert code == 0, code
-            assert not heavy & set(sys.modules), ("analyze", heavy & set(sys.modules))
+            heavy = {"dataclasses", "inspect", "json", "csv", "datetime"}
+            def added():
+                return heavy & (set(sys.modules) - before)
+            assert not added(), ("build_parser", added())
+            log, out, mapping, overrides, resource = sys.argv[1:]
+            def analyze(*extra):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = wtminer.cli.main(["analyze", "--log", log, "--out", out, *extra])
+                assert code == 0, code
+            analyze()
+            assert not added(), ("analyze", added())
+            collections.namedtuple = namedtuple  # `dataclasses` imports modules that call it
             from wtminer.model import ActivityInstance
             inst = ActivityInstance("c1", "a", "r1", 0, 5)
             try:
@@ -395,14 +419,65 @@ class TestImportFootprint:
             else:
                 raise AssertionError("assignment succeeded")
             assert inst.started == 0
+            analyze("--mapping", mapping, "--calendar-overrides", overrides)
+            assert "json" in added()
+            import json
+            with open(out + "/report.json") as handle:
+                assert json.load(handle)["overridden_resources"] == [resource]
             """
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(synth_log), str(tmp_path / "out")],
+            [
+                sys.executable,
+                "-c",
+                script,
+                str(synth_log),
+                str(tmp_path / "out"),
+                str(mapping),
+                str(overrides),
+                resource,
+            ],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_fallbacks_write_the_same_bytes(self, synth_log, tmp_path):
+        # Without the C modules `_json` and `_datetime`, report quoting and
+        # timestamp parsing fall back to the public Python modules, and every
+        # output byte stays the same.
+        script = textwrap.dedent(
+            """
+            import sys
+            log, out, fallback = sys.argv[1:]
+            if fallback == "1":
+                sys.modules["_json"] = sys.modules["_datetime"] = None
+            import io, contextlib
+            import wtminer.cli
+            from wtminer import ingest, report
+            assert ingest._C_PARSER is (fallback == "0")
+            assert (report._quote.__module__ == "_json") is (fallback == "0")
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = wtminer.cli.main(
+                    ["analyze", "--log", log, "--out", out, "--emit-calendars"]
+                )
+            assert code == 0, code
+            sys.stdout.write(stdout.getvalue())
+            """
+        )
+        outputs = []
+        for fallback in ("0", "1"):
+            out = tmp_path / fallback
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(synth_log), str(out), fallback],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = ("report.json", "transitions.csv")
+            stdout = proc.stdout.replace(str(out), "OUT")
+            outputs.append((stdout, [(out / name).read_bytes() for name in files]))
+        assert outputs[0] == outputs[1]
 
     def test_cause_names_are_the_injection_flags(self):
         # `generate --causes` is parsed against the decomposition's causes.

@@ -2,9 +2,11 @@
 and equivalence with the `csv.DictReader` loader kept as an oracle."""
 from __future__ import annotations
 
+import calendar
 import csv
 import io
 import tempfile
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,108 @@ class TestParseTimestamp:
 
     def test_negative_epoch_accepted(self):
         assert parse_timestamp("-1800", "epoch") == -1800
+
+    def test_lone_minus_sign_rejected(self):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_timestamp("-", "epoch")
+
+
+class TestIsoForms:
+    """One set of ISO 8601 extended forms, read alike on every supported
+    Python: 3.11's `fromisoformat` also takes basic and week dates and
+    one-digit fractions, which 3.10's rejects."""
+
+    def test_one_digit_fraction_read_and_floored(self):
+        stats = IngestStats()
+        assert parse_timestamp("2023-01-02T09:00:00.1Z", ISO_8601, stats) == 1672650000
+        assert stats.truncated_timestamps == 1
+
+    def test_comma_fraction_read_and_floored(self):
+        stats = IngestStats()
+        assert parse_timestamp("2023-01-02T09:00:00,5Z", ISO_8601, stats) == 1672650000
+        assert stats.truncated_timestamps == 1
+
+    def test_basic_form_rejected(self):
+        with pytest.raises(ValueError, match="ISO 8601 extended"):
+            parse_timestamp("20230102T090000Z", ISO_8601)
+
+    def test_week_date_rejected(self):
+        with pytest.raises(ValueError, match="ISO 8601 extended"):
+            parse_timestamp("2023-W01-1T09:00:00Z", ISO_8601)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2023-01-02T09:00:00+0100",
+            "2023-01-02T09:00:00+01",
+            "2023-01-02T0900",
+            "2023-002T09:00",
+            "2023-01-02X09:00:00Z",
+            "2023-01-02T09:00X+01:00",
+            "2023-01-02T09.5Z",
+            "2023-01-02T09:00:00:123",
+            "2023-01-02T09:00:00+00:00:00.500000",
+            "2023-01-02T09:00:00.12aZ",
+            "2023-01-02Z",
+            "2023-01-02T",
+            "\uff12023-01-02T09:00:00Z",
+        ],
+    )
+    def test_other_forms_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_timestamp(text, ISO_8601)
+
+    @pytest.mark.parametrize(
+        "text, seconds, naive, truncated",
+        [
+            ("2023-01-02", 1672617600, 1, 0),
+            ("2023-01-02T09", 1672650000, 1, 0),
+            ("2023-01-02 09:00", 1672650000, 1, 0),
+            ("2023-01-02t09:00:00z", 1672650000, 0, 0),
+            ("2023-01-02T09:00:00.123", 1672650000, 1, 1),
+            ("2023-01-02T09:00:00.000Z", 1672650000, 0, 0),
+            ("2023-01-02T09:00:00.0000009Z", 1672650000, 0, 0),
+            ("2023-01-02T09:00:00.999999999Z", 1672650000, 0, 1),
+            ("2023-01-02T10:00:00+01:00", 1672650000, 0, 0),
+            ("2023-01-02T08:59:30-00:00:30", 1672650000, 0, 0),
+            ("2023-01-02T09:00:00+01:00:30", 1672646370, 0, 0),
+            ("1969-12-31T23:59:59.5Z", -1, 0, 1),
+        ],
+    )
+    def test_accepted_forms(self, text, seconds, naive, truncated):
+        stats = IngestStats()
+        assert parse_timestamp(text, ISO_8601, stats) == seconds
+        assert (stats.naive_timestamps, stats.truncated_timestamps) == (naive, truncated)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.datetimes(
+            min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30, 23, 59, 59)
+        ),
+        st.sampled_from("Tt "),
+        st.one_of(st.just(""), st.from_regex(r"[.,][0-9]{1,9}", fullmatch=True)),
+        st.one_of(
+            st.sampled_from(["", "Z", "z"]),
+            st.tuples(st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59)),
+        ),
+    )
+    def test_matches_calendar_arithmetic(self, when, sep, fraction, offset):
+        # Independent of `fromisoformat`: whole seconds from `calendar.timegm`,
+        # less the offset; the fraction only sets the truncated counter.
+        offset_s = 0
+        if isinstance(offset, tuple):
+            sign, hours, minutes = offset
+            offset_s = (1 if sign == "+" else -1) * (hours * 3600 + minutes * 60)
+            offset = f"{sign}{hours:02d}:{minutes:02d}"
+        text = (
+            f"{when.year:04d}-{when.month:02d}-{when.day:02d}{sep}"
+            f"{when.hour:02d}:{when.minute:02d}:{when.second:02d}{fraction}{offset}"
+        )
+        stats = IngestStats()
+        expected = calendar.timegm(when.timetuple()) - offset_s
+        assert parse_timestamp(text, ISO_8601, stats) == expected
+        assert stats.naive_timestamps == (offset == "")
+        assert stats.truncated_timestamps == (fraction[1:7].strip("0") != "")
 
 
 # Texts for the memo's YYYY-MM-DDTHH:MM:SSZ fast path: that layout with valid

@@ -23,7 +23,7 @@ from wtminer.concurrency import (
     EnablementStats,
     OracleThresholds,
 )
-from wtminer.decomposition import WtDecomposition
+from wtminer.decomposition import WtDecomposition, _ResourceWindow
 from wtminer.ingest import ColumnMapping, IngestStats, LoadResult
 from wtminer.model import (
     ActivityInstance,
@@ -213,6 +213,14 @@ def _slotted_examples() -> list:
         (empty, "intervals", ((0, 1),)),
         (ti, "target", source),
         (WtDecomposition(ti, empty, empty, empty, empty, waits), "extraneous", empty),
+        (Transition("a", "b", (ti,), 1.0, 1, 4), "total_duration", 5),
+        (
+            TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2),
+            "delta",
+            0.3,
+        ),
+        (AbsoluteAvailability("r1", waits), "available", empty),
+        (_ResourceWindow((source, target), [0, 9], 5), "longest", 6),
     ]
 
 
@@ -249,6 +257,13 @@ class TestSlottedTypes:
             (WtDecomposition(ti, *sets), (ti, *sets)),
             (IntervalSet([(3, 4), (0, 1)]), (((0, 1), (3, 4)),)),
             (IntervalSet._from_canonical(((0, 1), (3, 4))), (((0, 1), (3, 4)),)),
+            (Transition("a", "b", (ti,), 0.5, 1, 4), ("a", "b", (ti,), 0.5, 1, 4)),
+            (
+                TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1),
+                ("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1),
+            ),
+            (AbsoluteAvailability("r2", sets[0]), ("r2", sets[0])),
+            (_ResourceWindow((source, target), [0, 9], 3), ((source, target), [0, 9], 3)),
         ]
         for obj, values in examples:
             names = type(obj).__slots__
@@ -412,6 +427,10 @@ def _keyword_examples() -> list:
             },
         ),
         (
+            _ResourceWindow,
+            {"seq": (a, b), "starts": [0, 9], "longest": 3},
+        ),
+        (
             PipelineResult,
             {
                 "config": config,
@@ -502,6 +521,62 @@ def _value_examples() -> list:
             ColumnMapping(enabled_column="n"),
         ),
         (lambda: Batch("b", "r1", (source, target)), Batch("b", "r1", (target, source))),
+        (
+            lambda: Transition("a", "b", (ti,), 0.5, 1, 4),
+            Transition("a", "b", (ti,), 0.5, 1, 5),
+        ),
+        (
+            lambda: CauseImpact("contention", 4, 1.0, 0.9, 0.1),
+            CauseImpact("batching", 4, 1.0, 0.9, 0.1),
+        ),
+        (
+            lambda: AbsoluteAvailability("r1", IntervalSet([(5, 9)])),
+            AbsoluteAvailability("r1", IntervalSet([(5, 8)])),
+        ),
+        (
+            lambda: PipelineConfig(OracleThresholds(0.5), BatchingConfig(1)),
+            PipelineConfig(OracleThresholds(0.5)),
+        ),
+    ]
+
+
+def _unhashable_value_examples() -> list:
+    """(make, other) as in `_value_examples`, for records with a dict or list
+    field: equal by value, and unhashable, as their NamedTuples were."""
+    source, target = _ENDPOINTS
+    log = EventLog(_ENDPOINTS)
+    relation = ConcurrencyRelation()
+    impact = TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1)
+    cause = CauseImpact("batching", 4, 1.0, 0.9, 0.1)
+    return [
+        (
+            lambda: TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1),
+            TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 3}, 0.9, 0.1),
+        ),
+        (
+            lambda: AnalysisResult(8, 4, 0.5, {"batching": cause}, (impact,)),
+            AnalysisResult(8, 4, 0.5, {"batching": cause}, ()),
+        ),
+        (
+            lambda: BatchingResult((), {}),
+            BatchingResult((), {source: Batch("b", "r1", _ENDPOINTS)}),
+        ),
+        (
+            lambda: DirectlyFollowsCounts({("a", "b"): 1}, {}),
+            DirectlyFollowsCounts({("a", "b"): 2}, {}),
+        ),
+        (
+            lambda: EnablementResult(log, relation, {target: source}, EnablementStats()),
+            EnablementResult(log, relation, {}, EnablementStats()),
+        ),
+        (
+            lambda: LoadResult(log, IngestStats(rows_total=2)),
+            LoadResult(log, IngestStats(rows_total=3)),
+        ),
+        (
+            lambda: _ResourceWindow(_ENDPOINTS, [0, 9], 5),
+            _ResourceWindow(_ENDPOINTS, [0, 9], 3),
+        ),
     ]
 
 
@@ -541,6 +616,21 @@ class TestTypeContracts:
         assert len({a, b, other}) == 2
 
     @pytest.mark.parametrize(
+        "make, other",
+        [
+            pytest.param(*case, id=type(case[1]).__name__)
+            for case in _unhashable_value_examples()
+        ],
+    )
+    def test_value_equality_without_hash(self, make, other):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert a != other
+        with pytest.raises(TypeError):
+            hash(a)
+
+    @pytest.mark.parametrize(
         "make",
         [
             lambda: ActivityInstance("c1", "a", "r1", 0, 5, enabled=0),
@@ -564,6 +654,18 @@ class TestTypeContracts:
             (ColumnMapping(), "case_column"),
             (WeeklyCalendar.always_on("r1"), "ranges"),
             (ConcurrencyRelation(), "pairs"),
+            (CauseImpact("batching", 4, 1.0, 0.9, 0.1), "wt_seconds"),
+            (AnalysisResult(8, 4, 0.5, {}, ()), "cte"),
+            (BatchingResult((), {}), "batches"),
+            (DirectlyFollowsCounts({}, {}), "pairs"),
+            (
+                EnablementResult(
+                    EventLog(_ENDPOINTS), ConcurrencyRelation(), {}, EnablementStats()
+                ),
+                "enabler",
+            ),
+            (LoadResult(EventLog(_ENDPOINTS), IngestStats()), "stats"),
+            (PipelineConfig(), "batching"),
         ],
     )
     def test_frozen_types_reject_assignment_and_deletion(self, obj, name):
