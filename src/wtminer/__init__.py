@@ -1,4 +1,6 @@
 """Waiting time decomposition for business process event logs."""
+from __future__ import annotations
+
 from wtminer.analysis import AnalysisResult, analyze, compute_cte
 from wtminer.batching import BatchingConfig, detect_batches
 from wtminer.calendars import (

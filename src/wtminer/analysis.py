@@ -8,7 +8,7 @@ would reach if exactly that waiting time disappeared, minus the current CTE.
 from __future__ import annotations
 
 from wtminer.decomposition import CAUSES, WtDecomposition
-from wtminer.model import EventLog, WtMinerError, _Value, _slot_setters
+from wtminer.model import EventLog, WtMinerError, _Value
 from wtminer.transitions import Transition
 
 
@@ -40,17 +40,6 @@ class CauseImpact(_Value):
 
 
 class TransitionImpact(_Value):
-    __slots__ = (
-        "source_activity",
-        "target_activity",
-        "case_frequency",
-        "total_frequency",
-        "total_wt_seconds",
-        "wt_by_cause",
-        "cte_if_eliminated",
-        "delta",
-    )
-
     def __init__(
         self,
         source_activity: str,
@@ -62,14 +51,16 @@ class TransitionImpact(_Value):
         cte_if_eliminated: float,
         delta: float,
     ) -> None:
-        _ti_source_activity(self, source_activity)
-        _ti_target_activity(self, target_activity)
-        _ti_case_frequency(self, case_frequency)
-        _ti_total_frequency(self, total_frequency)
-        _ti_total_wt_seconds(self, total_wt_seconds)
-        _ti_wt_by_cause(self, wt_by_cause)
-        _ti_cte_if_eliminated(self, cte_if_eliminated)
-        _ti_delta(self, delta)
+        super().__init__(
+            source_activity,
+            target_activity,
+            case_frequency,
+            total_frequency,
+            total_wt_seconds,
+            wt_by_cause,
+            cte_if_eliminated,
+            delta,
+        )
 
     @property
     def label(self) -> tuple[str, str]:
@@ -78,11 +69,6 @@ class TransitionImpact(_Value):
     @property
     def is_self_loop(self) -> bool:
         return self.source_activity == self.target_activity
-
-
-(_ti_source_activity, _ti_target_activity, _ti_case_frequency, _ti_total_frequency,
- _ti_total_wt_seconds, _ti_wt_by_cause, _ti_cte_if_eliminated,
- _ti_delta) = _slot_setters(TransitionImpact)
 
 
 class AnalysisResult(_Value):

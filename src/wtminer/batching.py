@@ -9,7 +9,6 @@ enablement; waiting before that instant is attributable to batching.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
 
 from wtminer.model import (
     ActivityInstance,
@@ -54,7 +53,7 @@ class BatchingResult(_Value):
         super().__init__(batches, by_instance)
 
 
-def detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> BatchingResult:
+def detect_batches(log: EventLog, config: BatchingConfig | None = None) -> BatchingResult:
     """Find maximal batches per (activity, resource) group.
 
     Within each resource's start-ordered work sequence, a run of same-activity

@@ -10,8 +10,8 @@ place where availability is read.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable, Optional, Union
 
 from wtminer.model import (
     ConfigError,
@@ -22,7 +22,6 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
     _Value,
     _canonicalize,
-    _slot_setters,
 )
 
 SECONDS_PER_DAY = 86400
@@ -85,18 +84,12 @@ class WeeklyCalendar(_Value):
 
 
 class AbsoluteAvailability(_Value):
-    __slots__ = ("resource", "available")
-
     def __init__(self, resource: str, available: IntervalSet) -> None:
-        _aa_resource(self, resource)
-        _aa_available(self, available)
-
-
-_aa_resource, _aa_available = _slot_setters(AbsoluteAvailability)
+        super().__init__(resource, available)
 
 
 def discover_calendar(
-    log: EventLog, resource: str, params: Optional[CalendarParams] = None
+    log: EventLog, resource: str, params: CalendarParams | None = None
 ) -> WeeklyCalendar:
     """Estimate one resource's weekly calendar from its observed instants.
 
@@ -141,7 +134,7 @@ def discover_calendar(
 
 
 def discover_calendars(
-    log: EventLog, params: Optional[CalendarParams] = None
+    log: EventLog, params: CalendarParams | None = None
 ) -> dict[str, WeeklyCalendar]:
     if params is None:
         params = CalendarParams()
@@ -168,13 +161,14 @@ def expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
 
 
 def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:
+    # Each side is one or two ASCII digits; `int()` would also accept signs,
+    # underscores, inner blanks and non-ASCII digits.
     parts = text.strip().split(":")
-    if len(parts) != 2:
+    if len(parts) != 2 or not all(
+        len(part) <= 2 and part.isascii() and part.isdigit() for part in parts
+    ):
         raise ConfigError(f"expected HH:MM, got {text!r}")
-    try:
-        hours, minutes = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"expected HH:MM, got {text!r}") from exc
+    hours, minutes = int(parts[0]), int(parts[1])
     if hours == 24 and minutes == 0 and allow_midnight_end:
         return MINUTES_PER_DAY
     if not (0 <= hours < 24 and 0 <= minutes < 60):
@@ -182,7 +176,7 @@ def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:
     return hours * 60 + minutes
 
 
-def load_calendar_overrides(path: Union[str, Path]) -> dict[str, WeeklyCalendar]:
+def load_calendar_overrides(path: str | Path) -> dict[str, WeeklyCalendar]:
     """Read manually defined calendars from JSON.
 
     Format: {"R1": [{"day": "MON", "from": "09:00", "to": "17:00"}, ...]}.

@@ -9,8 +9,6 @@ predecessors are enabled at their own start and carry no waiting time.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from wtminer.model import (
     ActivityInstance,
     ConfigError,
@@ -86,7 +84,7 @@ def count_directly_follows(log: EventLog) -> DirectlyFollowsCounts:
 
 def detect_concurrency(
     counts: DirectlyFollowsCounts,
-    thresholds: Optional[OracleThresholds] = None,
+    thresholds: OracleThresholds | None = None,
 ) -> ConcurrencyRelation:
     if thresholds is None:
         thresholds = OracleThresholds()
@@ -109,7 +107,7 @@ def detect_concurrency(
 
 
 def discover_concurrency(
-    log: EventLog, thresholds: Optional[OracleThresholds] = None
+    log: EventLog, thresholds: OracleThresholds | None = None
 ) -> ConcurrencyRelation:
     return detect_concurrency(count_directly_follows(log), thresholds)
 
@@ -146,7 +144,7 @@ class EnablementResult(_Value):
 
 
 def compute_enablement(
-    log: EventLog, relation: Optional[ConcurrencyRelation] = None
+    log: EventLog, relation: ConcurrencyRelation | None = None
 ) -> EnablementResult:
     """Set enabled on every instance from its closest non-concurrent predecessor.
 
@@ -174,7 +172,7 @@ def compute_enablement(
         # `overall` is the same over every activity, the enabler of an
         # activity with no concurrent partner.
         latest: dict[str, tuple[TimeInstant, int]] = {}
-        overall: tuple[Optional[TimeInstant], Optional[int]] = (None, None)
+        overall: tuple[TimeInstant | None, int | None] = (None, None)
         for pos, inst in enumerate(seq, first):
             skip = concurrent_with.get(inst.activity)
             if skip:

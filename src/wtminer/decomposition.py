@@ -21,7 +21,7 @@ results.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable
+from collections.abc import Iterable
 
 from wtminer.batching import BatchingResult
 from wtminer.calendars import AbsoluteAvailability
@@ -74,20 +74,8 @@ class WtDecomposition(_Value):
  _wd_extraneous) = _slot_setters(WtDecomposition)
 
 
-class _ResourceWindow(_Value):
-    """One resource's work sequence, its start times and longest processing."""
-
-    __slots__ = ("seq", "starts", "longest")
-
-    def __init__(
-        self, seq: tuple[ActivityInstance, ...], starts: list[int], longest: int
-    ) -> None:
-        _rw_seq(self, seq)
-        _rw_starts(self, starts)
-        _rw_longest(self, longest)
-
-
-_rw_seq, _rw_starts, _rw_longest = _slot_setters(_ResourceWindow)
+# One resource's work sequence, its start times and its longest processing.
+_Window = tuple[tuple[ActivityInstance, ...], list[int], int]
 
 
 class Decomposer:
@@ -102,18 +90,17 @@ class Decomposer:
         self.log = log
         self.batching = batching
         self.availability = availability
-        self._windows: dict[str, _ResourceWindow] = {}
+        self._windows: dict[str, _Window] = {}
 
-    def _window(self, resource: str) -> _ResourceWindow:
+    def _window(self, resource: str) -> _Window:
         window = self._windows.get(resource)
         if window is None:
             seq = self.log.by_resource.get(resource, ())
-            window = _ResourceWindow(
+            window = self._windows[resource] = (
                 seq,
                 [inst.started for inst in seq],
                 max((inst.completed - inst.started for inst in seq), default=0),
             )
-            self._windows[resource] = window
         return window
 
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
@@ -152,10 +139,10 @@ class Decomposer:
         # decrease and each list is merged as it grows.
         earlier: list[Span] = []
         later: list[Span] = []
-        window = self._window(resource)
-        lo = bisect_left(window.starts, rest_start - window.longest)
-        hi = bisect_left(window.starts, wait_end)
-        for other in window.seq[lo:hi]:
+        seq, starts, longest = self._window(resource)
+        lo = bisect_left(starts, rest_start - longest)
+        hi = bisect_left(starts, wait_end)
+        for other in seq[lo:hi]:
             start = max(other.started, rest_start)
             end = min(other.completed, wait_end)
             if end > start:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Optional, Union
 
 # The C modules behind `csv` and `datetime`, without their Python wrappers.
 from _csv import Error as CsvError, reader as csv_reader
@@ -70,7 +69,7 @@ class ColumnMapping(_Value):
         resource_column: str = "resource",
         start_column: str = "start_time",
         end_column: str = "end_time",
-        enabled_column: Optional[str] = None,
+        enabled_column: str | None = None,
         timestamp_format: str = ISO_8601,
     ) -> None:
         super().__init__(
@@ -139,7 +138,7 @@ class LoadResult(_Value):
         super().__init__(log, stats)
 
 
-def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> TimeInstant:
+def parse_timestamp(raw: str, fmt: str, stats: IngestStats | None = None) -> TimeInstant:
     """Parse one timestamp to epoch seconds.
 
     ISO texts must take one of the `_ISO_FORM` forms. Naive ones are read
@@ -194,7 +193,7 @@ def format_timestamp(t: TimeInstant) -> str:
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) -> LoadResult:
+def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> LoadResult:
     """Load a CSV activity-instance log.
 
     Rows with unparseable timestamps or end < start are rejected and counted.
@@ -272,9 +271,9 @@ class _TimestampMemo(dict):
         self.fmt = fmt
         self.stats = stats
         self.probe = IngestStats()
-        self.adjusted: dict[str, Optional[tuple[TimeInstant, int, int]]] = {}
+        self.adjusted: dict[str, tuple[TimeInstant, int, int] | None] = {}
 
-    def read(self, text: str) -> Optional[TimeInstant]:
+    def read(self, text: str) -> TimeInstant | None:
         if text in self.adjusted:
             entry = self.adjusted[text]
         elif self.fmt == ISO_8601 and (seconds := _utc_seconds(text)) is not None:
@@ -301,7 +300,7 @@ class _TimestampMemo(dict):
         return seconds
 
 
-def _utc_seconds(text: str) -> Optional[TimeInstant]:
+def _utc_seconds(text: str) -> TimeInstant | None:
     # The seconds of a text in the exact layout YYYY-MM-DDTHH:MM:SSZ, without
     # the form check, the rewrite and the float of `parse_timestamp`; else
     # None. The C parser rejects anything but ASCII digits between the marks.
@@ -319,7 +318,7 @@ def _utc_seconds(text: str) -> Optional[TimeInstant]:
 
 def _parse_row(
     row: list[str], indices: tuple, stamps: _TimestampMemo, stats: IngestStats
-) -> Optional[ActivityInstance]:
+) -> ActivityInstance | None:
     case_i, activity_i, resource_i, start_i, end_i, enabled_i = indices
     case_id = row[case_i].strip()
     activity = row[activity_i].strip()
@@ -338,7 +337,7 @@ def _parse_row(
     if completed is None or completed < started:
         return None
 
-    enabled: Optional[TimeInstant] = None
+    enabled: TimeInstant | None = None
     if enabled_i is not None:
         raw = row[enabled_i].strip()
         if raw:

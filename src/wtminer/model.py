@@ -9,9 +9,9 @@ counting. `IntervalSet` is the one interval type that checks and stores them.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
 
 # Instants are plain epoch seconds; durations are plain second counts.
 TimeInstant = int
@@ -34,8 +34,9 @@ class IngestError(WtMinerError):
 
 
 # A constructor sets each field once through this; the frozen types' own
-# `__setattr__` refuses every later assignment. The hot types skip its
-# lookup of the slot by name: they call each slot's own bound `__set__`.
+# `__setattr__` refuses every later assignment. The four types built once
+# per activity instance have slots, and skip its lookup of the slot by
+# name: they call each slot's own bound `__set__`.
 _set = object.__setattr__
 
 
@@ -223,7 +224,7 @@ class ActivityInstance(_Frozen):
         resource: str,
         started: TimeInstant,
         completed: TimeInstant,
-        enabled: Optional[TimeInstant] = None,
+        enabled: TimeInstant | None = None,
     ) -> None:
         if completed < started:
             raise ValueError(

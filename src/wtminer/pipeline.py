@@ -1,8 +1,6 @@
 """End-to-end orchestration from an event log to a waiting-time analysis."""
 from __future__ import annotations
 
-from typing import Optional
-
 from wtminer.analysis import AnalysisResult, analyze
 from wtminer.batching import BatchingConfig, BatchingResult, detect_batches
 from wtminer.calendars import (
@@ -73,8 +71,8 @@ class PipelineResult(_Value):
 
 def run_pipeline(
     log: EventLog,
-    config: Optional[PipelineConfig] = None,
-    calendar_overrides: Optional[dict[str, WeeklyCalendar]] = None,
+    config: PipelineConfig | None = None,
+    calendar_overrides: dict[str, WeeklyCalendar] | None = None,
 ) -> PipelineResult:
     """Run discovery, decomposition and impact analysis on a raw log.
 

@@ -12,7 +12,6 @@ import os
 import tempfile
 from math import isfinite
 from pathlib import Path
-from typing import Optional, Union
 
 # The C modules behind `csv` and `json`, without their Python wrappers.
 from _csv import writer as csv_writer
@@ -69,7 +68,7 @@ def _duration_fields(seconds: int) -> dict:
 
 def build_report(
     result: PipelineResult,
-    ingest_stats: Optional[IngestStats] = None,
+    ingest_stats: IngestStats | None = None,
     emit_calendars: bool = False,
 ) -> dict:
     """The report dict; `parameters` echoes the config the run used."""
@@ -239,7 +238,7 @@ def summary_text(result: PipelineResult, top: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
+def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a same-directory temp file and rename, never partially."""
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
@@ -259,8 +258,8 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 
 def write_report_files(
     result: PipelineResult,
-    out_dir: Union[str, Path],
-    ingest_stats: Optional[IngestStats] = None,
+    out_dir: str | Path,
+    ingest_stats: IngestStats | None = None,
     emit_calendars: bool = False,
 ) -> dict[str, Path]:
     out = Path(out_dir)

@@ -39,7 +39,6 @@ import random
 from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
-from typing import Optional, Union
 
 from wtminer.ingest import format_timestamp
 from wtminer.model import ActivityInstance, ConfigError, EventLog
@@ -269,8 +268,8 @@ def to_csv(generated: GeneratedLog) -> str:
 
 def write_files(
     generated: GeneratedLog,
-    csv_path: Union[str, Path],
-    truth_path: Optional[Union[str, Path]] = None,
+    csv_path: str | Path,
+    truth_path: str | Path | None = None,
 ) -> None:
     Path(csv_path).write_text(to_csv(generated), encoding="utf-8", newline="")
     if truth_path is not None:

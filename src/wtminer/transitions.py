@@ -30,15 +30,6 @@ _ti_source, _ti_target = _slot_setters(TransitionInstance)
 class Transition(_Value):
     """All instances of one (source activity, target activity) pair."""
 
-    __slots__ = (
-        "source_activity",
-        "target_activity",
-        "instances",
-        "case_frequency",
-        "total_frequency",
-        "total_duration",
-    )
-
     def __init__(
         self,
         source_activity: str,
@@ -48,12 +39,14 @@ class Transition(_Value):
         total_frequency: int,
         total_duration: int,
     ) -> None:
-        _tr_source_activity(self, source_activity)
-        _tr_target_activity(self, target_activity)
-        _tr_instances(self, instances)
-        _tr_case_frequency(self, case_frequency)
-        _tr_total_frequency(self, total_frequency)
-        _tr_total_duration(self, total_duration)
+        super().__init__(
+            source_activity,
+            target_activity,
+            instances,
+            case_frequency,
+            total_frequency,
+            total_duration,
+        )
 
     @property
     def label(self) -> tuple[str, str]:
@@ -62,10 +55,6 @@ class Transition(_Value):
     @property
     def is_self_loop(self) -> bool:
         return self.source_activity == self.target_activity
-
-
-(_tr_source_activity, _tr_target_activity, _tr_instances, _tr_case_frequency,
- _tr_total_frequency, _tr_total_duration) = _slot_setters(Transition)
 
 
 def build_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:

@@ -405,12 +405,12 @@ class SetAlgebraDecomposer(Decomposer):
         # Only instances starting in [wait_start - longest, wait_end) can
         # overlap the wait: anything starting earlier has already completed.
         # The target itself starts at wait_end, so it is never in the window.
-        window = self._window(target.resource)
-        lo = bisect_left(window.starts, wait_start - window.longest)
-        hi = bisect_left(window.starts, wait_end)
+        seq, starts, longest = self._window(target.resource)
+        lo = bisect_left(starts, wait_start - longest)
+        hi = bisect_left(starts, wait_end)
         earlier: list[Span] = []
         later: list[Span] = []
-        for other in window.seq[lo:hi]:
+        for other in seq[lo:hi]:
             start = max(other.started, wait_start)
             end = min(other.completed, wait_end)
             if end > start:

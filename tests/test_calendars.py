@@ -428,12 +428,23 @@ class TestOverrides:
             {"day": "MON", "from": "24:00", "to": "24:00"},
             {"day": "MON", "from": "9am", "to": "5pm"},
             {"day": "MON", "start": "09:00", "to": "17:00"},
+            # `int()` reads each of these as a time of day: a sign, an
+            # underscore, full-width digits, blanks around the colon.
+            {"day": "MON", "from": "+9:00", "to": "17:00"},
+            {"day": "MON", "from": "0_9:00", "to": "17:00"},
+            {"day": "MON", "from": "\uff10\uff19:00", "to": "17:00"},
+            {"day": "MON", "from": " 09 : 00 ", "to": "17:00"},
+            {"day": "MON", "from": "-0:00", "to": "17:00"},
         ],
     )
     def test_malformed_entries_rejected(self, tmp_path, entry):
         path = self.write(tmp_path, {"R1": [entry]})
         with pytest.raises(ConfigError):
             load_calendar_overrides(path)
+
+    def test_one_digit_hour_loads(self, tmp_path):
+        path = self.write(tmp_path, {"R1": [{"day": "MON", "from": "9:00", "to": "24:00"}]})
+        assert load_calendar_overrides(path)["R1"].ranges == ((9 * 3600, 86400),)
 
     def test_non_object_payload_rejected(self, tmp_path):
         path = self.write(tmp_path, ["not", "a", "mapping"])

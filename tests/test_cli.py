@@ -201,6 +201,13 @@ class TestAnalyze:
         assert self.analyze_with(synth_log, tmp_path, "--calendar-overrides", payload) == 2
         assert "not UTF-8 JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["+9:00", "0_9:00", "\uff10\uff19:00", " 09 : 00 ", "-0:00"])
+    def test_non_ascii_digit_override_time_exits_2(self, synth_log, tmp_path, capsys, text):
+        overrides = {"assessor": [{"day": "MON", "from": text, "to": "17:00"}]}
+        payload = json.dumps(overrides).encode()
+        assert self.analyze_with(synth_log, tmp_path, "--calendar-overrides", payload) == 2
+        assert "expected HH:MM" in capsys.readouterr().err
+
 
 class TestCollectorPause:
     """`analyze` pauses the cyclic collector, which is safe only because load
@@ -374,10 +381,14 @@ class TestImportFootprint:
         # `dataclasses` with `inspect`, costs every process milliseconds, so
         # the analysis types are written out; `analyze` reads and writes
         # through the C modules `_csv`, `_datetime` and `_json`, not their
-        # Python wrappers. Only a frozen type's assignment error path imports
-        # `dataclasses`, for `FrozenInstanceError`, and only a mapping or
-        # overrides file needs `json`. Only modules added after the script
-        # starts count, so a site hook that preloads one changes nothing.
+        # Python wrappers, and annotations need no `typing`. Only a frozen
+        # type's assignment error path imports `dataclasses`, for
+        # `FrozenInstanceError`, and only a mapping or overrides file needs
+        # `json`. Only modules added after the script starts count, so a site
+        # hook that preloads one changes nothing. A site-packages `.pth` hook
+        # can preload `typing` (one CPython 3.11.7 install does), so for
+        # `typing` the test that can fail is `test_golden`'s run under the
+        # other interpreters.
         with synth_log.open() as handle:
             resource = next(csv.DictReader(handle))["resource"]
         mapping = tmp_path / "mapping.json"
@@ -397,7 +408,7 @@ class TestImportFootprint:
             import io, contextlib
             import wtminer.cli
             wtminer.cli.build_parser()
-            heavy = {"dataclasses", "inspect", "json", "csv", "datetime"}
+            heavy = {"typing", "dataclasses", "inspect", "json", "csv", "datetime"}
             def added():
                 return heavy & (set(sys.modules) - before)
             assert not added(), ("build_parser", added())

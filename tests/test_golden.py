@@ -3,16 +3,22 @@
 Each log below is generated deterministically and analyzed in-process
 through the CLI. The sha256 of `transitions.csv` and `report.json` must
 match the recorded digests, so a refactor or speed-up that changes any
-output byte fails here. The calendar paths are pinned the same way on the
-loopy log: `analyze --calendar-overrides ... --emit-calendars`, and the
-`wtminer calendars` dump. Regenerate a digest only for a deliberate change
+output byte fails here. Two of the logs are also analyzed by every other
+CPython 3.10 or later found on the machine, so the bytes cannot drift
+between supported versions unseen. The calendar paths are pinned the same
+way on the loopy log: `analyze --calendar-overrides ... --emit-calendars`,
+and the `wtminer calendars` dump. Regenerate a digest only for a deliberate change
 of the output, and say so where the change is recorded.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,21 +246,27 @@ def _logs(root: Path) -> dict[str, Path]:
     return logs
 
 
-def _digests(tmp_path: Path) -> dict[str, tuple[str, str]]:
-    out: dict[str, tuple[str, str]] = {}
-    for name, log in _logs(tmp_path / "logs").items():
-        dest = tmp_path / "out" / name
-        assert main(["analyze", "--log", str(log), "--out", str(dest)]) == 0
-        out[name] = tuple(
-            hashlib.sha256((dest / file).read_bytes()).hexdigest()
-            for file in ("transitions.csv", "report.json")
-        )
-    return out
+def _output_digests(dest: Path) -> tuple[str, str]:
+    return tuple(
+        hashlib.sha256((dest / file).read_bytes()).hexdigest()
+        for file in ("transitions.csv", "report.json")
+    )
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory) -> dict[str, tuple[str, str]]:
-    return _digests(tmp_path_factory.mktemp("golden"))
+def golden_logs(tmp_path_factory) -> dict[str, Path]:
+    return _logs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def digests(golden_logs, tmp_path_factory) -> dict[str, tuple[str, str]]:
+    out_root = tmp_path_factory.mktemp("golden_out")
+    out: dict[str, tuple[str, str]] = {}
+    for name, log in golden_logs.items():
+        dest = out_root / name
+        assert main(["analyze", "--log", str(log), "--out", str(dest)]) == 0
+        out[name] = _output_digests(dest)
+    return out
 
 
 def test_every_golden_log_is_analyzed(digests):
@@ -264,6 +276,74 @@ def test_every_golden_log_is_analyzed(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_match_recorded_digests(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Analyzed by every other interpreter: a generated log with all five causes
+# and noise, and the loopy log.
+CROSS_VERSION_LOGS = ("all_causes_noisy", "loopy")
+# What `import wtminer.cli; build_parser()` must not load: annotations need
+# no `typing`, the types are written out, and `analyze` reads and writes
+# through the C modules. Only modules absent at start count, so a site hook
+# that preloads one changes nothing.
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import wtminer.cli
+wtminer.cli.build_parser()
+heavy = {"typing", "dataclasses", "inspect", "json", "csv", "datetime"}
+print(*sorted(heavy & (set(sys.modules) - before)))
+"""
+
+
+def _other_interpreters() -> dict[tuple[int, ...], str]:
+    """One CPython 3.10 or later per version other than the running one,
+    from `python3.10` ... `python3.13` on PATH and the pyenv versions."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 14)]
+    candidates += sorted(map(str, Path.home().glob(".pyenv/versions/3.1*/bin/python3")))
+    found: dict[tuple[int, ...], str] = {}
+    probe = "import platform, sys; print(platform.python_implementation(), *sys.version_info[:3])"
+    for exe in filter(None, candidates):
+        try:
+            proc = subprocess.run(
+                [exe, "-c", probe], capture_output=True, text=True, timeout=30
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        fields = proc.stdout.split()
+        if proc.returncode != 0 or len(fields) != 4 or fields[0] != "CPython":
+            continue
+        version = tuple(int(field) for field in fields[1:])
+        if version >= (3, 10) and version != tuple(sys.version_info[:3]):
+            found.setdefault(version, exe)
+    return found
+
+
+def test_other_interpreters_write_the_same_bytes_and_import_no_more(golden_logs, tmp_path):
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no CPython 3.10+ other than the running one found")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    failures = []
+    for version, exe in sorted(interpreters.items()):
+        label = ".".join(map(str, version))
+        proc = subprocess.run(
+            [exe, "-c", FOOTPRINT], capture_output=True, text=True, env=env, timeout=60
+        )
+        if proc.returncode != 0 or proc.stdout.strip():
+            failures.append((label, "imports", proc.stdout.strip() or proc.stderr))
+        for name in CROSS_VERSION_LOGS:
+            dest = tmp_path / label / name
+            proc = subprocess.run(
+                [exe, "-m", "wtminer.cli", "analyze", "--log", str(golden_logs[name]),
+                 "--out", str(dest)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            if proc.returncode != 0:
+                failures.append((label, name, proc.stderr))
+            elif _output_digests(dest) != GOLDEN[name]:
+                failures.append((label, name, "output bytes differ"))
+    assert not failures
 
 
 # Calendar output paths on the loopy log. The overrides cover overlapping

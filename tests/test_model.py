@@ -23,7 +23,7 @@ from wtminer.concurrency import (
     EnablementStats,
     OracleThresholds,
 )
-from wtminer.decomposition import WtDecomposition, _ResourceWindow
+from wtminer.decomposition import WtDecomposition
 from wtminer.ingest import ColumnMapping, IngestStats, LoadResult
 from wtminer.model import (
     ActivityInstance,
@@ -202,6 +202,8 @@ class TestActivityInstance:
 
 
 def _slotted_examples() -> list:
+    """(object, field, new value) for the four per-instance types, the only
+    ones with slots."""
     source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
     ti = TransitionInstance(source, target)
@@ -213,26 +215,34 @@ def _slotted_examples() -> list:
         (empty, "intervals", ((0, 1),)),
         (ti, "target", source),
         (WtDecomposition(ti, empty, empty, empty, empty, waits), "extraneous", empty),
+    ]
+
+
+def _frozen_examples() -> list:
+    """The slotted examples, then plain frozen records, which keep their
+    fields in an instance `__dict__`."""
+    source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
+    ti = TransitionInstance(source, ActivityInstance("c1", "b", "r1", 9, 12, enabled=5))
+    return _slotted_examples() + [
         (Transition("a", "b", (ti,), 1.0, 1, 4), "total_duration", 5),
         (
             TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2),
             "delta",
             0.3,
         ),
-        (AbsoluteAvailability("r1", waits), "available", empty),
-        (_ResourceWindow((source, target), [0, 9], 5), "longest", 6),
+        (AbsoluteAvailability("r1", IntervalSet([(5, 9)])), "available", IntervalSet.empty()),
     ]
 
 
 class TestSlottedTypes:
-    @pytest.mark.parametrize("obj, name, value", _slotted_examples())
+    @pytest.mark.parametrize("obj, name, value", _frozen_examples())
     def test_fields_cannot_be_assigned(self, obj, name, value):
         before = getattr(obj, name)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, value)
         assert getattr(obj, name) == before
 
-    @pytest.mark.parametrize("obj, name, value", _slotted_examples())
+    @pytest.mark.parametrize("obj, name, value", _frozen_examples())
     def test_fields_cannot_be_deleted(self, obj, name, value):
         before = getattr(obj, name)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -244,8 +254,8 @@ class TestSlottedTypes:
         assert not hasattr(obj, "__dict__")
 
     def test_constructors_set_every_slot(self):
-        # Each hot type writes its slots through bound slot setters; every
-        # slot must hold the value given for it, and no slot is left out.
+        # Each per-instance type writes its slots through bound slot setters;
+        # every slot must hold the value given for it, and no slot is left out.
         source = ActivityInstance("c1", "a", "r1", 0, 5, 0)
         target = ActivityInstance("c1", "b", "r2", 9, 12, 5)
         ti = TransitionInstance(source, target)
@@ -257,13 +267,6 @@ class TestSlottedTypes:
             (WtDecomposition(ti, *sets), (ti, *sets)),
             (IntervalSet([(3, 4), (0, 1)]), (((0, 1), (3, 4)),)),
             (IntervalSet._from_canonical(((0, 1), (3, 4))), (((0, 1), (3, 4)),)),
-            (Transition("a", "b", (ti,), 0.5, 1, 4), ("a", "b", (ti,), 0.5, 1, 4)),
-            (
-                TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1),
-                ("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1),
-            ),
-            (AbsoluteAvailability("r2", sets[0]), ("r2", sets[0])),
-            (_ResourceWindow((source, target), [0, 9], 3), ((source, target), [0, 9], 3)),
         ]
         for obj, values in examples:
             names = type(obj).__slots__
@@ -427,10 +430,6 @@ def _keyword_examples() -> list:
             },
         ),
         (
-            _ResourceWindow,
-            {"seq": (a, b), "starts": [0, 9], "longest": 3},
-        ),
-        (
             PipelineResult,
             {
                 "config": config,
@@ -572,10 +571,6 @@ def _unhashable_value_examples() -> list:
         (
             lambda: LoadResult(log, IngestStats(rows_total=2)),
             LoadResult(log, IngestStats(rows_total=3)),
-        ),
-        (
-            lambda: _ResourceWindow(_ENDPOINTS, [0, 9], 5),
-            _ResourceWindow(_ENDPOINTS, [0, 9], 3),
         ),
     ]
 
