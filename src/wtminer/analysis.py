@@ -112,18 +112,17 @@ def analyze(
         slot = by_label.get(label)
         if slot is None:
             slot = by_label[label] = [0] * len(CAUSES)
-        # Most cause sets of a waiting target are empty, and an empty one
-        # adds nothing, so only non-empty ones are summed.
-        if dec.batching.intervals:
-            slot[0] += dec.batching.total_duration
-        if dec.contention.intervals:
-            slot[1] += dec.contention.total_duration
-        if dec.prioritization.intervals:
-            slot[2] += dec.prioritization.total_duration
-        if dec.unavailability.intervals:
-            slot[3] += dec.unavailability.total_duration
-        if dec.extraneous.intervals:
-            slot[4] += dec.extraneous.total_duration
+        # Most cause sets of a waiting target are empty or hold one span.
+        for start, end in dec.batching.intervals:
+            slot[0] += end - start
+        for start, end in dec.contention.intervals:
+            slot[1] += end - start
+        for start, end in dec.prioritization.intervals:
+            slot[2] += end - start
+        for start, end in dec.unavailability.intervals:
+            slot[3] += end - start
+        for start, end in dec.extraneous.intervals:
+            slot[4] += end - start
 
     cause_totals = dict.fromkeys(CAUSES, 0)
     for slot in by_label.values():

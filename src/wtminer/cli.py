@@ -249,7 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=batching.gap_tolerance,
         metavar="SECONDS",
-        help="max idle gap between batch member starts (default %(default)s)",
+        help=(
+            "max idle gap from one batch member's completion to the next "
+            "member's start (default %(default)s)"
+        ),
     )
     analyze.add_argument(
         "--min-batch-size",

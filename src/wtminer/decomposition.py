@@ -20,8 +20,9 @@ results.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
+from operator import itemgetter
 
 from wtminer.batching import BatchingResult
 from wtminer.calendars import AbsoluteAvailability
@@ -38,6 +39,8 @@ from wtminer.model import (
 from wtminer.transitions import TransitionInstance
 
 _EMPTY = IntervalSet.empty()
+_START = itemgetter(0)
+_END = itemgetter(1)
 
 CAUSES = ("batching", "contention", "prioritization", "unavailability", "extraneous")
 
@@ -140,9 +143,8 @@ class Decomposer:
         earlier: list[Span] = []
         later: list[Span] = []
         seq, starts, longest = self._window(resource)
-        lo = bisect_left(starts, rest_start - longest)
-        hi = bisect_left(starts, wait_end)
-        for other in seq[lo:hi]:
+        for i in range(bisect_left(starts, rest_start - longest), bisect_left(starts, wait_end)):
+            other = seq[i]
             start = max(other.started, rest_start)
             end = min(other.completed, wait_end)
             if end > start:
@@ -154,13 +156,19 @@ class Decomposer:
 
         # Each cause claims what the previous ones left; the rest lies inside
         # the wait, so the availability that overlaps the wait splits it into
-        # unavailability and extraneous exactly.
-        contention, remaining = _split([(rest_start, wait_end)], earlier)
-        prioritization, remaining = _split(remaining, later)
-        available = self.availability[resource].available.overlapping(
-            (wait_start, wait_end)
-        )
-        extraneous, unavailability = _split(remaining, available.intervals)
+        # unavailability and extraneous exactly. Availability is canonical,
+        # so it is bisected on ends for the first interval ending after the
+        # wait's start and on starts for the first one starting at its end.
+        if earlier or later:
+            contention, remaining = _split([(rest_start, wait_end)], earlier)
+            prioritization, remaining = _split(remaining, later)
+        else:
+            contention = prioritization = []
+            remaining = [(rest_start, wait_end)]
+        available = self.availability[resource].available.intervals
+        lo = bisect_right(available, wait_start, key=_END)
+        hi = bisect_left(available, wait_end, lo=lo, key=_START)
+        extraneous, unavailability = _split(remaining, available[lo:hi])
         return WtDecomposition(
             ti,
             _result(batching),

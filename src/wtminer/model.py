@@ -8,10 +8,8 @@ counting. `IntervalSet` is the one interval type that checks and stores them.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from operator import itemgetter
 
 # Instants are plain epoch seconds; durations are plain second counts.
 TimeInstant = int
@@ -139,10 +137,6 @@ def _split(spans: Sequence[Span], holes: Sequence[Span]) -> tuple[list[Span], li
     return inside, outside
 
 
-_START = itemgetter(0)
-_END = itemgetter(1)
-
-
 class IntervalSet(_Value):
     """Canonical set of instants: sorted, pairwise disjoint, non-touching,
     non-empty (start, end) pairs. A pair that ends before it starts is a
@@ -167,13 +161,6 @@ class IntervalSet(_Value):
     @property
     def total_duration(self) -> int:
         return sum(end - start for start, end in self.intervals)
-
-    def overlapping(self, span: Span) -> "IntervalSet":
-        """The member intervals that overlap `span`, found by bisection, unclipped."""
-        ivs = self.intervals
-        lo = bisect_right(ivs, span[0], key=_END)
-        hi = bisect_left(ivs, span[1], lo=lo, key=_START)
-        return IntervalSet._from_canonical(ivs[lo:hi])
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         inside, _ = _split(self.intervals, other.intervals)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import os
-import tempfile
+from itertools import count
 from math import isfinite
 from pathlib import Path
 
@@ -21,6 +21,7 @@ try:
 except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
+from wtminer.analysis import TransitionImpact
 from wtminer.calendars import MAX_RELAXATIONS, calendar_to_ranges
 from wtminer.decomposition import CAUSES
 from wtminer.ingest import IngestStats
@@ -72,6 +73,53 @@ def build_report(
     emit_calendars: bool = False,
 ) -> dict:
     """The report dict; `parameters` echoes the config the run used."""
+    entries = [
+        _transition_entry(_transition_leaves(t)) for t in result.analysis.per_transition
+    ]
+    return _report(result, ingest_stats, emit_calendars, entries)
+
+
+def _transition_leaves(t: TransitionImpact) -> tuple:
+    """The values of `t`'s report entry, rounded, in the entry's key order."""
+    by_cause = t.wt_by_cause
+    return (
+        t.source_activity,
+        t.target_activity,
+        t.is_self_loop,
+        significant(t.case_frequency),
+        t.total_frequency,
+        t.total_wt_seconds,
+        pretty_duration(t.total_wt_seconds),
+        *[by_cause[c] for c in CAUSES],
+        significant(t.cte_if_eliminated),
+        significant(t.delta),
+    )
+
+
+def _transition_entry(leaves: tuple) -> dict:
+    """One entry of the report's `transitions` list: the one key layout that
+    both `build_report` and the rendered `report.json` follow."""
+    source, target, self_loop, case_freq, total_freq, wt, pretty, *by_cause, after, delta = leaves
+    return {
+        "source": source,
+        "target": target,
+        "self_loop": self_loop,
+        "case_freq": case_freq,
+        "total_freq": total_freq,
+        "waiting_time": {"seconds": wt, "pretty": pretty},
+        "wt_by_cause_s": dict(zip(CAUSES, by_cause)),
+        "cte_if_eliminated": after,
+        "cte_delta": delta,
+    }
+
+
+def _report(
+    result: PipelineResult,
+    ingest_stats: IngestStats | None,
+    emit_calendars: bool,
+    transitions: list,
+) -> dict:
+    # The report, with `transitions` as its list of transition entries.
     config = result.config
     analysis = result.analysis
     log = result.log
@@ -119,20 +167,7 @@ def build_report(
                 (c, analysis.per_cause[c]) for c in CAUSES
             )
         ],
-        "transitions": [
-            {
-                "source": t.source_activity,
-                "target": t.target_activity,
-                "self_loop": t.is_self_loop,
-                "case_freq": significant(t.case_frequency),
-                "total_freq": t.total_frequency,
-                "waiting_time": _duration_fields(t.total_wt_seconds),
-                "wt_by_cause_s": {c: t.wt_by_cause[c] for c in CAUSES},
-                "cte_if_eliminated": significant(t.cte_if_eliminated),
-                "cte_delta": significant(t.delta),
-            }
-            for t in analysis.per_transition
-        ],
+        "transitions": transitions,
         "overridden_resources": list(result.overridden_resources),
     }
     if emit_calendars:
@@ -158,6 +193,21 @@ def report_json(report: dict) -> str:
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
+def _number(value: float) -> str:
+    if not isfinite(value):
+        raise ValueError(f"{value!r} is not a JSON number")
+    return float.__repr__(value)
+
+
+class _Encoded:
+    """JSON text already encoded at the depth where `_encode` meets it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
 def _encode(value: object, newline: str) -> str:
     # `newline` is the line break plus the indentation of `value`'s own line.
     if isinstance(value, str):
@@ -167,9 +217,7 @@ def _encode(value: object, newline: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not isfinite(value):
-            raise ValueError(f"{value!r} is not a JSON number")
-        return float.__repr__(value)
+        return _number(value)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -182,26 +230,23 @@ def _encode(value: object, newline: str) -> str:
             return "[]"
         items = [_encode(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, _Encoded):
+        return value.text
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def transitions_csv(result: PipelineResult) -> str:
-    buffer = io.StringIO()
-    writer = csv_writer(buffer)
-    writer.writerow(TRANSITIONS_CSV_COLUMNS)
-    for t in result.analysis.per_transition:
-        writer.writerow(
-            [
-                t.source_activity,
-                t.target_activity,
-                significant(t.case_frequency),
-                t.total_frequency,
-                t.total_wt_seconds,
-                *(t.wt_by_cause[c] for c in CAUSES),
-                significant(t.delta),
-            ]
-        )
-    return buffer.getvalue()
+def _entry_template() -> str:
+    # The layout encoded with a distinct placeholder string at each of its
+    # leaves (nine, and one per cause), at the depth of a `transitions`
+    # entry; each quoted placeholder becomes a `%s` slot, in key order.
+    leaves = [f"\0{i}" for i in range(9 + len(CAUSES))]
+    text = _encode(_transition_entry(leaves), "\n    ").replace("%", "%%")
+    for leaf in leaves:
+        text = text.replace(_quote(leaf), "%s")
+    return text
+
+
+_ENTRY = _entry_template()
 
 
 def summary_text(result: PipelineResult, top: int = 10) -> str:
@@ -238,12 +283,21 @@ def summary_text(result: PipelineResult, top: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Numbers the temp files this process creates.
+_TMP_SERIAL = count()
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a same-directory temp file and rename, never partially."""
+    """Write via a same-directory temp file and rename, never partially. The
+    temp file is created with mode 0666 less the umask, as `open` creates a file."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent
-    )
+    while True:
+        tmp_name = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp")
+        try:
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -262,15 +316,36 @@ def write_report_files(
     ingest_stats: IngestStats | None = None,
     emit_calendars: bool = False,
 ) -> dict[str, Path]:
+    """`report.json` and `transitions.csv`, from one pass over the transitions:
+    each one's rounded values fill its entry template and its CSV row."""
+    buffer = io.StringIO()
+    writerow = csv_writer(buffer).writerow
+    writerow(TRANSITIONS_CSV_COLUMNS)
+    entries = []
+    for t in result.analysis.per_transition:
+        (source, target, self_loop, case_freq, total_freq, wt, pretty, *by_cause, after,
+         delta) = _transition_leaves(t)
+        writerow((source, target, case_freq, total_freq, wt, *by_cause, delta))
+        entries.append(_Encoded(_ENTRY % (
+            _quote(source),
+            _quote(target),
+            _LITERALS[self_loop],
+            _number(case_freq),
+            int.__repr__(total_freq),
+            int.__repr__(wt),
+            _quote(pretty),
+            *map(int.__repr__, by_cause),
+            _number(after),
+            _number(delta),
+        )))
+    report = report_json(_report(result, ingest_stats, emit_calendars, entries))
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = build_report(
-        result, ingest_stats=ingest_stats, emit_calendars=emit_calendars
-    )
     paths = {
         "report": out / "report.json",
         "transitions": out / "transitions.csv",
     }
-    atomic_write_text(paths["report"], report_json(report))
-    atomic_write_text(paths["transitions"], transitions_csv(result))
+    atomic_write_text(paths["report"], report)
+    atomic_write_text(paths["transitions"], buffer.getvalue())
     return paths

@@ -18,7 +18,9 @@ through `csv.DictReader`, one dict and fresh timestamp parses per row, which
 `brute_discover_calendar` counts observations under (weekday, slot) tuple
 keys, as discovery did before it counted week-slot indices, and
 `stdlib_report_json` is the standard library's `json.dumps` with the
-indentation `report_json` must match byte for byte.
+indentation `report_json` must match byte for byte; with `build_report`
+it is the oracle for the rendered `report.json`, and `transitions_csv`,
+a separate `csv.writer` pass, for the rendered `transitions.csv`.
 
 `contains_point`, `concurrency_relation`, `horizon` and `cause_durations` are
 small helpers that only tests need, so they live here and not in the package.
@@ -26,6 +28,7 @@ small helpers that only tests need, so they live here and not in the package.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from bisect import bisect_left
 from pathlib import Path
@@ -55,6 +58,8 @@ from wtminer.model import (
     TimeInstant,
     UNKNOWN_RESOURCE,
 )
+from wtminer.pipeline import PipelineResult
+from wtminer.report import TRANSITIONS_CSV_COLUMNS, significant
 from wtminer.transitions import TransitionInstance
 
 
@@ -308,6 +313,26 @@ def stdlib_report_json(report: object) -> str:
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
 
 
+def transitions_csv(result: PipelineResult) -> str:
+    """`transitions.csv` as a separate pass with `csv.writer`, one list per row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(TRANSITIONS_CSV_COLUMNS)
+    for t in result.analysis.per_transition:
+        writer.writerow(
+            [
+                t.source_activity,
+                t.target_activity,
+                significant(t.case_frequency),
+                t.total_frequency,
+                t.total_wt_seconds,
+                *(t.wt_by_cause[c] for c in CAUSES),
+                significant(t.delta),
+            ]
+        )
+    return buffer.getvalue()
+
+
 def brute_multitasking_rate(log: EventLog) -> float:
     """Share of known-resource instances whose processing overlaps another
     instance of the same resource, checking every pair."""
@@ -394,9 +419,10 @@ def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:
 
 
 class SetAlgebraDecomposer(Decomposer):
-    """The cascade in interval-set algebra over the same bisected window:
-    each cause's raw set is built, intersected with what is left and
-    subtracted from it."""
+    """The cascade in interval-set algebra over the same bisected window of
+    work: each cause's raw set is built, intersected with what is left and
+    subtracted from it. Availability is not bisected: what is left is split
+    on the whole availability set."""
 
     def _busy_overlaps(self, target: ActivityInstance) -> tuple[IntervalSet, IntervalSet]:
         """Same-resource processing inside the wait, in one pass over the window:
@@ -427,9 +453,7 @@ class SetAlgebraDecomposer(Decomposer):
 
     def raw_unavailability(self, target: ActivityInstance) -> IntervalSet:
         """Waiting instants outside the resource's availability calendar."""
-        wait = target.waiting
-        avail = self.availability[target.resource].available
-        return IntervalSet((wait,)) - avail.overlapping(wait)
+        return IntervalSet((target.waiting,)) - self.availability[target.resource].available
 
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
         target = ti.target
@@ -449,9 +473,8 @@ class SetAlgebraDecomposer(Decomposer):
         for raw in (batched, *self._busy_overlaps(target)):
             claimed.append(remaining & raw)
             remaining -= raw
-        # remaining lies inside the wait, so the availability that overlaps
-        # the wait splits it into unavailability and extraneous exactly.
-        available = self.availability[target.resource].available.overlapping(wait)
+        # What remains is split on the resource's whole availability set.
+        available = self.availability[target.resource].available
         return WtDecomposition(ti, *claimed, remaining - available, remaining & available)
 
 

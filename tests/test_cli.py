@@ -507,6 +507,14 @@ class TestDefaults:
         args = build_parser().parse_args(["calendars", "--log", "x"])
         assert _calendar_params(args) == CalendarParams()
 
+    def test_gap_tolerance_help_says_what_is_measured(self, capsys):
+        # The gap runs from one member's completion to the next member's
+        # start, as `test_batching::TestDetectBatches::test_gap_tolerance` checks.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "from one batch member's completion to the next member's start" in help_text
+
 
 ISO_TIMES = (
     "2023-01-02T09:00:00Z",

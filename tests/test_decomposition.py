@@ -471,17 +471,78 @@ def batched_windows(draw):
     return log, random_availability(draw, log)
 
 
+def assert_cascade_matches_set_algebra(log: EventLog, availability) -> Decomposer:
+    batching = detect_batches(log)
+    fast = Decomposer(log, batching, availability)
+    oracle = SetAlgebraDecomposer(log, batching, availability)
+    for target in log.instances:
+        ti = ti_for(target)
+        assert fast.decompose(ti) == oracle.decompose(ti)
+    return fast
+
+
+# The target waits over [100, 400) on r1. Each case gives the rest of the
+# log, r1's availability and the target's five expected cause spans.
+_BUSY = inst("c2", "z", "r1", 50, 150, 180)
+_BEFORE = inst("c3", "z", "r1", 0, 20, 100)  # completes as the wait starts
+_AT_END = inst("c4", "z", "r1", 120, 400, 420)  # starts as the wait ends
+BOUNDARY_CASES = {
+    "availability_ends_at_wait_start": (
+        [_BUSY], [(0, 100), (200, 300)],
+        ((), ((150, 180),), (), ((100, 150), (180, 200), (300, 400)), ((200, 300),)),
+    ),
+    "availability_starts_at_wait_end": (
+        [_BUSY], [(150, 250), (400, 500)],
+        ((), ((150, 180),), (), ((100, 150), (250, 400)), ((180, 250),)),
+    ),
+    "availability_ends_one_second_into_wait": (
+        [_BUSY], [(0, 101), (200, 300)],
+        ((), ((150, 180),), (), ((101, 150), (180, 200), (300, 400)), ((100, 101), (200, 300))),
+    ),
+    "availability_starts_one_second_before_wait_end": (
+        [_BUSY], [(150, 250), (399, 500)],
+        ((), ((150, 180),), (), ((100, 150), (250, 399)), ((180, 250), (399, 400))),
+    ),
+    "no_availability_inside_wait": (
+        [_BUSY], [(0, 100), (400, 500)],
+        ((), ((150, 180),), (), ((100, 150), (180, 400)), ()),
+    ),
+    "no_availability_at_all": (
+        [_BUSY], [],
+        ((), ((150, 180),), (), ((100, 150), (180, 400)), ()),
+    ),
+    "only_work_enabled_after_target_inside_wait": (
+        [inst("c6", "z", "r1", 150, 200, 250)], [(0, 500)],
+        ((), (), ((200, 250),), (), ((100, 200), (250, 400))),
+    ),
+    "no_work_inside_wait": (
+        [_BEFORE, _AT_END], [(0, 100), (150, 250), (400, 500)],
+        ((), (), (), ((100, 150), (250, 400)), ((150, 250),)),
+    ),
+    "no_work_inside_wait_after_batching": (
+        # A batch of two members that start together as the wait ends; the
+        # partner's enablement ends the accumulation.
+        [_BEFORE, inst("c5", "b", "r1", 250, 400, 450)], [(0, 100), (150, 300)],
+        (((100, 250),), (), (), ((300, 400),), ((250, 300),)),
+    ),
+}
+
+
 class TestCascadeMatchesSetAlgebra:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(busy_windows(), batched_windows(), random_scenarios()))
     def test_every_cause_set_matches(self, scenario):
-        log, availability = scenario
-        batching = detect_batches(log)
-        fast = Decomposer(log, batching, availability)
-        oracle = SetAlgebraDecomposer(log, batching, availability)
-        for target in log.instances:
-            ti = ti_for(target)
-            assert fast.decompose(ti) == oracle.decompose(ti)
+        assert_cascade_matches_set_algebra(*scenario)
+
+    @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+    def test_boundary_case_matches(self, case):
+        others, available, expected = BOUNDARY_CASES[case]
+        target = inst("c1", "b", "r1", 100, 400, 450)
+        log = EventLog.from_instances([target, *others])
+        availability = {"r1": AbsoluteAvailability("r1", IntervalSet(available))}
+        fast = assert_cascade_matches_set_algebra(log, availability)
+        out = fast.decompose(ti_for(target))
+        assert tuple(getattr(out, cause).intervals for cause in CAUSES) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(batched_windows())

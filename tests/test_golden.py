@@ -13,6 +13,7 @@ of the output, and say so where the change is recorded.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -172,6 +173,13 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "5627d99bd03c6d89a2884995615942ccd820362eaa8ef226e2d36bdb48a2ac69",
         "5328a4ce8e3083e810a602928a6b4ea852ea5266c2deb3e834ec94f24e6c2e7c",
     ),
+    # The benchmark's `wide` log, seed 1: 8000 instances, 699 transitions
+    # with self-loops, so every part of a transition entry is rendered
+    # hundreds of times.
+    "wide": (
+        "faf94eb746ff5442d4c6038b6be5d81f6e0ec440fcc8dd10c7bf58feedfdc346",
+        "d6942736db320ed438300580644ec562819289112470dcfb27b965ddb52aefe4",
+    ),
 }
 
 
@@ -227,6 +235,16 @@ def _write_loopy_log(path: Path, seed: int = 11, n_cases: int = 40) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def load_wide_module():
+    """`perfbench/wide.py`, the generator of the benchmark's `wide` log."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "wide.py"
+    spec = importlib.util.spec_from_file_location("perfbench_wide", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def _logs(root: Path) -> dict[str, Path]:
     grid = root / "grid"
     assert main(
@@ -243,6 +261,10 @@ def _logs(root: Path) -> dict[str, Path]:
         logs[name] = path
     logs["loopy"] = root / "loopy.csv"
     _write_loopy_log(logs["loopy"])
+    logs["wide"] = root / "wide.csv"
+    logs["wide"].write_text(
+        load_wide_module().generate(1).csv_text, encoding="utf-8", newline=""
+    )
     return logs
 
 
@@ -283,15 +305,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # and noise, and the loopy log.
 CROSS_VERSION_LOGS = ("all_causes_noisy", "loopy")
 # What `import wtminer.cli; build_parser()` must not load: annotations need
-# no `typing`, the types are written out, and `analyze` reads and writes
-# through the C modules. Only modules absent at start count, so a site hook
-# that preloads one changes nothing.
+# no `typing`, the types are written out, `analyze` reads and writes
+# through the C modules, and report files are created with `os.open`. Only
+# modules absent at start count, so a site hook that preloads one changes
+# nothing. `tempfile` is checked here and not in `test_cli`, because a
+# `.pth` hook can preload it in the interpreter that runs the tests.
 FOOTPRINT = """
 import sys
 before = set(sys.modules)
 import wtminer.cli
 wtminer.cli.build_parser()
-heavy = {"typing", "dataclasses", "inspect", "json", "csv", "datetime"}
+heavy = {"typing", "dataclasses", "inspect", "json", "csv", "datetime", "tempfile"}
 print(*sorted(heavy & (set(sys.modules) - before)))
 """
 

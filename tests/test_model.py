@@ -77,8 +77,7 @@ class TestSingleSpan:
 
     def test_touching_intervals_do_not_overlap(self):
         assert not (IntervalSet([(0, 3)]) & IntervalSet([(3, 6)]))
-        assert not IntervalSet([(0, 3)]).overlapping((3, 6))
-        assert IntervalSet([(0, 4)]).overlapping((3, 6)) == IntervalSet([(0, 4)])
+        assert not (IntervalSet([(3, 6)]) & IntervalSet([(0, 3)]))
 
     def test_pairwise_intersection(self):
         assert (IntervalSet([(0, 4)]) & IntervalSet([(3, 7)])).intervals == ((3, 4),)
@@ -160,16 +159,6 @@ class TestIntervalSetOperations:
         # intersect and subtract store their output without re-canonicalizing.
         for result in (a.intersect(b), a.subtract(b)):
             assert result == IntervalSet(result.intervals)
-
-    @given(
-        interval_sets(),
-        st.integers(min_value=0, max_value=HORIZON - 1),
-        st.integers(min_value=0, max_value=HORIZON - 1),
-    )
-    def test_overlapping_matches_linear_filter(self, a, x, y):
-        lo, hi = min(x, y), max(x, y)
-        expected = tuple((s, e) for s, e in a.intervals if s < hi and lo < e)
-        assert a.overlapping((lo, hi)).intervals == expected
 
 
 class TestActivityInstance:

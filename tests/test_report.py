@@ -1,20 +1,21 @@
 """Tests for report serialization: JSON shape, CSV layout, determinism."""
-import importlib.util
 import itertools
 import json
 import math
-import sys
+import os
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import stdlib_report_json
+from brute import stdlib_report_json, transitions_csv
+from test_golden import load_wide_module
+from wtminer.analysis import AnalysisResult, TransitionImpact
 from wtminer.ingest import load_log
-from wtminer.pipeline import PipelineConfig, run_pipeline
+from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
+from wtminer import report as report_module
 from wtminer.report import (
     TRANSITIONS_CSV_COLUMNS,
     atomic_write_text,
@@ -23,7 +24,6 @@ from wtminer.report import (
     report_json,
     significant,
     summary_text,
-    transitions_csv,
     write_report_files,
 )
 from wtminer.synth import InjectionSpec, generate, write_files
@@ -150,13 +150,28 @@ class TestReportShape:
         assert waits == sorted(waits, reverse=True)
 
 
+def written(result, out_dir, ingest_stats=None, emit_calendars=False) -> tuple[str, str]:
+    """The text of `report.json` and `transitions.csv` as `write_report_files` writes them."""
+    paths = write_report_files(result, out_dir, ingest_stats, emit_calendars)
+    return tuple(
+        paths[name].read_bytes().decode("utf-8") for name in ("report", "transitions")
+    )
+
+
+def assert_written_matches_oracles(result, out_dir, ingest_stats=None, emit_calendars=False):
+    report, rows = written(result, out_dir, ingest_stats, emit_calendars)
+    assert report == stdlib_report_json(build_report(result, ingest_stats, emit_calendars))
+    assert rows == transitions_csv(result)
+
+
 class TestTransitionsCsv:
-    def test_header_matches_contract(self, mixed_result):
-        lines = transitions_csv(mixed_result).splitlines()
+    def test_header_matches_contract(self, mixed_result, tmp_path):
+        lines = written(mixed_result, tmp_path)[1].splitlines()
         assert lines[0] == ",".join(TRANSITIONS_CSV_COLUMNS)
 
-    def test_cause_columns_sum_to_total(self, mixed_result):
-        rows = transitions_csv(mixed_result).splitlines()[1:]
+    def test_cause_columns_sum_to_total(self, mixed_result, tmp_path):
+        rows = written(mixed_result, tmp_path)[1].splitlines()[1:]
+        assert rows
         for row in rows:
             parts = row.split(",")
             total = int(parts[4])
@@ -165,12 +180,12 @@ class TestTransitionsCsv:
 
 
 class TestDeterminism:
-    def test_rerun_yields_identical_bytes(self):
+    def test_rerun_yields_identical_bytes(self, tmp_path):
         gen = generate(InjectionSpec.from_bits("01010", n_cases=25, seed=8))
         a = run_pipeline(gen.log)
         b = run_pipeline(gen.log)
         assert report_json(build_report(a)) == report_json(build_report(b))
-        assert transitions_csv(a) == transitions_csv(b)
+        assert written(a, tmp_path / "a") == written(b, tmp_path / "b")
 
 
 _SPECIAL_CHARS = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9",
@@ -197,15 +212,6 @@ json_values = st.recursive(
 )
 
 
-def _load_wide_module():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "wide.py"
-    spec = importlib.util.spec_from_file_location("perfbench_wide", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def real_runs(tmp_path_factory):
     """The pipeline results and ingest stats of the 32 grid logs
@@ -219,7 +225,7 @@ def real_runs(tmp_path_factory):
         write_files(generate(InjectionSpec.from_bits(bits, n_cases=60, seed=3 + index)), path)
         paths.append(path)
     wide = root / "wide.csv"
-    wide.write_text(_load_wide_module().generate(1).csv_text, encoding="utf-8", newline="")
+    wide.write_text(load_wide_module().generate(1).csv_text, encoding="utf-8", newline="")
     paths.append(wide)
     runs = []
     for path in paths:
@@ -255,6 +261,76 @@ class TestReportJson:
             report_json(value)
 
 
+# Activity names that quoting, CSV escaping and the `%` entry template must handle.
+_HARD_NAMES = ['say "hi"', "back\\slash", "a,b", "two\nlines", "cr\rlf",
+               "\x00\x01\x1f\x7f", "tab\there", "caf\u00e9", "\u65e5\u672c",
+               "\u2028\U0001f600", " padded ", "50% %s", ""]
+
+
+def with_transitions(result: PipelineResult, impacts) -> PipelineResult:
+    """`result` with its transition impacts replaced by `impacts`."""
+    analysis = AnalysisResult(**{**result.analysis.as_dict(), "per_transition": tuple(impacts)})
+    return PipelineResult(**{**result.as_dict(), "analysis": analysis})
+
+
+def impact(source, target, case_freq=0.5, after=0.5, delta=0.01, wt=3600):
+    by_cause = {"batching": wt, "contention": 0, "prioritization": 0,
+                "unavailability": 0, "extraneous": 0}
+    return TransitionImpact(source, target, case_freq, 7, wt, by_cause, after, delta)
+
+
+class TestRenderedFiles:
+    """`write_report_files` renders each transition once; `build_report`
+    through `json.dumps`, and a separate `csv.writer` pass, are its oracles."""
+
+    @pytest.mark.parametrize("emit_calendars", [False, True])
+    def test_match_oracles_on_real_reports(self, real_runs, tmp_path, emit_calendars):
+        for name, result, stats in real_runs:
+            assert_written_matches_oracles(result, tmp_path / name, stats, emit_calendars)
+
+    def test_hard_activity_names(self, mixed_result, tmp_path):
+        impacts = [impact(a, b) for a in _HARD_NAMES for b in _HARD_NAMES[:3]]
+        impacts.append(impact("same", "same"))
+        result = with_transitions(mixed_result, impacts)
+        assert_written_matches_oracles(result, tmp_path)
+        report = json.loads(written(result, tmp_path)[0])
+        assert [t["source"] for t in report["transitions"]] == [t.source_activity for t in impacts]
+        assert report["transitions"][-1]["self_loop"] is True
+
+    @pytest.mark.parametrize(
+        "ratio,text",
+        [(0.00001, "1e-05"), (1.0, "1.0"), (0.123456, "0.1235"), (1e-300, "1e-300"),
+         (123456.0, "123500.0"), (0.0, "0.0"), (-0.0, "-0.0"), (-2.5e-7, "-2.5e-07")],
+    )
+    def test_ratio_forms(self, mixed_result, tmp_path, ratio, text):
+        result = with_transitions(mixed_result, [impact("a", "b", ratio, ratio, ratio)])
+        assert_written_matches_oracles(result, tmp_path)
+        report, rows = written(result, tmp_path)
+        assert f'"case_freq": {text},' in report
+        assert f'"cte_if_eliminated": {text},' in report
+        assert f'"cte_delta": {text}\n' in report
+        assert rows.splitlines()[1] == f"a,b,{text},7,3600,3600,0,0,0,0,{text}"
+
+    def test_no_transitions(self, mixed_result, tmp_path):
+        result = with_transitions(mixed_result, [])
+        assert_written_matches_oracles(result, tmp_path)
+        report, rows = written(result, tmp_path)
+        assert '"transitions": [],' in report
+        assert rows == ",".join(TRANSITIONS_CSV_COLUMNS) + "\r\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["case_freq", "after", "delta"])
+    def test_non_finite_ratio_raises_value_error_and_writes_nothing(
+        self, mixed_result, tmp_path, value, field
+    ):
+        result = with_transitions(mixed_result, [impact("a", "b", **{field: value})])
+        with pytest.raises(ValueError):
+            stdlib_report_json(build_report(result))
+        with pytest.raises(ValueError):
+            write_report_files(result, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestWriting:
     def test_write_report_files(self, mixed_result, tmp_path):
         paths = write_report_files(mixed_result, tmp_path / "out")
@@ -270,6 +346,33 @@ class TestWriting:
         atomic_write_text(target, "second")
         assert target.read_text() == "second"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_new_files_follow_the_umask(self, mixed_result, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            paths = write_report_files(mixed_result, tmp_path / "out")
+            atomic_write_text(tmp_path / "calendars.json", "{}")
+        finally:
+            os.umask(previous)
+        for path in (*paths.values(), tmp_path / "calendars.json"):
+            assert path.stat().st_mode & 0o777 == mode, path.name
+
+    def test_taken_temp_name_is_skipped_and_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(report_module, "_TMP_SERIAL", itertools.count(7))
+        taken = tmp_path / f"file.txt.{os.getpid()}.7.tmp"
+        taken.write_text("someone else's")
+        target = tmp_path / "file.txt"
+        atomic_write_text(target, "mine")
+        assert target.read_text() == "mine"
+        assert taken.read_text() == "someone else's"
+        assert sorted(tmp_path.iterdir()) == [target, taken]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "file.txt"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(target, "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSummaryText:
