@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -128,10 +129,19 @@ def _analyze(
         ingest_stats=loaded.stats,
         emit_calendars=args.emit_calendars,
     )
-    sys.stdout.write(summary_text(result))
-    sys.stdout.write(
-        f"\nReport: {paths['report']}\nTransitions: {paths['transitions']}\n"
+    _write_stdout(
+        f"{summary_text(result)}\n"
+        f"Report: {paths['report']}\nTransitions: {paths['transitions']}\n"
     )
+
+
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout and flush it, so a failed write raises `OSError`
+    inside the command. A closed stdout (`None`) is skipped, as `print` does."""
+    stdout = sys.stdout
+    if stdout is not None:
+        stdout.write(text)
+        stdout.flush()
 
 
 def _parse_causes(raw: str) -> dict[str, bool]:
@@ -169,7 +179,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             )
             csv_path = out / f"grid_{bits}.csv"
             write_files(generate(spec), csv_path, _truth_path(csv_path))
-        sys.stdout.write(f"Wrote 32 logs to {out}\n")
+        _write_stdout(f"Wrote 32 logs to {out}\n")
         return 0
 
     if not args.output:
@@ -185,7 +195,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if csv_path.parent != Path(""):
         csv_path.parent.mkdir(parents=True, exist_ok=True)
     write_files(generate(spec), csv_path, _truth_path(csv_path))
-    sys.stdout.write(f"Wrote {csv_path} and {_truth_path(csv_path)}\n")
+    _write_stdout(f"Wrote {csv_path} and {_truth_path(csv_path)}\n")
     return 0
 
 
@@ -200,7 +210,7 @@ def _cmd_calendars(args: argparse.Namespace) -> int:
     if args.out:
         atomic_write_text(args.out, text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 0
 
 
@@ -327,5 +337,24 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def console_entry() -> None:
+    """Run `main` as the `wtminer` process and end the process with its status.
+
+    Every command has closed its output files and flushed its standard
+    output by the time it returns, so interpreter finalization (a last
+    collection, module teardown, freeing arenas) would change no output;
+    `os._exit` skips it, and with it `atexit` handlers. A `SystemExit` or
+    uncaught exception from `main` takes the normal exit path.
+    """
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:  # the write `main` already reported as failed
+                status = status or 1
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

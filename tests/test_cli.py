@@ -1,8 +1,12 @@
 """Tests for the command-line interface: verbs, flags, exit codes."""
+import ast
 import csv
+import errno
 import gc
+import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -346,6 +350,133 @@ class TestConsoleEntry:
             text=True,
         )
         assert proc.returncode == 2
+
+    # The `wtminer` process ends through `console_entry`, which skips
+    # interpreter finalization: it must still give what `main()` gives.
+    @staticmethod
+    def run_process(args, stdout=subprocess.PIPE, buffered=False):
+        env = dict(os.environ)
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "wtminer.cli", *args],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+
+    @staticmethod
+    def command_args(command, log, out):
+        return {
+            "analyze": ["analyze", "--log", str(log), "--out", str(out)],
+            "generate": ["generate", "--causes", "batching", "-o", str(out / "g.csv")],
+            "calendars": ["calendars", "--log", str(log), "--out", str(out / "c.json")],
+        }[command]
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["analyze", "generate", "calendars"])
+    def test_process_writes_what_main_writes(
+        self, command, buffered, synth_log, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        args = self.command_args(command, synth_log, out)
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        written = {path: path.read_bytes() for path in out.iterdir()}
+        assert written
+        for path in written:
+            path.unlink()
+        proc = self.run_process(args, buffered=buffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+        assert {path: path.read_bytes() for path in out.iterdir()} == written
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["calendars"], 2),
+            (["generate", "--causes", "teleportation", "-o", "{tmp}/x.csv"], 2),
+            (["analyze", "--log", "{tmp}/no.csv", "--out", "{tmp}/out"], 2),
+            (["analyze", "--log", "{tmp}/empty.csv", "--out", "{tmp}/out"], 1),
+        ],
+        ids=["argparse", "bad-cause", "missing-log", "empty-log"],
+    )
+    def test_process_error_exit_codes(self, args, code, tmp_path):
+        (tmp_path / "empty.csv").write_text(
+            "case_id,activity,resource,start_time,end_time\n"
+        )
+        proc = self.run_process([arg.format(tmp=tmp_path) for arg in args])
+        assert proc.returncode == code
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("sink", ["full", "closed-pipe"])
+    @pytest.mark.parametrize("command", ["analyze", "generate", "calendars"])
+    def test_failed_stdout_write_is_an_error(
+        self, command, sink, buffered, synth_log, tmp_path
+    ):
+        # Buffered, the write used to fail only in interpreter finalization,
+        # which printed "Exception ignored" and exited 120.
+        args = self.command_args(command, synth_log, tmp_path)
+        if command == "calendars":
+            args = args[:-2]  # the JSON goes to stdout
+        if sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+            failure = errno.ENOSPC
+        else:
+            reader, stdout = os.pipe()
+            os.close(reader)
+            failure = errno.EPIPE
+        try:
+            proc = self.run_process(args, stdout=stdout, buffered=buffered)
+        finally:
+            os.close(stdout)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {OSError(failure, os.strerror(failure))}\n"
+
+    def test_closed_stdout_is_skipped(self, synth_log, tmp_path):
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "wtminer.cli", "analyze",
+                "--log", str(synth_log), "--out", str(out)]
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *argv],
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert {path.name for path in out.iterdir()} == {"report.json", "transitions.csv"}
+
+    def test_main_never_ends_the_process(self, synth_log, tmp_path, monkeypatch, capsys):
+        def refuse(status):
+            raise AssertionError(f"os._exit({status}) called")
+
+        monkeypatch.setattr(os, "_exit", refuse)
+        for command in ("analyze", "generate", "calendars"):
+            assert main(self.command_args(command, synth_log, tmp_path)) == 0
+
+    def test_console_script_is_what_the_main_block_calls(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["wtminer"]
+        module, _, name = target.partition(":")
+        script_entry = getattr(importlib.import_module(module), name)
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        [block] = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        [call] = [node for node in ast.walk(block) if isinstance(node, ast.Call)]
+        assert getattr(cli, call.func.id) is script_entry is cli.console_entry
 
 
 class TestImportFootprint:
