@@ -63,10 +63,6 @@ class TransitionImpact(_Value):
         )
 
     @property
-    def label(self) -> tuple[str, str]:
-        return (self.source_activity, self.target_activity)
-
-    @property
     def is_self_loop(self) -> bool:
         return self.source_activity == self.target_activity
 

@@ -11,7 +11,6 @@ from pathlib import Path
 from wtminer.batching import BatchingConfig
 from wtminer.calendars import (
     CalendarParams,
-    WeeklyCalendar,
     calendar_to_ranges,
     discover_calendars,
     load_calendar_overrides,
@@ -102,25 +101,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if args.calendar_overrides
         else None
     )
-    # Load and pipeline create no reference cycles, so the cyclic collector
-    # would only re-walk their objects as they accumulate; pause it. It
-    # resumes after `_analyze` has returned and reference counting has freed
-    # the run, so no collection walks the finished run's objects either.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        _analyze(args, config, overrides)
-    finally:
-        if collecting:
-            gc.enable()
-    return 0
-
-
-def _analyze(
-    args: argparse.Namespace,
-    config: PipelineConfig,
-    overrides: dict[str, WeeklyCalendar] | None,
-) -> None:
     loaded = load_log(args.log, _load_mapping(args.mapping))
     result = run_pipeline(loaded.log, config, overrides)
     paths = write_report_files(
@@ -133,6 +113,7 @@ def _analyze(
         f"{summary_text(result)}\n"
         f"Report: {paths['report']}\nTransitions: {paths['transitions']}\n"
     )
+    return 0
 
 
 def _write_stdout(text: str) -> None:
@@ -345,7 +326,14 @@ def console_entry() -> None:
     collection, module teardown, freeing arenas) would change no output;
     `os._exit` skips it, and with it `atexit` handlers. A `SystemExit` or
     uncaught exception from `main` takes the normal exit path.
+
+    The cyclic collector is off for the whole process and never turned back
+    on: loading, the pipeline and the writers create no reference cycles
+    (`generate`'s JSON encoder leaves a fixed few per log), so a collection
+    would only re-walk objects that reference counting frees, and the
+    process ends with `os._exit`.
     """
+    gc.disable()
     status = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

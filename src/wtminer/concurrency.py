@@ -55,15 +55,19 @@ class DirectlyFollowsCounts(_Value):
 
 
 class ConcurrencyRelation(_Value):
-    """Symmetric, irreflexive set of activity pairs declared concurrent."""
+    """Symmetric, irreflexive set of activity pairs declared concurrent.
+
+    Each pair is stored once, as (min, max), whichever order it is given in;
+    a pair of an activity with itself is a `ValueError`.
+    """
 
     def __init__(self, pairs: frozenset[tuple[str, str]] = frozenset()) -> None:
-        super().__init__(pairs)
-
-    def is_concurrent(self, a: str, b: str) -> bool:
-        if a == b:
-            return False
-        return (min(a, b), max(a, b)) in self.pairs
+        canonical = set()
+        for a, b in pairs:
+            if a == b:
+                raise ValueError(f"activity {a!r} cannot be concurrent with itself")
+            canonical.add((min(a, b), max(a, b)))
+        super().__init__(frozenset(canonical))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -88,8 +92,7 @@ def detect_concurrency(
 ) -> ConcurrencyRelation:
     if thresholds is None:
         thresholds = OracleThresholds()
-    seen = {pair for pair in counts.pairs}
-    candidates = {(min(a, b), max(a, b)) for a, b in seen if a != b}
+    candidates = {(min(a, b), max(a, b)) for a, b in counts.pairs if a != b}
     concurrent: set[tuple[str, str]] = set()
     m = thresholds.min_bidirectional_observations
     for a, b in sorted(candidates):
@@ -158,9 +161,8 @@ def compute_enablement(
     enabler: dict[ActivityInstance, ActivityInstance] = {}
     concurrent_with: dict[str, set[str]] = {}
     for a, b in relation.pairs:
-        if relation.is_concurrent(a, b):
-            concurrent_with.setdefault(a, set()).add(b)
-            concurrent_with.setdefault(b, set()).add(a)
+        concurrent_with.setdefault(a, set()).add(b)
+        concurrent_with.setdefault(b, set()).add(a)
 
     # One flat list in log order; enablers are recorded by position in it.
     instances: list[ActivityInstance] = []

@@ -90,21 +90,16 @@ class Decomposer:
         batching: BatchingResult,
         availability: dict[str, AbsoluteAvailability],
     ) -> None:
-        self.log = log
         self.batching = batching
         self.availability = availability
-        self._windows: dict[str, _Window] = {}
-
-    def _window(self, resource: str) -> _Window:
-        window = self._windows.get(resource)
-        if window is None:
-            seq = self.log.by_resource.get(resource, ())
-            window = self._windows[resource] = (
+        self._windows: dict[str, _Window] = {
+            resource: (
                 seq,
                 [inst.started for inst in seq],
-                max((inst.completed - inst.started for inst in seq), default=0),
+                max(inst.completed - inst.started for inst in seq),
             )
-        return window
+            for resource, seq in log.by_resource.items()
+        }
 
     def decompose(self, ti: TransitionInstance) -> WtDecomposition:
         target = ti.target
@@ -142,7 +137,7 @@ class Decomposer:
         # decrease and each list is merged as it grows.
         earlier: list[Span] = []
         later: list[Span] = []
-        seq, starts, longest = self._window(resource)
+        seq, starts, longest = self._windows[resource]
         for i in range(bisect_left(starts, rest_start - longest), bisect_left(starts, wait_end)):
             other = seq[i]
             start = max(other.started, rest_start)

@@ -158,23 +158,13 @@ class IntervalSet(_Value):
     def empty(cls) -> "IntervalSet":
         return _EMPTY
 
-    @property
-    def total_duration(self) -> int:
-        return sum(end - start for start, end in self.intervals)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
+    def __and__(self, other: "IntervalSet") -> "IntervalSet":
         inside, _ = _split(self.intervals, other.intervals)
         return IntervalSet._from_canonical(tuple(inside))
 
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
+    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
         _, outside = _split(self.intervals, other.intervals)
         return IntervalSet._from_canonical(tuple(outside))
-
-    def __and__(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersect(other)
-
-    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
-        return self.subtract(other)
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.intervals)

@@ -52,10 +52,6 @@ class Transition(_Value):
     def label(self) -> tuple[str, str]:
         return (self.source_activity, self.target_activity)
 
-    @property
-    def is_self_loop(self) -> bool:
-        return self.source_activity == self.target_activity
-
 
 def build_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:
     """One TransitionInstance per enabling pair, in the targets' log order."""

@@ -22,8 +22,9 @@ indentation `report_json` must match byte for byte; with `build_report`
 it is the oracle for the rendered `report.json`, and `transitions_csv`,
 a separate `csv.writer` pass, for the rendered `transitions.csv`.
 
-`contains_point`, `concurrency_relation`, `horizon` and `cause_durations` are
-small helpers that only tests need, so they live here and not in the package.
+`contains_point`, `total_duration`, `concurrency_relation`, `is_concurrent`,
+`horizon`, `cause_durations`, `is_self_loop` and `impact_label` are small
+helpers that only tests need, so they live here and not in the package.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
+from wtminer.analysis import TransitionImpact
 from wtminer.batching import Batch, BatchingConfig, BatchingResult
 from wtminer.calendars import (
     MAX_RELAXATIONS,
@@ -60,7 +62,7 @@ from wtminer.model import (
 )
 from wtminer.pipeline import PipelineResult
 from wtminer.report import TRANSITIONS_CSV_COLUMNS, significant
-from wtminer.transitions import TransitionInstance
+from wtminer.transitions import Transition, TransitionInstance
 
 
 def contains_point(s: IntervalSet, t: TimeInstant) -> bool:
@@ -73,15 +75,19 @@ def contains_point(s: IntervalSet, t: TimeInstant) -> bool:
     return False
 
 
+def total_duration(s: IntervalSet) -> int:
+    """Seconds covered by `s`."""
+    return sum(end - start for start, end in s)
+
+
 def concurrency_relation(*pairs: tuple[str, str]) -> ConcurrencyRelation:
-    """A relation over `pairs`, each stored (min, max)-ordered, as
-    `ConcurrencyRelation.is_concurrent` looks pairs up."""
-    normalized = set()
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"activity {a!r} cannot be concurrent with itself")
-        normalized.add((min(a, b), max(a, b)))
-    return ConcurrencyRelation(frozenset(normalized))
+    """A relation over `pairs`."""
+    return ConcurrencyRelation(frozenset(pairs))
+
+
+def is_concurrent(relation: ConcurrencyRelation, a: str, b: str) -> bool:
+    """Whether `relation` holds `a` and `b`, in either order."""
+    return (min(a, b), max(a, b)) in relation.pairs
 
 
 def horizon(log: EventLog) -> Span:
@@ -95,7 +101,17 @@ def horizon(log: EventLog) -> Span:
 
 def cause_durations(dec: WtDecomposition) -> dict[str, int]:
     """Seconds per cause, in `CAUSES` order."""
-    return {cause: getattr(dec, cause).total_duration for cause in CAUSES}
+    return {cause: total_duration(getattr(dec, cause)) for cause in CAUSES}
+
+
+def is_self_loop(t: Transition) -> bool:
+    """Whether `t` leads from an activity back to the same activity."""
+    return t.source_activity == t.target_activity
+
+
+def impact_label(t: TransitionImpact) -> tuple[str, str]:
+    """The (source, target) activity pair of a transition's impact."""
+    return (t.source_activity, t.target_activity)
 
 
 def brute_cause_durations(
@@ -150,7 +166,7 @@ def brute_enablement(log: EventLog, relation: ConcurrencyRelation) -> Enablement
             best_completion: Optional[TimeInstant] = None
             for j in range(idx):
                 pred = seq[j]
-                if relation.is_concurrent(pred.activity, inst.activity):
+                if is_concurrent(relation, pred.activity, inst.activity):
                     continue
                 if best_completion is None or pred.completed >= best_completion:
                     best_completion = pred.completed
@@ -431,7 +447,7 @@ class SetAlgebraDecomposer(Decomposer):
         # Only instances starting in [wait_start - longest, wait_end) can
         # overlap the wait: anything starting earlier has already completed.
         # The target itself starts at wait_end, so it is never in the window.
-        seq, starts, longest = self._window(target.resource)
+        seq, starts, longest = self._windows[target.resource]
         lo = bisect_left(starts, wait_start - longest)
         hi = bisect_left(starts, wait_end)
         earlier: list[Span] = []

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from brute import brute_cause_durations, cause_durations
+from brute import brute_cause_durations, cause_durations, is_concurrent
 from wtminer.analysis import compute_cte, cte_if_eliminated
 from wtminer.batching import BatchingConfig, detect_batches
 from wtminer.calendars import AbsoluteAvailability, WeeklyCalendar, load_calendar_overrides
@@ -413,7 +413,7 @@ def test_criterion_5_figure_layouts(tmp_path):
     result = run_pipeline(
         log, calendar_overrides=always_on("rA", "rB", "rC", "rD")
     )
-    assert result.enablement.relation.is_concurrent("B", "C")
+    assert is_concurrent(result.enablement.relation, "B", "C")
     t1 = {i.activity: i for i in result.log.cases["t1"]}
     assert t1["B"].enabled == 10
     assert t1["C"].enabled == 10

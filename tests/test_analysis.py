@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import horizon
+from brute import horizon, impact_label
 from wtminer.analysis import analyze, compute_cte, cte_if_eliminated
 from wtminer.batching import detect_batches
 from wtminer.calendars import WeeklyCalendar, expand_calendar
@@ -122,7 +122,7 @@ class TestAnalyze:
         log, transitions, decompositions = analyzed_fixture()
         result = analyze(log, transitions, decompositions)
         (ab,) = result.per_transition
-        assert ab.label == ("a", "b")
+        assert impact_label(ab) == ("a", "b")
         assert ab.total_wt_seconds == 1500
         assert sum(ab.wt_by_cause.values()) == 1500
         assert set(ab.wt_by_cause) == set(CAUSES)

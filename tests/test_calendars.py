@@ -14,6 +14,7 @@ from brute import (
     calendar_from_cells,
     contains_point,
     horizon,
+    total_duration,
 )
 from wtminer.calendars import (
     SECONDS_PER_DAY,
@@ -204,7 +205,7 @@ class TestExpandCalendar:
         cal = WeeklyCalendar.always_on("r1")
         horizon = (at(0, 0), at(20, 0))
         avail = expand_calendar(cal, horizon)
-        assert avail.available.total_duration <= horizon[1] - horizon[0]
+        assert total_duration(avail.available) <= horizon[1] - horizon[0]
 
     def test_observations_inside_own_availability(self):
         instances = []
@@ -390,7 +391,7 @@ class TestExpandOverSpans:
         assert [w for w in waits if w] == [1200, 1200]
         available = result.availability["r1"].available
         assert len(available) <= 2
-        assert available.total_duration == 2400
+        assert total_duration(available) == 2400
 
 
 class TestOverrides:

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-import weakref
 from pathlib import Path
 
 import pytest
@@ -19,13 +18,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtminer import cli
-from wtminer.calendars import CalendarParams
+from wtminer.calendars import CalendarParams, load_calendar_overrides
 from wtminer.cli import _calendar_params, _pipeline_config, build_parser, main
 from wtminer.ingest import ColumnMapping, format_timestamp, load_log
 from wtminer.model import ConfigError, IngestError
 from wtminer.pipeline import PipelineConfig, run_pipeline
+from wtminer.report import write_report_files
 from wtminer.synth import InjectionSpec, generate, write_files
-from test_golden import _write_loopy_log
+from test_golden import SRC, _write_loopy_log
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child interpreter, which imports the package
+    from `src` whether or not this process was started with it on its path."""
+    return {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 @pytest.fixture()
@@ -213,57 +219,167 @@ class TestAnalyze:
         assert "expected HH:MM" in capsys.readouterr().err
 
 
-class TestCollectorPause:
-    """`analyze` pauses the cyclic collector, which is safe only because load
-    and pipeline leave no reference cycles behind."""
+def _write_messy_log(directory: Path) -> tuple[Path, Path, Path]:
+    """A synthetic log under renamed columns, with naive and fractional
+    timestamps and two rows that ingest rejects; the mapping file that reads
+    it; and calendar overrides for one of its resources."""
+    clean = directory / "clean.csv"
+    write_files(generate(InjectionSpec.from_bits("11111", n_cases=60, seed=7)), clean)
+    with clean.open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    for i, row in enumerate(rows):
+        if i % 3 == 0:
+            row[3] = row[3].removesuffix("Z")
+        elif i % 3 == 1:
+            row[4] = row[4].replace("Z", ".250Z")
+    rows.append(["X1", "register", "clerk", "not a time", "2023-01-03T09:00:00Z"])
+    rows.append(["X2", "register", "clerk", "2023-01-03T10:00:00Z", "2023-01-03T09:00:00Z"])
+    columns = ("Case", "Activity", "Resource", "Start", "End")
+    path = directory / "messy.csv"
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows([columns, *rows])
+    mapping = directory / "mapping.json"
+    mapping.write_text(
+        json.dumps(
+            {
+                f"{field}_column": name
+                for field, name in zip(("case", "activity", "resource", "start", "end"), columns)
+            }
+        )
+    )
+    overrides = directory / "overrides.json"
+    overrides.write_text(json.dumps({"assessor": [{"day": "MON", "from": "09:00", "to": "17:00"}]}))
+    return path, mapping, overrides
 
-    @pytest.mark.parametrize("kind", ["all_causes", "loopy"])
+
+def _handler_cycles(argv: list[str]) -> int:
+    """Reference cycles left by the verb that `argv` names, run with the
+    collector off; the parser's own cycles are made before counting."""
+    args = build_parser().parse_args(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        assert args.handler(args) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestCollectorPause:
+    """The `wtminer` process runs with the cyclic collector off, which is safe
+    only because loading, the pipeline and the writers leave no reference
+    cycles behind; `main()` in process leaves the collector as it found it."""
+
+    @pytest.mark.parametrize("kind", ["all_causes", "loopy", "messy"])
     def test_load_and_pipeline_create_no_cycles(self, kind, tmp_path):
         path = tmp_path / f"{kind}.csv"
+        mapping = overrides = None
         if kind == "loopy":
             _write_loopy_log(path)
+        elif kind == "messy":
+            path, mapping_file, overrides_file = _write_messy_log(tmp_path)
         else:
             spec = InjectionSpec.from_bits("11111", n_cases=80, seed=5)
             write_files(generate(spec), path)
         gc.collect()
         gc.disable()
         try:
-            loaded = load_log(path)
+            if kind == "messy":
+                mapping = cli._load_mapping(str(mapping_file))
+                overrides = load_calendar_overrides(overrides_file)
+            loaded = load_log(path, mapping)
             assert gc.collect() == 0
-            result = run_pipeline(loaded.log)
+            assert loaded.stats.rows_rejected == (2 if kind == "messy" else 0)
+            result = run_pipeline(loaded.log, calendar_overrides=overrides)
             assert result.decompositions
-            del loaded, result
+            assert bool(result.overridden_resources) is (kind == "messy")
+            write_report_files(
+                result, tmp_path / "out", ingest_stats=loaded.stats, emit_calendars=True
+            )
+            del loaded, result, overrides
             assert gc.collect() == 0
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("sink", ["stdout", "file"])
+    def test_calendars_verb_creates_no_cycles(self, sink, tmp_path, capsys):
+        path, mapping, _ = _write_messy_log(tmp_path)
+        out = ["--out", str(tmp_path / "c.json")] if sink == "file" else []
+        argv = ["calendars", "--log", str(path), "--mapping", str(mapping), *out]
+        assert _handler_cycles(argv) == 0
+        assert "clerk" in (capsys.readouterr().out or (tmp_path / "c.json").read_text())
+
+    def test_generate_cycles_do_not_grow_with_cases(self, tmp_path, capsys):
+        # `json.dumps(indent=2)`, which writes the truth file, leaves a fixed
+        # number of reference cycles per log, however long the log is.
+        short, long = (
+            _handler_cycles(
+                ["generate", "--causes", "batching", "--cases", str(cases),
+                 "-o", str(tmp_path / f"g{cases}.csv")]
+            )
+            for cases in (5, 80)
+        )
+        assert short == long
+
+    @pytest.mark.parametrize("command", ["analyze", "generate", "calendars"])
+    def test_collector_is_off_in_every_verb_of_the_process(self, command, synth_log, tmp_path):
+        # The child runs `wtminer.cli` as `python -m` does, with each verb's
+        # handler wrapped to report the collector's state on entry and on return.
+        script = textwrap.dedent(
+            """
+            import argparse, gc, os, runpy
+            set_defaults = argparse.ArgumentParser.set_defaults
+            def spy_on_handler(self, **kwargs):
+                handler = kwargs.get("handler")
+                if handler is not None:
+                    def spy(args):
+                        on_entry = gc.isenabled()
+                        status = handler(args)
+                        os.write(2, f"{on_entry} {gc.isenabled()}\\n".encode())
+                        return status
+                    kwargs["handler"] = spy
+                set_defaults(self, **kwargs)
+            argparse.ArgumentParser.set_defaults = spy_on_handler
+            runpy.run_module("wtminer.cli", run_name="__main__", alter_sys=True)
+            """
+        )
+        args = TestConsoleEntry.command_args(command, synth_log, tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "False False\n")
+
+    def test_console_entry_turns_the_collector_off_before_main(self, monkeypatch):
+        class Exited(Exception):
+            pass
+
+        def record_exit(status):
+            raise Exited(status)
+
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 3)
+        monkeypatch.setattr(os, "_exit", record_exit)
+        try:
+            with pytest.raises(Exited) as exited:
+                cli.console_entry()
+            assert (exited.value.args, seen, gc.isenabled()) == ((3,), [False], False)
+        finally:
+            gc.enable()
+
+    def test_main_never_touches_the_collector(self, synth_log, tmp_path, monkeypatch, capsys):
+        def refuse():
+            raise AssertionError("main() switched the collector")
+
+        monkeypatch.setattr(gc, "disable", refuse)
+        monkeypatch.setattr(gc, "enable", refuse)
+        for command in ("analyze", "generate", "calendars"):
+            assert main(TestConsoleEntry.command_args(command, synth_log, tmp_path)) == 0
+
     def test_collector_is_back_after_success(self, synth_log, tmp_path, capsys):
         assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
-        assert gc.isenabled()
-
-    def test_collector_resumes_after_the_run_is_freed(
-        self, synth_log, tmp_path, capsys, monkeypatch
-    ):
-        # A collection after `gc.enable` would walk every object the run
-        # built if the result were still alive.
-        results = []
-        alive_at_enable = []
-        run_pipeline = cli.run_pipeline
-        enable = gc.enable
-
-        def keep_a_weakref(*args, **kwargs):
-            result = run_pipeline(*args, **kwargs)
-            results.append(weakref.ref(result))
-            return result
-
-        def record_and_enable():
-            alive_at_enable.append([ref() is not None for ref in results])
-            enable()
-
-        monkeypatch.setattr(cli, "run_pipeline", keep_a_weakref)
-        monkeypatch.setattr(gc, "enable", record_and_enable)
-        assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
-        assert alive_at_enable == [[False]]
         assert gc.isenabled()
 
     def test_collector_is_back_after_ingest_error(self, tmp_path, capsys):
@@ -339,6 +455,7 @@ class TestConsoleEntry:
              "-o", str(tmp_path / "m.csv")],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert (tmp_path / "m.csv").exists()
@@ -348,6 +465,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "wtminer.cli", "analyze"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 2
 
@@ -355,7 +473,7 @@ class TestConsoleEntry:
     # interpreter finalization: it must still give what `main()` gives.
     @staticmethod
     def run_process(args, stdout=subprocess.PIPE, buffered=False):
-        env = dict(os.environ)
+        env = _child_env()
         if buffered:
             env.pop("PYTHONUNBUFFERED", None)
         else:
@@ -449,6 +567,7 @@ class TestConsoleEntry:
             ["sh", "-c", 'exec "$@" >&-', "sh", *argv],
             stderr=subprocess.PIPE,
             text=True,
+            env=_child_env(),
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert {path.name for path in out.iterdir()} == {"report.json", "transitions.csv"}
@@ -504,6 +623,7 @@ class TestImportFootprint:
             [sys.executable, "-c", script, str(synth_log), str(tmp_path / "out")],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -581,6 +701,7 @@ class TestImportFootprint:
             ],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -614,6 +735,7 @@ class TestImportFootprint:
                 [sys.executable, "-c", script, str(synth_log), str(out), fallback],
                 capture_output=True,
                 text=True,
+                env=_child_env(),
             )
             assert proc.returncode == 0, proc.stderr
             files = ("report.json", "transitions.csv")

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import brute_enablement, brute_transition_instances, concurrency_relation
+from brute import (
+    brute_enablement,
+    brute_transition_instances,
+    concurrency_relation,
+    is_concurrent,
+)
 from wtminer.concurrency import (
+    ConcurrencyRelation,
     DirectlyFollowsCounts,
     OracleThresholds,
     compute_enablement,
@@ -65,36 +71,36 @@ class TestDetectConcurrency:
     def test_balanced_pair_is_concurrent(self):
         counts = DirectlyFollowsCounts({("b", "c"): 5, ("c", "b"): 5}, {})
         rel = detect_concurrency(counts)
-        assert rel.is_concurrent("b", "c")
-        assert rel.is_concurrent("c", "b")
+        assert is_concurrent(rel, "b", "c")
+        assert is_concurrent(rel, "c", "b")
 
     def test_unidirectional_pair_is_not(self):
         counts = DirectlyFollowsCounts({("a", "b"): 7}, {})
-        assert not detect_concurrency(counts).is_concurrent("a", "b")
+        assert not is_concurrent(detect_concurrency(counts), "a", "b")
 
     def test_loop_guard_blocks_short_loops(self):
         counts = DirectlyFollowsCounts(
             {("b", "c"): 5, ("c", "b"): 5}, {("b", "c"): 5}
         )
-        assert not detect_concurrency(counts).is_concurrent("b", "c")
+        assert not is_concurrent(detect_concurrency(counts), "b", "c")
         relaxed = detect_concurrency(counts, OracleThresholds(length2_loop_guard=False))
-        assert relaxed.is_concurrent("b", "c")
+        assert is_concurrent(relaxed, "b", "c")
 
     def test_dependency_threshold_boundary(self):
         # |9-0|/(9+0+1) = 0.9: not strictly below the default threshold.
         counts = DirectlyFollowsCounts({("a", "b"): 9, ("b", "a"): 1}, {})
         # 8/11 = 0.727 < 0.9 once both directions are seen.
-        assert detect_concurrency(counts).is_concurrent("a", "b")
+        assert is_concurrent(detect_concurrency(counts), "a", "b")
         strict = detect_concurrency(counts, OracleThresholds(dependency_threshold=0.7))
-        assert not strict.is_concurrent("a", "b")
+        assert not is_concurrent(strict, "a", "b")
 
     def test_min_observations(self):
         counts = DirectlyFollowsCounts({("a", "b"): 1, ("b", "a"): 1}, {})
-        assert detect_concurrency(counts).is_concurrent("a", "b")
+        assert is_concurrent(detect_concurrency(counts), "a", "b")
         stricter = detect_concurrency(
             counts, OracleThresholds(min_bidirectional_observations=2)
         )
-        assert not stricter.is_concurrent("a", "b")
+        assert not is_concurrent(stricter, "a", "b")
 
     def test_threshold_validation(self):
         with pytest.raises(ConfigError):
@@ -104,10 +110,25 @@ class TestDetectConcurrency:
 
     def test_relation_is_symmetric_and_irreflexive(self):
         rel = concurrency_relation(("b", "a"))
-        assert rel.is_concurrent("a", "b") and rel.is_concurrent("b", "a")
-        assert not rel.is_concurrent("a", "a")
+        assert is_concurrent(rel, "a", "b") and is_concurrent(rel, "b", "a")
+        assert not is_concurrent(rel, "a", "a")
         with pytest.raises(ValueError):
             concurrency_relation(("a", "a"))
+
+    def test_constructor_stores_each_pair_once_in_canonical_order(self):
+        both = ConcurrencyRelation(frozenset({("b", "a"), ("a", "b")}))
+        assert both.pairs == frozenset({("a", "b")}) and len(both) == 1
+        assert both == ConcurrencyRelation(frozenset({("a", "b")}))
+        with pytest.raises(ValueError):
+            ConcurrencyRelation(frozenset({("a", "b"), ("a", "a")}))
+        # A pair given in reverse order is still a concurrency, so `a`
+        # cannot enable `b`.
+        rel = ConcurrencyRelation(frozenset({("b", "a")}))
+        assert is_concurrent(rel, "a", "b")
+        log = EventLog.from_instances(seq_case("c1", ("a", 0, 10), ("b", 15, 20)))
+        result = compute_enablement(log, rel)
+        b = result.log.cases["c1"][1]
+        assert b.enabled == b.started and b not in result.enabler
 
 
 def parallel_split_log():
@@ -134,7 +155,7 @@ class TestComputeEnablement:
     def test_parallel_branches_enabled_by_common_predecessor(self):
         log = parallel_split_log()
         rel = discover_concurrency(log)
-        assert rel.is_concurrent("b", "c")
+        assert is_concurrent(rel, "b", "c")
         result = compute_enablement(log, rel)
         by_act = {i.activity: i for i in result.log.cases["c1"]}
         assert by_act["b"].enabled == 10

@@ -14,6 +14,7 @@ from brute import (
     calendar_from_cells,
     cause_durations,
     horizon,
+    total_duration,
 )
 from test_golden import _write_loopy_log
 from wtminer.batching import detect_batches
@@ -327,7 +328,7 @@ class TestLargeSimultaneousBatch:
         (batch,) = result.batching.batches
         assert len(batch.members) == n
         seconds = {
-            cause: sum(getattr(d, cause).total_duration for d in result.decompositions)
+            cause: sum(total_duration(getattr(d, cause)) for d in result.decompositions)
             for cause in CAUSES
         }
         assert seconds == {
@@ -390,14 +391,14 @@ class TestDecompositionInvariants:
             out = d.decompose(ti_for(target))
             sets = {cause: getattr(out, cause) for cause in CAUSES}
             # Additivity in integer seconds.
-            assert sum(s.total_duration for s in sets.values()) == out.waiting_duration
+            assert sum(map(total_duration, sets.values())) == out.waiting_duration
             assert out.waiting_duration == target.started - target.enabled
             # Pairwise disjointness and coverage.
             union = IntervalSet.empty()
             causes = list(sets)
             for i, a in enumerate(causes):
                 for b in causes[i + 1 :]:
-                    assert not sets[a].intersect(sets[b])
+                    assert not sets[a] & sets[b]
                 union = IntervalSet(union.intervals + sets[a].intervals)
             expected = (
                 IntervalSet([(target.enabled, target.started)])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import contains_point, horizon
+from brute import contains_point, horizon, total_duration
 from wtminer.analysis import AnalysisResult, CauseImpact, TransitionImpact
 from wtminer.batching import Batch, BatchingConfig, BatchingResult
 from wtminer.calendars import AbsoluteAvailability, CalendarParams, WeeklyCalendar
@@ -57,7 +57,7 @@ class TestSingleSpan:
     """One (start, end) pair, as `IntervalSet` checks and stores it."""
 
     def test_duration_and_emptiness(self):
-        assert IntervalSet([(3, 8)]).total_duration == 5
+        assert total_duration(IntervalSet([(3, 8)])) == 5
         assert not IntervalSet([(4, 4)])
         assert IntervalSet([(4, 5)])
 
@@ -99,7 +99,7 @@ class TestIntervalSetCanonicalForm:
 
     def test_empty_set(self):
         assert not IntervalSet.empty()
-        assert IntervalSet.empty().total_duration == 0
+        assert total_duration(IntervalSet.empty()) == 0
 
     def test_repr_prints_half_open_spans(self):
         assert repr(IntervalSet([(10, 12), (0, 2)])) == "{[0, 2), [10, 12)}"
@@ -141,7 +141,7 @@ class TestIntervalSetOperations:
     @given(interval_sets(), interval_sets())
     def test_partition_by_subtrahend(self, a, b):
         # Splitting A on B never changes total measure.
-        assert (a & b).total_duration + (a - b).total_duration == a.total_duration
+        assert total_duration(a & b) + total_duration(a - b) == total_duration(a)
 
     @given(interval_sets(), interval_sets())
     def test_subtract_result_disjoint_from_subtrahend(self, a, b):
@@ -156,8 +156,8 @@ class TestIntervalSetOperations:
 
     @given(interval_sets(), interval_sets())
     def test_fast_results_equal_their_canonical_form(self, a, b):
-        # intersect and subtract store their output without re-canonicalizing.
-        for result in (a.intersect(b), a.subtract(b)):
+        # `&` and `-` store their output without re-canonicalizing.
+        for result in (a & b, a - b):
             assert result == IntervalSet(result.intervals)
 
 
