@@ -36,7 +36,13 @@ class CauseImpact(_Value):
         cte_if_eliminated: float,
         delta: float,
     ) -> None:
-        super().__init__(cause, wt_seconds, share_of_wt, cte_if_eliminated, delta)
+        vars(self).update(
+            cause=cause,
+            wt_seconds=wt_seconds,
+            share_of_wt=share_of_wt,
+            cte_if_eliminated=cte_if_eliminated,
+            delta=delta,
+        )
 
 
 class TransitionImpact(_Value):
@@ -51,15 +57,15 @@ class TransitionImpact(_Value):
         cte_if_eliminated: float,
         delta: float,
     ) -> None:
-        super().__init__(
-            source_activity,
-            target_activity,
-            case_frequency,
-            total_frequency,
-            total_wt_seconds,
-            wt_by_cause,
-            cte_if_eliminated,
-            delta,
+        vars(self).update(
+            source_activity=source_activity,
+            target_activity=target_activity,
+            case_frequency=case_frequency,
+            total_frequency=total_frequency,
+            total_wt_seconds=total_wt_seconds,
+            wt_by_cause=wt_by_cause,
+            cte_if_eliminated=cte_if_eliminated,
+            delta=delta,
         )
 
     @property
@@ -76,7 +82,13 @@ class AnalysisResult(_Value):
         per_cause: dict[str, CauseImpact],
         per_transition: tuple[TransitionImpact, ...],
     ) -> None:
-        super().__init__(total_pt_seconds, total_wt_seconds, cte, per_cause, per_transition)
+        vars(self).update(
+            total_pt_seconds=total_pt_seconds,
+            total_wt_seconds=total_wt_seconds,
+            cte=cte,
+            per_cause=per_cause,
+            per_transition=per_transition,
+        )
 
 
 def analyze(

@@ -18,7 +18,6 @@ from wtminer.model import (
     EventLog,
     IntervalSet,
     Span,
-    TimeInstant,
     UNKNOWN_RESOURCE,
     _Value,
     _canonicalize,
@@ -27,23 +26,15 @@ from wtminer.model import (
 SECONDS_PER_DAY = 86400
 SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 MINUTES_PER_DAY = 1440
-# 1970-01-01 was a Thursday; weekday indices run Monday=0 .. Sunday=6.
-_EPOCH_WEEKDAY = 3
+# 1970-01-01 was a Thursday, so an instant plus three days, modulo a week,
+# is its offset from Monday 00:00; weekday indices run Monday=0 .. Sunday=6.
+_MONDAY_SHIFT = 3 * SECONDS_PER_DAY
 
 # Discovery halves the frequency cut at most this many times.
 MAX_RELAXATIONS = 10
 
 DAY_NAMES = ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
 _DAY_INDEX = {name: i for i, name in enumerate(DAY_NAMES)}
-
-
-def weekday_of(t: TimeInstant) -> int:
-    return (t // SECONDS_PER_DAY + _EPOCH_WEEKDAY) % 7
-
-
-def week_start(t: TimeInstant) -> TimeInstant:
-    day = t // SECONDS_PER_DAY
-    return (day - weekday_of(t)) * SECONDS_PER_DAY
 
 
 class CalendarParams(_Value):
@@ -58,7 +49,9 @@ class CalendarParams(_Value):
             raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
         if not 0.0 <= support <= 1.0:
             raise ConfigError(f"support must be in [0, 1], got {support}")
-        super().__init__(granule_minutes, confidence, support)
+        vars(self).update(
+            granule_minutes=granule_minutes, confidence=confidence, support=support
+        )
 
 
 class WeeklyCalendar(_Value):
@@ -72,7 +65,20 @@ class WeeklyCalendar(_Value):
         for start, end in ranges:
             if start < 0 or end > SECONDS_PER_WEEK or start % size or end % size:
                 raise ConfigError(f"range ({start}, {end}) outside the weekly grid")
-        super().__init__(resource, granule_minutes, ranges)
+        vars(self).update(
+            resource=resource, granule_minutes=granule_minutes, ranges=ranges
+        )
+
+    @classmethod
+    def _from_canonical(
+        cls, resource: str, granule_minutes: int, ranges: tuple[Span, ...]
+    ) -> "WeeklyCalendar":
+        # For ranges already merged, sorted and on the granule's weekly grid.
+        cal = object.__new__(cls)
+        vars(cal).update(
+            resource=resource, granule_minutes=granule_minutes, ranges=ranges
+        )
+        return cal
 
     @classmethod
     def always_on(cls, resource: str, granule_minutes: int = 60) -> "WeeklyCalendar":
@@ -85,7 +91,7 @@ class WeeklyCalendar(_Value):
 
 class AbsoluteAvailability(_Value):
     def __init__(self, resource: str, available: IntervalSet) -> None:
-        super().__init__(resource, available)
+        vars(self).update(resource=resource, available=available)
 
 
 def discover_calendar(
@@ -110,7 +116,7 @@ def discover_calendar(
     # Monday 00:00; the slot size divides a day, so the index is
     # weekday * slots per day + slot of the day, also before 1970.
     size = params.granule_minutes * 60
-    shift = _EPOCH_WEEKDAY * SECONDS_PER_DAY
+    shift = _MONDAY_SHIFT
     freq: dict[int, int] = {}
     for inst in seq:
         key = (inst.started + shift) % SECONDS_PER_WEEK // size
@@ -118,18 +124,29 @@ def discover_calendar(
         key = (inst.completed + shift) % SECONDS_PER_WEEK // size
         freq[key] = freq.get(key, 0) + 1
     max_freq = max(freq.values())
-    total = 2 * len(seq)
+    needed = params.support * (2 * len(seq))
 
+    # Slots in week order, so the working ones come out sorted.
+    slots = sorted(freq)
     cut = params.confidence
-    working: set[int] = set()
     for _ in range(MAX_RELAXATIONS + 1):
-        working = {key for key, f in freq.items() if f >= cut * max_freq}
-        covered = sum(freq[key] for key in working)
-        if covered >= params.support * total or len(working) == len(freq):
+        threshold = cut * max_freq
+        working = [key for key in slots if freq[key] >= threshold]
+        if len(working) == len(slots) or sum([freq[key] for key in working]) >= needed:
             break
         cut /= 2
-    return WeeklyCalendar(
-        resource, params.granule_minutes, [(k * size, k * size + size) for k in working]
+    # Merge runs of neighbouring slots into ranges; the busiest slot is
+    # always working, so there is at least one.
+    ranges: list[Span] = []
+    first = last = working[0]
+    for key in working:
+        if key != last:
+            ranges.append((first * size, last * size))
+            first = key
+        last = key + 1
+    ranges.append((first * size, last * size))
+    return WeeklyCalendar._from_canonical(
+        resource, params.granule_minutes, tuple(ranges)
     )
 
 
@@ -145,19 +162,40 @@ def expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
     """Tile the weekly working ranges across the weeks each (start, end) span
     touches, clipped to that span. No spans, or only empty ones, give the
     empty set; a span that ends before it starts is a `ValueError`."""
+    ranges = cal.ranges
     pieces: list[Span] = []
-    for start, end in spans:
-        if end < start:
-            raise ValueError(f"span end {end} before start {start}")
-        w = week_start(start)
+    last_end = 0
+    # In start order, each piece either extends the last one (it overlaps
+    # or touches it, as a range ending Sunday 24:00 touches the next Monday
+    # 00:00) or starts after it, so the pieces come out canonical.
+    for start, end in sorted(spans):
+        if end <= start:
+            if end < start:
+                raise ValueError(f"span end {end} before start {start}")
+            continue
+        w = start - (start + _MONDAY_SHIFT) % SECONDS_PER_WEEK  # its week's Monday
         while w < end:
-            for s, e in cal.ranges:
-                if w + e > start and w + s < end:
-                    pieces.append((max(w + s, start), min(w + e, end)))
+            for s, e in ranges:
+                e += w
+                if e <= start:
+                    continue
+                s += w
+                if s >= end:
+                    break
+                if s < start:
+                    s = start
+                if e > end:
+                    e = end
+                if pieces and s <= last_end:
+                    if e > last_end:
+                        pieces[-1] = (pieces[-1][0], e)
+                        last_end = e
+                else:
+                    pieces.append((s, e))
+                    last_end = e
             w += SECONDS_PER_WEEK
-    # Canonicalizing merges a range ending Sunday 24:00 with the next
-    # Monday 00:00, and pieces of touching spans with each other.
-    return AbsoluteAvailability(cal.resource, IntervalSet(pieces))
+    available = IntervalSet._from_canonical(tuple(pieces))
+    return AbsoluteAvailability(cal.resource, available)
 
 
 def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:

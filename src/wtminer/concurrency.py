@@ -34,8 +34,10 @@ class OracleThresholds(_Value):
             )
         if min_bidirectional_observations < 1:
             raise ConfigError("min bidirectional observations must be at least 1")
-        super().__init__(
-            dependency_threshold, min_bidirectional_observations, length2_loop_guard
+        vars(self).update(
+            dependency_threshold=dependency_threshold,
+            min_bidirectional_observations=min_bidirectional_observations,
+            length2_loop_guard=length2_loop_guard,
         )
 
 
@@ -45,7 +47,7 @@ class DirectlyFollowsCounts(_Value):
     def __init__(
         self, pairs: dict[tuple[str, str], int], loops2: dict[tuple[str, str], int]
     ) -> None:
-        super().__init__(pairs, loops2)
+        vars(self).update(pairs=pairs, loops2=loops2)
 
     def count(self, a: str, b: str) -> int:
         return self.pairs.get((a, b), 0)
@@ -67,7 +69,7 @@ class ConcurrencyRelation(_Value):
             if a == b:
                 raise ValueError(f"activity {a!r} cannot be concurrent with itself")
             canonical.add((min(a, b), max(a, b)))
-        super().__init__(frozenset(canonical))
+        vars(self).update(pairs=frozenset(canonical))
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -126,7 +128,13 @@ class EnablementStats(_Record):
         concurrent_only: int = 0,
         clamped: int = 0,
     ) -> None:
-        super().__init__(derived, supplied, first_in_case, concurrent_only, clamped)
+        vars(self).update(
+            derived=derived,
+            supplied=supplied,
+            first_in_case=first_in_case,
+            concurrent_only=concurrent_only,
+            clamped=clamped,
+        )
 
 
 class EnablementResult(_Value):
@@ -143,7 +151,7 @@ class EnablementResult(_Value):
         enabler: dict[ActivityInstance, ActivityInstance],
         stats: EnablementStats,
     ) -> None:
-        super().__init__(log, relation, enabler, stats)
+        vars(self).update(log=log, relation=relation, enabler=enabler, stats=stats)
 
 
 def compute_enablement(

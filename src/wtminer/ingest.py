@@ -72,14 +72,14 @@ class ColumnMapping(_Value):
         enabled_column: str | None = None,
         timestamp_format: str = ISO_8601,
     ) -> None:
-        super().__init__(
-            case_column,
-            activity_column,
-            resource_column,
-            start_column,
-            end_column,
-            enabled_column,
-            timestamp_format,
+        vars(self).update(
+            case_column=case_column,
+            activity_column=activity_column,
+            resource_column=resource_column,
+            start_column=start_column,
+            end_column=end_column,
+            enabled_column=enabled_column,
+            timestamp_format=timestamp_format,
         )
         for name in self._fields:
             value = getattr(self, name)
@@ -123,19 +123,19 @@ class IngestStats(_Record):
         unknown_resources: int = 0,
         clamped_enablements: int = 0,
     ) -> None:
-        super().__init__(
-            rows_total,
-            rows_rejected,
-            naive_timestamps,
-            truncated_timestamps,
-            unknown_resources,
-            clamped_enablements,
+        vars(self).update(
+            rows_total=rows_total,
+            rows_rejected=rows_rejected,
+            naive_timestamps=naive_timestamps,
+            truncated_timestamps=truncated_timestamps,
+            unknown_resources=unknown_resources,
+            clamped_enablements=clamped_enablements,
         )
 
 
 class LoadResult(_Value):
     def __init__(self, log: EventLog, stats: IngestStats) -> None:
-        super().__init__(log, stats)
+        vars(self).update(log=log, stats=stats)
 
 
 def parse_timestamp(raw: str, fmt: str, stats: IngestStats | None = None) -> TimeInstant:

@@ -31,13 +31,11 @@ class IngestError(WtMinerError):
     """The input log could not be turned into a usable event log."""
 
 
-# A constructor sets each field once through this; the frozen types' own
-# `__setattr__` refuses every later assignment. The four types built once
-# per activity instance have slots, and skip its lookup of the slot by
-# name: they call each slot's own bound `__set__`.
-_set = object.__setattr__
-
-
+# The frozen types' own `__setattr__` refuses every assignment, so each
+# constructor fills its fields in one call: a record writes its instance
+# `__dict__` with `vars(self).update(...)`, and the four types built once
+# per activity instance, which have slots, call each slot's own bound
+# `__set__`.
 def _slot_setters(cls: type) -> tuple:
     """The bound `__set__` of each of `cls`'s own slots, in `__slots__` order."""
     return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
@@ -65,19 +63,18 @@ class _Frozen:
 
 class _Record:
     """A type whose fields are its constructor's parameters, in order, as
-    `_fields` names them. Two records are equal when they are of one class
-    and their fields are equal."""
+    `_fields` names them; the constructor fills every field itself. Two
+    records are equal when they are of one class and their fields are
+    equal."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        code = cls.__init__.__code__
-        cls._fields = code.co_varnames[1 : code.co_argcount]
-
-    def __init__(self, *values: object) -> None:
-        for name, value in zip(self._fields, values, strict=True):
-            _set(self, name, value)
+        # A base without a constructor of its own, like `_Value`, has no fields.
+        if "__init__" in vars(cls):
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
@@ -251,7 +248,7 @@ class EventLog(_Value):
     def __init__(self, instances: tuple[ActivityInstance, ...]) -> None:
         if not instances:
             raise IngestError("event log contains no activity instances")
-        super().__init__(tuple(sorted(instances, key=_log_order)))
+        vars(self).update(instances=tuple(sorted(instances, key=_log_order)))
 
     @classmethod
     def from_instances(cls, instances: Iterable[ActivityInstance]) -> "EventLog":
@@ -267,8 +264,7 @@ class EventLog(_Value):
         # grouping the `cases` property would build from them; it is stored
         # where that cached property keeps its value.
         log = object.__new__(cls)
-        _set(log, "instances", instances)
-        vars(log)["cases"] = cases
+        vars(log).update(instances=instances, cases=cases)
         return log
 
     @cached_property

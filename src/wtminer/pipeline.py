@@ -22,7 +22,7 @@ from wtminer.decomposition import (
     decompose_all,
     multitasking_rate,
 )
-from wtminer.model import EventLog, IntervalSet, UNKNOWN_RESOURCE, _Value
+from wtminer.model import EventLog, UNKNOWN_RESOURCE, _Value, _canonicalize
 from wtminer.transitions import Transition, discover_transitions
 
 
@@ -34,7 +34,7 @@ class PipelineConfig(_Value):
         batching: BatchingConfig = BatchingConfig(),
         calendars: CalendarParams = CalendarParams(),
     ) -> None:
-        super().__init__(thresholds, batching, calendars)
+        vars(self).update(thresholds=thresholds, batching=batching, calendars=calendars)
 
 
 class PipelineResult(_Value):
@@ -54,18 +54,18 @@ class PipelineResult(_Value):
         multitasking_rate: float,
         overridden_resources: tuple[str, ...],
     ) -> None:
-        super().__init__(
-            config,
-            log,
-            enablement,
-            transitions,
-            batching,
-            calendars,
-            availability,
-            decompositions,
-            analysis,
-            multitasking_rate,
-            overridden_resources,
+        vars(self).update(
+            config=config,
+            log=log,
+            enablement=enablement,
+            transitions=transitions,
+            batching=batching,
+            calendars=calendars,
+            availability=availability,
+            decompositions=decompositions,
+            analysis=analysis,
+            multitasking_rate=multitasking_rate,
+            overridden_resources=overridden_resources,
         )
 
 
@@ -100,15 +100,13 @@ def run_pipeline(
             )
 
     # Availability is only read inside waits, so each resource's calendar is
-    # expanded over the union of its own non-empty waits. The decomposition
-    # never reads it for the unknown resource, whose set stays empty.
+    # expanded over the merged union of its own non-empty waits. The
+    # decomposition never reads it for the unknown resource, whose set stays
+    # empty.
     availability: dict[str, AbsoluteAvailability] = {}
     for resource, calendar in calendars.items():
-        waits = (
-            IntervalSet(inst.waiting for inst in enriched.by_resource[resource])
-            if resource != UNKNOWN_RESOURCE
-            else ()
-        )
+        seq = enriched.by_resource[resource] if resource != UNKNOWN_RESOURCE else ()
+        waits = _canonicalize([(inst.enabled, inst.started) for inst in seq])
         availability[resource] = expand_calendar(calendar, *waits)
 
     decomposer = Decomposer(enriched, batching, availability)

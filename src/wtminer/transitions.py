@@ -39,13 +39,13 @@ class Transition(_Value):
         total_frequency: int,
         total_duration: int,
     ) -> None:
-        super().__init__(
-            source_activity,
-            target_activity,
-            instances,
-            case_frequency,
-            total_frequency,
-            total_duration,
+        vars(self).update(
+            source_activity=source_activity,
+            target_activity=target_activity,
+            instances=instances,
+            case_frequency=case_frequency,
+            total_frequency=total_frequency,
+            total_duration=total_duration,
         )
 
     @property

@@ -22,9 +22,10 @@ indentation `report_json` must match byte for byte; with `build_report`
 it is the oracle for the rendered `report.json`, and `transitions_csv`,
 a separate `csv.writer` pass, for the rendered `transitions.csv`.
 
-`contains_point`, `total_duration`, `concurrency_relation`, `is_concurrent`,
-`horizon`, `cause_durations`, `is_self_loop` and `impact_label` are small
-helpers that only tests need, so they live here and not in the package.
+`weekday_of`, `week_start`, `contains_point`, `total_duration`,
+`concurrency_relation`, `is_concurrent`, `horizon`, `cause_durations`,
+`is_self_loop` and `impact_label` are small helpers that only tests need, so
+they live here and not in the package.
 """
 from __future__ import annotations
 
@@ -44,8 +45,6 @@ from wtminer.calendars import (
     AbsoluteAvailability,
     CalendarParams,
     WeeklyCalendar,
-    week_start,
-    weekday_of,
 )
 from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
 from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition
@@ -63,6 +62,17 @@ from wtminer.model import (
 from wtminer.pipeline import PipelineResult
 from wtminer.report import TRANSITIONS_CSV_COLUMNS, significant
 from wtminer.transitions import Transition, TransitionInstance
+
+
+def weekday_of(t: TimeInstant) -> int:
+    """Monday=0 .. Sunday=6; 1970-01-01 was a Thursday."""
+    return (t // SECONDS_PER_DAY + 3) % 7
+
+
+def week_start(t: TimeInstant) -> TimeInstant:
+    """Monday 00:00 of the week holding `t`."""
+    day = t // SECONDS_PER_DAY
+    return (day - weekday_of(t)) * SECONDS_PER_DAY
 
 
 def contains_point(s: IntervalSet, t: TimeInstant) -> bool:

@@ -277,3 +277,63 @@ class TestShrinkOracle:
         log = EventLog.from_instances(instances)
         enriched = compute_enablement(log, discover_concurrency(log)).log
         assert detect_batches(enriched).batches == ()
+
+
+class _CountingSeq(tuple):
+    """A work sequence that counts the members read from it by index."""
+
+    def __getitem__(self, key):
+        self.visits = getattr(self, "visits", 0) + 1
+        return tuple.__getitem__(self, key)
+
+
+def _staggered_run_visits(n: int) -> int:
+    """Members `detect_batches` reads for n ship instances starting 1 s
+    apart, each running 10n s, ended by an inspect that starts after the
+    last of them, inside every window the ships can form."""
+    ships = [
+        ActivityInstance(f"c{k}", "ship", "shipper", k, k + 10 * n, enabled=0)
+        for k in range(n)
+    ]
+    intruder = ActivityInstance("x", "inspect", "shipper", n, n + 60, enabled=0)
+    log = EventLog.from_instances(ships + [intruder])
+    seq = _CountingSeq(log.by_resource["shipper"])
+    vars(log)["by_resource"] = {"shipper": seq}
+    assert detect_batches(log).batches == ()
+    return seq.visits
+
+
+class TestStaggeredRunScaling:
+    def test_visits_grow_linearly(self):
+        # Each start of the run used to regrow and reshrink it: four times
+        # the visits per doubling of n.
+        visits = [_staggered_run_visits(n) for n in (1000, 2000, 4000)]
+        for smaller, larger in zip(visits, visits[1:]):
+            assert larger <= 2.2 * smaller
+
+    def test_matches_rescanning_shrink(self):
+        ships = [
+            ActivityInstance(f"c{k}", "ship", "shipper", k, k + 500, enabled=0)
+            for k in range(50)
+        ]
+        intruder = ActivityInstance("x", "inspect", "shipper", 50, 110, enabled=0)
+        log = EventLog.from_instances(ships + [intruder])
+        assert detect_batches(log) == brute_detect_batches(log)
+
+    def test_later_start_takes_an_end_that_only_it_suits(self):
+        # From c1's start the run takes c2 and c3, but no end fits: c1
+        # completes at 43, after every later start. From c2's start the two
+        # zero-length members end when the inspect starts, and batch.
+        log = EventLog.from_instances(
+            [
+                inst("c0", "a", "r1", 3, 8, 38),
+                inst("c1", "a", "r1", 12, 13, 43),
+                inst("c2", "a", "r1", 10, 15, 15),
+                inst("c3", "a", "r1", 10, 15, 15),
+                inst("c4", "b", "r1", 14, 15, 18),
+            ]
+        )
+        result = detect_batches(log)
+        assert result == brute_detect_batches(log)
+        members = [[m.case_id for m in batch.members] for batch in result.batches]
+        assert members == [["c2", "c3"]]

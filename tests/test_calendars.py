@@ -15,6 +15,8 @@ from brute import (
     contains_point,
     horizon,
     total_duration,
+    week_start,
+    weekday_of,
 )
 from wtminer.calendars import (
     SECONDS_PER_DAY,
@@ -27,8 +29,6 @@ from wtminer.calendars import (
     discover_calendars,
     expand_calendar,
     load_calendar_overrides,
-    week_start,
-    weekday_of,
 )
 from wtminer.model import (
     ActivityInstance,
@@ -173,6 +173,24 @@ class TestDiscoverCalendarOracle:
         for resource in log.resources:
             expected = brute_discover_calendar(log, resource, params)
             assert discover_calendar(log, resource, params) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        observed_logs(),
+        st.sampled_from([1, 5, 15, 60, 90, 1440]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_discovered_calendars_pass_the_public_checks(
+        self, log, granule, confidence, support
+    ):
+        # Discovery builds its calendars without the public constructor's
+        # merge and grid checks; rebuilding each through them changes nothing.
+        params = CalendarParams(granule, confidence, support)
+        for resource in log.resources:
+            cal = discover_calendar(log, resource, params)
+            assert type(cal.ranges) is tuple
+            assert WeeklyCalendar(resource, granule, cal.ranges) == cal
 
 
 class TestExpandCalendar:
@@ -358,6 +376,59 @@ class TestExpandOverSpans:
         union = IntervalSet(spans)
         for start, end in avail:
             assert any(u_start <= start and end <= u_end for u_start, u_end in union)
+
+    @pytest.mark.parametrize(
+        "spans",
+        [
+            pytest.param(
+                [
+                    (at(0, 10), at(0, 10)),
+                    (at(0, 8), at(0, 12)),
+                    (at(1, 9), at(1, 9)),
+                    (at(1, 12), at(1, 12)),
+                    (at(2, 10, 15), at(2, 10, 15)),
+                    (at(2, 16), at(3, 10)),
+                    (at(4, 0), at(4, 0)),
+                ],
+                id="empty-among-non-empty",
+            ),
+            pytest.param(
+                [(at(9, 10), at(9, 11)), (at(2, 16), at(3, 10)), (at(0, 8), at(0, 12))],
+                id="unsorted",
+            ),
+            pytest.param(
+                [
+                    (at(0, 8), at(2, 12)),
+                    (at(1, 10), at(1, 11)),
+                    (at(1, 16), at(4, 9)),
+                    (at(2, 11), at(2, 13)),
+                    (at(4, 9), at(4, 9, 30)),
+                ],
+                id="overlapping-and-nested",
+            ),
+            pytest.param(
+                [
+                    (at(13, 22), at(14, 0)),
+                    (at(7, 0), at(7, 0, 30)),
+                    (at(6, 23, 30), at(7, 0)),
+                    (at(14, 0), at(14, 2)),
+                ],
+                id="touching-at-sunday-midnight",
+            ),
+            pytest.param(
+                [(at(-3, 5), at(20, 5)), (at(6, 12), at(6, 12))], id="weeks-long"
+            ),
+        ],
+    )
+    def test_matches_hull_oracle_on_listed_spans(self, spans):
+        office_hours = {(day, hour) for day in range(5) for hour in range(9, 17)}
+        office = calendar_from_cells("r1", 60, office_hours)
+        # Sunday 23:00-24:00, Monday 00:00-01:00 and Wednesday 10:00-10:30.
+        midnight = calendar_from_cells("r2", 30, {(6, 46), (6, 47), (0, 0), (0, 1), (2, 20)})
+        for cal in (office, midnight, WeeklyCalendar.always_on("r3")):
+            avail = expand_calendar(cal, *spans)
+            assert avail == brute_expand_calendar(cal, *spans)
+            assert all(start < end for start, end in avail.available)
 
     def test_no_spans_give_empty_set(self):
         cal = WeeklyCalendar.always_on("r1")

@@ -433,3 +433,25 @@ def test_discovered_calendars_match_recorded_digest(loopy_log):
     dest = loopy_log.with_name("calendars.json")
     assert main(["calendars", "--log", str(loopy_log), "--out", str(dest)]) == 0
     assert _sha256(dest) == GOLDEN_DISCOVERED_CALENDARS
+
+
+# The `wide` log, seed 1, discovers 564 calendars, so the many-resource
+# calendar paths are pinned too: sha256 of the `wtminer calendars` JSON and
+# of `report.json` from `analyze --emit-calendars`.
+GOLDEN_WIDE_CALENDARS = (
+    "02595afce50d1c7aa29a0fffbfa711b653b4fbdf90527cd9e14cee35d4b3b256",
+    "1c0f6679629a5d27e77cc9ef62b2471e4d119e603932d91aa579332223a7faed",
+)
+
+
+def test_wide_calendars_match_recorded_digests(golden_logs, tmp_path):
+    log = golden_logs["wide"]
+    dumped = tmp_path / "calendars.json"
+    assert main(["calendars", "--log", str(log), "--out", str(dumped)]) == 0
+    assert len(json.loads(dumped.read_text(encoding="utf-8"))) == 564
+    dest = tmp_path / "out"
+    assert main(
+        ["analyze", "--log", str(log), "--out", str(dest), "--emit-calendars"]
+    ) == 0
+    assert (_sha256(dumped), _sha256(dest / "report.json")) == GOLDEN_WIDE_CALENDARS
+    assert _output_digests(dest)[0] == GOLDEN["wide"][0]

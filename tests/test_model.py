@@ -7,11 +7,15 @@ hand, and randomized comparison against a per-second membership oracle.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wtminer
 from brute import contains_point, horizon, total_duration
 from wtminer.analysis import AnalysisResult, CauseImpact, TransitionImpact
 from wtminer.batching import Batch, BatchingConfig, BatchingResult
@@ -31,6 +35,7 @@ from wtminer.model import (
     IngestError,
     IntervalSet,
     UNKNOWN_RESOURCE,
+    _Record,
 )
 from wtminer.pipeline import PipelineConfig, PipelineResult
 from wtminer.transitions import Transition, TransitionInstance
@@ -265,12 +270,15 @@ class TestSlottedTypes:
 
 
 def _keyword_examples() -> list:
-    """Each pipeline type with one value per field, in constructor order."""
+    """Each pipeline type with one value per field, in constructor order;
+    the values of one type's fields differ pairwise, so a constructor that
+    swaps two fields shows."""
     a = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     b = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
     ti = TransitionInstance(a, b)
     waits = IntervalSet([(5, 9)])
     empty = IntervalSet.empty()
+    parts = [IntervalSet([(k, k + 1)]) for k in range(5, 9)]
     log = EventLog((a, b))
     batch = Batch("a", "r1", (a, b))
     relation = ConcurrencyRelation(frozenset({("a", "b")}))
@@ -304,7 +312,7 @@ def _keyword_examples() -> list:
                 "source_activity": "a",
                 "target_activity": "b",
                 "instances": (ti,),
-                "case_frequency": 1.0,
+                "case_frequency": 0.5,
                 "total_frequency": 1,
                 "total_duration": 4,
             },
@@ -313,11 +321,11 @@ def _keyword_examples() -> list:
             WtDecomposition,
             {
                 "instance": ti,
-                "batching": empty,
-                "contention": empty,
-                "prioritization": empty,
-                "unavailability": empty,
-                "extraneous": waits,
+                "batching": parts[0],
+                "contention": parts[1],
+                "prioritization": parts[2],
+                "unavailability": parts[3],
+                "extraneous": empty,
             },
         ),
         (BatchingConfig, {"gap_tolerance": 3, "min_batch_size": 4}),
@@ -383,7 +391,7 @@ def _keyword_examples() -> list:
                 "cause": "extraneous",
                 "wt_seconds": 4,
                 "share_of_wt": 1.0,
-                "cte_if_eliminated": 1.0,
+                "cte_if_eliminated": 0.9,
                 "delta": 0.2,
             },
         ),
@@ -392,11 +400,11 @@ def _keyword_examples() -> list:
             {
                 "source_activity": "a",
                 "target_activity": "b",
-                "case_frequency": 1.0,
+                "case_frequency": 0.5,
                 "total_frequency": 1,
                 "total_wt_seconds": 4,
                 "wt_by_cause": {"extraneous": 4},
-                "cte_if_eliminated": 1.0,
+                "cte_if_eliminated": 0.9,
                 "delta": 0.2,
             },
         ),
@@ -574,12 +582,44 @@ def _named(cases: list) -> list:
     return [pytest.param(*case, id=case[0].__name__) for case in cases]
 
 
+def _records() -> set[type]:
+    """Every public `_Record` subclass in the package's modules."""
+    for module in pkgutil.iter_modules(wtminer.__path__):
+        importlib.import_module(f"wtminer.{module.name}")
+    found: set[type] = set()
+    todo = [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if not sub.__name__.startswith("_"):
+                found.add(sub)
+    return found
+
+
 class TestTypeContracts:
     @pytest.mark.parametrize("cls, kwargs", _named(_keyword_examples()))
     def test_keyword_and_positional_construction(self, cls, kwargs):
         for obj in (cls(**kwargs), cls(*kwargs.values())):
             for name, value in kwargs.items():
                 assert getattr(obj, name) == value
+
+    def test_table_covers_every_record(self):
+        records = _records()
+        assert len(records) >= 20
+        assert records <= {cls for cls, _ in _keyword_examples()}
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        _named([case for case in _keyword_examples() if issubclass(case[0], _Record)]),
+    )
+    def test_constructor_fills_every_field_in_order(self, cls, kwargs):
+        # Each record fills its own fields; one that skips a field fails
+        # `as_dict`, and one that misplaces a value fails the comparison.
+        values = list(kwargs.values())
+        assert all(x != y for x, y in itertools.combinations(values, 2))
+        assert cls._fields == tuple(kwargs)
+        for obj in (cls(**kwargs), cls(*values)):
+            assert obj.as_dict() == kwargs
 
     @pytest.mark.parametrize("cls, args, defaults", _named(_default_examples()))
     def test_defaults(self, cls, args, defaults):
