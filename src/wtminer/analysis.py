@@ -96,44 +96,47 @@ def analyze(
     transitions: tuple[Transition, ...],
     decompositions: tuple[WtDecomposition, ...],
 ) -> AnalysisResult:
-    """Fold decompositions into process-level and transition-level impacts."""
+    """Fold decompositions into process-level and transition-level impacts.
+
+    `decompositions` holds one decomposition per target of `transitions`, in
+    the order of the transitions and of their instances.
+    """
     total_pt = sum(inst.completed - inst.started for inst in log.instances)
     total_wt = sum(t.total_duration for t in transitions)
 
-    n_transition_instances = sum(t.total_frequency for t in transitions)
-    if len(decompositions) != n_transition_instances:
-        raise ValueError(
-            f"{len(decompositions)} decompositions for "
-            f"{n_transition_instances} transition instances"
-        )
+    n_targets = sum(t.total_frequency for t in transitions)
+    if len(decompositions) != n_targets:
+        raise ValueError(f"{len(decompositions)} decompositions for {n_targets} targets")
 
     cte = compute_cte(total_pt, total_wt)
 
-    # Seconds per cause, in CAUSES order, per (source, target) label. A
-    # zero-length wait has five empty sets, so it adds nothing.
-    by_label: dict[tuple[str, str], list[int]] = {}
-    for dec in decompositions:
-        target = dec.instance.target
-        if target.enabled == target.started:
-            continue
-        label = (dec.instance.source.activity, target.activity)
-        slot = by_label.get(label)
-        if slot is None:
-            slot = by_label[label] = [0] * len(CAUSES)
-        # Most cause sets of a waiting target are empty or hold one span.
-        for start, end in dec.batching.intervals:
-            slot[0] += end - start
-        for start, end in dec.contention.intervals:
-            slot[1] += end - start
-        for start, end in dec.prioritization.intervals:
-            slot[2] += end - start
-        for start, end in dec.unavailability.intervals:
-            slot[3] += end - start
-        for start, end in dec.extraneous.intervals:
-            slot[4] += end - start
+    # Seconds per cause, in CAUSES order, per transition, folded over its own
+    # slice of `decompositions`, which lists every transition's targets in
+    # turn. A zero-length wait has five empty sets, so it adds nothing.
+    slots = []
+    members = iter(decompositions)
+    for t in transitions:
+        slot = [0] * len(CAUSES)
+        for target, dec in zip(t.instances, members):
+            if dec.instance is not target:
+                raise ValueError("decompositions are not in transition order")
+            if target.enabled == target.started:
+                continue
+            # Most cause sets of a waiting target are empty or hold one span.
+            for start, end in dec.batching.intervals:
+                slot[0] += end - start
+            for start, end in dec.contention.intervals:
+                slot[1] += end - start
+            for start, end in dec.prioritization.intervals:
+                slot[2] += end - start
+            for start, end in dec.unavailability.intervals:
+                slot[3] += end - start
+            for start, end in dec.extraneous.intervals:
+                slot[4] += end - start
+        slots.append(slot)
 
     cause_totals = dict.fromkeys(CAUSES, 0)
-    for slot in by_label.values():
+    for slot in slots:
         for cause, seconds in zip(CAUSES, slot):
             cause_totals[cause] += seconds
     if sum(cause_totals.values()) != total_wt:
@@ -153,9 +156,8 @@ def analyze(
             delta=after - cte,
         )
 
-    no_wait = [0] * len(CAUSES)
     per_transition = []
-    for t in transitions:
+    for t, slot in zip(transitions, slots):
         after = cte_if_eliminated(total_pt, total_wt, t.total_duration)
         per_transition.append(
             TransitionImpact(
@@ -164,7 +166,7 @@ def analyze(
                 t.case_frequency,
                 t.total_frequency,
                 t.total_duration,
-                dict(zip(CAUSES, by_label.get(t.label, no_wait))),
+                dict(zip(CAUSES, slot)),
                 after,
                 after - cte,
             )

@@ -310,10 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except WtMinerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (WtMinerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -140,8 +140,10 @@ class EnablementStats(_Record):
 class EnablementResult(_Value):
     """Log with every enabled field set, plus the enabling predecessor map.
 
-    `log` keeps the input's instance order, and `enabler` (target -> source)
-    is filled in that order, so it yields the enabling pairs in log order.
+    `enabler` (target -> source) is the one record of enabling pairs: every
+    target has exactly one source. `log` keeps the input's instance order,
+    and `enabler` is filled in that order, so it yields the pairs in log
+    order.
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Waiting time decomposition.
 
-Every second of a transition instance's waiting interval is attributed to
-exactly one cause, claimed in strict dominance order:
+Every second of a waiting target's interval [enabled, started) is
+attributed to exactly one cause, claimed in strict dominance order:
 
 1. batching        - the target accumulated in a batch until its last member
                      was enabled
@@ -36,7 +36,6 @@ from wtminer.model import (
     _slot_setters,
     _split,
 )
-from wtminer.transitions import TransitionInstance
 
 _EMPTY = IntervalSet.empty()
 _START = itemgetter(0)
@@ -46,14 +45,14 @@ CAUSES = ("batching", "contention", "prioritization", "unavailability", "extrane
 
 
 class WtDecomposition(_Value):
-    """Disjoint per-cause interval sets covering one instance's waiting time."""
+    """Disjoint per-cause interval sets covering one target's waiting time."""
 
     # One interval set per cause, named and ordered as in `CAUSES`.
     __slots__ = ("instance", *CAUSES)
 
     def __init__(
         self,
-        instance: TransitionInstance,
+        instance: ActivityInstance,
         batching: IntervalSet,
         contention: IntervalSet,
         prioritization: IntervalSet,
@@ -69,8 +68,7 @@ class WtDecomposition(_Value):
 
     @property
     def waiting_duration(self) -> int:
-        target = self.instance.target
-        return target.started - target.enabled
+        return self.instance.started - self.instance.enabled
 
 
 (_wd_instance, _wd_batching, _wd_contention, _wd_prioritization, _wd_unavailability,
@@ -101,17 +99,16 @@ class Decomposer:
             for resource, seq in log.by_resource.items()
         }
 
-    def decompose(self, ti: TransitionInstance) -> WtDecomposition:
-        target = ti.target
+    def decompose(self, target: ActivityInstance) -> WtDecomposition:
         wait_start, wait_end = target.waiting
         if wait_start == wait_end:
-            return WtDecomposition(ti, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+            return WtDecomposition(target, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
         resource = target.resource
         if resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
             # calendar, so all of the wait is extraneous.
             return WtDecomposition(
-                ti, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _result([(wait_start, wait_end)])
+                target, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _result([(wait_start, wait_end)])
             )
 
         # Batching claims a prefix of the wait, so what it leaves is one span.
@@ -125,7 +122,7 @@ class Decomposer:
                 rest_start = batch_end
                 if rest_start == wait_end:
                     return WtDecomposition(
-                        ti, _result(batching), _EMPTY, _EMPTY, _EMPTY, _EMPTY
+                        target, _result(batching), _EMPTY, _EMPTY, _EMPTY, _EMPTY
                     )
 
         # Same-resource processing inside the rest of the wait, in one pass
@@ -165,7 +162,7 @@ class Decomposer:
         hi = bisect_left(available, wait_end, lo=lo, key=_START)
         extraneous, unavailability = _split(remaining, available[lo:hi])
         return WtDecomposition(
-            ti,
+            target,
             _result(batching),
             _result(contention),
             _result(prioritization),
@@ -179,10 +176,10 @@ def _result(spans: list[Span]) -> IntervalSet:
 
 
 def decompose_all(
-    decomposer: Decomposer, transition_instances: Iterable[TransitionInstance]
+    decomposer: Decomposer, targets: Iterable[ActivityInstance]
 ) -> tuple[WtDecomposition, ...]:
-    """Decompose many instances, keeping their order."""
-    return tuple(decomposer.decompose(ti) for ti in transition_instances)
+    """Decompose many targets, keeping their order."""
+    return tuple(decomposer.decompose(target) for target in targets)
 
 
 def multitasking_rate(log: EventLog) -> float:

@@ -138,12 +138,13 @@ class LoadResult(_Value):
         vars(self).update(log=log, stats=stats)
 
 
-def parse_timestamp(raw: str, fmt: str, stats: IngestStats | None = None) -> TimeInstant:
-    """Parse one timestamp to epoch seconds.
+def _parse_timestamp(raw: str, fmt: str) -> tuple[TimeInstant, bool, bool]:
+    """Parse one timestamp to (epoch seconds, naive, truncated).
 
     ISO texts must take one of the `_ISO_FORM` forms. Naive ones are read
-    as UTC; sub-second precision is floored. Both adjustments bump a warning
-    counter when stats are provided. Epoch texts are ASCII `-?[0-9]+`.
+    as UTC; sub-second precision is floored. The two flags say which of
+    these adjustments the text needed; a load counts each as a warning.
+    Epoch texts are ASCII `-?[0-9]+`.
     """
     text = raw.strip()
     if not text:
@@ -158,17 +159,15 @@ def parse_timestamp(raw: str, fmt: str, stats: IngestStats | None = None) -> Tim
             datetime.fromtimestamp(value, tz=timezone.utc)
         except (OverflowError, OSError, ValueError) as exc:
             raise ValueError(f"epoch seconds out of range: {text}") from exc
-        return value
+        return value, False, False
     dt = datetime.fromisoformat(_iso_text(text))
-    if dt.tzinfo is None:
+    naive = dt.tzinfo is None
+    if naive:
         dt = dt.replace(tzinfo=timezone.utc)
-        if stats is not None:
-            stats.naive_timestamps += 1
-    if dt.microsecond:
+    truncated = dt.microsecond != 0
+    if truncated:
         dt = dt.replace(microsecond=0)
-        if stats is not None:
-            stats.truncated_timestamps += 1
-    return int(dt.timestamp())
+    return int(dt.timestamp()), naive, truncated
 
 
 def _iso_text(text: str) -> str:
@@ -253,25 +252,24 @@ def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> LoadResu
 
 
 class _TimestampMemo(dict):
-    """`parse_timestamp` for one load, parsing each distinct text once.
+    """`_parse_timestamp` for one load, parsing each distinct text once.
 
     Maps each clean text, one that needed no adjustment, to its seconds, so
     a row reads it with one `get`. A text that is not a key takes `read`,
-    which reads the YYYY-MM-DDTHH:MM:SSZ layout without `parse_timestamp`.
-    `adjusted` maps each naive or sub-second text to (seconds, naive count,
-    truncated count), and each unparseable text to None; `read` adds such a
+    which reads the YYYY-MM-DDTHH:MM:SSZ layout without `_parse_timestamp`.
+    `adjusted` maps each naive or sub-second text to (seconds, naive,
+    truncated), and each unparseable text to None; `read` adds such a
     text's counts to the load's stats on every row the text is on, as
     parsing it afresh would.
     """
 
-    __slots__ = ("fmt", "stats", "probe", "adjusted")
+    __slots__ = ("fmt", "stats", "adjusted")
 
     def __init__(self, fmt: str, stats: IngestStats) -> None:
         super().__init__()
         self.fmt = fmt
         self.stats = stats
-        self.probe = IngestStats()
-        self.adjusted: dict[str, tuple[TimeInstant, int, int] | None] = {}
+        self.adjusted: dict[str, tuple[TimeInstant, bool, bool] | None] = {}
 
     def read(self, text: str) -> TimeInstant | None:
         if text in self.adjusted:
@@ -280,17 +278,15 @@ class _TimestampMemo(dict):
             self[text] = seconds
             return seconds
         else:
-            probe = self.probe
-            probe.naive_timestamps = probe.truncated_timestamps = 0
             try:
-                seconds = parse_timestamp(text, self.fmt, probe)
+                entry = _parse_timestamp(text, self.fmt)
             except ValueError:
                 entry = None
             else:
-                if not (probe.naive_timestamps or probe.truncated_timestamps):
+                seconds, naive, truncated = entry
+                if not (naive or truncated):
                     self[text] = seconds
                     return seconds
-                entry = (seconds, probe.naive_timestamps, probe.truncated_timestamps)
             self.adjusted[text] = entry
         if entry is None:
             return None
@@ -302,7 +298,7 @@ class _TimestampMemo(dict):
 
 def _utc_seconds(text: str) -> TimeInstant | None:
     # The seconds of a text in the exact layout YYYY-MM-DDTHH:MM:SSZ, without
-    # the form check, the rewrite and the float of `parse_timestamp`; else
+    # the form check, the rewrite and the float of `_parse_timestamp`; else
     # None. The C parser rejects anything but ASCII digits between the marks.
     if len(text) != 20 or text[4::3] != "--T::Z" or not _C_PARSER:
         return None

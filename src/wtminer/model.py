@@ -33,7 +33,7 @@ class IngestError(WtMinerError):
 
 # The frozen types' own `__setattr__` refuses every assignment, so each
 # constructor fills its fields in one call: a record writes its instance
-# `__dict__` with `vars(self).update(...)`, and the four types built once
+# `__dict__` with `vars(self).update(...)`, and the three types built once
 # per activity instance, which have slots, call each slot's own bound
 # `__set__`.
 def _slot_setters(cls: type) -> tuple:

@@ -38,8 +38,6 @@ class PipelineConfig(_Value):
 
 
 class PipelineResult(_Value):
-    # A plain class, not a tuple, so that a weak reference can show when a
-    # finished run is freed.
     def __init__(
         self,
         config: PipelineConfig,
@@ -110,8 +108,8 @@ def run_pipeline(
         availability[resource] = expand_calendar(calendar, *waits)
 
     decomposer = Decomposer(enriched, batching, availability)
-    ordered = [ti for transition in transitions for ti in transition.instances]
-    decompositions = decompose_all(decomposer, ordered)
+    targets = [target for transition in transitions for target in transition.instances]
+    decompositions = decompose_all(decomposer, targets)
     analysis = analyze(enriched, transitions, decompositions)
 
     return PipelineResult(

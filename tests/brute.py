@@ -48,7 +48,7 @@ from wtminer.calendars import (
 )
 from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
 from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition
-from wtminer.ingest import ColumnMapping, IngestStats, LoadResult, parse_timestamp
+from wtminer.ingest import ColumnMapping, IngestStats, LoadResult, _parse_timestamp
 from wtminer.model import (
     ActivityInstance,
     ConfigError,
@@ -61,7 +61,7 @@ from wtminer.model import (
 )
 from wtminer.pipeline import PipelineResult
 from wtminer.report import TRANSITIONS_CSV_COLUMNS, significant
-from wtminer.transitions import Transition, TransitionInstance
+from wtminer.transitions import Transition
 
 
 def weekday_of(t: TimeInstant) -> int:
@@ -214,15 +214,17 @@ def brute_enablement(log: EventLog, relation: ConcurrencyRelation) -> Enablement
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)
 
 
-def brute_transition_instances(result: EnablementResult) -> tuple[TransitionInstance, ...]:
-    """Transition instances by walking the enriched log case by case and looking
-    every instance up in the enabler map."""
-    out: list[TransitionInstance] = []
+def brute_transition_instances(
+    result: EnablementResult,
+) -> tuple[tuple[ActivityInstance, ActivityInstance], ...]:
+    """(source, target) pairs by walking the enriched log case by case and
+    looking every instance up in the enabler map."""
+    out: list[tuple[ActivityInstance, ActivityInstance]] = []
     for seq in result.log.cases.values():
         for inst in seq:
             source = result.enabler.get(inst)
             if source is not None:
-                out.append(TransitionInstance(source=source, target=inst))
+                out.append((source, inst))
     return tuple(out)
 
 
@@ -481,17 +483,16 @@ class SetAlgebraDecomposer(Decomposer):
         """Waiting instants outside the resource's availability calendar."""
         return IntervalSet((target.waiting,)) - self.availability[target.resource].available
 
-    def decompose(self, ti: TransitionInstance) -> WtDecomposition:
-        target = ti.target
+    def decompose(self, target: ActivityInstance) -> WtDecomposition:
         wait = target.waiting
         empty = IntervalSet.empty()
         if wait[0] == wait[1]:
-            return WtDecomposition(ti, empty, empty, empty, empty, empty)
+            return WtDecomposition(target, empty, empty, empty, empty, empty)
         remaining = IntervalSet._from_canonical((wait,))
         if target.resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
             # calendar, so all of the wait is extraneous.
-            return WtDecomposition(ti, empty, empty, empty, empty, remaining)
+            return WtDecomposition(target, empty, empty, empty, empty, remaining)
 
         batch = self.batching.by_instance.get(target)
         batched = batching_interval(target, batch) if batch is not None else empty
@@ -501,7 +502,17 @@ class SetAlgebraDecomposer(Decomposer):
             remaining -= raw
         # What remains is split on the resource's whole availability set.
         available = self.availability[target.resource].available
-        return WtDecomposition(ti, *claimed, remaining - available, remaining & available)
+        return WtDecomposition(target, *claimed, remaining - available, remaining & available)
+
+
+def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> TimeInstant:
+    """One timestamp through ingest's parser, adding its naive and truncated
+    adjustments to `stats` when given, as a load counts them per row."""
+    seconds, naive, truncated = _parse_timestamp(raw, fmt)
+    if stats is not None:
+        stats.naive_timestamps += naive
+        stats.truncated_timestamps += truncated
+    return seconds
 
 
 def dictreader_load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) -> LoadResult:

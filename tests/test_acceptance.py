@@ -23,7 +23,6 @@ from wtminer.ingest import load_log
 from wtminer.model import ActivityInstance, EventLog, IntervalSet
 from wtminer.pipeline import run_pipeline
 from wtminer.synth import InjectionSpec, detected_causes, generate, write_files
-from wtminer.transitions import build_transition_instances
 
 # Monday 2023-01-02 00:00:00 UTC.
 MONDAY = 1672617600
@@ -47,14 +46,14 @@ def always_on(*resources) -> dict[str, WeeklyCalendar]:
 
 def decomposition_for(result, case_id, activity):
     for dec in result.decompositions:
-        target = dec.instance.target
+        target = dec.instance
         if target.case_id == case_id and target.activity == activity:
             return dec
     raise AssertionError(f"no decomposition for {case_id}/{activity}")
 
 
 def expect_causes(dec, **expected_sets):
-    target = dec.instance.target
+    target = dec.instance
     for cause in CAUSES:
         expected = expected_sets.get(cause, IntervalSet.empty())
         actual = getattr(dec, cause)
@@ -286,11 +285,9 @@ def test_criterion_2_brute_force_equivalence():
             r: _random_availability(rng, r, limit) for r in enriched.resources
         }
         decomposer = Decomposer(enriched, batching, availability)
-        for ti in build_transition_instances(enres):
-            dec = decomposer.decompose(ti)
-            expected = brute_cause_durations(
-                ti.target, enriched, batching, availability
-            )
+        for target in enres.enabler:
+            dec = decomposer.decompose(target)
+            expected = brute_cause_durations(target, enriched, batching, availability)
             assert cause_durations(dec) == expected
             instances_checked += 1
         logs_checked += 1

@@ -12,7 +12,9 @@ from wtminer.calendars import WeeklyCalendar, expand_calendar
 from wtminer.concurrency import compute_enablement
 from wtminer.decomposition import CAUSES, Decomposer, decompose_all
 from wtminer.model import ActivityInstance, EventLog, WtMinerError
-from wtminer.transitions import build_transition_instances, discover_transitions
+from wtminer.pipeline import run_pipeline
+from wtminer.synth import InjectionSpec, generate
+from wtminer.transitions import discover_transitions
 
 
 class TestComputeCte:
@@ -88,7 +90,7 @@ def analyzed_fixture():
     }
     decomposer = Decomposer(enablement.log, detect_batches(enablement.log), availability)
     decompositions = decompose_all(
-        decomposer, build_transition_instances(enablement)
+        decomposer, [target for t in transitions for target in t.instances]
     )
     return enablement.log, transitions, decompositions
 
@@ -138,3 +140,33 @@ class TestAnalyze:
         log, transitions, decompositions = analyzed_fixture()
         with pytest.raises(ValueError):
             analyze(log, transitions, decompositions[:-1])
+
+    def test_decompositions_out_of_transition_order_rejected(self):
+        # Same count, same targets, but swapped: each member must be the
+        # target its transition lists at that position.
+        log, transitions, decompositions = analyzed_fixture()
+        assert decompositions[0].waiting_duration != decompositions[1].waiting_duration
+        with pytest.raises(ValueError, match="transition order"):
+            analyze(log, transitions, decompositions[::-1])
+
+
+class TestTransitionOrder:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_pipeline(generate(InjectionSpec.from_bits("11111", n_cases=30, seed=3)).log)
+
+    def test_pipeline_decomposes_each_transitions_targets_in_turn(self, result):
+        targets = [target for t in result.transitions for target in t.instances]
+        assert [dec.instance for dec in result.decompositions] == targets
+        assert set(targets) == set(result.enablement.enabler)
+
+    def test_decompositions_in_log_order_rejected(self, result):
+        # The enabler map lists targets in log order, which interleaves the
+        # transitions: folding it slice by slice would credit one
+        # transition's seconds to another.
+        by_target = {dec.instance: dec for dec in result.decompositions}
+        in_log_order = tuple(by_target[target] for target in result.enablement.enabler)
+        assert len(result.transitions) > 1
+        assert in_log_order != result.decompositions
+        with pytest.raises(ValueError, match="transition order"):
+            analyze(result.log, result.transitions, in_log_order)

@@ -212,26 +212,40 @@ class TestBatchInvariants:
 
 @st.composite
 def run_scenarios(draw):
-    """Work sequences of simultaneous runs, back-to-back runs with gaps and
-    single intruders of another activity, whose windows may overlap, on two
-    resources and the unknown one; plus a batching config."""
+    """Work sequences of simultaneous runs, back-to-back runs with gaps,
+    single intruders of another activity and long-headed runs, whose windows
+    may overlap, on two resources and the unknown one; plus a batching
+    config. A long-headed run is one long member followed by zero-length
+    members, and the next work starts near the last of those, inside the
+    long member: a later start of such a run can suit a stop that its first
+    start does not."""
     instances = []
     for resource in ("r1", "r2", UNKNOWN_RESOURCE):
         clock = draw(st.integers(min_value=0, max_value=20))
         for _ in range(draw(st.integers(min_value=1, max_value=4))):
-            kind = draw(st.sampled_from(["simultaneous", "sequential", "intruder"]))
+            kind = draw(
+                st.sampled_from(["simultaneous", "sequential", "intruder", "long_head"])
+            )
             activity = "i" if kind == "intruder" else draw(st.sampled_from(["b", "z"]))
             size = 1 if kind == "intruder" else draw(st.integers(min_value=2, max_value=6))
             started = clock
             latest = clock
-            for _ in range(size):
-                completed = started + draw(st.integers(min_value=0, max_value=12))
+            for k in range(size):
+                if kind != "long_head":
+                    length = draw(st.integers(min_value=0, max_value=12))
+                else:
+                    length = draw(st.integers(min_value=13, max_value=40)) if k == 0 else 0
+                completed = started + length
                 enabled = max(0, started - draw(st.integers(min_value=0, max_value=30)))
                 case = f"c{len(instances)}"
                 instances.append(inst(case, activity, resource, enabled, started, completed))
                 latest = max(latest, completed)
                 if kind == "sequential":
                     started = completed + draw(st.integers(min_value=0, max_value=3))
+                elif kind == "long_head":
+                    started += draw(st.integers(min_value=0, max_value=2))
+            if kind == "long_head":
+                latest = completed
             clock = max(0, latest + draw(st.integers(min_value=-8, max_value=8)))
     config = BatchingConfig(
         gap_tolerance=draw(st.integers(min_value=0, max_value=4)),

@@ -21,7 +21,7 @@ from wtminer.concurrency import (
     discover_concurrency,
 )
 from wtminer.model import ActivityInstance, ConfigError, EventLog
-from wtminer.transitions import build_transition_instances
+from wtminer.transitions import discover_transitions
 
 
 def seq_case(case_id: str, *steps: tuple[str, int, int], resource: str = "r1"):
@@ -290,6 +290,14 @@ class TestEnablementOracle:
         assert rebuilt.instances == fast.log.instances
         assert list(rebuilt.cases.items()) == list(fast.log.cases.items())
         # Instances compare by identity, so this checks every pair by object.
-        assert [(ti.source, ti.target) for ti in build_transition_instances(fast)] == [
-            (ti.source, ti.target) for ti in brute_transition_instances(fast)
-        ]
+        pairs = brute_transition_instances(fast)
+        assert [(source, target) for target, source in fast.enabler.items()] == list(pairs)
+        # Each transition holds the targets of its label's pairs, in order.
+        transitions = discover_transitions(fast)
+        for transition in transitions:
+            assert list(transition.instances) == [
+                target
+                for source, target in pairs
+                if (source.activity, target.activity) == transition.label
+            ]
+        assert sum(len(t.instances) for t in transitions) == len(pairs)

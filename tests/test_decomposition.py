@@ -38,7 +38,6 @@ from wtminer.model import (
 )
 from wtminer.pipeline import run_pipeline
 from wtminer.report import write_report_files
-from wtminer.transitions import TransitionInstance
 
 MONDAY = 1672617600
 
@@ -49,11 +48,6 @@ def at(day: int, hour: int, minute: int = 0) -> int:
 
 def inst(case, act, res, enabled, started, completed):
     return ActivityInstance(case, act, res, started, completed, enabled=enabled)
-
-
-def ti_for(target: ActivityInstance) -> TransitionInstance:
-    source = ActivityInstance(target.case_id, "src", "r0", 0, 0, enabled=0)
-    return TransitionInstance(source=source, target=target)
 
 
 def full_availability(log: EventLog):
@@ -78,7 +72,7 @@ def oracle_for(log: EventLog, availability=None) -> SetAlgebraDecomposer:
 
 def claimed(log: EventLog, target: ActivityInstance, availability=None) -> WtDecomposition:
     """The cascade's five sets for `target`."""
-    return decomposer_for(log, availability).decompose(ti_for(target))
+    return decomposer_for(log, availability).decompose(target)
 
 
 class TestRawCauses:
@@ -188,7 +182,7 @@ class TestDecomposeCascade:
         earlier = inst("c3", "z", "r1", 0, 4, 8)
         log = EventLog.from_instances([target, partner, earlier])
         d = decomposer_for(log)
-        out = d.decompose(ti_for(target))
+        out = d.decompose(target)
         assert out.batching == IntervalSet([(0, 6)])
         assert out.contention == IntervalSet([(6, 8)])
         assert not out.prioritization
@@ -198,7 +192,7 @@ class TestDecomposeCascade:
     def test_residual_when_nothing_observed(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         d = decomposer_for(EventLog.from_instances([target]))
-        out = d.decompose(ti_for(target))
+        out = d.decompose(target)
         assert out.extraneous == IntervalSet([(0, 10)])
         assert cause_durations(out) == {
             "batching": 0,
@@ -211,7 +205,7 @@ class TestDecomposeCascade:
     def test_zero_wait_yields_all_empty(self):
         target = inst("c1", "b", "r1", 10, 10, 12)
         d = decomposer_for(EventLog.from_instances([target]))
-        out = d.decompose(ti_for(target))
+        out = d.decompose(target)
         assert not any(getattr(out, cause) for cause in CAUSES)
 
     def test_unavailability_in_cascade(self):
@@ -221,7 +215,7 @@ class TestDecomposeCascade:
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
         availability = {"r1": expand_calendar(cal, horizon(log))}
-        out = decomposer_for(log, availability).decompose(ti_for(target))
+        out = decomposer_for(log, availability).decompose(target)
         assert out.unavailability == IntervalSet([(at(4, 17), at(7, 8))])
         assert out.extraneous == IntervalSet(
             [(at(4, 16), at(4, 17)), (at(7, 8), at(7, 10))]
@@ -231,7 +225,7 @@ class TestDecomposeCascade:
         target = inst("c1", "b", UNKNOWN_RESOURCE, 0, 10, 12)
         other = inst("c2", "z", UNKNOWN_RESOURCE, 0, 2, 8)
         log = EventLog.from_instances([target, other])
-        out = decomposer_for(log).decompose(ti_for(target))
+        out = decomposer_for(log).decompose(target)
         assert out.extraneous == IntervalSet([(0, 10)])
         assert not out.contention
 
@@ -244,7 +238,7 @@ class TestDecomposeCascade:
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
         availability = {"r1": expand_calendar(cal, horizon(log))}
-        out = decomposer_for(log, availability).decompose(ti_for(target))
+        out = decomposer_for(log, availability).decompose(target)
         assert out.contention == IntervalSet([(at(5, 10), at(5, 12))])
         assert out.unavailability == IntervalSet([(at(5, 12), at(5, 14))])
 
@@ -388,7 +382,7 @@ class TestDecompositionInvariants:
         batching = detect_batches(log)
         d = Decomposer(log, batching, availability)
         for target in log.instances:
-            out = d.decompose(ti_for(target))
+            out = d.decompose(target)
             sets = {cause: getattr(out, cause) for cause in CAUSES}
             # Additivity in integer seconds.
             assert sum(map(total_duration, sets.values())) == out.waiting_duration
@@ -477,8 +471,7 @@ def assert_cascade_matches_set_algebra(log: EventLog, availability) -> Decompose
     fast = Decomposer(log, batching, availability)
     oracle = SetAlgebraDecomposer(log, batching, availability)
     for target in log.instances:
-        ti = ti_for(target)
-        assert fast.decompose(ti) == oracle.decompose(ti)
+        assert fast.decompose(target) == oracle.decompose(target)
     return fast
 
 
@@ -542,7 +535,7 @@ class TestCascadeMatchesSetAlgebra:
         log = EventLog.from_instances([target, *others])
         availability = {"r1": AbsoluteAvailability("r1", IntervalSet(available))}
         fast = assert_cascade_matches_set_algebra(log, availability)
-        out = fast.decompose(ti_for(target))
+        out = fast.decompose(target)
         assert tuple(getattr(out, cause).intervals for cause in CAUSES) == expected
 
     @settings(max_examples=50, deadline=None)
@@ -567,7 +560,7 @@ class TestWindowedScans:
             assert oracle.raw_unavailability(target) == brute_raw_unavailability(
                 target, availability
             )
-            out = d.decompose(ti_for(target))
+            out = d.decompose(target)
             assert sum(cause_durations(out).values()) == target.started - target.enabled
             assert cause_durations(out) == brute_cause_durations(
                 target, log, d.batching, availability

@@ -13,15 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import dictreader_load_log
-from wtminer.ingest import (
-    ISO_8601,
-    ColumnMapping,
-    IngestStats,
-    _TimestampMemo,
-    load_log,
-    parse_timestamp,
-)
+from brute import dictreader_load_log, parse_timestamp
+from wtminer.ingest import ISO_8601, ColumnMapping, IngestStats, _TimestampMemo, load_log
 from wtminer.model import ConfigError, IngestError, UNKNOWN_RESOURCE
 
 

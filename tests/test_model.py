@@ -38,7 +38,7 @@ from wtminer.model import (
     _Record,
 )
 from wtminer.pipeline import PipelineConfig, PipelineResult
-from wtminer.transitions import Transition, TransitionInstance
+from wtminer.transitions import Transition
 
 HORIZON = 200
 
@@ -196,29 +196,28 @@ class TestActivityInstance:
 
 
 def _slotted_examples() -> list:
-    """(object, field, new value) for the four per-instance types, the only
+    """(object, field, new value) for the three per-instance types, the only
     ones with slots."""
     source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
-    ti = TransitionInstance(source, target)
     empty = IntervalSet.empty()
     waits = IntervalSet([(5, 9)])
+    decomposition = WtDecomposition(target, empty, empty, empty, empty, waits)
     return [
         (target, "started", 7),
         (waits, "intervals", ()),
         (empty, "intervals", ((0, 1),)),
-        (ti, "target", source),
-        (WtDecomposition(ti, empty, empty, empty, empty, waits), "extraneous", empty),
+        (decomposition, "instance", source),
+        (decomposition, "extraneous", empty),
     ]
 
 
 def _frozen_examples() -> list:
     """The slotted examples, then plain frozen records, which keep their
     fields in an instance `__dict__`."""
-    source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
-    ti = TransitionInstance(source, ActivityInstance("c1", "b", "r1", 9, 12, enabled=5))
+    target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
     return _slotted_examples() + [
-        (Transition("a", "b", (ti,), 1.0, 1, 4), "total_duration", 5),
+        (Transition("a", "b", (target,), 1.0, 1, 4), "total_duration", 5),
         (
             TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2),
             "delta",
@@ -252,13 +251,11 @@ class TestSlottedTypes:
         # every slot must hold the value given for it, and no slot is left out.
         source = ActivityInstance("c1", "a", "r1", 0, 5, 0)
         target = ActivityInstance("c1", "b", "r2", 9, 12, 5)
-        ti = TransitionInstance(source, target)
         sets = [IntervalSet([(k, k + 1)]) for k in range(5)]
         examples = [
             (target, ("c1", "b", "r2", 9, 12, 5)),
             (ActivityInstance("c2", "x", "r3", 3, 4), ("c2", "x", "r3", 3, 4, None)),
-            (ti, (source, target)),
-            (WtDecomposition(ti, *sets), (ti, *sets)),
+            (WtDecomposition(target, *sets), (target, *sets)),
             (IntervalSet([(3, 4), (0, 1)]), (((0, 1), (3, 4)),)),
             (IntervalSet._from_canonical(((0, 1), (3, 4))), (((0, 1), (3, 4)),)),
         ]
@@ -275,7 +272,6 @@ def _keyword_examples() -> list:
     swaps two fields shows."""
     a = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     b = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
-    ti = TransitionInstance(a, b)
     waits = IntervalSet([(5, 9)])
     empty = IntervalSet.empty()
     parts = [IntervalSet([(k, k + 1)]) for k in range(5, 9)]
@@ -283,8 +279,8 @@ def _keyword_examples() -> list:
     batch = Batch("a", "r1", (a, b))
     relation = ConcurrencyRelation(frozenset({("a", "b")}))
     enablement = EnablementResult(log, relation, {b: a}, EnablementStats())
-    transition = Transition("a", "b", (ti,), 1.0, 1, 4)
-    decomposition = WtDecomposition(ti, empty, empty, empty, empty, waits)
+    transition = Transition("a", "b", (b,), 1.0, 1, 4)
+    decomposition = WtDecomposition(b, empty, empty, empty, empty, waits)
     calendar = WeeklyCalendar("r1", 60, ((0, 3600),))
     impact = CauseImpact("extraneous", 4, 1.0, 1.0, 0.2)
     per_transition = TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2)
@@ -305,13 +301,12 @@ def _keyword_examples() -> list:
             },
         ),
         (EventLog, {"instances": (a, b)}),
-        (TransitionInstance, {"source": a, "target": b}),
         (
             Transition,
             {
                 "source_activity": "a",
                 "target_activity": "b",
-                "instances": (ti,),
+                "instances": (b,),
                 "case_frequency": 0.5,
                 "total_frequency": 1,
                 "total_duration": 4,
@@ -320,7 +315,7 @@ def _keyword_examples() -> list:
         (
             WtDecomposition,
             {
-                "instance": ti,
+                "instance": b,
                 "batching": parts[0],
                 "contention": parts[1],
                 "prioritization": parts[2],
@@ -492,16 +487,15 @@ def _default_examples() -> list:
 def _value_examples() -> list:
     """(make, other): `make()` builds equal but distinct values, `other` differs."""
     source, target = _ENDPOINTS
-    ti = TransitionInstance(source, target)
     return [
         (lambda: IntervalSet([(5, 9), (0, 2)]), IntervalSet([(0, 2)])),
         (
             lambda: WtDecomposition(
-                ti, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(),
+                target, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(),
                 IntervalSet([(5, 9)]),
             ),
             WtDecomposition(
-                ti, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet([(5, 9)]),
+                target, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet([(5, 9)]),
                 IntervalSet(),
             ),
         ),
@@ -518,8 +512,8 @@ def _value_examples() -> list:
         ),
         (lambda: Batch("b", "r1", (source, target)), Batch("b", "r1", (target, source))),
         (
-            lambda: Transition("a", "b", (ti,), 0.5, 1, 4),
-            Transition("a", "b", (ti,), 0.5, 1, 5),
+            lambda: Transition("a", "b", (target,), 0.5, 1, 4),
+            Transition("a", "b", (target,), 0.5, 1, 5),
         ),
         (
             lambda: CauseImpact("contention", 4, 1.0, 0.9, 0.1),
@@ -656,11 +650,8 @@ class TestTypeContracts:
 
     @pytest.mark.parametrize(
         "make",
-        [
-            lambda: ActivityInstance("c1", "a", "r1", 0, 5, enabled=0),
-            lambda: TransitionInstance(_ENDPOINTS[0], _ENDPOINTS[1]),
-        ],
-        ids=["ActivityInstance", "TransitionInstance"],
+        [lambda: ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)],
+        ids=["ActivityInstance"],
     )
     def test_identity_equality(self, make):
         a, b = make(), make()

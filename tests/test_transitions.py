@@ -4,7 +4,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute import is_self_loop
+from brute import brute_transition_instances, is_self_loop
 from wtminer.concurrency import compute_enablement, discover_concurrency
 from wtminer.model import ActivityInstance, EventLog
 from wtminer.transitions import discover_transitions
@@ -83,12 +83,16 @@ class TestDiscoverTransitions:
             [("a", 0, 10), ("c", 12, 30), ("b", 35, 40), ("d", 50, 60)],
         )
         result = compute_enablement(log, discover_concurrency(log))
-        targets = [
-            ti.target
-            for t in discover_transitions(result)
-            for ti in t.instances
-        ]
+        transitions = discover_transitions(result)
+        targets = [target for t in transitions for target in t.instances]
         assert len(targets) == len(set(map(id, targets)))
+        # The transitions hold exactly the enabled targets, each under the
+        # label of its own enabling pair.
+        sources = {target: source for source, target in brute_transition_instances(result)}
+        assert set(targets) == set(sources)
+        for t in transitions:
+            for target in t.instances:
+                assert (sources[target].activity, target.activity) == t.label
 
 
 @st.composite
