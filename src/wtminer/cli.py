@@ -17,9 +17,9 @@ from wtminer.calendars import (
 )
 from wtminer.concurrency import OracleThresholds
 from wtminer.decomposition import CAUSES
-from wtminer.ingest import ColumnMapping, load_log
+from wtminer.ingest import ColumnMapping, LoadResult, load_log
 from wtminer.model import ConfigError, WtMinerError
-from wtminer.pipeline import PipelineConfig, run_pipeline
+from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from wtminer.report import atomic_write_text, report_json, summary_text, write_report_files
 
 
@@ -94,7 +94,15 @@ def _add_calendar_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# The last finished `analyze` run. Holding it means the `wtminer` process,
+# which ends with `os._exit`, never spends time freeing it; a second `analyze`
+# in the same process drops it first, so at most one run is alive at a time.
+_last_run: tuple[LoadResult, PipelineResult] | None = None
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    global _last_run
+    _last_run = None
     config = _pipeline_config(args)
     overrides = (
         load_calendar_overrides(args.calendar_overrides)
@@ -113,6 +121,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"{summary_text(result)}\n"
         f"Report: {paths['report']}\nTransitions: {paths['transitions']}\n"
     )
+    _last_run = (loaded, result)
     return 0
 
 

@@ -100,9 +100,12 @@ class Decomposer:
         }
 
     def decompose(self, target: ActivityInstance) -> WtDecomposition:
-        wait_start, wait_end = target.waiting
-        if wait_start == wait_end:
+        # Most targets do not wait; they are answered before anything else
+        # is read. An unknown enablement is never equal to a start time, so
+        # it still reaches `waiting`, which raises.
+        if target.enabled == target.started:
             return WtDecomposition(target, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+        wait_start, wait_end = target.waiting
         resource = target.resource
         if resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
@@ -179,7 +182,7 @@ def decompose_all(
     decomposer: Decomposer, targets: Iterable[ActivityInstance]
 ) -> tuple[WtDecomposition, ...]:
     """Decompose many targets, keeping their order."""
-    return tuple(decomposer.decompose(target) for target in targets)
+    return tuple(map(decomposer.decompose, targets))
 
 
 def multitasking_rate(log: EventLog) -> float:

@@ -104,7 +104,9 @@ def run_pipeline(
     availability: dict[str, AbsoluteAvailability] = {}
     for resource, calendar in calendars.items():
         seq = enriched.by_resource[resource] if resource != UNKNOWN_RESOURCE else ()
-        waits = _canonicalize([(inst.enabled, inst.started) for inst in seq])
+        waits = _canonicalize(
+            [(inst.enabled, inst.started) for inst in seq if inst.enabled != inst.started]
+        )
         availability[resource] = expand_calendar(calendar, *waits)
 
     decomposer = Decomposer(enriched, batching, availability)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from wtminer.calendars import CalendarParams, load_calendar_overrides
 from wtminer.cli import _calendar_params, _pipeline_config, build_parser, main
 from wtminer.ingest import ColumnMapping, format_timestamp, load_log
 from wtminer.model import ConfigError, IngestError
-from wtminer.pipeline import PipelineConfig, run_pipeline
+from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from wtminer.report import write_report_files
 from wtminer.synth import InjectionSpec, generate, write_files
 from test_golden import SRC, _write_loopy_log
@@ -389,6 +390,45 @@ class TestCollectorPause:
             load_log(log)
         assert main(["analyze", "--log", str(log), "--out", str(tmp_path / "o")]) == 1
         assert gc.isenabled()
+
+
+class TestRunRetention:
+    """`analyze` keeps its finished run, so the `wtminer` process never frees
+    it before `os._exit`; the next `analyze` in the same process drops it
+    before loading, so at most one run is alive."""
+
+    def test_finished_run_is_kept(self, synth_log, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_last_run", None)
+        assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
+        loaded, result = cli._last_run
+        held = weakref.ref(result)
+        del loaded, result
+        assert isinstance(held(), PipelineResult)
+        assert held().decompositions
+
+    def test_next_analyze_drops_it_before_loading(self, synth_log, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_last_run", None)
+        argv = ["analyze", "--log", str(synth_log), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        held = weakref.ref(cli._last_run[1])
+        alive_at_load = []
+
+        def spy_load(*args):
+            alive_at_load.append(held() is not None)
+            return load_log(*args)
+
+        monkeypatch.setattr(cli, "load_log", spy_load)
+        assert main(argv) == 0
+        assert alive_at_load == [False]
+        assert isinstance(cli._last_run[1], PipelineResult)
+
+    def test_failed_analyze_keeps_nothing(self, synth_log, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_last_run", None)
+        assert main(["analyze", "--log", str(synth_log), "--out", str(tmp_path)]) == 0
+        held = weakref.ref(cli._last_run[1])
+        missing = tmp_path / "missing.csv"
+        assert main(["analyze", "--log", str(missing), "--out", str(tmp_path)]) == 2
+        assert (cli._last_run, held()) == (None, None)
 
 
 class TestGenerate:

@@ -208,6 +208,15 @@ class TestDecomposeCascade:
         out = d.decompose(target)
         assert not any(getattr(out, cause) for cause in CAUSES)
 
+    def test_unknown_enablement_still_raises(self):
+        # Zero waits are answered before `waiting` is read; a target whose
+        # enablement is unknown must not be taken for one.
+        log = EventLog.from_instances([inst("c1", "b", "r1", 10, 10, 12)])
+        target = ActivityInstance("c2", "b", "r1", 10, 12)
+        assert target.enabled is None
+        with pytest.raises(ValueError, match="enablement"):
+            decomposer_for(log).decompose(target)
+
     def test_unavailability_in_cascade(self):
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
         log = EventLog.from_instances([target])
