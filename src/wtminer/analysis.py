@@ -28,16 +28,16 @@ def cte_if_eliminated(total_pt: int, total_wt: int, removed: int) -> float:
 
 
 class CauseImpact(_Value):
+    """One cause's impact, the value of its key in `AnalysisResult.per_cause`."""
+
     def __init__(
         self,
-        cause: str,
         wt_seconds: int,
         share_of_wt: float,
         cte_if_eliminated: float,
         delta: float,
     ) -> None:
         vars(self).update(
-            cause=cause,
             wt_seconds=wt_seconds,
             share_of_wt=share_of_wt,
             cte_if_eliminated=cte_if_eliminated,
@@ -74,6 +74,8 @@ class TransitionImpact(_Value):
 
 
 class AnalysisResult(_Value):
+    """Process-level figures; `per_cause` is keyed in `CAUSES` order."""
+
     def __init__(
         self,
         total_pt_seconds: int,
@@ -104,7 +106,7 @@ def analyze(
     total_pt = sum(inst.completed - inst.started for inst in log.instances)
     total_wt = sum(t.total_duration for t in transitions)
 
-    n_targets = sum(t.total_frequency for t in transitions)
+    n_targets = sum(len(t.instances) for t in transitions)
     if len(decompositions) != n_targets:
         raise ValueError(f"{len(decompositions)} decompositions for {n_targets} targets")
 
@@ -149,7 +151,6 @@ def analyze(
         wt_cause = cause_totals[cause]
         after = cte_if_eliminated(total_pt, total_wt, wt_cause)
         per_cause[cause] = CauseImpact(
-            cause=cause,
             wt_seconds=wt_cause,
             share_of_wt=wt_cause / total_wt if total_wt else 0.0,
             cte_if_eliminated=after,
@@ -164,7 +165,7 @@ def analyze(
                 t.source_activity,
                 t.target_activity,
                 t.case_frequency,
-                t.total_frequency,
+                len(t.instances),
                 t.total_duration,
                 dict(zip(CAUSES, slot)),
                 after,

@@ -32,12 +32,13 @@ class BatchingConfig(_Value):
 
 
 class Batch(_Value):
-    def __init__(
-        self, activity: str, resource: str, members: tuple[ActivityInstance, ...]
-    ) -> None:
+    """Same-activity instances of one resource, in its work order; their
+    activity and resource are the first member's."""
+
+    def __init__(self, members: tuple[ActivityInstance, ...]) -> None:
         if len(members) < 2:
             raise ValueError("a batch needs at least two members")
-        vars(self).update(activity=activity, resource=resource, members=members)
+        vars(self).update(members=members)
 
     @cached_property
     def accumulation_end(self) -> TimeInstant:
@@ -53,7 +54,7 @@ class BatchingResult(_Value):
         vars(self).update(batches=batches, by_instance=by_instance)
 
 
-def detect_batches(log: EventLog, config: BatchingConfig | None = None) -> BatchingResult:
+def detect_batches(log: EventLog, config: BatchingConfig = BatchingConfig()) -> BatchingResult:
     """Find maximal batches per (activity, resource) group.
 
     Within each resource's start-ordered work sequence, a run of same-activity
@@ -63,8 +64,6 @@ def detect_batches(log: EventLog, config: BatchingConfig | None = None) -> Batch
     [first start, last completion) window. Instances without a known resource
     never batch.
     """
-    if config is None:
-        config = BatchingConfig()
     batches: list[Batch] = []
     by_instance: dict[ActivityInstance, Batch] = {}
     for resource, seq in log.by_resource.items():
@@ -75,7 +74,7 @@ def detect_batches(log: EventLog, config: BatchingConfig | None = None) -> Batch
         bounds = _batch_bounds(seq, config.gap_tolerance, config.min_batch_size)
         for start, stop in bounds:
             members = seq[start:stop]
-            batch = Batch(members[0].activity, resource, members)
+            batch = Batch(members)
             batches.append(batch)
             for member in members:
                 by_instance[member] = batch

@@ -95,7 +95,7 @@ class AbsoluteAvailability(_Value):
 
 
 def discover_calendar(
-    log: EventLog, resource: str, params: CalendarParams | None = None
+    log: EventLog, resource: str, params: CalendarParams = CalendarParams()
 ) -> WeeklyCalendar:
     """Estimate one resource's weekly calendar from its observed instants.
 
@@ -104,8 +104,6 @@ def discover_calendar(
     share of all observations, the cut is halved (bounded) until they do or
     every observed slot is in.
     """
-    if params is None:
-        params = CalendarParams()
     if resource == UNKNOWN_RESOURCE:
         return WeeklyCalendar.always_on(resource, params.granule_minutes)
     seq = log.by_resource.get(resource, ())
@@ -151,10 +149,8 @@ def discover_calendar(
 
 
 def discover_calendars(
-    log: EventLog, params: CalendarParams | None = None
+    log: EventLog, params: CalendarParams = CalendarParams()
 ) -> dict[str, WeeklyCalendar]:
-    if params is None:
-        params = CalendarParams()
     return {res: discover_calendar(log, res, params) for res in log.resources}
 
 

@@ -23,9 +23,9 @@ from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from wtminer.report import atomic_write_text, report_json, summary_text, write_report_files
 
 
-def _load_mapping(path: str | None) -> ColumnMapping | None:
+def _load_mapping(path: str | None) -> ColumnMapping:
     if path is None:
-        return None
+        return ColumnMapping()
     import json  # only a mapping file needs the JSON reader
 
     try:

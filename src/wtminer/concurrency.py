@@ -49,12 +49,6 @@ class DirectlyFollowsCounts(_Value):
     ) -> None:
         vars(self).update(pairs=pairs, loops2=loops2)
 
-    def count(self, a: str, b: str) -> int:
-        return self.pairs.get((a, b), 0)
-
-    def loop2_count(self, a: str, b: str) -> int:
-        return self.loops2.get((a, b), 0) + self.loops2.get((b, a), 0)
-
 
 class ConcurrencyRelation(_Value):
     """Symmetric, irreflexive set of activity pairs declared concurrent.
@@ -89,30 +83,29 @@ def count_directly_follows(log: EventLog) -> DirectlyFollowsCounts:
 
 
 def detect_concurrency(
-    counts: DirectlyFollowsCounts,
-    thresholds: OracleThresholds | None = None,
+    counts: DirectlyFollowsCounts, thresholds: OracleThresholds = OracleThresholds()
 ) -> ConcurrencyRelation:
-    if thresholds is None:
-        thresholds = OracleThresholds()
-    candidates = {(min(a, b), max(a, b)) for a, b in counts.pairs if a != b}
+    pairs, loops2 = counts.pairs, counts.loops2
+    candidates = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
     concurrent: set[tuple[str, str]] = set()
     m = thresholds.min_bidirectional_observations
-    for a, b in sorted(candidates):
-        ab = counts.count(a, b)
-        ba = counts.count(b, a)
+    for a, b in candidates:
+        ab = pairs.get((a, b), 0)
+        ba = pairs.get((b, a), 0)
         if ab < m or ba < m:
             continue
         dependency = abs(ab - ba) / (ab + ba + 1)
         if dependency >= thresholds.dependency_threshold:
             continue
-        if thresholds.length2_loop_guard and counts.loop2_count(a, b) > 0:
+        # `loops2` holds only the orderings seen, each at least once.
+        if thresholds.length2_loop_guard and ((a, b) in loops2 or (b, a) in loops2):
             continue
         concurrent.add((a, b))
     return ConcurrencyRelation(frozenset(concurrent))
 
 
 def discover_concurrency(
-    log: EventLog, thresholds: OracleThresholds | None = None
+    log: EventLog, thresholds: OracleThresholds = OracleThresholds()
 ) -> ConcurrencyRelation:
     return detect_concurrency(count_directly_follows(log), thresholds)
 
@@ -157,7 +150,7 @@ class EnablementResult(_Value):
 
 
 def compute_enablement(
-    log: EventLog, relation: ConcurrencyRelation | None = None
+    log: EventLog, relation: ConcurrencyRelation = ConcurrencyRelation()
 ) -> EnablementResult:
     """Set enabled on every instance from its closest non-concurrent predecessor.
 
@@ -165,8 +158,6 @@ def compute_enablement(
     still resolved so the instance participates in a transition. A derived
     completion after the instance's start is clamped to the start and counted.
     """
-    if relation is None:
-        relation = ConcurrencyRelation()
     stats = EnablementStats()
     enabler: dict[ActivityInstance, ActivityInstance] = {}
     concurrent_with: dict[str, set[str]] = {}

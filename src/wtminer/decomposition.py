@@ -32,12 +32,12 @@ from wtminer.model import (
     IntervalSet,
     Span,
     UNKNOWN_RESOURCE,
+    _EMPTY,
     _Value,
     _slot_setters,
     _split,
 )
 
-_EMPTY = IntervalSet.empty()
 _START = itemgetter(0)
 _END = itemgetter(1)
 

@@ -192,7 +192,7 @@ def format_timestamp(t: TimeInstant) -> str:
     return datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> LoadResult:
+def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> LoadResult:
     """Load a CSV activity-instance log.
 
     Rows with unparseable timestamps or end < start are rejected and counted.
@@ -202,8 +202,6 @@ def load_log(path: str | Path, mapping: ColumnMapping | None = None) -> LoadResu
     fields are ignored, and a repeated header name reads its last column. A
     file that is not UTF-8 text or not readable as CSV raises IngestError.
     """
-    if mapping is None:
-        mapping = ColumnMapping()
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"log file not found: {path}")

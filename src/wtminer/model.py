@@ -151,26 +151,11 @@ class IntervalSet(_Value):
         _iv_intervals(result, intervals)
         return result
 
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return _EMPTY
-
-    def __and__(self, other: "IntervalSet") -> "IntervalSet":
-        inside, _ = _split(self.intervals, other.intervals)
-        return IntervalSet._from_canonical(tuple(inside))
-
-    def __sub__(self, other: "IntervalSet") -> "IntervalSet":
-        _, outside = _split(self.intervals, other.intervals)
-        return IntervalSet._from_canonical(tuple(outside))
-
     def __iter__(self) -> Iterator[Span]:
         return iter(self.intervals)
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(f"[{s}, {e})" for s, e in self.intervals) + "}"

@@ -69,7 +69,7 @@ class PipelineResult(_Value):
 
 def run_pipeline(
     log: EventLog,
-    config: PipelineConfig | None = None,
+    config: PipelineConfig = PipelineConfig(),
     calendar_overrides: dict[str, WeeklyCalendar] | None = None,
 ) -> PipelineResult:
     """Run discovery, decomposition and impact analysis on a raw log.
@@ -77,8 +77,6 @@ def run_pipeline(
     Calendar overrides replace the discovered calendar for the named
     resources; overrides for resources absent from the log are ignored.
     """
-    if config is None:
-        config = PipelineConfig()
     relation = discover_concurrency(log, config.thresholds)
     enablement = compute_enablement(log, relation)
     enriched = enablement.log

@@ -44,8 +44,8 @@ TRANSITIONS_CSV_COLUMNS = (
 )
 
 
-def significant(value: float, digits: int = 4) -> float:
-    return float(f"{value:.{digits}g}")
+def significant(value: float) -> float:
+    return float(f"{value:.4g}")
 
 
 def pretty_duration(seconds: int) -> str:
@@ -132,9 +132,7 @@ def _report(
             "activities": len(log.activities),
             "resources": len(log.resources),
             "transitions": len(result.transitions),
-            "transition_instances": sum(
-                t.total_frequency for t in result.transitions
-            ),
+            "transition_instances": sum(len(t.instances) for t in result.transitions),
             "processing_time": _duration_fields(analysis.total_pt_seconds),
             "waiting_time": _duration_fields(analysis.total_wt_seconds),
             "cte": significant(analysis.cte),
@@ -163,9 +161,7 @@ def _report(
                 "cte_if_eliminated": significant(impact.cte_if_eliminated),
                 "cte_delta": significant(impact.delta),
             }
-            for cause, impact in (
-                (c, analysis.per_cause[c]) for c in CAUSES
-            )
+            for cause, impact in analysis.per_cause.items()
         ],
         "transitions": transitions,
         "overridden_resources": list(result.overridden_resources),
@@ -249,7 +245,7 @@ def _entry_template() -> str:
 _ENTRY = _entry_template()
 
 
-def summary_text(result: PipelineResult, top: int = 10) -> str:
+def summary_text(result: PipelineResult) -> str:
     analysis = result.analysis
     log = result.log
     lines = [
@@ -257,7 +253,7 @@ def summary_text(result: PipelineResult, top: int = 10) -> str:
         f"  Activity instances: {len(log.instances)}"
         f"  Resources: {len(log.resources)}",
         f"Transitions: {len(result.transitions)}"
-        f" ({sum(t.total_frequency for t in result.transitions)} instances)",
+        f" ({sum(len(t.instances) for t in result.transitions)} instances)",
         f"Processing time: {pretty_duration(analysis.total_pt_seconds)}"
         f"  Waiting time: {pretty_duration(analysis.total_wt_seconds)}",
         f"CTE: {analysis.cte * 100:.2f}%"
@@ -265,8 +261,7 @@ def summary_text(result: PipelineResult, top: int = 10) -> str:
         "",
         "Waiting time by cause:",
     ]
-    for cause in CAUSES:
-        impact = analysis.per_cause[cause]
+    for cause, impact in analysis.per_cause.items():
         lines.append(
             f"  {cause:<15} {pretty_duration(impact.wt_seconds):>14}"
             f"  {impact.share_of_wt * 100:6.2f}% of WT"
@@ -274,7 +269,7 @@ def summary_text(result: PipelineResult, top: int = 10) -> str:
         )
     lines.append("")
     lines.append(f"Top transitions by waiting time (of {len(analysis.per_transition)}):")
-    for t in analysis.per_transition[:top]:
+    for t in analysis.per_transition[:10]:
         label = f"{t.source_activity} -> {t.target_activity}"
         lines.append(
             f"  {label:<40} {pretty_duration(t.total_wt_seconds):>14}"

@@ -17,7 +17,6 @@ class Transition(_Value):
         target_activity: str,
         instances: tuple[ActivityInstance, ...],
         case_frequency: float,
-        total_frequency: int,
         total_duration: int,
     ) -> None:
         vars(self).update(
@@ -25,7 +24,6 @@ class Transition(_Value):
             target_activity=target_activity,
             instances=instances,
             case_frequency=case_frequency,
-            total_frequency=total_frequency,
             total_duration=total_duration,
         )
 
@@ -37,8 +35,8 @@ class Transition(_Value):
 def discover_transitions(result: EnablementResult) -> tuple[Transition, ...]:
     """Group transition instances by activity pair and rank them.
 
-    Sort order is total waiting duration descending, then total frequency
-    descending, then the label pair for stable reports.
+    Sort order is total waiting duration descending, then the number of
+    instances descending, then the label pair for stable reports.
     """
     groups: dict[tuple[str, str], list[ActivityInstance]] = {}
     for target, source in result.enabler.items():
@@ -55,9 +53,8 @@ def discover_transitions(result: EnablementResult) -> tuple[Transition, ...]:
                 target,
                 tuple(members),
                 len(cases) / n_cases,
-                len(members),
                 sum(inst.started - inst.enabled for inst in members),
             )
         )
-    transitions.sort(key=lambda t: (-t.total_duration, -t.total_frequency, t.label))
+    transitions.sort(key=lambda t: (-t.total_duration, -len(t.instances), t.label))
     return tuple(transitions)

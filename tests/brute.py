@@ -25,7 +25,9 @@ a separate `csv.writer` pass, for the rendered `transitions.csv`.
 `weekday_of`, `week_start`, `contains_point`, `total_duration`,
 `concurrency_relation`, `is_concurrent`, `horizon`, `cause_durations`,
 `is_self_loop` and `impact_label` are small helpers that only tests need, so
-they live here and not in the package.
+they live here and not in the package. So do `intersect` and `subtract`, the
+interval-set algebra that the oracles above are written in; the pipeline
+splits bare span lists with `model._split` instead.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ from wtminer.model import (
     Span,
     TimeInstant,
     UNKNOWN_RESOURCE,
+    _split,
 )
 from wtminer.pipeline import PipelineResult
 from wtminer.report import TRANSITIONS_CSV_COLUMNS, significant
@@ -88,6 +91,16 @@ def contains_point(s: IntervalSet, t: TimeInstant) -> bool:
 def total_duration(s: IntervalSet) -> int:
     """Seconds covered by `s`."""
     return sum(end - start for start, end in s)
+
+
+def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """The instants in both `a` and `b`."""
+    return IntervalSet._from_canonical(tuple(_split(a.intervals, b.intervals)[0]))
+
+
+def subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """The instants in `a` and not in `b`."""
+    return IntervalSet._from_canonical(tuple(_split(a.intervals, b.intervals)[1]))
 
 
 def concurrency_relation(*pairs: tuple[str, str]) -> ConcurrencyRelation:
@@ -234,7 +247,7 @@ def brute_busy_overlaps(
     """Same-resource processing inside the wait, scanning from the first instance."""
     wait_start, wait_end = target.waiting
     if wait_start == wait_end:
-        return IntervalSet.empty()
+        return IntervalSet()
     spans = []
     for other in log.by_resource.get(target.resource, ()):
         if other.started >= wait_end:
@@ -256,8 +269,8 @@ def brute_raw_unavailability(
     """The wait minus the resource's whole availability set."""
     wait = target.waiting
     if wait[0] == wait[1]:
-        return IntervalSet.empty()
-    return IntervalSet((wait,)) - availability[target.resource].available
+        return IntervalSet()
+    return subtract(IntervalSet((wait,)), availability[target.resource].available)
 
 
 def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
@@ -265,7 +278,7 @@ def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailabi
     the result to the spans."""
     union = IntervalSet(spans)
     if not union:
-        return AbsoluteAvailability(cal.resource, IntervalSet.empty())
+        return AbsoluteAvailability(cal.resource, IntervalSet())
     hull_start, hull_end = union.intervals[0][0], union.intervals[-1][1]
     tiles = []
     w = week_start(hull_start)
@@ -274,7 +287,7 @@ def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailabi
             if w + e > hull_start and w + s < hull_end:
                 tiles.append((max(w + s, hull_start), min(w + e, hull_end)))
         w += SECONDS_PER_WEEK
-    return AbsoluteAvailability(cal.resource, IntervalSet(tuple(tiles)) & union)
+    return AbsoluteAvailability(cal.resource, intersect(IntervalSet(tuple(tiles)), union))
 
 
 def brute_weekly_ranges(granule: int, cells: Iterable[tuple[int, int]]) -> tuple[Span, ...]:
@@ -299,12 +312,10 @@ def calendar_from_cells(
 
 
 def brute_discover_calendar(
-    log: EventLog, resource: str, params: Optional[CalendarParams] = None
+    log: EventLog, resource: str, params: CalendarParams = CalendarParams()
 ) -> WeeklyCalendar:
     """`discover_calendar` with each observation counted under its
     (weekday, slot of the day) key."""
-    if params is None:
-        params = CalendarParams()
     if resource == UNKNOWN_RESOURCE:
         return WeeklyCalendar.always_on(resource, params.granule_minutes)
     obs = [
@@ -377,7 +388,9 @@ def brute_multitasking_rate(log: EventLog) -> float:
     return len(overlapping) / len(known) if known else 0.0
 
 
-def brute_detect_batches(log: EventLog, config: Optional[BatchingConfig] = None) -> BatchingResult:
+def brute_detect_batches(
+    log: EventLog, config: BatchingConfig = BatchingConfig()
+) -> BatchingResult:
     """`detect_batches` recomputing the run's window after every shrink step.
 
     Within each resource's start-ordered work sequence, a run of same-activity
@@ -387,8 +400,6 @@ def brute_detect_batches(log: EventLog, config: Optional[BatchingConfig] = None)
     [first start, last completion) window. Instances without a known resource
     never batch.
     """
-    if config is None:
-        config = BatchingConfig()
     batches: list[Batch] = []
     by_instance: dict[ActivityInstance, Batch] = {}
     for resource, seq in log.by_resource.items():
@@ -424,11 +435,7 @@ def brute_detect_batches(log: EventLog, config: Optional[BatchingConfig] = None)
                     del run[1:]
                 break
             if len(run) >= config.min_batch_size:
-                batch = Batch(
-                    activity=run[0].activity,
-                    resource=resource,
-                    members=tuple(run),
-                )
+                batch = Batch(tuple(run))
                 batches.append(batch)
                 for member in run:
                     by_instance[member] = batch
@@ -442,7 +449,7 @@ def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:
     """Waiting attributable to batch accumulation: [enabled, τ_bc) clipped to ω."""
     end = min(batch.accumulation_end, inst.started)
     if end <= inst.enabled:
-        return IntervalSet.empty()
+        return IntervalSet()
     return IntervalSet([(inst.enabled, end)])
 
 
@@ -481,11 +488,12 @@ class SetAlgebraDecomposer(Decomposer):
 
     def raw_unavailability(self, target: ActivityInstance) -> IntervalSet:
         """Waiting instants outside the resource's availability calendar."""
-        return IntervalSet((target.waiting,)) - self.availability[target.resource].available
+        available = self.availability[target.resource].available
+        return subtract(IntervalSet((target.waiting,)), available)
 
     def decompose(self, target: ActivityInstance) -> WtDecomposition:
         wait = target.waiting
-        empty = IntervalSet.empty()
+        empty = IntervalSet()
         if wait[0] == wait[1]:
             return WtDecomposition(target, empty, empty, empty, empty, empty)
         remaining = IntervalSet._from_canonical((wait,))
@@ -498,11 +506,13 @@ class SetAlgebraDecomposer(Decomposer):
         batched = batching_interval(target, batch) if batch is not None else empty
         claimed = []
         for raw in (batched, *self._busy_overlaps(target)):
-            claimed.append(remaining & raw)
-            remaining -= raw
+            claimed.append(intersect(remaining, raw))
+            remaining = subtract(remaining, raw)
         # What remains is split on the resource's whole availability set.
         available = self.availability[target.resource].available
-        return WtDecomposition(target, *claimed, remaining - available, remaining & available)
+        return WtDecomposition(
+            target, *claimed, subtract(remaining, available), intersect(remaining, available)
+        )
 
 
 def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> TimeInstant:
@@ -515,7 +525,9 @@ def parse_timestamp(raw: str, fmt: str, stats: Optional[IngestStats] = None) -> 
     return seconds
 
 
-def dictreader_load_log(path: Union[str, Path], mapping: Optional[ColumnMapping] = None) -> LoadResult:
+def dictreader_load_log(
+    path: Union[str, Path], mapping: ColumnMapping = ColumnMapping()
+) -> LoadResult:
     """Load a CSV activity-instance log through `csv.DictReader`.
 
     Rows with unparseable timestamps or end < start are rejected and counted.
@@ -523,8 +535,6 @@ def dictreader_load_log(path: Union[str, Path], mapping: Optional[ColumnMapping]
     enabled time after the start is clamped to the start and counted. A file
     that is not UTF-8 text or not readable as CSV raises IngestError.
     """
-    if mapping is None:
-        mapping = ColumnMapping()
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"log file not found: {path}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import batching_interval, brute_detect_batches
+from brute import batching_interval, brute_detect_batches, subtract
 from wtminer.batching import Batch, BatchingConfig, detect_batches
 from wtminer.concurrency import compute_enablement, discover_concurrency
 from wtminer.model import (
@@ -38,8 +38,8 @@ class TestDetectBatches:
         (batch,) = result.batches
         assert len(batch.members) == 3
         assert batch.accumulation_end == 8
-        assert batch.activity == "b"
-        assert batch.resource == "r1"
+        assert batch.members[0].activity == "b"
+        assert batch.members[0].resource == "r1"
 
     def test_lone_instance_is_not_a_batch(self):
         log = EventLog.from_instances([inst("c1", "b", "r1", 0, 10, 20)])
@@ -143,7 +143,7 @@ class TestBatchingInterval:
             inst("c1", "b", "r1", 0, 10, 20),
             inst("c2", "b", "r1", 6, 20, 30),
         )
-        batch = Batch("b", "r1", members)
+        batch = Batch(members)
         assert batching_interval(members[0], batch) == IntervalSet([(0, 6)])
 
     def test_last_enabled_member_gets_nothing(self):
@@ -159,7 +159,7 @@ class TestBatchingInterval:
             inst("c1", "b", "r1", 0, 5, 30),
             inst("c2", "b", "r1", 8, 10, 30),
         )
-        batch = Batch("b", "r1", members)
+        batch = Batch(members)
         assert batching_interval(members[0], batch) == IntervalSet([(0, 5)])
 
 
@@ -193,11 +193,11 @@ class TestBatchInvariants:
                 seen.add(id(m))
                 span = batching_interval(m, batch)
                 wait = IntervalSet([(m.enabled, m.started)])
-                assert not (span - wait)
+                assert not subtract(span, wait)
             # No non-member execution by the resource starts in the window.
             member_ids = {id(m) for m in batch.members}
             for other in log.instances:
-                if id(other) in member_ids or other.resource != batch.resource:
+                if id(other) in member_ids or other.resource != batch.members[0].resource:
                     continue
                 assert not (first_start <= other.started < last_completion)
 

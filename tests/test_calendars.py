@@ -14,10 +14,12 @@ from brute import (
     calendar_from_cells,
     contains_point,
     horizon,
+    intersect,
     total_duration,
     week_start,
     weekday_of,
 )
+from test_golden import load_wide_module
 from wtminer.calendars import (
     SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
@@ -30,6 +32,8 @@ from wtminer.calendars import (
     expand_calendar,
     load_calendar_overrides,
 )
+from wtminer.decomposition import CAUSES
+from wtminer.ingest import load_log
 from wtminer.model import (
     ActivityInstance,
     ConfigError,
@@ -588,3 +592,56 @@ class TestSerialization:
             {"day": "MON", "from": "23:00", "to": "24:00"},
             {"day": "TUE", "from": "00:00", "to": "01:00"},
         ]
+
+
+# `perfbench/wide.py` simulates every resource on Monday to Friday 09:00-17:00.
+WIDE_WORKING_WEEK = IntervalSet(
+    (day * SECONDS_PER_DAY + 9 * 3600, day * SECONDS_PER_DAY + 17 * 3600) for day in range(5)
+)
+
+
+class TestCalendarFidelity:
+    """Discovery scored against the true calendar of the benchmark's `wide`
+    log at its default size, and what the difference does to the causes.
+
+    The numbers are pinned, not judged good: with about 14 instances per
+    resource, discovery finds about 35% of the true working hours, so the
+    decomposition reads much of the missing working time as unavailability.
+    A change to discovery that moves them shows here.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, share_found, hours_outside, moved_s",
+        [(1, 0.3525, 0, 9_088_219), (2, 0.3525, 1, 9_419_035), (3, 0.3507, 0, 9_942_195)],
+    )
+    def test_discovered_against_true_calendars(
+        self, tmp_path, seed, share_found, hours_outside, moved_s
+    ):
+        path = tmp_path / "wide.csv"
+        text = load_wide_module().generate(seed).csv_text
+        path.write_text(text, encoding="utf-8", newline="")
+        log = load_log(path).log
+        discovered = run_pipeline(log)
+        overrides = {r: WeeklyCalendar(r, 1, WIDE_WORKING_WEEK.intervals) for r in log.resources}
+        given = run_pipeline(log, calendar_overrides=overrides)
+
+        found = outside = 0
+        for calendar in discovered.calendars.values():
+            hours = IntervalSet(calendar.ranges)
+            overlap = total_duration(intersect(hours, WIDE_WORKING_WEEK))
+            found += overlap
+            outside += total_duration(hours) - overlap
+        true_hours = len(discovered.calendars) * total_duration(WIDE_WORKING_WEEK)
+        assert round(found / true_hours, 4) == share_found
+        assert outside == hours_outside * 3600
+
+        # Only the split between unavailability and extraneous moves.
+        gained = {
+            cause: given.analysis.per_cause[cause].wt_seconds
+            - discovered.analysis.per_cause[cause].wt_seconds
+            for cause in CAUSES
+        }
+        assert gained == dict.fromkeys(CAUSES, 0) | {
+            "unavailability": -moved_s,
+            "extraneous": moved_s,
+        }

@@ -274,7 +274,7 @@ class TestCollectorPause:
     @pytest.mark.parametrize("kind", ["all_causes", "loopy", "messy"])
     def test_load_and_pipeline_create_no_cycles(self, kind, tmp_path):
         path = tmp_path / f"{kind}.csv"
-        mapping = overrides = None
+        mapping, overrides = ColumnMapping(), None
         if kind == "loopy":
             _write_loopy_log(path)
         elif kind == "messy":

@@ -63,8 +63,7 @@ class TestCountDirectlyFollows:
             seq_case("c1", ("a", 0, 1), ("b", 2, 3), ("a", 4, 5))
         )
         counts = count_directly_follows(log)
-        assert counts.loop2_count("a", "b") == 1
-        assert counts.loop2_count("b", "a") == 1
+        assert counts.loops2 == {("a", "b"): 1}
 
 
 class TestDetectConcurrency:

@@ -14,6 +14,7 @@ from brute import (
     calendar_from_cells,
     cause_durations,
     horizon,
+    intersect,
     total_duration,
 )
 from test_golden import _write_loopy_log
@@ -397,16 +398,16 @@ class TestDecompositionInvariants:
             assert sum(map(total_duration, sets.values())) == out.waiting_duration
             assert out.waiting_duration == target.started - target.enabled
             # Pairwise disjointness and coverage.
-            union = IntervalSet.empty()
+            union = IntervalSet()
             causes = list(sets)
             for i, a in enumerate(causes):
                 for b in causes[i + 1 :]:
-                    assert not sets[a] & sets[b]
+                    assert not intersect(sets[a], sets[b])
                 union = IntervalSet(union.intervals + sets[a].intervals)
             expected = (
                 IntervalSet([(target.enabled, target.started)])
                 if target.enabled < target.started
-                else IntervalSet.empty()
+                else IntervalSet()
             )
             assert union == expected
             # Per-second reference labeler agrees exactly.

@@ -1,22 +1,26 @@
 """Interval algebra and core type tests.
 
 Spans are plain (start, end) pairs and `IntervalSet` is the one interval
-type. Its operations are checked two ways: frozen examples worked out by
-hand, and randomized comparison against a per-second membership oracle.
+type. Its canonical form, and the set algebra the test oracles are written
+in (`brute.intersect` and `brute.subtract`), are checked two ways: frozen
+examples worked out by hand, and randomized comparison against a
+per-second membership oracle.
 """
 from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import itertools
 import pkgutil
+import typing
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import wtminer
-from brute import contains_point, horizon, total_duration
+from brute import contains_point, horizon, intersect, subtract, total_duration
 from wtminer.analysis import AnalysisResult, CauseImpact, TransitionImpact
 from wtminer.batching import Batch, BatchingConfig, BatchingResult
 from wtminer.calendars import AbsoluteAvailability, CalendarParams, WeeklyCalendar
@@ -81,12 +85,12 @@ class TestSingleSpan:
         assert not contains_point(s, 5)
 
     def test_touching_intervals_do_not_overlap(self):
-        assert not (IntervalSet([(0, 3)]) & IntervalSet([(3, 6)]))
-        assert not (IntervalSet([(3, 6)]) & IntervalSet([(0, 3)]))
+        assert not intersect(IntervalSet([(0, 3)]), IntervalSet([(3, 6)]))
+        assert not intersect(IntervalSet([(3, 6)]), IntervalSet([(0, 3)]))
 
     def test_pairwise_intersection(self):
-        assert (IntervalSet([(0, 4)]) & IntervalSet([(3, 7)])).intervals == ((3, 4),)
-        assert (IntervalSet([(0, 3)]) & IntervalSet([(3, 7)])).intervals == ()
+        assert intersect(IntervalSet([(0, 4)]), IntervalSet([(3, 7)])).intervals == ((3, 4),)
+        assert intersect(IntervalSet([(0, 3)]), IntervalSet([(3, 7)])).intervals == ()
 
 
 class TestIntervalSetCanonicalForm:
@@ -103,24 +107,24 @@ class TestIntervalSetCanonicalForm:
         assert s.intervals == ((0, 2), (10, 12))
 
     def test_empty_set(self):
-        assert not IntervalSet.empty()
-        assert total_duration(IntervalSet.empty()) == 0
+        assert not IntervalSet()
+        assert total_duration(IntervalSet()) == 0
 
     def test_repr_prints_half_open_spans(self):
         assert repr(IntervalSet([(10, 12), (0, 2)])) == "{[0, 2), [10, 12)}"
-        assert repr(IntervalSet.empty()) == "{}"
+        assert repr(IntervalSet()) == "{}"
 
 
 class TestIntervalSetOperations:
     def test_intersect_example(self):
         a = IntervalSet([(0, 4), (6, 10)])
         b = IntervalSet([(3, 7)])
-        assert (a & b) == IntervalSet([(3, 4), (6, 7)])
+        assert intersect(a, b) == IntervalSet([(3, 4), (6, 7)])
 
     def test_subtract_example(self):
         a = IntervalSet([(0, 10)])
         b = IntervalSet([(2, 4), (6, 8)])
-        assert (a - b) == IntervalSet([(0, 2), (4, 6), (8, 10)])
+        assert subtract(a, b) == IntervalSet([(0, 2), (4, 6), (8, 10)])
 
     def test_union_example(self):
         a = IntervalSet([(0, 2), (8, 10)])
@@ -129,11 +133,11 @@ class TestIntervalSetOperations:
 
     def test_subtract_everything(self):
         a = IntervalSet([(3, 9)])
-        assert not (a - IntervalSet([(0, 20)]))
+        assert not subtract(a, IntervalSet([(0, 20)]))
 
     @given(interval_sets(), interval_sets())
     def test_intersect_matches_membership_oracle(self, a, b):
-        assert points(a & b) == points(a) & points(b)
+        assert points(intersect(a, b)) == points(a) & points(b)
 
     @given(interval_sets(), interval_sets())
     def test_union_matches_membership_oracle(self, a, b):
@@ -141,28 +145,28 @@ class TestIntervalSetOperations:
 
     @given(interval_sets(), interval_sets())
     def test_subtract_matches_membership_oracle(self, a, b):
-        assert points(a - b) == points(a) - points(b)
+        assert points(subtract(a, b)) == points(a) - points(b)
 
     @given(interval_sets(), interval_sets())
     def test_partition_by_subtrahend(self, a, b):
         # Splitting A on B never changes total measure.
-        assert total_duration(a & b) + total_duration(a - b) == total_duration(a)
+        assert total_duration(intersect(a, b)) + total_duration(subtract(a, b)) == total_duration(a)
 
     @given(interval_sets(), interval_sets())
     def test_subtract_result_disjoint_from_subtrahend(self, a, b):
-        assert not ((a - b) & b)
+        assert not intersect(subtract(a, b), b)
 
     @given(interval_sets(), interval_sets())
     def test_results_are_canonical(self, a, b):
-        for s in (a & b, IntervalSet(a.intervals + b.intervals), a - b):
+        for s in (intersect(a, b), IntervalSet(a.intervals + b.intervals), subtract(a, b)):
             for (_, left_end), (right_start, _) in zip(s.intervals, s.intervals[1:]):
                 assert left_end < right_start
             assert all(start < end for start, end in s.intervals)
 
     @given(interval_sets(), interval_sets())
     def test_fast_results_equal_their_canonical_form(self, a, b):
-        # `&` and `-` store their output without re-canonicalizing.
-        for result in (a & b, a - b):
+        # `intersect` and `subtract` store their output without re-canonicalizing.
+        for result in (intersect(a, b), subtract(a, b)):
             assert result == IntervalSet(result.intervals)
 
 
@@ -200,7 +204,7 @@ def _slotted_examples() -> list:
     ones with slots."""
     source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
-    empty = IntervalSet.empty()
+    empty = IntervalSet()
     waits = IntervalSet([(5, 9)])
     decomposition = WtDecomposition(target, empty, empty, empty, empty, waits)
     return [
@@ -217,13 +221,13 @@ def _frozen_examples() -> list:
     fields in an instance `__dict__`."""
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
     return _slotted_examples() + [
-        (Transition("a", "b", (target,), 1.0, 1, 4), "total_duration", 5),
+        (Transition("a", "b", (target,), 1.0, 4), "total_duration", 5),
         (
             TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2),
             "delta",
             0.3,
         ),
-        (AbsoluteAvailability("r1", IntervalSet([(5, 9)])), "available", IntervalSet.empty()),
+        (AbsoluteAvailability("r1", IntervalSet([(5, 9)])), "available", IntervalSet()),
     ]
 
 
@@ -273,16 +277,16 @@ def _keyword_examples() -> list:
     a = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     b = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
     waits = IntervalSet([(5, 9)])
-    empty = IntervalSet.empty()
+    empty = IntervalSet()
     parts = [IntervalSet([(k, k + 1)]) for k in range(5, 9)]
     log = EventLog((a, b))
-    batch = Batch("a", "r1", (a, b))
+    batch = Batch((a, b))
     relation = ConcurrencyRelation(frozenset({("a", "b")}))
     enablement = EnablementResult(log, relation, {b: a}, EnablementStats())
-    transition = Transition("a", "b", (b,), 1.0, 1, 4)
+    transition = Transition("a", "b", (b,), 1.0, 4)
     decomposition = WtDecomposition(b, empty, empty, empty, empty, waits)
     calendar = WeeklyCalendar("r1", 60, ((0, 3600),))
-    impact = CauseImpact("extraneous", 4, 1.0, 1.0, 0.2)
+    impact = CauseImpact(4, 1.0, 1.0, 0.2)
     per_transition = TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2)
     analysis = AnalysisResult(8, 4, 0.8, {"extraneous": impact}, (per_transition,))
     config = PipelineConfig(OracleThresholds(), BatchingConfig(), CalendarParams())
@@ -308,7 +312,6 @@ def _keyword_examples() -> list:
                 "target_activity": "b",
                 "instances": (b,),
                 "case_frequency": 0.5,
-                "total_frequency": 1,
                 "total_duration": 4,
             },
         ),
@@ -324,7 +327,7 @@ def _keyword_examples() -> list:
             },
         ),
         (BatchingConfig, {"gap_tolerance": 3, "min_batch_size": 4}),
-        (Batch, {"activity": "a", "resource": "r1", "members": (a, b)}),
+        (Batch, {"members": (a, b)}),
         (BatchingResult, {"batches": (batch,), "by_instance": {a: batch, b: batch}}),
         (
             OracleThresholds,
@@ -383,7 +386,6 @@ def _keyword_examples() -> list:
         (
             CauseImpact,
             {
-                "cause": "extraneous",
                 "wt_seconds": 4,
                 "share_of_wt": 1.0,
                 "cte_if_eliminated": 0.9,
@@ -484,6 +486,22 @@ def _default_examples() -> list:
     ]
 
 
+def _config_parameters() -> list:
+    """(function, parameter) for each stage parameter that takes a config."""
+    from wtminer import batching, calendars, concurrency, ingest, pipeline
+
+    return [
+        (concurrency.detect_concurrency, "thresholds"),
+        (concurrency.discover_concurrency, "thresholds"),
+        (concurrency.compute_enablement, "relation"),
+        (batching.detect_batches, "config"),
+        (calendars.discover_calendar, "params"),
+        (calendars.discover_calendars, "params"),
+        (ingest.load_log, "mapping"),
+        (pipeline.run_pipeline, "config"),
+    ]
+
+
 def _value_examples() -> list:
     """(make, other): `make()` builds equal but distinct values, `other` differs."""
     source, target = _ENDPOINTS
@@ -510,14 +528,14 @@ def _value_examples() -> list:
             lambda: ColumnMapping(enabled_column="n", timestamp_format="epoch"),
             ColumnMapping(enabled_column="n"),
         ),
-        (lambda: Batch("b", "r1", (source, target)), Batch("b", "r1", (target, source))),
+        (lambda: Batch((source, target)), Batch((target, source))),
         (
-            lambda: Transition("a", "b", (target,), 0.5, 1, 4),
-            Transition("a", "b", (target,), 0.5, 1, 5),
+            lambda: Transition("a", "b", (target,), 0.5, 4),
+            Transition("a", "b", (target,), 0.5, 5),
         ),
         (
-            lambda: CauseImpact("contention", 4, 1.0, 0.9, 0.1),
-            CauseImpact("batching", 4, 1.0, 0.9, 0.1),
+            lambda: CauseImpact(4, 1.0, 0.9, 0.1),
+            CauseImpact(4, 1.0, 0.9, 0.2),
         ),
         (
             lambda: AbsoluteAvailability("r1", IntervalSet([(5, 9)])),
@@ -537,7 +555,7 @@ def _unhashable_value_examples() -> list:
     log = EventLog(_ENDPOINTS)
     relation = ConcurrencyRelation()
     impact = TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1)
-    cause = CauseImpact("batching", 4, 1.0, 0.9, 0.1)
+    cause = CauseImpact(4, 1.0, 0.9, 0.1)
     return [
         (
             lambda: TransitionImpact("a", "b", 0.5, 1, 4, {"batching": 4}, 0.9, 0.1),
@@ -549,7 +567,7 @@ def _unhashable_value_examples() -> list:
         ),
         (
             lambda: BatchingResult((), {}),
-            BatchingResult((), {source: Batch("b", "r1", _ENDPOINTS)}),
+            BatchingResult((), {source: Batch(_ENDPOINTS)}),
         ),
         (
             lambda: DirectlyFollowsCounts({("a", "b"): 1}, {}),
@@ -622,6 +640,18 @@ class TestTypeContracts:
             assert getattr(obj, name) == value
 
     @pytest.mark.parametrize(
+        "function, name",
+        [pytest.param(*case, id=case[0].__name__) for case in _config_parameters()],
+    )
+    def test_config_parameters_default_to_their_type(self, function, name):
+        # The default is the annotated type's own default value, never None,
+        # so an omitted config means one thing and no function rebuilds it.
+        annotation = typing.get_type_hints(function)[name]
+        default = inspect.signature(function).parameters[name].default
+        assert type(default) is annotation
+        assert default == annotation()
+
+    @pytest.mark.parametrize(
         "make, other",
         [pytest.param(*case, id=type(case[1]).__name__) for case in _value_examples()],
     )
@@ -662,14 +692,14 @@ class TestTypeContracts:
         "obj, name",
         [
             (EventLog((_ENDPOINTS[0],)), "instances"),
-            (Batch("a", "r1", _ENDPOINTS), "members"),
+            (Batch(_ENDPOINTS), "members"),
             (OracleThresholds(), "dependency_threshold"),
             (BatchingConfig(), "gap_tolerance"),
             (CalendarParams(), "granule_minutes"),
             (ColumnMapping(), "case_column"),
             (WeeklyCalendar.always_on("r1"), "ranges"),
             (ConcurrencyRelation(), "pairs"),
-            (CauseImpact("batching", 4, 1.0, 0.9, 0.1), "wt_seconds"),
+            (CauseImpact(4, 1.0, 0.9, 0.1), "wt_seconds"),
             (AnalysisResult(8, 4, 0.5, {}, ()), "cte"),
             (BatchingResult((), {}), "batches"),
             (DirectlyFollowsCounts({}, {}), "pairs"),
