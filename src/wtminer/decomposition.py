@@ -34,7 +34,6 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
     _EMPTY,
     _Value,
-    _slot_setters,
     _split,
 )
 
@@ -44,35 +43,39 @@ _END = itemgetter(1)
 CAUSES = ("batching", "contention", "prioritization", "unavailability", "extraneous")
 
 
-class WtDecomposition(_Value):
-    """Disjoint per-cause interval sets covering one target's waiting time."""
-
-    # One interval set per cause, named and ordered as in `CAUSES`.
+class _WtDecompositionSlots:
+    # The writable layout of `WtDecomposition`, sealed by its constructor:
+    # one interval set per cause, named and ordered as in `CAUSES`.
     __slots__ = ("instance", *CAUSES)
 
-    def __init__(
-        self,
+
+class WtDecomposition(_Value, _WtDecompositionSlots):
+    """Disjoint per-cause interval sets covering one target's waiting time."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
         instance: ActivityInstance,
         batching: IntervalSet,
         contention: IntervalSet,
         prioritization: IntervalSet,
         unavailability: IntervalSet,
         extraneous: IntervalSet,
-    ) -> None:
-        _wd_instance(self, instance)
-        _wd_batching(self, batching)
-        _wd_contention(self, contention)
-        _wd_prioritization(self, prioritization)
-        _wd_unavailability(self, unavailability)
-        _wd_extraneous(self, extraneous)
+    ) -> "WtDecomposition":
+        self = object.__new__(_WtDecompositionSlots)
+        self.instance = instance
+        self.batching = batching
+        self.contention = contention
+        self.prioritization = prioritization
+        self.unavailability = unavailability
+        self.extraneous = extraneous
+        self.__class__ = cls
+        return self
 
     @property
     def waiting_duration(self) -> int:
         return self.instance.started - self.instance.enabled
-
-
-(_wd_instance, _wd_batching, _wd_contention, _wd_prioritization, _wd_unavailability,
- _wd_extraneous) = _slot_setters(WtDecomposition)
 
 
 # One resource's work sequence, its start times and its longest processing.
@@ -154,12 +157,8 @@ class Decomposer:
         # unavailability and extraneous exactly. Availability is canonical,
         # so it is bisected on ends for the first interval ending after the
         # wait's start and on starts for the first one starting at its end.
-        if earlier or later:
-            contention, remaining = _split([(rest_start, wait_end)], earlier)
-            prioritization, remaining = _split(remaining, later)
-        else:
-            contention = prioritization = []
-            remaining = [(rest_start, wait_end)]
+        contention, remaining = _split([(rest_start, wait_end)], earlier)
+        prioritization, remaining = _split(remaining, later)
         available = self.availability[resource].available.intervals
         lo = bisect_right(available, wait_start, key=_END)
         hi = bisect_left(available, wait_end, lo=lo, key=_START)

@@ -31,16 +31,18 @@ class IngestError(WtMinerError):
     """The input log could not be turned into a usable event log."""
 
 
-# The frozen types' own `__setattr__` refuses every assignment, so each
-# constructor fills its fields in one call: a record writes its instance
-# `__dict__` with `vars(self).update(...)`, and the three types built once
-# per activity instance, which have slots, call each slot's own bound
-# `__set__`.
-def _slot_setters(cls: type) -> tuple:
-    """The bound `__set__` of each of `cls`'s own slots, in `__slots__` order."""
-    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
-
-
+# The frozen types' own `__setattr__` refuses every assignment, so no
+# constructor assigns through it. A record fills its instance `__dict__` in
+# one `vars(self).update(...)` call. Each of the three types built once per
+# activity instance keeps its fields in the slots of a private writable base
+# class that defines no `__setattr__`: its `__new__` makes an object of that
+# base, stores each field with a plain assignment, and seals the object by
+# setting its `__class__` to the public frozen class, which adds no slots.
+# That builds an `ActivityInstance` about a third faster than storing
+# through each slot's bound `__set__`: 338 against 508 ns at best, both
+# alternating in one process (2-core x86-64 host, CPython 3.11).
+# The writable class is a base: a subclass that restored
+# `object.__setattr__` would still take CPython's slow generic path.
 class _Frozen:
     """Base of the immutable types: assigning or deleting a field raises
     `dataclasses.FrozenInstanceError`, as on a frozen dataclass. The types are
@@ -63,7 +65,8 @@ class _Frozen:
 
 class _Record:
     """A type whose fields are its constructor's parameters, in order, as
-    `_fields` names them; the constructor fills every field itself. Two
+    `_fields` names them: those of its `__init__`, or of its `__new__` when
+    it has no `__init__`. The constructor fills every field itself. Two
     records are equal when they are of one class and their fields are
     equal."""
 
@@ -72,9 +75,11 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         # A base without a constructor of its own, like `_Value`, has no fields.
-        if "__init__" in vars(cls):
-            code = cls.__init__.__code__
-            cls._fields = code.co_varnames[1 : code.co_argcount]
+        for name in ("__init__", "__new__"):
+            if name in vars(cls):
+                code = getattr(cls, name).__code__
+                cls._fields = code.co_varnames[1 : code.co_argcount]
+                return
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
@@ -134,22 +139,28 @@ def _split(spans: Sequence[Span], holes: Sequence[Span]) -> tuple[list[Span], li
     return inside, outside
 
 
-class IntervalSet(_Value):
+class _IntervalSetSlots:
+    # The writable layout of `IntervalSet`, sealed by its constructors.
+    __slots__ = ("intervals",)
+
+
+class IntervalSet(_Value, _IntervalSetSlots):
     """Canonical set of instants: sorted, pairwise disjoint, non-touching,
     non-empty (start, end) pairs. A pair that ends before it starts is a
     `ValueError`."""
 
-    __slots__ = ("intervals",)
+    __slots__ = ()
 
-    def __init__(self, intervals: Iterable[Span] = ()) -> None:
-        _iv_intervals(self, _canonicalize(intervals))
+    def __new__(cls, intervals: Iterable[Span] = ()) -> "IntervalSet":
+        return cls._from_canonical(_canonicalize(intervals))
 
     @classmethod
     def _from_canonical(cls, intervals: tuple[Span, ...]) -> "IntervalSet":
         # For results already sorted, disjoint, non-touching and non-empty.
-        result = object.__new__(cls)
-        _iv_intervals(result, intervals)
-        return result
+        self = object.__new__(_IntervalSetSlots)
+        self.intervals = intervals
+        self.__class__ = cls
+        return self
 
     def __iter__(self) -> Iterator[Span]:
         return iter(self.intervals)
@@ -161,12 +172,16 @@ class IntervalSet(_Value):
         return "{" + ", ".join(f"[{s}, {e})" for s, e in self.intervals) + "}"
 
 
-(_iv_intervals,) = _slot_setters(IntervalSet)
 # Interval sets are immutable, so every caller can share one empty set.
 _EMPTY = IntervalSet._from_canonical(())
 
 
-class ActivityInstance(_Frozen):
+class _ActivityInstanceSlots:
+    # The writable layout of `ActivityInstance`, sealed by its constructor.
+    __slots__ = ("case_id", "activity", "resource", "started", "completed", "enabled")
+
+
+class ActivityInstance(_Frozen, _ActivityInstanceSlots):
     """One execution of an activity within a case.
 
     `enabled` is None until enablement has been computed or supplied.
@@ -174,17 +189,17 @@ class ActivityInstance(_Frozen):
     executions, so instances are safe as dict keys.
     """
 
-    __slots__ = ("case_id", "activity", "resource", "started", "completed", "enabled")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         case_id: str,
         activity: str,
         resource: str,
         started: TimeInstant,
         completed: TimeInstant,
         enabled: TimeInstant | None = None,
-    ) -> None:
+    ) -> "ActivityInstance":
         if completed < started:
             raise ValueError(
                 f"instance of {activity!r} completes at {completed} "
@@ -195,12 +210,15 @@ class ActivityInstance(_Frozen):
                 f"instance of {activity!r} enabled at {enabled} "
                 f"after it starts at {started}"
             )
-        _ai_case_id(self, case_id)
-        _ai_activity(self, activity)
-        _ai_resource(self, resource)
-        _ai_started(self, started)
-        _ai_completed(self, completed)
-        _ai_enabled(self, enabled)
+        self = object.__new__(_ActivityInstanceSlots)
+        self.case_id = case_id
+        self.activity = activity
+        self.resource = resource
+        self.started = started
+        self.completed = completed
+        self.enabled = enabled
+        self.__class__ = cls
+        return self
 
     @property
     def waiting(self) -> Span:
@@ -208,9 +226,6 @@ class ActivityInstance(_Frozen):
             raise ValueError("waiting time is undefined until enablement is known")
         return (self.enabled, self.started)
 
-
-(_ai_case_id, _ai_activity, _ai_resource, _ai_started, _ai_completed,
- _ai_enabled) = _slot_setters(ActivityInstance)
 
 
 def _log_order(inst: ActivityInstance) -> tuple:

@@ -8,10 +8,12 @@ per-second membership oracle.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import importlib
 import inspect
 import itertools
+import pickle
 import pkgutil
 import typing
 
@@ -31,7 +33,7 @@ from wtminer.concurrency import (
     EnablementStats,
     OracleThresholds,
 )
-from wtminer.decomposition import WtDecomposition
+from wtminer.decomposition import WtDecomposition, _WtDecompositionSlots
 from wtminer.ingest import ColumnMapping, IngestStats, LoadResult
 from wtminer.model import (
     ActivityInstance,
@@ -39,6 +41,8 @@ from wtminer.model import (
     IngestError,
     IntervalSet,
     UNKNOWN_RESOURCE,
+    _ActivityInstanceSlots,
+    _IntervalSetSlots,
     _Record,
 )
 from wtminer.pipeline import PipelineConfig, PipelineResult
@@ -199,6 +203,15 @@ class TestActivityInstance:
             ActivityInstance("c1", "a", "r1", 10, 20, enabled=11)
 
 
+# Each per-instance type and the writable base that owns its slots.
+_WRITABLE_BASES = {
+    ActivityInstance: _ActivityInstanceSlots,
+    IntervalSet: _IntervalSetSlots,
+    WtDecomposition: _WtDecompositionSlots,
+}
+_WRITABLE_IDS = [cls.__name__ for cls in _WRITABLE_BASES]
+
+
 def _slotted_examples() -> list:
     """(object, field, new value) for the three per-instance types, the only
     ones with slots."""
@@ -251,8 +264,9 @@ class TestSlottedTypes:
         assert not hasattr(obj, "__dict__")
 
     def test_constructors_set_every_slot(self):
-        # Each per-instance type writes its slots through bound slot setters;
-        # every slot must hold the value given for it, and no slot is left out.
+        # Each per-instance type stores its fields in the slots of its
+        # writable base before sealing the object; every slot must hold the
+        # value given for it, and no slot is left out.
         source = ActivityInstance("c1", "a", "r1", 0, 5, 0)
         target = ActivityInstance("c1", "b", "r2", 9, 12, 5)
         sets = [IntervalSet([(k, k + 1)]) for k in range(5)]
@@ -264,10 +278,89 @@ class TestSlottedTypes:
             (IntervalSet._from_canonical(((0, 1), (3, 4))), (((0, 1), (3, 4)),)),
         ]
         for obj, values in examples:
-            names = type(obj).__slots__
+            names = _WRITABLE_BASES[type(obj)].__slots__
             assert len(names) == len(values)
             for name, value in zip(names, values):
                 assert getattr(obj, name) == value
+
+
+def _sealed_examples() -> list:
+    """(public class, object) for every way the pipeline builds one."""
+    target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
+    waits = IntervalSet([(5, 9)])
+    return [
+        pytest.param(ActivityInstance, target, id="ActivityInstance"),
+        pytest.param(
+            ActivityInstance,
+            ActivityInstance("c1", "a", "r1", 0, 5),
+            id="ActivityInstance-unenabled",
+        ),
+        pytest.param(IntervalSet, waits, id="IntervalSet"),
+        pytest.param(IntervalSet, IntervalSet(), id="IntervalSet-empty"),
+        pytest.param(
+            IntervalSet,
+            IntervalSet._from_canonical(((0, 1), (3, 4))),
+            id="IntervalSet._from_canonical",
+        ),
+        pytest.param(
+            WtDecomposition,
+            WtDecomposition(target, waits, waits, waits, waits, waits),
+            id="WtDecomposition",
+        ),
+    ]
+
+
+class TestSealedLayout:
+    # Each per-instance type is built as an object of a writable base, which
+    # keeps CPython's fast slot stores, and then sealed by setting its class.
+    @pytest.mark.parametrize("cls, base", _WRITABLE_BASES.items(), ids=_WRITABLE_IDS)
+    def test_writable_base_owns_every_slot(self, cls, base):
+        # A base directly on `object`: a writable subclass of the public
+        # class would inherit its slots and have to restore `__setattr__`.
+        assert base.__mro__ == (base, object)
+        assert base in cls.__bases__
+        assert base.__slots__
+        for name in base.__slots__:
+            assert type(vars(base)[name]).__name__ == "member_descriptor"
+        assert "__setattr__" not in vars(base)
+        assert "__delattr__" not in vars(base)
+
+    @pytest.mark.parametrize("cls, base", _WRITABLE_BASES.items(), ids=_WRITABLE_IDS)
+    def test_public_class_adds_no_slots_and_no_dict(self, cls, base):
+        for klass in cls.__mro__:
+            if klass not in (base, object):
+                assert vars(klass).get("__slots__") == ()
+        assert cls.__dictoffset__ == 0
+        assert cls.__basicsize__ == base.__basicsize__
+
+    @pytest.mark.parametrize("cls, obj", _sealed_examples())
+    def test_constructed_objects_are_of_the_public_class(self, cls, obj):
+        assert type(obj) is cls
+        assert obj.__class__ is cls
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("c1", "a", "r1", 10, 9), "completes at 9 before it starts at 10"),
+            (("c1", "a", "r1", 10, 20, 11), "enabled at 11 after it starts at 10"),
+        ],
+        ids=["completed-before-started", "enabled-after-started"],
+    )
+    def test_failed_check_raises_value_error(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ActivityInstance(*args)
+
+    @pytest.mark.parametrize("cls, obj", _sealed_examples())
+    def test_copy_and_pickle_stay_unsupported(self, cls, obj):
+        # Neither is defined for these types: a copy is rebuilt through
+        # `__new__` without arguments and then assigned its fields, and one
+        # of the two steps raises.
+        errors = (TypeError, dataclasses.FrozenInstanceError)
+        for duplicate in (copy.copy, copy.deepcopy):
+            with pytest.raises(errors):
+                duplicate(obj)
+        with pytest.raises(errors):
+            pickle.loads(pickle.dumps(obj))
 
 
 def _keyword_examples() -> list:
