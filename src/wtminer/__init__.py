@@ -21,7 +21,6 @@ from wtminer.model import (
     ConfigError,
     EventLog,
     IngestError,
-    IntervalSet,
     TimeInstant,
     UNKNOWN_RESOURCE,
     WtMinerError,
@@ -44,7 +43,6 @@ __all__ = [
     "EventLog",
     "IngestError",
     "InjectionSpec",
-    "IntervalSet",
     "OracleThresholds",
     "PipelineConfig",
     "PipelineResult",

@@ -125,15 +125,15 @@ def analyze(
             if target.enabled == target.started:
                 continue
             # Most cause sets of a waiting target are empty or hold one span.
-            for start, end in dec.batching.intervals:
+            for start, end in dec.batching:
                 slot[0] += end - start
-            for start, end in dec.contention.intervals:
+            for start, end in dec.contention:
                 slot[1] += end - start
-            for start, end in dec.prioritization.intervals:
+            for start, end in dec.prioritization:
                 slot[2] += end - start
-            for start, end in dec.unavailability.intervals:
+            for start, end in dec.unavailability:
                 slot[3] += end - start
-            for start, end in dec.extraneous.intervals:
+            for start, end in dec.extraneous:
                 slot[4] += end - start
         slots.append(slot)
 

@@ -5,7 +5,7 @@ seen doing anything (starts and completions). Evidence is bucketed into
 weekly slots of granule_minutes; slots with enough relative frequency count
 as working time. If the resulting calendar explains too small a share of the
 observations, the frequency cut is relaxed stepwise. Weekly calendars expand
-to absolute availability interval sets over each resource's waits, the only
+to absolute availability spans over each resource's waits, the only
 place where availability is read.
 """
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 from wtminer.model import (
     ConfigError,
     EventLog,
-    IntervalSet,
     Span,
     UNKNOWN_RESOURCE,
     _Value,
@@ -90,7 +89,7 @@ class WeeklyCalendar(_Value):
 
 
 class AbsoluteAvailability(_Value):
-    def __init__(self, resource: str, available: IntervalSet) -> None:
+    def __init__(self, resource: str, available: tuple[Span, ...]) -> None:
         vars(self).update(resource=resource, available=available)
 
 
@@ -190,8 +189,7 @@ def expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
                     pieces.append((s, e))
                     last_end = e
             w += SECONDS_PER_WEEK
-    available = IntervalSet._from_canonical(tuple(pieces))
-    return AbsoluteAvailability(cal.resource, available)
+    return AbsoluteAvailability(cal.resource, tuple(pieces))
 
 
 def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:

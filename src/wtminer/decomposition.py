@@ -15,8 +15,8 @@ attributed to exactly one cause, claimed in strict dominance order:
 
 Each stage claims from what previous stages left, so the five sets
 partition the waiting interval exactly. The cascade works on bare sorted
-(start, end) lists and builds an `IntervalSet` only for each of its five
-results.
+(start, end) lists, and each of its five results is a canonical tuple of
+spans, `()` when empty.
 """
 from __future__ import annotations
 
@@ -29,10 +29,8 @@ from wtminer.calendars import AbsoluteAvailability
 from wtminer.model import (
     ActivityInstance,
     EventLog,
-    IntervalSet,
     Span,
     UNKNOWN_RESOURCE,
-    _EMPTY,
     _Value,
     _split,
 )
@@ -45,23 +43,24 @@ CAUSES = ("batching", "contention", "prioritization", "unavailability", "extrane
 
 class _WtDecompositionSlots:
     # The writable layout of `WtDecomposition`, sealed by its constructor:
-    # one interval set per cause, named and ordered as in `CAUSES`.
+    # one span tuple per cause, named and ordered as in `CAUSES`.
     __slots__ = ("instance", *CAUSES)
 
 
 class WtDecomposition(_Value, _WtDecompositionSlots):
-    """Disjoint per-cause interval sets covering one target's waiting time."""
+    """Disjoint per-cause sets of instants covering one target's waiting time,
+    each a canonical tuple of (start, end) spans."""
 
     __slots__ = ()
 
     def __new__(
         cls,
         instance: ActivityInstance,
-        batching: IntervalSet,
-        contention: IntervalSet,
-        prioritization: IntervalSet,
-        unavailability: IntervalSet,
-        extraneous: IntervalSet,
+        batching: tuple[Span, ...],
+        contention: tuple[Span, ...],
+        prioritization: tuple[Span, ...],
+        unavailability: tuple[Span, ...],
+        extraneous: tuple[Span, ...],
     ) -> "WtDecomposition":
         self = object.__new__(_WtDecompositionSlots)
         self.instance = instance
@@ -107,15 +106,13 @@ class Decomposer:
         # is read. An unknown enablement is never equal to a start time, so
         # it still reaches `waiting`, which raises.
         if target.enabled == target.started:
-            return WtDecomposition(target, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _EMPTY)
+            return WtDecomposition(target, (), (), (), (), ())
         wait_start, wait_end = target.waiting
         resource = target.resource
         if resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
             # calendar, so all of the wait is extraneous.
-            return WtDecomposition(
-                target, _EMPTY, _EMPTY, _EMPTY, _EMPTY, _result([(wait_start, wait_end)])
-            )
+            return WtDecomposition(target, (), (), (), (), ((wait_start, wait_end),))
 
         # Batching claims a prefix of the wait, so what it leaves is one span.
         batching: list[Span] = []
@@ -127,9 +124,7 @@ class Decomposer:
                 batching.append((wait_start, batch_end))
                 rest_start = batch_end
                 if rest_start == wait_end:
-                    return WtDecomposition(
-                        target, _result(batching), _EMPTY, _EMPTY, _EMPTY, _EMPTY
-                    )
+                    return WtDecomposition(target, tuple(batching), (), (), (), ())
 
         # Same-resource processing inside the rest of the wait, in one pass
         # over the window: work enabled no later than the target, then work
@@ -159,22 +154,18 @@ class Decomposer:
         # wait's start and on starts for the first one starting at its end.
         contention, remaining = _split([(rest_start, wait_end)], earlier)
         prioritization, remaining = _split(remaining, later)
-        available = self.availability[resource].available.intervals
+        available = self.availability[resource].available
         lo = bisect_right(available, wait_start, key=_END)
         hi = bisect_left(available, wait_end, lo=lo, key=_START)
         extraneous, unavailability = _split(remaining, available[lo:hi])
         return WtDecomposition(
             target,
-            _result(batching),
-            _result(contention),
-            _result(prioritization),
-            _result(unavailability),
-            _result(extraneous),
+            tuple(batching),
+            tuple(contention),
+            tuple(prioritization),
+            tuple(unavailability),
+            tuple(extraneous),
         )
-
-
-def _result(spans: list[Span]) -> IntervalSet:
-    return IntervalSet._from_canonical(tuple(spans)) if spans else _EMPTY
 
 
 def decompose_all(

@@ -1,19 +1,20 @@
-"""Core domain types: instants, spans, canonical interval sets, activity
-instances and event logs.
+"""Core domain types: instants, spans, activity instances and event logs.
 
 All time arithmetic is integer seconds since the Unix epoch (UTC). A span is
 a plain (start, end) pair read as the half-open interval [start, end), which
 lets adjacent cause intervals partition a waiting period with no double
-counting. `IntervalSet` is the one interval type that checks and stores them.
+counting. A set of instants is a canonical tuple of spans: sorted, pairwise
+disjoint, non-touching and non-empty, with `()` the empty set.
+`_canonicalize` builds one from spans that come from outside the pipeline.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 # Instants are plain epoch seconds; durations are plain second counts.
 TimeInstant = int
-# A half-open span [start, end) of instants; `IntervalSet` checks start <= end.
+# A half-open span [start, end) of instants; `_canonicalize` checks start <= end.
 Span = tuple[TimeInstant, TimeInstant]
 
 UNKNOWN_RESOURCE = "__UNKNOWN__"
@@ -33,7 +34,7 @@ class IngestError(WtMinerError):
 
 # The frozen types' own `__setattr__` refuses every assignment, so no
 # constructor assigns through it. A record fills its instance `__dict__` in
-# one `vars(self).update(...)` call. Each of the three types built once per
+# one `vars(self).update(...)` call. Each of the two types built once per
 # activity instance keeps its fields in the slots of a private writable base
 # class that defines no `__setattr__`: its `__new__` makes an object of that
 # base, stores each field with a plain assignment, and seals the object by
@@ -137,43 +138,6 @@ def _split(spans: Sequence[Span], holes: Sequence[Span]) -> tuple[list[Span], li
         if cursor < end:
             outside.append((cursor, end))
     return inside, outside
-
-
-class _IntervalSetSlots:
-    # The writable layout of `IntervalSet`, sealed by its constructors.
-    __slots__ = ("intervals",)
-
-
-class IntervalSet(_Value, _IntervalSetSlots):
-    """Canonical set of instants: sorted, pairwise disjoint, non-touching,
-    non-empty (start, end) pairs. A pair that ends before it starts is a
-    `ValueError`."""
-
-    __slots__ = ()
-
-    def __new__(cls, intervals: Iterable[Span] = ()) -> "IntervalSet":
-        return cls._from_canonical(_canonicalize(intervals))
-
-    @classmethod
-    def _from_canonical(cls, intervals: tuple[Span, ...]) -> "IntervalSet":
-        # For results already sorted, disjoint, non-touching and non-empty.
-        self = object.__new__(_IntervalSetSlots)
-        self.intervals = intervals
-        self.__class__ = cls
-        return self
-
-    def __iter__(self) -> Iterator[Span]:
-        return iter(self.intervals)
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __repr__(self) -> str:
-        return "{" + ", ".join(f"[{s}, {e})" for s, e in self.intervals) + "}"
-
-
-# Interval sets are immutable, so every caller can share one empty set.
-_EMPTY = IntervalSet._from_canonical(())
 
 
 class _ActivityInstanceSlots:

@@ -151,8 +151,8 @@ def _report(
             "gap_tolerance_s": config.batching.gap_tolerance,
             "min_batch_size": config.batching.min_batch_size,
         },
-        "ingest": dict(ingest_stats.as_dict()) if ingest_stats else None,
-        "enablement": dict(result.enablement.stats.as_dict()),
+        "ingest": ingest_stats.as_dict() if ingest_stats else None,
+        "enablement": result.enablement.stats.as_dict(),
         "causes": [
             {
                 "cause": cause,

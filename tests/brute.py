@@ -10,9 +10,12 @@ calendar tiled week by week over the hull of the spans it is read in, a
 check of every same-resource pair for multitasking, a cell-by-cell merge
 of (weekday, slot) cells into weekly ranges, and batch detection that
 recomputes a run's window after every shrink step. `SetAlgebraDecomposer`
-is the cascade as interval-set algebra, one `IntervalSet` per step, which
+is the cascade as set algebra, one canonical span tuple per step, which
 the pipeline's cascade on bare pairs must match set by set. Spans are plain
-(start, end) pairs, as in the pipeline. `dictreader_load_log` is CSV ingest
+(start, end) pairs, as in the pipeline, and a set of instants is a canonical
+tuple of them: the oracles build theirs with `model._canonicalize`, so every
+comparison with an oracle also checks that the pipeline's sets are
+canonical. `dictreader_load_log` is CSV ingest
 through `csv.DictReader`, one dict and fresh timestamp parses per row, which
 `load_log` must match row by row and counter by counter.
 `brute_discover_calendar` counts observations under (weekday, slot) tuple
@@ -26,8 +29,8 @@ a separate `csv.writer` pass, for the rendered `transitions.csv`.
 `concurrency_relation`, `is_concurrent`, `horizon`, `cause_durations`,
 `is_self_loop` and `impact_label` are small helpers that only tests need, so
 they live here and not in the package. So do `intersect` and `subtract`, the
-interval-set algebra that the oracles above are written in; the pipeline
-splits bare span lists with `model._split` instead.
+set algebra that the oracles above are written in; the pipeline splits
+bare span lists with `model._split` instead.
 """
 from __future__ import annotations
 
@@ -56,10 +59,10 @@ from wtminer.model import (
     ConfigError,
     EventLog,
     IngestError,
-    IntervalSet,
     Span,
     TimeInstant,
     UNKNOWN_RESOURCE,
+    _canonicalize,
     _split,
 )
 from wtminer.pipeline import PipelineResult
@@ -78,7 +81,7 @@ def week_start(t: TimeInstant) -> TimeInstant:
     return (day - weekday_of(t)) * SECONDS_PER_DAY
 
 
-def contains_point(s: IntervalSet, t: TimeInstant) -> bool:
+def contains_point(s: tuple[Span, ...], t: TimeInstant) -> bool:
     """Whether instant `t` lies in one of the half-open spans of `s`."""
     for start, end in s:
         if start > t:
@@ -88,19 +91,19 @@ def contains_point(s: IntervalSet, t: TimeInstant) -> bool:
     return False
 
 
-def total_duration(s: IntervalSet) -> int:
+def total_duration(s: tuple[Span, ...]) -> int:
     """Seconds covered by `s`."""
     return sum(end - start for start, end in s)
 
 
-def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """The instants in both `a` and `b`."""
-    return IntervalSet._from_canonical(tuple(_split(a.intervals, b.intervals)[0]))
+def intersect(a: tuple[Span, ...], b: tuple[Span, ...]) -> tuple[Span, ...]:
+    """The instants in both canonical `a` and `b`."""
+    return tuple(_split(a, b)[0])
 
 
-def subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """The instants in `a` and not in `b`."""
-    return IntervalSet._from_canonical(tuple(_split(a.intervals, b.intervals)[1]))
+def subtract(a: tuple[Span, ...], b: tuple[Span, ...]) -> tuple[Span, ...]:
+    """The instants in canonical `a` and not in canonical `b`."""
+    return tuple(_split(a, b)[1])
 
 
 def concurrency_relation(*pairs: tuple[str, str]) -> ConcurrencyRelation:
@@ -243,11 +246,11 @@ def brute_transition_instances(
 
 def brute_busy_overlaps(
     target: ActivityInstance, log: EventLog, want_earlier: bool
-) -> IntervalSet:
+) -> tuple[Span, ...]:
     """Same-resource processing inside the wait, scanning from the first instance."""
     wait_start, wait_end = target.waiting
     if wait_start == wait_end:
-        return IntervalSet()
+        return ()
     spans = []
     for other in log.by_resource.get(target.resource, ()):
         if other.started >= wait_end:
@@ -260,26 +263,26 @@ def brute_busy_overlaps(
         start, end = max(other.started, wait_start), min(other.completed, wait_end)
         if end > start:
             spans.append((start, end))
-    return IntervalSet(tuple(spans))
+    return _canonicalize(spans)
 
 
 def brute_raw_unavailability(
     target: ActivityInstance, availability: dict[str, AbsoluteAvailability]
-) -> IntervalSet:
+) -> tuple[Span, ...]:
     """The wait minus the resource's whole availability set."""
     wait = target.waiting
     if wait[0] == wait[1]:
-        return IntervalSet()
-    return subtract(IntervalSet((wait,)), availability[target.resource].available)
+        return ()
+    return subtract(_canonicalize((wait,)), availability[target.resource].available)
 
 
 def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
     """Tile the weekly ranges over every week of the spans' hull, then clip
     the result to the spans."""
-    union = IntervalSet(spans)
+    union = _canonicalize(spans)
     if not union:
-        return AbsoluteAvailability(cal.resource, IntervalSet())
-    hull_start, hull_end = union.intervals[0][0], union.intervals[-1][1]
+        return AbsoluteAvailability(cal.resource, ())
+    hull_start, hull_end = union[0][0], union[-1][1]
     tiles = []
     w = week_start(hull_start)
     while w < hull_end:
@@ -287,7 +290,7 @@ def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailabi
             if w + e > hull_start and w + s < hull_end:
                 tiles.append((max(w + s, hull_start), min(w + e, hull_end)))
         w += SECONDS_PER_WEEK
-    return AbsoluteAvailability(cal.resource, intersect(IntervalSet(tuple(tiles)), union))
+    return AbsoluteAvailability(cal.resource, intersect(_canonicalize(tiles), union))
 
 
 def brute_weekly_ranges(granule: int, cells: Iterable[tuple[int, int]]) -> tuple[Span, ...]:
@@ -445,21 +448,23 @@ def brute_detect_batches(
     return BatchingResult(batches=tuple(batches), by_instance=by_instance)
 
 
-def batching_interval(inst: ActivityInstance, batch: Batch) -> IntervalSet:
+def batching_interval(inst: ActivityInstance, batch: Batch) -> tuple[Span, ...]:
     """Waiting attributable to batch accumulation: [enabled, τ_bc) clipped to ω."""
     end = min(batch.accumulation_end, inst.started)
     if end <= inst.enabled:
-        return IntervalSet()
-    return IntervalSet([(inst.enabled, end)])
+        return ()
+    return _canonicalize([(inst.enabled, end)])
 
 
 class SetAlgebraDecomposer(Decomposer):
-    """The cascade in interval-set algebra over the same bisected window of
+    """The cascade in set algebra over the same bisected window of
     work: each cause's raw set is built, intersected with what is left and
     subtracted from it. Availability is not bisected: what is left is split
     on the whole availability set."""
 
-    def _busy_overlaps(self, target: ActivityInstance) -> tuple[IntervalSet, IntervalSet]:
+    def _busy_overlaps(
+        self, target: ActivityInstance
+    ) -> tuple[tuple[Span, ...], tuple[Span, ...]]:
         """Same-resource processing inside the wait, in one pass over the window:
         work enabled no later than the target, then work enabled after it."""
         wait_start, wait_end = target.waiting
@@ -476,27 +481,27 @@ class SetAlgebraDecomposer(Decomposer):
             end = min(other.completed, wait_end)
             if end > start:
                 (earlier if other.enabled <= target.enabled else later).append((start, end))
-        return IntervalSet(earlier), IntervalSet(later)
+        return _canonicalize(earlier), _canonicalize(later)
 
-    def raw_contention(self, target: ActivityInstance) -> IntervalSet:
+    def raw_contention(self, target: ActivityInstance) -> tuple[Span, ...]:
         """Resource busy during the wait on work enabled no later than the target."""
         return self._busy_overlaps(target)[0]
 
-    def raw_prioritization(self, target: ActivityInstance) -> IntervalSet:
+    def raw_prioritization(self, target: ActivityInstance) -> tuple[Span, ...]:
         """Resource busy during the wait on work enabled strictly after the target."""
         return self._busy_overlaps(target)[1]
 
-    def raw_unavailability(self, target: ActivityInstance) -> IntervalSet:
+    def raw_unavailability(self, target: ActivityInstance) -> tuple[Span, ...]:
         """Waiting instants outside the resource's availability calendar."""
         available = self.availability[target.resource].available
-        return subtract(IntervalSet((target.waiting,)), available)
+        return subtract(_canonicalize((target.waiting,)), available)
 
     def decompose(self, target: ActivityInstance) -> WtDecomposition:
         wait = target.waiting
-        empty = IntervalSet()
+        empty = ()
         if wait[0] == wait[1]:
             return WtDecomposition(target, empty, empty, empty, empty, empty)
-        remaining = IntervalSet._from_canonical((wait,))
+        remaining = (wait,)
         if target.resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
             # calendar, so all of the wait is extraneous.

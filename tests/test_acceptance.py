@@ -20,7 +20,7 @@ from wtminer.calendars import AbsoluteAvailability, WeeklyCalendar, load_calenda
 from wtminer.concurrency import OracleThresholds, compute_enablement, discover_concurrency
 from wtminer.decomposition import CAUSES, Decomposer
 from wtminer.ingest import load_log
-from wtminer.model import ActivityInstance, EventLog, IntervalSet
+from wtminer.model import ActivityInstance, EventLog, Span, _canonicalize
 from wtminer.pipeline import run_pipeline
 from wtminer.synth import InjectionSpec, detected_causes, generate, write_files
 
@@ -36,8 +36,8 @@ def mon(hour: int, minute: int = 0) -> int:
     return at(0, hour, minute)
 
 
-def spans(*pairs) -> IntervalSet:
-    return IntervalSet(pairs)
+def spans(*pairs) -> tuple[Span, ...]:
+    return _canonicalize(pairs)
 
 
 def always_on(*resources) -> dict[str, WeeklyCalendar]:
@@ -55,11 +55,11 @@ def decomposition_for(result, case_id, activity):
 def expect_causes(dec, **expected_sets):
     target = dec.instance
     for cause in CAUSES:
-        expected = expected_sets.get(cause, IntervalSet())
+        expected = expected_sets.get(cause, ())
         actual = getattr(dec, cause)
         assert actual == expected, (
             f"{target.case_id}/{target.activity} {cause}: "
-            f"expected {expected.intervals}, got {actual.intervals}"
+            f"expected {expected}, got {actual}"
         )
 
 
@@ -236,7 +236,7 @@ def _random_availability(rng, resource, limit):
         for i in range(0, len(points), 2)
         if points[i] < points[i + 1]
     ]
-    return AbsoluteAvailability(resource, IntervalSet(pieces))
+    return AbsoluteAvailability(resource, _canonicalize(pieces))
 
 
 def _random_log(rng, sparse):

@@ -38,9 +38,9 @@ from wtminer.model import (
     ActivityInstance,
     ConfigError,
     EventLog,
-    IntervalSet,
     Span,
     UNKNOWN_RESOURCE,
+    _canonicalize,
 )
 from wtminer.pipeline import run_pipeline
 
@@ -202,13 +202,13 @@ class TestExpandCalendar:
         cal = WeeklyCalendar.always_on("r1")
         horizon = (at(0, 3, 17), at(11, 22, 4))
         avail = expand_calendar(cal, horizon)
-        assert avail.available == IntervalSet((horizon,))
+        assert avail.available == _canonicalize((horizon,))
 
     def test_weekly_tiling(self):
         cal = calendar_from_cells("r1", 60, ((0, h) for h in range(9, 17)))
         horizon = (MONDAY, MONDAY + 14 * 86400)
         avail = expand_calendar(cal, horizon)
-        assert avail.available == IntervalSet(
+        assert avail.available == _canonicalize(
             [(at(0, 9), at(0, 17)), (at(7, 9), at(7, 17))]
         )
 
@@ -221,7 +221,7 @@ class TestExpandCalendar:
         cal = calendar_from_cells("r1", 60, {(0, 9)})
         horizon = (at(0, 9, 30), at(0, 9, 45))
         avail = expand_calendar(cal, horizon)
-        assert avail.available == IntervalSet([(at(0, 9, 30), at(0, 9, 45))])
+        assert avail.available == _canonicalize([(at(0, 9, 30), at(0, 9, 45))])
 
     def test_availability_never_exceeds_horizon(self):
         cal = WeeklyCalendar.always_on("r1")
@@ -246,7 +246,7 @@ class TestExpandCalendar:
         assert cal.ranges == ((23 * 3600, 25 * 3600),)
         horizon = (MONDAY, MONDAY + 7 * 86400)
         avail = expand_calendar(cal, horizon)
-        assert avail.available == IntervalSet([(at(0, 23), at(1, 1))])
+        assert avail.available == _canonicalize([(at(0, 23), at(1, 1))])
 
 
 def cell_spans(granule: int, cells) -> list[Span]:
@@ -377,7 +377,7 @@ class TestExpandOverSpans:
     def test_matches_hull_oracle(self, cal, spans):
         avail = expand_calendar(cal, *spans).available
         assert avail == brute_expand_calendar(cal, *spans).available
-        union = IntervalSet(spans)
+        union = _canonicalize(spans)
         for start, end in avail:
             assert any(u_start <= start and end <= u_end for u_start, u_end in union)
 
@@ -449,7 +449,7 @@ class TestExpandOverSpans:
         sunday_night = (at(6, 23, 30), at(7, 0))
         monday_morning = (at(7, 0), at(7, 0, 30))
         avail = expand_calendar(cal, monday_morning, sunday_night).available
-        assert avail == IntervalSet([(at(6, 23, 30), at(7, 0, 30))])
+        assert avail == _canonicalize([(at(6, 23, 30), at(7, 0, 30))])
 
     def test_waits_years_apart_expand_only_near_the_waits(self):
         # Two short waits about ten years (520 weeks) apart: tiling their
@@ -595,7 +595,7 @@ class TestSerialization:
 
 
 # `perfbench/wide.py` simulates every resource on Monday to Friday 09:00-17:00.
-WIDE_WORKING_WEEK = IntervalSet(
+WIDE_WORKING_WEEK = _canonicalize(
     (day * SECONDS_PER_DAY + 9 * 3600, day * SECONDS_PER_DAY + 17 * 3600) for day in range(5)
 )
 
@@ -622,12 +622,12 @@ class TestCalendarFidelity:
         path.write_text(text, encoding="utf-8", newline="")
         log = load_log(path).log
         discovered = run_pipeline(log)
-        overrides = {r: WeeklyCalendar(r, 1, WIDE_WORKING_WEEK.intervals) for r in log.resources}
+        overrides = {r: WeeklyCalendar(r, 1, WIDE_WORKING_WEEK) for r in log.resources}
         given = run_pipeline(log, calendar_overrides=overrides)
 
         found = outside = 0
         for calendar in discovered.calendars.values():
-            hours = IntervalSet(calendar.ranges)
+            hours = _canonicalize(calendar.ranges)
             overlap = total_duration(intersect(hours, WIDE_WORKING_WEEK))
             found += overlap
             outside += total_duration(hours) - overlap

@@ -34,8 +34,8 @@ from wtminer.ingest import load_log
 from wtminer.model import (
     ActivityInstance,
     EventLog,
-    IntervalSet,
     UNKNOWN_RESOURCE,
+    _canonicalize,
 )
 from wtminer.pipeline import run_pipeline
 from wtminer.report import write_report_files
@@ -85,10 +85,10 @@ class TestRawCauses:
         busy = inst("c2", "z", "r1", 0, 2, 5)
         log = EventLog.from_instances([target, busy])
         d = oracle_for(log)
-        assert d.raw_contention(target) == IntervalSet([(2, 5)])
+        assert d.raw_contention(target) == _canonicalize([(2, 5)])
         assert not d.raw_prioritization(target)
         out = claimed(log, target)
-        assert out.contention == IntervalSet([(2, 5)])
+        assert out.contention == _canonicalize([(2, 5)])
         assert not out.prioritization
 
     def test_contention_merges_overlapping_jobs(self):
@@ -101,8 +101,8 @@ class TestRawCauses:
             ]
         )
         d = oracle_for(log)
-        assert d.raw_contention(target) == IntervalSet([(1, 6)])
-        assert claimed(log, target).contention == IntervalSet([(1, 6)])
+        assert d.raw_contention(target) == _canonicalize([(1, 6)])
+        assert claimed(log, target).contention == _canonicalize([(1, 6)])
 
     def test_other_resource_does_not_count(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
@@ -117,10 +117,10 @@ class TestRawCauses:
         overtaker = inst("c2", "z", "r1", 3, 4, 8)
         log = EventLog.from_instances([target, overtaker])
         d = oracle_for(log)
-        assert d.raw_prioritization(target) == IntervalSet([(4, 8)])
+        assert d.raw_prioritization(target) == _canonicalize([(4, 8)])
         assert not d.raw_contention(target)
         out = claimed(log, target)
-        assert out.prioritization == IntervalSet([(4, 8)])
+        assert out.prioritization == _canonicalize([(4, 8)])
         assert not out.contention
 
     def test_enablement_tie_counts_as_contention(self):
@@ -128,10 +128,10 @@ class TestRawCauses:
         peer = inst("c2", "z", "r1", 5, 6, 9)
         log = EventLog.from_instances([target, peer])
         d = oracle_for(log)
-        assert d.raw_contention(target) == IntervalSet([(6, 9)])
+        assert d.raw_contention(target) == _canonicalize([(6, 9)])
         assert not d.raw_prioritization(target)
         out = claimed(log, target)
-        assert out.contention == IntervalSet([(6, 9)])
+        assert out.contention == _canonicalize([(6, 9)])
         assert not out.prioritization
 
     def test_work_after_start_is_ignored(self):
@@ -163,8 +163,8 @@ class TestRawCauses:
         )
         availability = {"r1": expand_calendar(cal, horizon(log))}
         d = oracle_for(log, availability)
-        assert d.raw_unavailability(target) == IntervalSet([(at(4, 17), at(7, 8))])
-        assert claimed(log, target, availability).unavailability == IntervalSet(
+        assert d.raw_unavailability(target) == _canonicalize([(at(4, 17), at(7, 8))])
+        assert claimed(log, target, availability).unavailability == _canonicalize(
             [(at(4, 17), at(7, 8))]
         )
 
@@ -184,17 +184,17 @@ class TestDecomposeCascade:
         log = EventLog.from_instances([target, partner, earlier])
         d = decomposer_for(log)
         out = d.decompose(target)
-        assert out.batching == IntervalSet([(0, 6)])
-        assert out.contention == IntervalSet([(6, 8)])
+        assert out.batching == _canonicalize([(0, 6)])
+        assert out.contention == _canonicalize([(6, 8)])
         assert not out.prioritization
         assert not out.unavailability
-        assert out.extraneous == IntervalSet([(8, 10)])
+        assert out.extraneous == _canonicalize([(8, 10)])
 
     def test_residual_when_nothing_observed(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         d = decomposer_for(EventLog.from_instances([target]))
         out = d.decompose(target)
-        assert out.extraneous == IntervalSet([(0, 10)])
+        assert out.extraneous == _canonicalize([(0, 10)])
         assert cause_durations(out) == {
             "batching": 0,
             "contention": 0,
@@ -226,8 +226,8 @@ class TestDecomposeCascade:
         )
         availability = {"r1": expand_calendar(cal, horizon(log))}
         out = decomposer_for(log, availability).decompose(target)
-        assert out.unavailability == IntervalSet([(at(4, 17), at(7, 8))])
-        assert out.extraneous == IntervalSet(
+        assert out.unavailability == _canonicalize([(at(4, 17), at(7, 8))])
+        assert out.extraneous == _canonicalize(
             [(at(4, 16), at(4, 17)), (at(7, 8), at(7, 10))]
         )
 
@@ -236,7 +236,7 @@ class TestDecomposeCascade:
         other = inst("c2", "z", UNKNOWN_RESOURCE, 0, 2, 8)
         log = EventLog.from_instances([target, other])
         out = decomposer_for(log).decompose(target)
-        assert out.extraneous == IntervalSet([(0, 10)])
+        assert out.extraneous == _canonicalize([(0, 10)])
         assert not out.contention
 
     def test_contention_beats_unavailability(self):
@@ -249,8 +249,8 @@ class TestDecomposeCascade:
         )
         availability = {"r1": expand_calendar(cal, horizon(log))}
         out = decomposer_for(log, availability).decompose(target)
-        assert out.contention == IntervalSet([(at(5, 10), at(5, 12))])
-        assert out.unavailability == IntervalSet([(at(5, 12), at(5, 14))])
+        assert out.contention == _canonicalize([(at(5, 10), at(5, 12))])
+        assert out.unavailability == _canonicalize([(at(5, 12), at(5, 14))])
 
 
 class TestMultitaskingRate:
@@ -398,16 +398,16 @@ class TestDecompositionInvariants:
             assert sum(map(total_duration, sets.values())) == out.waiting_duration
             assert out.waiting_duration == target.started - target.enabled
             # Pairwise disjointness and coverage.
-            union = IntervalSet()
+            union = ()
             causes = list(sets)
             for i, a in enumerate(causes):
                 for b in causes[i + 1 :]:
                     assert not intersect(sets[a], sets[b])
-                union = IntervalSet(union.intervals + sets[a].intervals)
+                union = _canonicalize(union + sets[a])
             expected = (
-                IntervalSet([(target.enabled, target.started)])
+                _canonicalize([(target.enabled, target.started)])
                 if target.enabled < target.started
-                else IntervalSet()
+                else ()
             )
             assert union == expected
             # Per-second reference labeler agrees exactly.
@@ -446,7 +446,7 @@ def random_availability(draw, log: EventLog) -> dict[str, AbsoluteAvailability]:
                 max_size=8,
             )
         )
-        available = IntervalSet((MONDAY + s, MONDAY + s + n) for s, n in spans)
+        available = _canonicalize((MONDAY + s, MONDAY + s + n) for s, n in spans)
         availability[res] = AbsoluteAvailability(res, available)
     return availability
 
@@ -543,10 +543,10 @@ class TestCascadeMatchesSetAlgebra:
         others, available, expected = BOUNDARY_CASES[case]
         target = inst("c1", "b", "r1", 100, 400, 450)
         log = EventLog.from_instances([target, *others])
-        availability = {"r1": AbsoluteAvailability("r1", IntervalSet(available))}
+        availability = {"r1": AbsoluteAvailability("r1", _canonicalize(available))}
         fast = assert_cascade_matches_set_algebra(log, availability)
         out = fast.decompose(target)
-        assert tuple(getattr(out, cause).intervals for cause in CAUSES) == expected
+        assert tuple(getattr(out, cause) for cause in CAUSES) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(batched_windows())

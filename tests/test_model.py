@@ -1,10 +1,10 @@
 """Interval algebra and core type tests.
 
-Spans are plain (start, end) pairs and `IntervalSet` is the one interval
-type. Its canonical form, and the set algebra the test oracles are written
-in (`brute.intersect` and `brute.subtract`), are checked two ways: frozen
-examples worked out by hand, and randomized comparison against a
-per-second membership oracle.
+Spans are plain (start, end) pairs, and a set of instants is a canonical
+tuple of them, as `model._canonicalize` builds it. That canonical form, and
+the set algebra the test oracles are written in (`brute.intersect` and
+`brute.subtract`), are checked two ways: frozen examples worked out by
+hand, and randomized comparison against a per-second membership oracle.
 """
 from __future__ import annotations
 
@@ -39,11 +39,11 @@ from wtminer.model import (
     ActivityInstance,
     EventLog,
     IngestError,
-    IntervalSet,
+    Span,
     UNKNOWN_RESOURCE,
     _ActivityInstanceSlots,
-    _IntervalSetSlots,
     _Record,
+    _canonicalize,
 )
 from wtminer.pipeline import PipelineConfig, PipelineResult
 from wtminer.transitions import Transition
@@ -51,93 +51,89 @@ from wtminer.transitions import Transition
 HORIZON = 200
 
 
-def points(s: IntervalSet) -> set[int]:
+def points(s: tuple[Span, ...]) -> set[int]:
     return {t for t in range(HORIZON) if contains_point(s, t)}
 
 
 @st.composite
-def interval_sets(draw) -> IntervalSet:
+def interval_sets(draw) -> tuple[Span, ...]:
     n = draw(st.integers(min_value=0, max_value=6))
     spans = []
     for _ in range(n):
         a = draw(st.integers(min_value=0, max_value=HORIZON - 1))
         b = draw(st.integers(min_value=0, max_value=HORIZON - 1))
         spans.append((min(a, b), max(a, b)))
-    return IntervalSet(tuple(spans))
+    return _canonicalize(spans)
 
 
 class TestSingleSpan:
-    """One (start, end) pair, as `IntervalSet` checks and stores it."""
+    """One (start, end) pair, as `_canonicalize` checks and stores it."""
 
     def test_duration_and_emptiness(self):
-        assert total_duration(IntervalSet([(3, 8)])) == 5
-        assert not IntervalSet([(4, 4)])
-        assert IntervalSet([(4, 5)])
+        assert total_duration(_canonicalize([(3, 8)])) == 5
+        assert not _canonicalize([(4, 4)])
+        assert _canonicalize([(4, 5)])
 
     def test_rejects_reversed_bounds(self):
         with pytest.raises(ValueError):
-            IntervalSet([(5, 4)])
+            _canonicalize([(5, 4)])
         with pytest.raises(ValueError):
-            IntervalSet(((0, 2), (5, 4)))
+            _canonicalize(((0, 2), (5, 4)))
         with pytest.raises(ValueError):
-            IntervalSet([(1, 0)])
+            _canonicalize([(1, 0)])
 
     def test_half_open_membership(self):
-        s = IntervalSet([(2, 5)])
+        s = _canonicalize([(2, 5)])
         assert contains_point(s, 2)
         assert contains_point(s, 4)
         assert not contains_point(s, 5)
 
     def test_touching_intervals_do_not_overlap(self):
-        assert not intersect(IntervalSet([(0, 3)]), IntervalSet([(3, 6)]))
-        assert not intersect(IntervalSet([(3, 6)]), IntervalSet([(0, 3)]))
+        assert not intersect(_canonicalize([(0, 3)]), _canonicalize([(3, 6)]))
+        assert not intersect(_canonicalize([(3, 6)]), _canonicalize([(0, 3)]))
 
     def test_pairwise_intersection(self):
-        assert intersect(IntervalSet([(0, 4)]), IntervalSet([(3, 7)])).intervals == ((3, 4),)
-        assert intersect(IntervalSet([(0, 3)]), IntervalSet([(3, 7)])).intervals == ()
+        assert intersect(_canonicalize([(0, 4)]), _canonicalize([(3, 7)])) == ((3, 4),)
+        assert intersect(_canonicalize([(0, 3)]), _canonicalize([(3, 7)])) == ()
 
 
-class TestIntervalSetCanonicalForm:
+class TestCanonicalForm:
     def test_merges_touching_and_overlapping(self):
-        s = IntervalSet([(0, 3), (3, 5), (4, 8), (10, 12)])
-        assert s.intervals == ((0, 8), (10, 12))
+        s = _canonicalize([(0, 3), (3, 5), (4, 8), (10, 12)])
+        assert s == ((0, 8), (10, 12))
 
     def test_drops_empty_intervals(self):
-        s = IntervalSet([(5, 5), (7, 9)])
-        assert s.intervals == ((7, 9),)
+        s = _canonicalize([(5, 5), (7, 9)])
+        assert s == ((7, 9),)
 
     def test_sorts_input(self):
-        s = IntervalSet([(10, 12), (0, 2)])
-        assert s.intervals == ((0, 2), (10, 12))
+        s = _canonicalize([(10, 12), (0, 2)])
+        assert s == ((0, 2), (10, 12))
 
     def test_empty_set(self):
-        assert not IntervalSet()
-        assert total_duration(IntervalSet()) == 0
-
-    def test_repr_prints_half_open_spans(self):
-        assert repr(IntervalSet([(10, 12), (0, 2)])) == "{[0, 2), [10, 12)}"
-        assert repr(IntervalSet()) == "{}"
+        assert _canonicalize(()) == ()
+        assert total_duration(_canonicalize(())) == 0
 
 
-class TestIntervalSetOperations:
+class TestSetAlgebra:
     def test_intersect_example(self):
-        a = IntervalSet([(0, 4), (6, 10)])
-        b = IntervalSet([(3, 7)])
-        assert intersect(a, b) == IntervalSet([(3, 4), (6, 7)])
+        a = _canonicalize([(0, 4), (6, 10)])
+        b = _canonicalize([(3, 7)])
+        assert intersect(a, b) == ((3, 4), (6, 7))
 
     def test_subtract_example(self):
-        a = IntervalSet([(0, 10)])
-        b = IntervalSet([(2, 4), (6, 8)])
-        assert subtract(a, b) == IntervalSet([(0, 2), (4, 6), (8, 10)])
+        a = _canonicalize([(0, 10)])
+        b = _canonicalize([(2, 4), (6, 8)])
+        assert subtract(a, b) == ((0, 2), (4, 6), (8, 10))
 
     def test_union_example(self):
-        a = IntervalSet([(0, 2), (8, 10)])
-        b = IntervalSet([(2, 5)])
-        assert IntervalSet(a.intervals + b.intervals) == IntervalSet([(0, 5), (8, 10)])
+        a = _canonicalize([(0, 2), (8, 10)])
+        b = _canonicalize([(2, 5)])
+        assert _canonicalize(a + b) == ((0, 5), (8, 10))
 
     def test_subtract_everything(self):
-        a = IntervalSet([(3, 9)])
-        assert not subtract(a, IntervalSet([(0, 20)]))
+        a = _canonicalize([(3, 9)])
+        assert not subtract(a, _canonicalize([(0, 20)]))
 
     @given(interval_sets(), interval_sets())
     def test_intersect_matches_membership_oracle(self, a, b):
@@ -145,7 +141,7 @@ class TestIntervalSetOperations:
 
     @given(interval_sets(), interval_sets())
     def test_union_matches_membership_oracle(self, a, b):
-        assert points(IntervalSet(a.intervals + b.intervals)) == points(a) | points(b)
+        assert points(_canonicalize(a + b)) == points(a) | points(b)
 
     @given(interval_sets(), interval_sets())
     def test_subtract_matches_membership_oracle(self, a, b):
@@ -162,16 +158,16 @@ class TestIntervalSetOperations:
 
     @given(interval_sets(), interval_sets())
     def test_results_are_canonical(self, a, b):
-        for s in (intersect(a, b), IntervalSet(a.intervals + b.intervals), subtract(a, b)):
-            for (_, left_end), (right_start, _) in zip(s.intervals, s.intervals[1:]):
+        for s in (intersect(a, b), _canonicalize(a + b), subtract(a, b)):
+            for (_, left_end), (right_start, _) in zip(s, s[1:]):
                 assert left_end < right_start
-            assert all(start < end for start, end in s.intervals)
+            assert all(start < end for start, end in s)
 
     @given(interval_sets(), interval_sets())
     def test_fast_results_equal_their_canonical_form(self, a, b):
-        # `intersect` and `subtract` store their output without re-canonicalizing.
+        # `intersect` and `subtract` return their output without re-canonicalizing.
         for result in (intersect(a, b), subtract(a, b)):
-            assert result == IntervalSet(result.intervals)
+            assert result == _canonicalize(result)
 
 
 class TestActivityInstance:
@@ -187,7 +183,7 @@ class TestActivityInstance:
         assert inst.waiting == (4, 10)
         # The wait ends where processing starts, so the two spans merge.
         processing = (inst.started, inst.completed)
-        assert IntervalSet((inst.waiting, processing)) == IntervalSet([(4, 25)])
+        assert _canonicalize((inst.waiting, processing)) == ((4, 25),)
 
     def test_waiting_requires_enablement(self):
         inst = ActivityInstance("c1", "a", "r1", 10, 25)
@@ -206,26 +202,24 @@ class TestActivityInstance:
 # Each per-instance type and the writable base that owns its slots.
 _WRITABLE_BASES = {
     ActivityInstance: _ActivityInstanceSlots,
-    IntervalSet: _IntervalSetSlots,
     WtDecomposition: _WtDecompositionSlots,
 }
 _WRITABLE_IDS = [cls.__name__ for cls in _WRITABLE_BASES]
 
 
 def _slotted_examples() -> list:
-    """(object, field, new value) for the three per-instance types, the only
+    """(object, field, new value) for the two per-instance types, the only
     ones with slots."""
     source = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
-    empty = IntervalSet()
-    waits = IntervalSet([(5, 9)])
-    decomposition = WtDecomposition(target, empty, empty, empty, empty, waits)
+    waits = ((5, 9),)
+    decomposition = WtDecomposition(target, (), (), (), (), waits)
     return [
         (target, "started", 7),
-        (waits, "intervals", ()),
-        (empty, "intervals", ((0, 1),)),
+        (target, "enabled", None),
+        (decomposition, "batching", waits),
         (decomposition, "instance", source),
-        (decomposition, "extraneous", empty),
+        (decomposition, "extraneous", ()),
     ]
 
 
@@ -240,7 +234,7 @@ def _frozen_examples() -> list:
             "delta",
             0.3,
         ),
-        (AbsoluteAvailability("r1", IntervalSet([(5, 9)])), "available", IntervalSet()),
+        (AbsoluteAvailability("r1", ((5, 9),)), "available", ()),
     ]
 
 
@@ -269,13 +263,11 @@ class TestSlottedTypes:
         # value given for it, and no slot is left out.
         source = ActivityInstance("c1", "a", "r1", 0, 5, 0)
         target = ActivityInstance("c1", "b", "r2", 9, 12, 5)
-        sets = [IntervalSet([(k, k + 1)]) for k in range(5)]
+        sets = [((k, k + 1),) for k in range(5)]
         examples = [
             (target, ("c1", "b", "r2", 9, 12, 5)),
             (ActivityInstance("c2", "x", "r3", 3, 4), ("c2", "x", "r3", 3, 4, None)),
             (WtDecomposition(target, *sets), (target, *sets)),
-            (IntervalSet([(3, 4), (0, 1)]), (((0, 1), (3, 4)),)),
-            (IntervalSet._from_canonical(((0, 1), (3, 4))), (((0, 1), (3, 4)),)),
         ]
         for obj, values in examples:
             names = _WRITABLE_BASES[type(obj)].__slots__
@@ -287,20 +279,13 @@ class TestSlottedTypes:
 def _sealed_examples() -> list:
     """(public class, object) for every way the pipeline builds one."""
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
-    waits = IntervalSet([(5, 9)])
+    waits = ((5, 9),)
     return [
         pytest.param(ActivityInstance, target, id="ActivityInstance"),
         pytest.param(
             ActivityInstance,
             ActivityInstance("c1", "a", "r1", 0, 5),
             id="ActivityInstance-unenabled",
-        ),
-        pytest.param(IntervalSet, waits, id="IntervalSet"),
-        pytest.param(IntervalSet, IntervalSet(), id="IntervalSet-empty"),
-        pytest.param(
-            IntervalSet,
-            IntervalSet._from_canonical(((0, 1), (3, 4))),
-            id="IntervalSet._from_canonical",
         ),
         pytest.param(
             WtDecomposition,
@@ -369,9 +354,9 @@ def _keyword_examples() -> list:
     swaps two fields shows."""
     a = ActivityInstance("c1", "a", "r1", 0, 5, enabled=0)
     b = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
-    waits = IntervalSet([(5, 9)])
-    empty = IntervalSet()
-    parts = [IntervalSet([(k, k + 1)]) for k in range(5, 9)]
+    waits = ((5, 9),)
+    empty = ()
+    parts = [((k, k + 1),) for k in range(5, 9)]
     log = EventLog((a, b))
     batch = Batch((a, b))
     relation = ConcurrencyRelation(frozenset({("a", "b")}))
@@ -385,7 +370,6 @@ def _keyword_examples() -> list:
     config = PipelineConfig(OracleThresholds(), BatchingConfig(), CalendarParams())
     availability = AbsoluteAvailability("r1", waits)
     return [
-        (IntervalSet, {"intervals": ((5, 9),)}),
         (
             ActivityInstance,
             {
@@ -538,7 +522,6 @@ def _keyword_examples() -> list:
 def _default_examples() -> list:
     """Each type with constructor defaults, and the fields they give."""
     return [
-        (IntervalSet, (), {"intervals": ()}),
         (ActivityInstance, ("c1", "a", "r1", 0, 5), {"enabled": None}),
         (BatchingConfig, (), {"gap_tolerance": 0, "min_batch_size": 2}),
         (
@@ -599,16 +582,9 @@ def _value_examples() -> list:
     """(make, other): `make()` builds equal but distinct values, `other` differs."""
     source, target = _ENDPOINTS
     return [
-        (lambda: IntervalSet([(5, 9), (0, 2)]), IntervalSet([(0, 2)])),
         (
-            lambda: WtDecomposition(
-                target, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet(),
-                IntervalSet([(5, 9)]),
-            ),
-            WtDecomposition(
-                target, IntervalSet(), IntervalSet(), IntervalSet(), IntervalSet([(5, 9)]),
-                IntervalSet(),
-            ),
+            lambda: WtDecomposition(target, (), (), (), (), ((5, 9),)),
+            WtDecomposition(target, (), (), (), ((5, 9),), ()),
         ),
         (
             lambda: WeeklyCalendar("r1", 60, [(3600, 7200), (0, 3600)]),
@@ -631,8 +607,8 @@ def _value_examples() -> list:
             CauseImpact(4, 1.0, 0.9, 0.2),
         ),
         (
-            lambda: AbsoluteAvailability("r1", IntervalSet([(5, 9)])),
-            AbsoluteAvailability("r1", IntervalSet([(5, 8)])),
+            lambda: AbsoluteAvailability("r1", ((5, 9),)),
+            AbsoluteAvailability("r1", ((5, 8),)),
         ),
         (
             lambda: PipelineConfig(OracleThresholds(0.5), BatchingConfig(1)),

@@ -10,6 +10,12 @@ scan reads `src/wtminer` and `perfbench/` with `ast` and never looks at
   and the tracer's string stage names);
 - a method or property counts as used when its name appears as an attribute;
 - dunder methods are called by the interpreter and are skipped.
+
+That skip hides a checking constructor (`__init__` or `__new__`) that only
+tests call. So a class that also defines a private `_from_*` constructor,
+which skips the checks, must be constructed directly somewhere in the
+package or the benchmark: called by its name, or as `cls(...)` inside the
+class.
 """
 from __future__ import annotations
 
@@ -77,8 +83,44 @@ def dead_definitions(defined: list[Path], callers: list[Path]) -> list[str]:
     ]
 
 
+def _called(nodes) -> set[str]:
+    """Names called as `name(...)` or `module.name(...)` anywhere in `nodes`."""
+    called: set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    called.add(node.func.id)
+                elif isinstance(node.func, ast.Attribute):
+                    called.add(node.func.attr)
+    return called
+
+
+def bypassed_constructors(defined: list[Path], callers: list[Path]) -> list[str]:
+    """Classes under `defined` with a `_from_*` constructor whose own
+    constructor nothing under `callers` calls."""
+    called = _called(_trees(*callers).values())
+    return [
+        f"{path.stem}.{node.name}"
+        for path, tree in _trees(*defined).items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and member.name.startswith("_from_")
+            for member in node.body
+        )
+        and node.name not in called
+        and "cls" not in _called([node])
+    ]
+
+
 def test_every_definition_has_a_caller_outside_tests():
     assert dead_definitions([PACKAGE], [PACKAGE, BENCHMARK]) == []
+
+
+def test_every_checked_constructor_has_a_caller_outside_tests():
+    assert bypassed_constructors([PACKAGE], [PACKAGE, BENCHMARK]) == []
 
 
 def test_scan_flags_an_uncalled_method(tmp_path):
@@ -98,3 +140,31 @@ def test_scan_flags_an_uncalled_method(tmp_path):
     )
     (tmp_path / "box.py").write_text(source, encoding="utf-8")
     assert dead_definitions([tmp_path], [tmp_path]) == ["box.Box.unused", "box.orphan"]
+
+
+def test_scan_flags_a_class_built_only_through_its_bypass(tmp_path):
+    source = (
+        "class Checked:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = x\n"
+        "    @classmethod\n"
+        "    def _from_trusted(cls, x):\n"
+        "        return object.__new__(cls)\n"
+        "class ByName(Checked):\n"
+        "    @classmethod\n"
+        "    def _from_trusted(cls, x):\n"
+        "        return object.__new__(cls)\n"
+        "class ByCls(Checked):\n"
+        "    @classmethod\n"
+        "    def of(cls, x):\n"
+        "        return cls(x)\n"
+        "    @classmethod\n"
+        "    def _from_trusted(cls, x):\n"
+        "        return object.__new__(cls)\n"
+        "class Plain:\n"
+        "    pass\n"
+        "def build():\n"
+        "    return Checked._from_trusted(1), ByName(2), ByCls.of(3), Plain\n"
+    )
+    (tmp_path / "box.py").write_text(source, encoding="utf-8")
+    assert bypassed_constructors([tmp_path], [tmp_path]) == ["box.Checked"]
