@@ -26,7 +26,7 @@ from wtminer.model import (
     WtMinerError,
 )
 from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
-from wtminer.report import build_report, write_report_files
+from wtminer.report import write_report_files
 from wtminer.transitions import Transition, discover_transitions
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "WeeklyCalendar",
     "WtMinerError",
     "analyze",
-    "build_report",
     "compute_cte",
     "compute_enablement",
     "decompose_all",

@@ -4,6 +4,9 @@ CTE is processing time over processing plus waiting time. Processing time is
 summed over every activity instance in the log; waiting time exists only at
 transitions. The impact of a cause (or a transition) is the CTE the process
 would reach if exactly that waiting time disappeared, minus the current CTE.
+That is first-order: `cte_if_eliminated` removes only the seconds attributed
+to the cause and keeps every other second, so it does not remove knock-on
+waiting, for example a delay that pushes work past closing time.
 """
 from __future__ import annotations
 

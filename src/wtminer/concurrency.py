@@ -1,11 +1,16 @@
 """Concurrency detection and enablement computation.
 
-Concurrent activity pairs are detected from directly-follows statistics: a
-pair observed often enough in both orders, with a low enough dependency
-measure, is treated as parallel. Each instance is then enabled by the
-completion of its closest (latest-completing) non-concurrent predecessor in
-the same case; first instances and instances with only concurrent
-predecessors are enabled at their own start and carry no waiting time.
+Two activities a != b are concurrent when, counted over all cases, the
+number of times a is directly followed by b (ab) and b by a (ba) both reach
+`min_bidirectional_observations`, and the dependency measure
+|ab - ba| / (ab + ba + 1) is below `dependency_threshold`. With
+`length2_loop_guard` on, no case may hold a, b, a or b, a, b as three
+consecutive instances either: that is a short loop, not parallelism.
+
+Each instance is then enabled by the completion of its closest
+(latest-completing) non-concurrent predecessor in the same case; first
+instances and instances with only concurrent predecessors are enabled at
+their own start and carry no waiting time.
 """
 from __future__ import annotations
 
@@ -41,15 +46,6 @@ class OracleThresholds(_Value):
         )
 
 
-class DirectlyFollowsCounts(_Value):
-    """Adjacent-pair counts per activity ordering, plus length-2 loop counts."""
-
-    def __init__(
-        self, pairs: dict[tuple[str, str], int], loops2: dict[tuple[str, str], int]
-    ) -> None:
-        vars(self).update(pairs=pairs, loops2=loops2)
-
-
 class ConcurrencyRelation(_Value):
     """Symmetric, irreflexive set of activity pairs declared concurrent.
 
@@ -69,23 +65,21 @@ class ConcurrencyRelation(_Value):
         return len(self.pairs)
 
 
-def count_directly_follows(log: EventLog) -> DirectlyFollowsCounts:
+def discover_concurrency(
+    log: EventLog, thresholds: OracleThresholds = OracleThresholds()
+) -> ConcurrencyRelation:
+    # Directly-follows counts per ordered pair, and the orderings (a, b) seen
+    # as a length-2 loop a, b, a.
     pairs: dict[tuple[str, str], int] = {}
-    loops2: dict[tuple[str, str], int] = {}
+    loops2: set[tuple[str, str]] = set()
     for seq in log.cases.values():
         acts = [inst.activity for inst in seq]
         for a, b in zip(acts, acts[1:]):
             pairs[(a, b)] = pairs.get((a, b), 0) + 1
         for a, b, c in zip(acts, acts[1:], acts[2:]):
             if a == c and a != b:
-                loops2[(a, b)] = loops2.get((a, b), 0) + 1
-    return DirectlyFollowsCounts(pairs, loops2)
+                loops2.add((a, b))
 
-
-def detect_concurrency(
-    counts: DirectlyFollowsCounts, thresholds: OracleThresholds = OracleThresholds()
-) -> ConcurrencyRelation:
-    pairs, loops2 = counts.pairs, counts.loops2
     candidates = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
     concurrent: set[tuple[str, str]] = set()
     m = thresholds.min_bidirectional_observations
@@ -97,17 +91,10 @@ def detect_concurrency(
         dependency = abs(ab - ba) / (ab + ba + 1)
         if dependency >= thresholds.dependency_threshold:
             continue
-        # `loops2` holds only the orderings seen, each at least once.
         if thresholds.length2_loop_guard and ((a, b) in loops2 or (b, a) in loops2):
             continue
         concurrent.add((a, b))
     return ConcurrencyRelation(frozenset(concurrent))
-
-
-def discover_concurrency(
-    log: EventLog, thresholds: OracleThresholds = OracleThresholds()
-) -> ConcurrencyRelation:
-    return detect_concurrency(count_directly_follows(log), thresholds)
 
 
 class EnablementStats(_Record):

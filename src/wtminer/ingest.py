@@ -246,7 +246,7 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
 
     if not instances:
         raise IngestError(f"no usable activity instances in {path}")
-    return LoadResult(EventLog.from_instances(instances), stats)
+    return LoadResult(EventLog(instances), stats)
 
 
 class _TimestampMemo(dict):

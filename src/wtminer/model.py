@@ -203,20 +203,18 @@ def _resource_order(inst: ActivityInstance) -> tuple:
 class EventLog(_Value):
     """Immutable collection of activity instances indexed by case.
 
-    The constructor sorts instances into (case_id, started, completed,
-    activity) order, so downstream passes see a deterministic sequence
-    regardless of input row order; the sort is stable, so full ties keep
-    their input order. An empty log is an `IngestError`.
+    The constructor takes any iterable of instances and sorts them into
+    (case_id, started, completed, activity) order, so downstream passes see
+    a deterministic sequence regardless of input row order; the sort is
+    stable, so full ties keep their input order. An empty log is an
+    `IngestError`.
     """
 
-    def __init__(self, instances: tuple[ActivityInstance, ...]) -> None:
+    def __init__(self, instances: Iterable[ActivityInstance]) -> None:
+        instances = tuple(sorted(instances, key=_log_order))
         if not instances:
             raise IngestError("event log contains no activity instances")
-        vars(self).update(instances=tuple(sorted(instances, key=_log_order)))
-
-    @classmethod
-    def from_instances(cls, instances: Iterable[ActivityInstance]) -> "EventLog":
-        return cls(tuple(instances))
+        vars(self).update(instances=instances)
 
     @classmethod
     def _from_sorted(

@@ -21,7 +21,6 @@ try:
 except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
-from wtminer.analysis import TransitionImpact
 from wtminer.calendars import MAX_RELAXATIONS, calendar_to_ranges
 from wtminer.decomposition import CAUSES
 from wtminer.ingest import IngestStats
@@ -67,38 +66,9 @@ def _duration_fields(seconds: int) -> dict:
     return {"seconds": seconds, "pretty": pretty_duration(seconds)}
 
 
-def build_report(
-    result: PipelineResult,
-    ingest_stats: IngestStats | None = None,
-    emit_calendars: bool = False,
-) -> dict:
-    """The report dict; `parameters` echoes the config the run used."""
-    entries = [
-        _transition_entry(_transition_leaves(t)) for t in result.analysis.per_transition
-    ]
-    return _report(result, ingest_stats, emit_calendars, entries)
-
-
-def _transition_leaves(t: TransitionImpact) -> tuple:
-    """The values of `t`'s report entry, rounded, in the entry's key order."""
-    by_cause = t.wt_by_cause
-    return (
-        t.source_activity,
-        t.target_activity,
-        t.is_self_loop,
-        significant(t.case_frequency),
-        t.total_frequency,
-        t.total_wt_seconds,
-        pretty_duration(t.total_wt_seconds),
-        *[by_cause[c] for c in CAUSES],
-        significant(t.cte_if_eliminated),
-        significant(t.delta),
-    )
-
-
 def _transition_entry(leaves: tuple) -> dict:
-    """One entry of the report's `transitions` list: the one key layout that
-    both `build_report` and the rendered `report.json` follow."""
+    """One entry of the report's `transitions` list, with `leaves` its values
+    in key order: the layout `_ENTRY` is encoded from."""
     source, target, self_loop, case_freq, total_freq, wt, pretty, *by_cause, after, delta = leaves
     return {
         "source": source,
@@ -181,8 +151,8 @@ def _report(
 
 def report_json(report: dict) -> str:
     """`json.dumps(report, indent=2, allow_nan=False) + "\\n"`, byte for byte,
-    for what `build_report` emits: dicts with str keys, lists, str, int, float,
-    bool and None. NaN and infinities are a `ValueError`, other types a `TypeError`."""
+    for dicts with str keys, lists, str, int, float, bool and None. NaN and
+    infinities are a `ValueError`, other types a `TypeError`."""
     return _encode(report, "\n") + "\n"
 
 
@@ -318,19 +288,21 @@ def write_report_files(
     writerow(TRANSITIONS_CSV_COLUMNS)
     entries = []
     for t in result.analysis.per_transition:
-        (source, target, self_loop, case_freq, total_freq, wt, pretty, *by_cause, after,
-         delta) = _transition_leaves(t)
-        writerow((source, target, case_freq, total_freq, wt, *by_cause, delta))
+        source, target, wt = t.source_activity, t.target_activity, t.total_wt_seconds
+        by_cause = [t.wt_by_cause[c] for c in CAUSES]
+        case_freq = significant(t.case_frequency)
+        delta = significant(t.delta)
+        writerow((source, target, case_freq, t.total_frequency, wt, *by_cause, delta))
         entries.append(_Encoded(_ENTRY % (
             _quote(source),
             _quote(target),
-            _LITERALS[self_loop],
+            _LITERALS[t.is_self_loop],
             _number(case_freq),
-            int.__repr__(total_freq),
+            int.__repr__(t.total_frequency),
             int.__repr__(wt),
-            _quote(pretty),
+            _quote(pretty_duration(wt)),
             *map(int.__repr__, by_cause),
-            _number(after),
+            _number(significant(t.cte_if_eliminated)),
             _number(delta),
         )))
     report = report_json(_report(result, ingest_stats, emit_calendars, entries))

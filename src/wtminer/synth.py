@@ -241,7 +241,7 @@ def generate(spec: InjectionSpec) -> GeneratedLog:
         seed=spec.seed,
         noisy_extraneous=spec.noisy_extraneous,
     )
-    return GeneratedLog(log=EventLog.from_instances(instances), truth=truth)
+    return GeneratedLog(log=EventLog(instances), truth=truth)
 
 
 def to_csv(generated: GeneratedLog) -> str:

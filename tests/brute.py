@@ -1,7 +1,10 @@
 """Deliberately naive reference implementations, used as test oracles.
 
 `brute_cause_durations` walks every second of a waiting interval and assigns
-it to the first matching cause in dominance order. The other functions are
+it to the first matching cause in dominance order. `brute_concurrency` is
+the concurrency oracle as `concurrency.py`'s module docstring states it, one
+pair of activities at a time, with each count and loop search a fresh scan of
+every case. The other functions are
 the full scans that the windowed pipeline stages replaced: a quadratic
 predecessor search for enablement, a walk of the enriched log's cases that
 looks each instance's enabler up, a scan of the resource's whole work
@@ -21,9 +24,10 @@ through `csv.DictReader`, one dict and fresh timestamp parses per row, which
 `brute_discover_calendar` counts observations under (weekday, slot) tuple
 keys, as discovery did before it counted week-slot indices, and
 `stdlib_report_json` is the standard library's `json.dumps` with the
-indentation `report_json` must match byte for byte; with `build_report`
-it is the oracle for the rendered `report.json`, and `transitions_csv`,
-a separate `csv.writer` pass, for the rendered `transitions.csv`.
+indentation `report_json` must match byte for byte; with `brute_report`,
+whose transition entries are dicts built field by field, it is the oracle
+for the rendered `report.json`, and `transitions_csv`, a separate
+`csv.writer` pass, for the rendered `transitions.csv`.
 
 `weekday_of`, `week_start`, `contains_point`, `total_duration`,
 `concurrency_relation`, `is_concurrent`, `horizon`, `cause_durations`,
@@ -38,6 +42,7 @@ import csv
 import io
 import json
 from bisect import bisect_left
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -51,7 +56,12 @@ from wtminer.calendars import (
     CalendarParams,
     WeeklyCalendar,
 )
-from wtminer.concurrency import ConcurrencyRelation, EnablementResult, EnablementStats
+from wtminer.concurrency import (
+    ConcurrencyRelation,
+    EnablementResult,
+    EnablementStats,
+    OracleThresholds,
+)
 from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition
 from wtminer.ingest import ColumnMapping, IngestStats, LoadResult, _parse_timestamp
 from wtminer.model import (
@@ -66,7 +76,7 @@ from wtminer.model import (
     _split,
 )
 from wtminer.pipeline import PipelineResult
-from wtminer.report import TRANSITIONS_CSV_COLUMNS, significant
+from wtminer.report import TRANSITIONS_CSV_COLUMNS, _report, pretty_duration, significant
 from wtminer.transitions import Transition
 
 
@@ -179,6 +189,35 @@ def brute_cause_durations(
     return counts
 
 
+def brute_concurrency(log: EventLog, thresholds: OracleThresholds) -> ConcurrencyRelation:
+    """Every pair of distinct activities that passes the oracle's three tests,
+    counting each ordering and searching each loop over every case anew."""
+    traces = [[inst.activity for inst in seq] for seq in log.cases.values()]
+
+    def follows(a: str, b: str) -> int:
+        return sum(
+            trace[i : i + 2] == [a, b] for trace in traces for i in range(len(trace) - 1)
+        )
+
+    def short_loop(a: str, b: str) -> bool:
+        return any(
+            trace[i : i + 3] == [a, b, a] for trace in traces for i in range(len(trace) - 2)
+        )
+
+    least = thresholds.min_bidirectional_observations
+    concurrent = set()
+    for a, b in combinations(log.activities, 2):
+        ab, ba = follows(a, b), follows(b, a)
+        if ab < least or ba < least:
+            continue
+        if abs(ab - ba) / (ab + ba + 1) >= thresholds.dependency_threshold:
+            continue
+        if thresholds.length2_loop_guard and (short_loop(a, b) or short_loop(b, a)):
+            continue
+        concurrent.add((a, b))
+    return ConcurrencyRelation(frozenset(concurrent))
+
+
 def brute_enablement(log: EventLog, relation: ConcurrencyRelation) -> EnablementResult:
     """Enablement by scanning every earlier instance of the case: O(k^2) per case."""
     stats = EnablementStats()
@@ -226,7 +265,7 @@ def brute_enablement(log: EventLog, relation: ConcurrencyRelation) -> Enablement
                 enabler[rebuilt[idx]] = rebuilt[enabler_idx]
         new_instances.extend(rebuilt)
 
-    new_log = EventLog.from_instances(new_instances)
+    new_log = EventLog(new_instances)
     return EnablementResult(log=new_log, relation=relation, enabler=enabler, stats=stats)
 
 
@@ -353,6 +392,32 @@ def brute_discover_calendar(
 def stdlib_report_json(report: object) -> str:
     """The report text as the standard library writes it."""
     return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+def brute_report(
+    result: PipelineResult,
+    ingest_stats: Optional[IngestStats] = None,
+    emit_calendars: bool = False,
+) -> dict:
+    """The report as a dict, each transition entry written out field by field."""
+    entries = [
+        {
+            "source": t.source_activity,
+            "target": t.target_activity,
+            "self_loop": t.source_activity == t.target_activity,
+            "case_freq": significant(t.case_frequency),
+            "total_freq": t.total_frequency,
+            "waiting_time": {
+                "seconds": t.total_wt_seconds,
+                "pretty": pretty_duration(t.total_wt_seconds),
+            },
+            "wt_by_cause_s": {cause: t.wt_by_cause[cause] for cause in CAUSES},
+            "cte_if_eliminated": significant(t.cte_if_eliminated),
+            "cte_delta": significant(t.delta),
+        }
+        for t in result.analysis.per_transition
+    ]
+    return _report(result, ingest_stats, emit_calendars, entries)
 
 
 def transitions_csv(result: PipelineResult) -> str:
@@ -577,7 +642,7 @@ def dictreader_load_log(
 
     if not instances:
         raise IngestError(f"no usable activity instances in {path}")
-    return LoadResult(EventLog.from_instances(instances), stats)
+    return LoadResult(EventLog(instances), stats)
 
 
 def _dictreader_parse_row(row: dict, mapping: ColumnMapping, stats: IngestStats) -> Optional[ActivityInstance]:

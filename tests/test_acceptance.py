@@ -217,7 +217,7 @@ def test_criterion_1_additivity_exact(tmp_path):
             checked += 1
     for _, instances, overrides, _ in handcrafted_suite(tmp_path):
         result = run_pipeline(
-            EventLog.from_instances(instances), calendar_overrides=overrides
+            EventLog(instances), calendar_overrides=overrides
         )
         for dec in result.decompositions:
             assert sum(cause_durations(dec).values()) == dec.waiting_duration
@@ -266,7 +266,7 @@ def _random_log(rng, sparse):
             t = completed
             remaining -= 1
         case_index += 1
-    return EventLog.from_instances(instances)
+    return EventLog(instances)
 
 
 def test_criterion_2_brute_force_equivalence():
@@ -376,7 +376,7 @@ def test_criterion_4_handcrafted_exact_intervals(tmp_path):
     names = []
     for name, instances, overrides, expected in handcrafted_suite(tmp_path):
         result = run_pipeline(
-            EventLog.from_instances(instances), calendar_overrides=overrides
+            EventLog(instances), calendar_overrides=overrides
         )
         for (case_id, activity), sets in expected.items():
             expect_causes(decomposition_for(result, case_id, activity), **sets)
@@ -399,7 +399,7 @@ def _figure_parallel_split():
         ActivityInstance("t2", "B", "rB", 112, 122),
         ActivityInstance("t2", "D", "rD", 125, 135),
     ]
-    return EventLog.from_instances(instances)
+    return EventLog(instances)
 
 
 def test_criterion_5_figure_layouts(tmp_path):
@@ -432,7 +432,7 @@ def test_criterion_5_figure_layouts(tmp_path):
         ActivityInstance("c3", "pack", "packer", mon(9, 40), mon(9, 50)),
     ]
     result = run_pipeline(
-        EventLog.from_instances(instances),
+        EventLog(instances),
         calendar_overrides=always_on("f1", "f2", "f3", "packer"),
     )
     assert len(result.batching.batches) == 1
@@ -461,7 +461,7 @@ def test_criterion_5_figure_layouts(tmp_path):
         ActivityInstance("c3", "rush", "worker", mon(9, 30), mon(9, 50)),
     ]
     result = run_pipeline(
-        EventLog.from_instances(instances),
+        EventLog(instances),
         calendar_overrides=always_on("f1", "f2", "f3", "worker"),
     )
     expect_causes(
@@ -485,7 +485,7 @@ def test_criterion_5_figure_layouts(tmp_path):
     overrides = load_calendar_overrides(path)
     overrides.update(always_on("f1"))
     result = run_pipeline(
-        EventLog.from_instances(instances), calendar_overrides=overrides
+        EventLog(instances), calendar_overrides=overrides
     )
     expect_causes(
         decomposition_for(result, "c1", "sign"),

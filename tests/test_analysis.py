@@ -80,7 +80,7 @@ def analyzed_fixture():
         ActivityInstance("c2", "b", "r1", 11100, 11700),
         ActivityInstance("c3", "solo", "r2", 0, 500),
     ]
-    log = EventLog.from_instances(instances)
+    log = EventLog(instances)
     enablement = compute_enablement(log)
     transitions = discover_transitions(enablement)
     span = horizon(enablement.log)

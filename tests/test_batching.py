@@ -23,7 +23,7 @@ def inst(case, act, res, enabled, started, completed):
 
 def sequential_batch_log():
     """Three same-activity instances accumulated, then run back to back."""
-    return EventLog.from_instances(
+    return EventLog(
         [
             inst("c1", "b", "r1", 0, 10, 20),
             inst("c2", "b", "r1", 5, 20, 30),
@@ -42,13 +42,13 @@ class TestDetectBatches:
         assert batch.members[0].resource == "r1"
 
     def test_lone_instance_is_not_a_batch(self):
-        log = EventLog.from_instances([inst("c1", "b", "r1", 0, 10, 20)])
+        log = EventLog([inst("c1", "b", "r1", 0, 10, 20)])
         assert detect_batches(log).batches == ()
 
     def test_late_enablement_splits_run(self):
         # Third instance enabled after the first one started: only the first
         # two form a batch.
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 10, 20),
                 inst("c2", "b", "r1", 5, 20, 30),
@@ -60,7 +60,7 @@ class TestDetectBatches:
         assert {m.case_id for m in batch.members} == {"c1", "c2"}
 
     def test_intruding_execution_truncates_batch(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 10, 20),
                 inst("c2", "b", "r1", 1, 20, 30),
@@ -72,7 +72,7 @@ class TestDetectBatches:
         assert {m.case_id for m in batch.members} == {"c1", "c2"}
 
     def test_simultaneous_batch(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 100, 130),
                 inst("c2", "b", "r1", 5, 100, 130),
@@ -84,7 +84,7 @@ class TestDetectBatches:
         assert batch.accumulation_end == 8
 
     def test_different_resources_do_not_batch_together(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 10, 20),
                 inst("c2", "b", "r2", 0, 20, 30),
@@ -93,7 +93,7 @@ class TestDetectBatches:
         assert detect_batches(log).batches == ()
 
     def test_unknown_resource_never_batches(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", UNKNOWN_RESOURCE, 0, 10, 20),
                 inst("c2", "b", UNKNOWN_RESOURCE, 5, 20, 30),
@@ -102,7 +102,7 @@ class TestDetectBatches:
         assert detect_batches(log).batches == ()
 
     def test_gap_tolerance(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 10, 20),
                 inst("c2", "b", "r1", 5, 25, 35),
@@ -130,7 +130,7 @@ class TestDetectBatches:
         assert len(result.by_instance) == 3
 
     def test_requires_enablement(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [ActivityInstance("c1", "b", "r1", 10, 20)]
         )
         with pytest.raises(ValueError):
@@ -173,7 +173,7 @@ def single_resource_logs(draw):
         started = enabled + draw(st.integers(min_value=0, max_value=40))
         completed = started + draw(st.integers(min_value=1, max_value=30))
         instances.append(inst(f"c{k}", act, "r1", enabled, started, completed))
-    return EventLog.from_instances(instances)
+    return EventLog(instances)
 
 
 class TestBatchInvariants:
@@ -203,7 +203,7 @@ class TestBatchInvariants:
 
     @given(single_resource_logs())
     def test_detection_is_order_insensitive(self, log):
-        shuffled = EventLog.from_instances(tuple(reversed(log.instances)))
+        shuffled = EventLog(tuple(reversed(log.instances)))
         a = detect_batches(log)
         b = detect_batches(shuffled)
         key = lambda batch: sorted((m.case_id, m.started) for m in batch.members)
@@ -251,7 +251,7 @@ def run_scenarios(draw):
         gap_tolerance=draw(st.integers(min_value=0, max_value=4)),
         min_batch_size=draw(st.integers(min_value=2, max_value=4)),
     )
-    return EventLog.from_instances(instances), config
+    return EventLog(instances), config
 
 
 class TestShrinkOracle:
@@ -265,7 +265,7 @@ class TestShrinkOracle:
     def test_zero_length_run_after_a_same_instant_predecessor_batches(self):
         # The predecessor rule only cuts a run whose window ends after its
         # start, so zero-length members at the predecessor's instant batch.
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("x", "a", "r1", 100, 100, 100),
                 inst("c1", "b", "r1", 90, 100, 100),
@@ -288,7 +288,7 @@ class TestShrinkOracle:
                 ActivityInstance(f"c{k}", "ship", "shipper", 60 * n, 60 * n + 600),
             ]
         instances.append(ActivityInstance("x", "inspect", "shipper", 60 * n + 1, 60 * n + 61))
-        log = EventLog.from_instances(instances)
+        log = EventLog(instances)
         enriched = compute_enablement(log, discover_concurrency(log)).log
         assert detect_batches(enriched).batches == ()
 
@@ -310,7 +310,7 @@ def _staggered_run_visits(n: int) -> int:
         for k in range(n)
     ]
     intruder = ActivityInstance("x", "inspect", "shipper", n, n + 60, enabled=0)
-    log = EventLog.from_instances(ships + [intruder])
+    log = EventLog(ships + [intruder])
     seq = _CountingSeq(log.by_resource["shipper"])
     vars(log)["by_resource"] = {"shipper": seq}
     assert detect_batches(log).batches == ()
@@ -331,14 +331,14 @@ class TestStaggeredRunScaling:
             for k in range(50)
         ]
         intruder = ActivityInstance("x", "inspect", "shipper", 50, 110, enabled=0)
-        log = EventLog.from_instances(ships + [intruder])
+        log = EventLog(ships + [intruder])
         assert detect_batches(log) == brute_detect_batches(log)
 
     def test_later_start_takes_an_end_that_only_it_suits(self):
         # From c1's start the run takes c2 and c3, but no end fits: c1
         # completes at 43, after every later start. From c2's start the two
         # zero-length members end when the inspect starts, and batch.
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c0", "a", "r1", 3, 8, 38),
                 inst("c1", "a", "r1", 12, 13, 43),

@@ -77,11 +77,11 @@ class TestDiscoverCalendar:
                 start = at(7 * week, hour, 0)
                 instances.append(work(f"c{k}", "r1", start, start + 45 * 60))
                 k += 1
-        cal = discover_calendar(EventLog.from_instances(instances), "r1")
+        cal = discover_calendar(EventLog(instances), "r1")
         assert cal.ranges == brute_weekly_ranges(60, ((0, h) for h in range(9, 17)))
 
     def test_single_observation(self):
-        log = EventLog.from_instances([work("c1", "r1", at(2, 14, 30), at(2, 14, 30))])
+        log = EventLog([work("c1", "r1", at(2, 14, 30), at(2, 14, 30))])
         cal = discover_calendar(log, "r1")
         assert cal.ranges == brute_weekly_ranges(60, {(2, 14)})
 
@@ -93,16 +93,16 @@ class TestDiscoverCalendar:
                 start = at(day, hour, 5)
                 instances.append(work(f"c{k}", "r1", start, start + 600))
                 k += 1
-        cal = discover_calendar(EventLog.from_instances(instances), "r1")
+        cal = discover_calendar(EventLog(instances), "r1")
         assert cal.is_always_on
 
     def test_unknown_resource_raises(self):
-        log = EventLog.from_instances([work("c1", "r1", at(0, 9), at(0, 10))])
+        log = EventLog([work("c1", "r1", at(0, 9), at(0, 10))])
         with pytest.raises(ValueError):
             discover_calendar(log, "r9")
 
     def test_reserved_resource_gets_full_week(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [work("c1", UNKNOWN_RESOURCE, at(0, 9), at(0, 10))]
         )
         cal = discover_calendar(log, UNKNOWN_RESOURCE)
@@ -118,7 +118,7 @@ class TestDiscoverCalendar:
         for k, (day, hour) in enumerate([(1, 11), (2, 13), (3, 15)]):
             start = at(day, hour, 10)
             instances.append(work(f"s{k}", "r1", start, start + 60))
-        log = EventLog.from_instances(instances)
+        log = EventLog(instances)
 
         narrow = discover_calendar(log, "r1", CalendarParams(support=0.1))
         assert narrow.ranges == brute_weekly_ranges(60, {(0, 9)})
@@ -126,7 +126,7 @@ class TestDiscoverCalendar:
         assert wide.ranges == brute_weekly_ranges(60, {(0, 9), (1, 11), (2, 13), (3, 15)})
 
     def test_discover_all_resources(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 work("c1", "r1", at(0, 9), at(0, 10)),
                 work("c2", "r2", at(1, 9), at(1, 10)),
@@ -161,7 +161,7 @@ def observed_logs(draw) -> EventLog:
         start = origin + day * 86400 + hour * 3600 + draw(st.integers(0, 3599))
         end = start + draw(st.integers(min_value=0, max_value=4 * 3600))
         instances.append(work(f"c{k}", resource, start, end))
-    return EventLog.from_instances(instances)
+    return EventLog(instances)
 
 
 class TestDiscoverCalendarOracle:
@@ -235,7 +235,7 @@ class TestExpandCalendar:
             for hour in (9, 12, 15):
                 start = at(7 * week + 1, hour, 0)
                 instances.append(work(f"c{week}_{hour}", "r1", start, start + 1800))
-        log = EventLog.from_instances(instances)
+        log = EventLog(instances)
         cal = discover_calendar(log, "r1")
         avail = expand_calendar(cal, horizon(log))
         for inst in log.instances:
@@ -461,7 +461,7 @@ class TestExpandOverSpans:
                 work(f"c{k}", "r1", at(day, 9, 0), at(day, 9, 10), act="a"),
                 work(f"c{k}", "r1", at(day, 9, 30), at(day, 9, 40), act="b"),
             ]
-        result = run_pipeline(EventLog.from_instances(cases))
+        result = run_pipeline(EventLog(cases))
         waits = [d.waiting_duration for d in result.decompositions]
         assert [w for w in waits if w] == [1200, 1200]
         available = result.availability["r1"].available

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import (
+    brute_concurrency,
     brute_enablement,
     brute_transition_instances,
     concurrency_relation,
@@ -13,11 +14,8 @@ from brute import (
 )
 from wtminer.concurrency import (
     ConcurrencyRelation,
-    DirectlyFollowsCounts,
     OracleThresholds,
     compute_enablement,
-    count_directly_follows,
-    detect_concurrency,
     discover_concurrency,
 )
 from wtminer.model import ActivityInstance, ConfigError, EventLog
@@ -28,76 +26,91 @@ def seq_case(case_id: str, *steps: tuple[str, int, int], resource: str = "r1"):
     return [ActivityInstance(case_id, act, resource, s, c) for act, s, c in steps]
 
 
+def traces_log(*traces: str) -> EventLog:
+    """One case per trace, its activities one letter each, in order."""
+    return EventLog(
+        ActivityInstance(f"c{case}", activity, "r1", 2 * k, 2 * k + 1)
+        for case, trace in enumerate(traces)
+        for k, activity in enumerate(trace)
+    )
+
+
+def concurrent_pairs(log: EventLog, **thresholds) -> frozenset:
+    return discover_concurrency(log, OracleThresholds(**thresholds)).pairs
+
+
 class TestCountDirectlyFollows:
+    """Hand-counted directly-follows pairs, seen through the pairs they make
+    concurrent: only a pair followed in both orders can be."""
+
     def test_single_case_chain(self):
-        log = EventLog.from_instances(seq_case("c1", ("a", 0, 1), ("b", 2, 3), ("c", 4, 5)))
-        counts = count_directly_follows(log)
-        assert counts.pairs == {("a", "b"): 1, ("b", "c"): 1}
+        # a>b and b>c once each, never reversed.
+        log = EventLog(seq_case("c1", ("a", 0, 1), ("b", 2, 3), ("c", 4, 5)))
+        assert concurrent_pairs(log) == frozenset()
+        assert concurrent_pairs(log, dependency_threshold=1.0) == frozenset()
 
     def test_two_cases_opposite_orders(self):
-        log = EventLog.from_instances(
+        # a>b once and b>a once: dependency 0/3.
+        log = EventLog(
             seq_case("c1", ("a", 0, 1), ("b", 2, 3))
             + seq_case("c2", ("b", 0, 1), ("a", 2, 3))
         )
-        counts = count_directly_follows(log)
-        assert counts.pairs == {("a", "b"): 1, ("b", "a"): 1}
+        assert concurrent_pairs(log) == {("a", "b")}
+        assert concurrent_pairs(log, dependency_threshold=0.0) == frozenset()
 
     def test_mixed_order_corpus(self):
+        # a>b, a>c, b>d, c>d five times each and b>c, c>b five times each.
         instances = []
         for i in range(5):
             instances += seq_case(f"x{i}", ("a", 0, 1), ("b", 2, 3), ("c", 4, 5), ("d", 6, 7))
         for i in range(5):
             instances += seq_case(f"y{i}", ("a", 0, 1), ("c", 2, 3), ("b", 4, 5), ("d", 6, 7))
-        counts = count_directly_follows(EventLog.from_instances(instances))
-        assert counts.pairs == {
-            ("a", "b"): 5,
-            ("a", "c"): 5,
-            ("b", "c"): 5,
-            ("c", "b"): 5,
-            ("b", "d"): 5,
-            ("c", "d"): 5,
-        }
+        log = EventLog(instances)
+        assert concurrent_pairs(log) == {("b", "c")}
+        assert concurrent_pairs(log, min_bidirectional_observations=5) == {("b", "c")}
+        assert concurrent_pairs(log, min_bidirectional_observations=6) == frozenset()
 
     def test_length2_loop_counting(self):
-        log = EventLog.from_instances(
-            seq_case("c1", ("a", 0, 1), ("b", 2, 3), ("a", 4, 5))
-        )
-        counts = count_directly_follows(log)
-        assert counts.loops2 == {("a", "b"): 1}
+        # a>b and b>a once each, from one length-2 loop a, b, a.
+        log = EventLog(seq_case("c1", ("a", 0, 1), ("b", 2, 3), ("a", 4, 5)))
+        assert concurrent_pairs(log) == frozenset()
+        assert concurrent_pairs(log, length2_loop_guard=False) == {("a", "b")}
 
 
 class TestDetectConcurrency:
     def test_balanced_pair_is_concurrent(self):
-        counts = DirectlyFollowsCounts({("b", "c"): 5, ("c", "b"): 5}, {})
-        rel = detect_concurrency(counts)
+        # b>c five times and c>b five times.
+        rel = discover_concurrency(traces_log(*["bc"] * 5, *["cb"] * 5))
         assert is_concurrent(rel, "b", "c")
         assert is_concurrent(rel, "c", "b")
 
     def test_unidirectional_pair_is_not(self):
-        counts = DirectlyFollowsCounts({("a", "b"): 7}, {})
-        assert not is_concurrent(detect_concurrency(counts), "a", "b")
+        # a>b seven times.
+        assert not is_concurrent(discover_concurrency(traces_log(*["ab"] * 7)), "a", "b")
 
     def test_loop_guard_blocks_short_loops(self):
-        counts = DirectlyFollowsCounts(
-            {("b", "c"): 5, ("c", "b"): 5}, {("b", "c"): 5}
-        )
-        assert not is_concurrent(detect_concurrency(counts), "b", "c")
-        relaxed = detect_concurrency(counts, OracleThresholds(length2_loop_guard=False))
+        # b>c and c>b five times each, all from the length-2 loop b, c, b.
+        log = traces_log(*["bcb"] * 5)
+        assert not is_concurrent(discover_concurrency(log), "b", "c")
+        relaxed = discover_concurrency(log, OracleThresholds(length2_loop_guard=False))
         assert is_concurrent(relaxed, "b", "c")
 
     def test_dependency_threshold_boundary(self):
-        # |9-0|/(9+0+1) = 0.9: not strictly below the default threshold.
-        counts = DirectlyFollowsCounts({("a", "b"): 9, ("b", "a"): 1}, {})
-        # 8/11 = 0.727 < 0.9 once both directions are seen.
-        assert is_concurrent(detect_concurrency(counts), "a", "b")
-        strict = detect_concurrency(counts, OracleThresholds(dependency_threshold=0.7))
+        # a>b nine times and b>a once: |9-1|/(9+1+1) = 8/11 = 0.727.
+        log = traces_log(*["ab"] * 9, "ba")
+        assert is_concurrent(discover_concurrency(log), "a", "b")
+        strict = discover_concurrency(log, OracleThresholds(dependency_threshold=0.7))
         assert not is_concurrent(strict, "a", "b")
+        # The measure must be strictly below the threshold.
+        boundary = discover_concurrency(log, OracleThresholds(dependency_threshold=8 / 11))
+        assert not is_concurrent(boundary, "a", "b")
 
     def test_min_observations(self):
-        counts = DirectlyFollowsCounts({("a", "b"): 1, ("b", "a"): 1}, {})
-        assert is_concurrent(detect_concurrency(counts), "a", "b")
-        stricter = detect_concurrency(
-            counts, OracleThresholds(min_bidirectional_observations=2)
+        # a>b once and b>a once.
+        log = traces_log("ab", "ba")
+        assert is_concurrent(discover_concurrency(log), "a", "b")
+        stricter = discover_concurrency(
+            log, OracleThresholds(min_bidirectional_observations=2)
         )
         assert not is_concurrent(stricter, "a", "b")
 
@@ -124,10 +137,45 @@ class TestDetectConcurrency:
         # cannot enable `b`.
         rel = ConcurrencyRelation(frozenset({("b", "a")}))
         assert is_concurrent(rel, "a", "b")
-        log = EventLog.from_instances(seq_case("c1", ("a", 0, 10), ("b", 15, 20)))
+        log = EventLog(seq_case("c1", ("a", 0, 10), ("b", 15, 20)))
         result = compute_enablement(log, rel)
         b = result.log.cases["c1"][1]
         assert b.enabled == b.started and b not in result.enabler
+
+
+# Dependency measures |ab - ba| / (ab + ba + 1) that small logs reach exactly.
+_EXACT_THRESHOLDS = [0.0, 1 / 6, 0.25, 1 / 3, 0.5, 8 / 11, 0.9, 1.0]
+
+
+@st.composite
+def directly_follows_logs(draw):
+    """Cases over three activities, so most logs hold short loops and pairs
+    followed in both orders."""
+    traces = draw(
+        st.lists(st.text(alphabet="abc", min_size=1, max_size=8), min_size=1, max_size=8)
+    )
+    return traces_log(*traces)
+
+
+class TestConcurrencyOracle:
+    @pytest.mark.parametrize("guard", [True, False])
+    @pytest.mark.parametrize("least", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log=directly_follows_logs(),
+        threshold=st.one_of(st.sampled_from(_EXACT_THRESHOLDS), st.floats(0.0, 1.0)),
+    )
+    def test_matches_pairwise_scan(self, guard, least, log, threshold):
+        thresholds = OracleThresholds(threshold, least, guard)
+        assert discover_concurrency(log, thresholds) == brute_concurrency(log, thresholds)
+
+    def test_scan_sees_short_loops_and_repeated_observations(self):
+        log = traces_log("aba", "ab", "ba", "ab", "ba", "cac")
+        assert brute_concurrency(log, OracleThresholds()) == concurrency_relation()
+        unguarded = OracleThresholds(length2_loop_guard=False)
+        assert brute_concurrency(log, unguarded) == concurrency_relation(("a", "b"), ("a", "c"))
+        thrice = OracleThresholds(min_bidirectional_observations=3, length2_loop_guard=False)
+        assert brute_concurrency(log, thrice) == concurrency_relation(("a", "b"))
 
 
 def parallel_split_log():
@@ -147,7 +195,7 @@ def parallel_split_log():
         ActivityInstance("c2", "b", "r2", 114, 120),
         ActivityInstance("c2", "d", "r4", 125, 130),
     ]
-    return EventLog.from_instances(case1 + case2)
+    return EventLog(case1 + case2)
 
 
 class TestComputeEnablement:
@@ -169,7 +217,7 @@ class TestComputeEnablement:
         assert result.enabler[by_act["d"]].activity == "c"
 
     def test_sequential_chain_under_empty_relation(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             seq_case("c1", ("a", 0, 10), ("b", 15, 20), ("c", 26, 30))
         )
         result = compute_enablement(log)
@@ -179,7 +227,7 @@ class TestComputeEnablement:
         assert seq[2].enabled == seq[1].completed
 
     def test_first_instance_zero_wait(self):
-        log = EventLog.from_instances(seq_case("c1", ("a", 5, 9)))
+        log = EventLog(seq_case("c1", ("a", 5, 9)))
         result = compute_enablement(log)
         inst = result.log.instances[0]
         assert inst.enabled == inst.started
@@ -187,7 +235,7 @@ class TestComputeEnablement:
         assert result.stats.first_in_case == 1
 
     def test_clamp_when_predecessor_outlives_start(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             seq_case("c1", ("a", 0, 50), ("b", 30, 60))
         )
         result = compute_enablement(log)
@@ -196,7 +244,7 @@ class TestComputeEnablement:
         assert result.stats.clamped == 1
 
     def test_supplied_enablement_wins(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 ActivityInstance("c1", "a", "r1", 0, 10),
                 ActivityInstance("c1", "b", "r1", 20, 30, enabled=12),
@@ -210,7 +258,7 @@ class TestComputeEnablement:
         assert result.enabler[b].activity == "a"
 
     def test_concurrent_only_predecessors(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             seq_case("c1", ("a", 0, 10), ("b", 15, 20))
         )
         rel = concurrency_relation(("a", "b"))
@@ -251,7 +299,7 @@ def enablement_scenarios(draw):
             instances.append(
                 ActivityInstance(f"c{case}", activity, "r1", started, completed, enabled)
             )
-    return EventLog.from_instances(instances), relation
+    return EventLog(instances), relation
 
 
 def enabler_positions(result) -> dict[int, int]:

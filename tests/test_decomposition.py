@@ -83,7 +83,7 @@ class TestRawCauses:
     def test_contention_overlap(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         busy = inst("c2", "z", "r1", 0, 2, 5)
-        log = EventLog.from_instances([target, busy])
+        log = EventLog([target, busy])
         d = oracle_for(log)
         assert d.raw_contention(target) == _canonicalize([(2, 5)])
         assert not d.raw_prioritization(target)
@@ -93,7 +93,7 @@ class TestRawCauses:
 
     def test_contention_merges_overlapping_jobs(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 target,
                 inst("c2", "z", "r1", 0, 1, 3),
@@ -107,7 +107,7 @@ class TestRawCauses:
     def test_other_resource_does_not_count(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         busy = inst("c2", "z", "r2", 0, 2, 5)
-        log = EventLog.from_instances([target, busy])
+        log = EventLog([target, busy])
         d = oracle_for(log)
         assert not d.raw_contention(target)
         assert not claimed(log, target).contention
@@ -115,7 +115,7 @@ class TestRawCauses:
     def test_prioritization_overlap(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         overtaker = inst("c2", "z", "r1", 3, 4, 8)
-        log = EventLog.from_instances([target, overtaker])
+        log = EventLog([target, overtaker])
         d = oracle_for(log)
         assert d.raw_prioritization(target) == _canonicalize([(4, 8)])
         assert not d.raw_contention(target)
@@ -126,7 +126,7 @@ class TestRawCauses:
     def test_enablement_tie_counts_as_contention(self):
         target = inst("c1", "b", "r1", 5, 10, 12)
         peer = inst("c2", "z", "r1", 5, 6, 9)
-        log = EventLog.from_instances([target, peer])
+        log = EventLog([target, peer])
         d = oracle_for(log)
         assert d.raw_contention(target) == _canonicalize([(6, 9)])
         assert not d.raw_prioritization(target)
@@ -137,7 +137,7 @@ class TestRawCauses:
     def test_work_after_start_is_ignored(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
         later = inst("c2", "z", "r1", 4, 11, 20)
-        log = EventLog.from_instances([target, later])
+        log = EventLog([target, later])
         d = oracle_for(log)
         assert not d.raw_prioritization(target)
         assert not claimed(log, target).prioritization
@@ -148,7 +148,7 @@ class TestRawCauses:
             inst("c2", "z", "r1", 2, 10, 20),
             inst("c3", "z", "r1", 5, 20, 30),
         ]
-        log = EventLog.from_instances(jobs)
+        log = EventLog(jobs)
         d = oracle_for(log)
         for job in jobs:
             assert not d.raw_prioritization(job)
@@ -157,7 +157,7 @@ class TestRawCauses:
     def test_unavailability_subtracts_calendar(self):
         # Wait from Friday 16:00 to Monday 10:00 against weekday 08-17 hours.
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
-        log = EventLog.from_instances([target])
+        log = EventLog([target])
         cal = calendar_from_cells(
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
@@ -170,7 +170,7 @@ class TestRawCauses:
 
     def test_always_available_resource_has_none(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
-        log = EventLog.from_instances([target])
+        log = EventLog([target])
         d = oracle_for(log)
         assert not d.raw_unavailability(target)
         assert not claimed(log, target).unavailability
@@ -181,7 +181,7 @@ class TestDecomposeCascade:
         target = inst("c1", "b", "r1", 0, 10, 12)
         partner = inst("c2", "b", "r1", 6, 10, 12)
         earlier = inst("c3", "z", "r1", 0, 4, 8)
-        log = EventLog.from_instances([target, partner, earlier])
+        log = EventLog([target, partner, earlier])
         d = decomposer_for(log)
         out = d.decompose(target)
         assert out.batching == _canonicalize([(0, 6)])
@@ -192,7 +192,7 @@ class TestDecomposeCascade:
 
     def test_residual_when_nothing_observed(self):
         target = inst("c1", "b", "r1", 0, 10, 12)
-        d = decomposer_for(EventLog.from_instances([target]))
+        d = decomposer_for(EventLog([target]))
         out = d.decompose(target)
         assert out.extraneous == _canonicalize([(0, 10)])
         assert cause_durations(out) == {
@@ -205,14 +205,14 @@ class TestDecomposeCascade:
 
     def test_zero_wait_yields_all_empty(self):
         target = inst("c1", "b", "r1", 10, 10, 12)
-        d = decomposer_for(EventLog.from_instances([target]))
+        d = decomposer_for(EventLog([target]))
         out = d.decompose(target)
         assert not any(getattr(out, cause) for cause in CAUSES)
 
     def test_unknown_enablement_still_raises(self):
         # Zero waits are answered before `waiting` is read; a target whose
         # enablement is unknown must not be taken for one.
-        log = EventLog.from_instances([inst("c1", "b", "r1", 10, 10, 12)])
+        log = EventLog([inst("c1", "b", "r1", 10, 10, 12)])
         target = ActivityInstance("c2", "b", "r1", 10, 12)
         assert target.enabled is None
         with pytest.raises(ValueError, match="enablement"):
@@ -220,7 +220,7 @@ class TestDecomposeCascade:
 
     def test_unavailability_in_cascade(self):
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
-        log = EventLog.from_instances([target])
+        log = EventLog([target])
         cal = calendar_from_cells(
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
@@ -234,7 +234,7 @@ class TestDecomposeCascade:
     def test_unknown_resource_falls_through_to_extraneous(self):
         target = inst("c1", "b", UNKNOWN_RESOURCE, 0, 10, 12)
         other = inst("c2", "z", UNKNOWN_RESOURCE, 0, 2, 8)
-        log = EventLog.from_instances([target, other])
+        log = EventLog([target, other])
         out = decomposer_for(log).decompose(target)
         assert out.extraneous == _canonicalize([(0, 10)])
         assert not out.contention
@@ -243,7 +243,7 @@ class TestDecomposeCascade:
         # Resource busy during off-hours: the busy evidence wins.
         target = inst("c1", "b", "r1", at(5, 10), at(5, 14), at(5, 15))
         busy = inst("c2", "z", "r1", at(5, 9), at(5, 10), at(5, 12))
-        log = EventLog.from_instances([target, busy])
+        log = EventLog([target, busy])
         cal = calendar_from_cells(
             "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
         )
@@ -255,7 +255,7 @@ class TestDecomposeCascade:
 
 class TestMultitaskingRate:
     def test_no_overlap(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 0, 10),
                 inst("c2", "b", "r1", 0, 10, 20),
@@ -264,7 +264,7 @@ class TestMultitaskingRate:
         assert multitasking_rate(log) == 0.0
 
     def test_partial_overlap(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 0, 10),
                 inst("c2", "b", "r1", 0, 5, 15),
@@ -274,7 +274,7 @@ class TestMultitaskingRate:
         assert multitasking_rate(log) == pytest.approx(2 / 3)
 
     def test_unknown_resource_excluded(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", UNKNOWN_RESOURCE, 0, 0, 10),
                 inst("c2", "b", UNKNOWN_RESOURCE, 0, 5, 15),
@@ -283,7 +283,7 @@ class TestMultitaskingRate:
         assert multitasking_rate(log) == 0.0
 
     def test_zero_length_inside_other_work_counts(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 inst("c1", "b", "r1", 0, 0, 10),
                 inst("c2", "b", "r1", 0, 5, 5),
@@ -307,7 +307,7 @@ class TestMultitaskingRate:
     def test_matches_pairwise_oracle(self, rows):
         # Small start and length ranges give equal starts, touching ends,
         # zero-length and nested instances.
-        log = EventLog.from_instances(
+        log = EventLog(
             [inst(f"c{k}", "a", res, 0, s, s + n) for k, (res, s, n) in enumerate(rows)]
         )
         assert multitasking_rate(log) == brute_multitasking_rate(log)
@@ -328,7 +328,7 @@ class TestLargeSimultaneousBatch:
                 ActivityInstance(f"c{k}", "receive", "clerk", received, received + 60),
                 ActivityInstance(f"c{k}", "ship", "shipper", ship_at, ship_at + 600),
             ]
-        result = run_pipeline(EventLog.from_instances(instances))
+        result = run_pipeline(EventLog(instances))
         (batch,) = result.batching.batches
         assert len(batch.members) == n
         seconds = {
@@ -357,7 +357,7 @@ def random_scenarios(draw):
         completed = started + draw(st.integers(min_value=0, max_value=1800))
         act = draw(st.sampled_from(["b", "z"]))
         instances.append(inst(f"c{k}", act, res, enabled, started, completed))
-    log = EventLog.from_instances(instances)
+    log = EventLog(instances)
 
     availability = {}
     for res in log.resources:
@@ -430,7 +430,7 @@ def busy_windows(draw):
     long_end = MONDAY + draw(st.integers(min_value=-100, max_value=800))
     long_enabled = long_start - draw(st.integers(min_value=0, max_value=50))
     instances.append(inst("long", "a", "r1", long_enabled, long_start, long_end))
-    log = EventLog.from_instances(instances)
+    log = EventLog(instances)
     return log, random_availability(draw, log)
 
 
@@ -472,7 +472,7 @@ def batched_windows(draw):
         completed = started + draw(st.sampled_from([0, 30, 200, 600]))
         enabled = started - draw(st.integers(min_value=0, max_value=600))
         instances.append(inst(f"o{k}", "a", "r1", enabled, started, completed))
-    log = EventLog.from_instances(instances)
+    log = EventLog(instances)
     return log, random_availability(draw, log)
 
 
@@ -542,7 +542,7 @@ class TestCascadeMatchesSetAlgebra:
     def test_boundary_case_matches(self, case):
         others, available, expected = BOUNDARY_CASES[case]
         target = inst("c1", "b", "r1", 100, 400, 450)
-        log = EventLog.from_instances([target, *others])
+        log = EventLog([target, *others])
         availability = {"r1": AbsoluteAvailability("r1", _canonicalize(available))}
         fast = assert_cascade_matches_set_algebra(log, availability)
         out = fast.decompose(target)
@@ -608,7 +608,7 @@ def spread_logs(draw):
         overrides["r1"] = calendar_from_cells(
             "r1", 1, ((d, m) for d in range(5) for m in range(9 * 60, end))
         )
-    return EventLog.from_instances(instances), overrides
+    return EventLog(instances), overrides
 
 
 class TestAvailabilityOverWaits:
@@ -630,7 +630,7 @@ class TestAvailabilityOverWaits:
                 instances.append(
                     ActivityInstance(f"c{k}", act, UNKNOWN_RESOURCE, t, t + 600)
                 )
-        result = run_pipeline(EventLog.from_instances(instances))
+        result = run_pipeline(EventLog(instances))
         assert not result.availability[UNKNOWN_RESOURCE].available
         assert list(result.decompositions) == _horizon_decompositions(result)
         paths = write_report_files(result, tmp_path)

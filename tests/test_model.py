@@ -28,7 +28,6 @@ from wtminer.batching import Batch, BatchingConfig, BatchingResult
 from wtminer.calendars import AbsoluteAvailability, CalendarParams, WeeklyCalendar
 from wtminer.concurrency import (
     ConcurrencyRelation,
-    DirectlyFollowsCounts,
     EnablementResult,
     EnablementStats,
     OracleThresholds,
@@ -414,7 +413,6 @@ def _keyword_examples() -> list:
                 "length2_loop_guard": False,
             },
         ),
-        (DirectlyFollowsCounts, {"pairs": {("a", "b"): 1}, "loops2": {}}),
         (ConcurrencyRelation, {"pairs": frozenset({("a", "b")})}),
         (
             EnablementStats,
@@ -567,7 +565,6 @@ def _config_parameters() -> list:
     from wtminer import batching, calendars, concurrency, ingest, pipeline
 
     return [
-        (concurrency.detect_concurrency, "thresholds"),
         (concurrency.discover_concurrency, "thresholds"),
         (concurrency.compute_enablement, "relation"),
         (batching.detect_batches, "config"),
@@ -637,10 +634,6 @@ def _unhashable_value_examples() -> list:
         (
             lambda: BatchingResult((), {}),
             BatchingResult((), {source: Batch(_ENDPOINTS)}),
-        ),
-        (
-            lambda: DirectlyFollowsCounts({("a", "b"): 1}, {}),
-            DirectlyFollowsCounts({("a", "b"): 2}, {}),
         ),
         (
             lambda: EnablementResult(log, relation, {target: source}, EnablementStats()),
@@ -771,7 +764,7 @@ class TestTypeContracts:
             (CauseImpact(4, 1.0, 0.9, 0.1), "wt_seconds"),
             (AnalysisResult(8, 4, 0.5, {}, ()), "cte"),
             (BatchingResult((), {}), "batches"),
-            (DirectlyFollowsCounts({}, {}), "pairs"),
+            (ConcurrencyRelation(frozenset({("a", "b")})), "pairs"),
             (
                 EnablementResult(
                     EventLog(_ENDPOINTS), ConcurrencyRelation(), {}, EnablementStats()
@@ -793,7 +786,7 @@ class TestTypeContracts:
 
 class TestEventLog:
     def test_orders_within_case_by_start(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 ActivityInstance("c1", "b", "r1", 30, 40),
                 ActivityInstance("c1", "a", "r1", 0, 10),
@@ -829,7 +822,7 @@ class TestEventLog:
 
     def test_rejects_empty_log(self):
         with pytest.raises(IngestError):
-            EventLog.from_instances([])
+            EventLog([])
 
     def test_pipeline_rejects_empty_log(self):
         from wtminer.pipeline import run_pipeline
@@ -838,13 +831,13 @@ class TestEventLog:
             run_pipeline(EventLog(()))
 
     def test_horizon_covers_enablement(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [ActivityInstance("c1", "a", "r1", 10, 20, enabled=3)]
         )
         assert horizon(log) == (3, 20)
 
     def test_resource_and_activity_catalogs(self):
-        log = EventLog.from_instances(
+        log = EventLog(
             [
                 ActivityInstance("c1", "b", "r2", 0, 1),
                 ActivityInstance("c1", "a", "r1", 2, 3),
@@ -863,7 +856,7 @@ class TestEventLog:
             ActivityInstance("c2", "a", UNKNOWN_RESOURCE, 1, 2),
             ActivityInstance("c3", "b", "r1", 10, 15),
         ]
-        log = EventLog.from_instances(instances)
+        log = EventLog(instances)
         index = log.by_resource
         assert tuple(index) == log.resources == (UNKNOWN_RESOURCE, "r1", "r2")
         grouped = [inst for seq in index.values() for inst in seq]

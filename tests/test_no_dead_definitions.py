@@ -6,8 +6,10 @@ scan reads `src/wtminer` and `perfbench/` with `ast` and never looks at
 `tests/`:
 
 - a module-level function or class counts as used when its name appears as a
-  name, an attribute, an import alias or a string constant (`__all__` entries
-  and the tracer's string stage names);
+  name, an attribute, an import alias or a string constant (the tracer's
+  string stage names);
+- the package's own re-exports do not count: the imports in an `__init__.py`
+  and the entries of `__all__` name a definition without running it;
 - a method or property counts as used when its name appears as an attribute;
 - dunder methods are called by the interpreter and are skipped.
 
@@ -35,12 +37,21 @@ def _trees(*dirs: Path) -> dict[Path, ast.Module]:
     }
 
 
-def _uses(trees) -> tuple[set[str], set[str]]:
+def _is_reexport(path: Path, statement: ast.stmt) -> bool:
+    if isinstance(statement, (ast.Import, ast.ImportFrom)):
+        return path.name == "__init__.py"
+    return isinstance(statement, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in statement.targets
+    )
+
+
+def _uses(trees: dict[Path, ast.Module]) -> tuple[set[str], set[str]]:
     """Names usable by module-level definitions, and attribute names."""
     names: set[str] = set()
     attributes: set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
+    for path, tree in trees.items():
+        statements = [s for s in tree.body if not _is_reexport(path, s)]
+        for node in (node for s in statements for node in ast.walk(s)):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -75,7 +86,7 @@ def _is_dunder(name: str) -> bool:
 def dead_definitions(defined: list[Path], callers: list[Path]) -> list[str]:
     """Definitions under `defined` with no use anywhere under `callers`."""
     package = _trees(*defined)
-    names, attributes = _uses(_trees(*callers).values())
+    names, attributes = _uses(_trees(*callers))
     return [
         label
         for label, name, is_method in _definitions(package)
@@ -168,3 +179,17 @@ def test_scan_flags_a_class_built_only_through_its_bypass(tmp_path):
     )
     (tmp_path / "box.py").write_text(source, encoding="utf-8")
     assert bypassed_constructors([tmp_path], [tmp_path]) == ["box.Checked"]
+
+
+def test_scan_does_not_count_the_packages_own_reexports(tmp_path):
+    (tmp_path / "box.py").write_text(
+        "def exported():\n    return 1\ndef used():\n    return 2\n", encoding="utf-8"
+    )
+    (tmp_path / "cli.py").write_text(
+        "from box import used\nprint(used())\n", encoding="utf-8"
+    )
+    (tmp_path / "__init__.py").write_text(
+        "from box import exported, used\n__all__ = [\"exported\", \"used\"]\n",
+        encoding="utf-8",
+    )
+    assert dead_definitions([tmp_path], [tmp_path]) == ["box.exported"]

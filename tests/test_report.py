@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import stdlib_report_json, transitions_csv
+from brute import brute_report, stdlib_report_json, transitions_csv
 from test_golden import load_wide_module
 from wtminer.analysis import AnalysisResult, TransitionImpact
 from wtminer.ingest import load_log
@@ -19,7 +19,6 @@ from wtminer import report as report_module
 from wtminer.report import (
     TRANSITIONS_CSV_COLUMNS,
     atomic_write_text,
-    build_report,
     pretty_duration,
     report_json,
     significant,
@@ -73,9 +72,14 @@ class TestSignificant:
         assert significant(0.0) == 0.0
 
 
+def written_report(result, out_dir, ingest_stats=None, emit_calendars=False) -> dict:
+    """`report.json` as `write_report_files` writes it, parsed."""
+    return json.loads(written(result, out_dir, ingest_stats, emit_calendars)[0])
+
+
 class TestReportShape:
-    def test_validates_against_shipped_schema(self, mixed_result):
-        report = build_report(mixed_result)
+    def test_validates_against_shipped_schema(self, mixed_result, tmp_path):
+        report = written_report(mixed_result, tmp_path)
         jsonschema.validate(report, load_schema())
 
     def test_validates_with_calendars_and_ingest(self, mixed_result, tmp_path):
@@ -87,8 +91,8 @@ class TestReportShape:
         write_files(gen, path)
         loaded = load_log(path)
         result = run_pipeline(loaded.log)
-        report = build_report(
-            result, ingest_stats=loaded.stats, emit_calendars=True
+        report = written_report(
+            result, tmp_path / "out", ingest_stats=loaded.stats, emit_calendars=True
         )
         jsonschema.validate(report, load_schema())
         assert report["ingest"]["rows_total"] == 100
@@ -96,8 +100,8 @@ class TestReportShape:
             result.log.resources
         )
 
-    def test_top_level_key_order_is_fixed(self, mixed_result):
-        report = build_report(mixed_result)
+    def test_top_level_key_order_is_fixed(self, mixed_result, tmp_path):
+        report = written_report(mixed_result, tmp_path)
         assert list(report) == [
             "schema_version",
             "summary",
@@ -109,8 +113,8 @@ class TestReportShape:
             "overridden_resources",
         ]
 
-    def test_causes_in_canonical_order(self, mixed_result):
-        report = build_report(mixed_result)
+    def test_causes_in_canonical_order(self, mixed_result, tmp_path):
+        report = written_report(mixed_result, tmp_path)
         assert [c["cause"] for c in report["causes"]] == [
             "batching",
             "contention",
@@ -119,7 +123,7 @@ class TestReportShape:
             "extraneous",
         ]
 
-    def test_parameters_echo_config(self):
+    def test_parameters_echo_config(self, tmp_path):
         from wtminer.batching import BatchingConfig
         from wtminer.calendars import CalendarParams
         from wtminer.concurrency import OracleThresholds
@@ -130,7 +134,7 @@ class TestReportShape:
             calendars=CalendarParams(granule_minutes=30, confidence=0.9),
         )
         gen = generate(InjectionSpec.from_bits("11111", n_cases=30, seed=2))
-        report = build_report(run_pipeline(gen.log, config))
+        report = written_report(run_pipeline(gen.log, config), tmp_path)
         # Every value the run used, not the defaults.
         assert report["parameters"] == {
             "dependency_threshold": 0.7,
@@ -144,8 +148,8 @@ class TestReportShape:
             "min_batch_size": 4,
         }
 
-    def test_transition_rows_sorted_by_waiting_time(self, mixed_result):
-        report = build_report(mixed_result)
+    def test_transition_rows_sorted_by_waiting_time(self, mixed_result, tmp_path):
+        report = written_report(mixed_result, tmp_path)
         waits = [t["waiting_time"]["seconds"] for t in report["transitions"]]
         assert waits == sorted(waits, reverse=True)
 
@@ -160,7 +164,7 @@ def written(result, out_dir, ingest_stats=None, emit_calendars=False) -> tuple[s
 
 def assert_written_matches_oracles(result, out_dir, ingest_stats=None, emit_calendars=False):
     report, rows = written(result, out_dir, ingest_stats, emit_calendars)
-    assert report == stdlib_report_json(build_report(result, ingest_stats, emit_calendars))
+    assert report == stdlib_report_json(brute_report(result, ingest_stats, emit_calendars))
     assert rows == transitions_csv(result)
 
 
@@ -184,7 +188,6 @@ class TestDeterminism:
         gen = generate(InjectionSpec.from_bits("01010", n_cases=25, seed=8))
         a = run_pipeline(gen.log)
         b = run_pipeline(gen.log)
-        assert report_json(build_report(a)) == report_json(build_report(b))
         assert written(a, tmp_path / "a") == written(b, tmp_path / "b")
 
 
@@ -244,7 +247,7 @@ class TestReportJson:
     def test_matches_stdlib_on_real_reports(self, real_runs, emit_calendars):
         assert len(real_runs) == 33
         for name, result, stats in real_runs:
-            report = build_report(result, stats, emit_calendars=emit_calendars)
+            report = brute_report(result, stats, emit_calendars=emit_calendars)
             assert report_json(report) == stdlib_report_json(report), name
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -280,7 +283,7 @@ def impact(source, target, case_freq=0.5, after=0.5, delta=0.01, wt=3600):
 
 
 class TestRenderedFiles:
-    """`write_report_files` renders each transition once; `build_report`
+    """`write_report_files` renders each transition once; `brute_report`
     through `json.dumps`, and a separate `csv.writer` pass, are its oracles."""
 
     @pytest.mark.parametrize("emit_calendars", [False, True])
@@ -325,7 +328,7 @@ class TestRenderedFiles:
     ):
         result = with_transitions(mixed_result, [impact("a", "b", **{field: value})])
         with pytest.raises(ValueError):
-            stdlib_report_json(build_report(result))
+            stdlib_report_json(brute_report(result))
         with pytest.raises(ValueError):
             write_report_files(result, tmp_path)
         assert list(tmp_path.iterdir()) == []

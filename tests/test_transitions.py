@@ -15,7 +15,7 @@ def make_log(*cases: list[tuple[str, int, int]]) -> EventLog:
     for idx, steps in enumerate(cases):
         for act, s, c in steps:
             instances.append(ActivityInstance(f"c{idx}", act, "r1", s, c))
-    return EventLog.from_instances(instances)
+    return EventLog(instances)
 
 
 class TestDiscoverTransitions:
@@ -108,7 +108,7 @@ def random_sequential_logs(draw):
             end = start + draw(st.integers(min_value=0, max_value=50))
             instances.append(ActivityInstance(f"c{cid}", act, "r1", start, end))
             t = end
-    return EventLog.from_instances(instances)
+    return EventLog(instances)
 
 
 class TestWaitingConservation:
