@@ -48,10 +48,11 @@ class Batch(_Value):
 
 
 class BatchingResult(_Value):
-    def __init__(
-        self, batches: tuple[Batch, ...], by_instance: dict[ActivityInstance, Batch]
-    ) -> None:
-        vars(self).update(batches=batches, by_instance=by_instance)
+    """Maps each batched instance to its batch. The distinct values, in
+    insertion order, are the batches: resource by resource, in work order."""
+
+    def __init__(self, by_instance: dict[ActivityInstance, Batch]) -> None:
+        vars(self).update(by_instance=by_instance)
 
 
 def detect_batches(log: EventLog, config: BatchingConfig = BatchingConfig()) -> BatchingResult:
@@ -64,7 +65,6 @@ def detect_batches(log: EventLog, config: BatchingConfig = BatchingConfig()) -> 
     [first start, last completion) window. Instances without a known resource
     never batch.
     """
-    batches: list[Batch] = []
     by_instance: dict[ActivityInstance, Batch] = {}
     for resource, seq in log.by_resource.items():
         if resource == UNKNOWN_RESOURCE:
@@ -75,10 +75,9 @@ def detect_batches(log: EventLog, config: BatchingConfig = BatchingConfig()) -> 
         for start, stop in bounds:
             members = seq[start:stop]
             batch = Batch(members)
-            batches.append(batch)
             for member in members:
                 by_instance[member] = batch
-    return BatchingResult(tuple(batches), by_instance)
+    return BatchingResult(by_instance)
 
 
 def _batch_bounds(

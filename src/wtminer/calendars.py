@@ -6,7 +6,8 @@ weekly slots of granule_minutes; slots with enough relative frequency count
 as working time. If the resulting calendar explains too small a share of the
 observations, the frequency cut is relaxed stepwise. Weekly calendars expand
 to absolute availability spans over each resource's waits, the only
-place where availability is read.
+place where availability is read. Neither a calendar nor an availability
+names its resource: the dict that holds it is keyed by the resource.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ class CalendarParams(_Value):
 class WeeklyCalendar(_Value):
     """Working time as merged [start, end) second offsets from Monday 00:00."""
 
-    def __init__(self, resource: str, granule_minutes: int, ranges: Iterable[Span]) -> None:
+    def __init__(self, granule_minutes: int, ranges: Iterable[Span]) -> None:
         if granule_minutes < 1 or MINUTES_PER_DAY % granule_minutes != 0:
             raise ConfigError(f"granule must divide {MINUTES_PER_DAY} minutes")
         size = granule_minutes * 60
@@ -64,24 +65,18 @@ class WeeklyCalendar(_Value):
         for start, end in ranges:
             if start < 0 or end > SECONDS_PER_WEEK or start % size or end % size:
                 raise ConfigError(f"range ({start}, {end}) outside the weekly grid")
-        vars(self).update(
-            resource=resource, granule_minutes=granule_minutes, ranges=ranges
-        )
+        vars(self).update(granule_minutes=granule_minutes, ranges=ranges)
 
     @classmethod
-    def _from_canonical(
-        cls, resource: str, granule_minutes: int, ranges: tuple[Span, ...]
-    ) -> "WeeklyCalendar":
+    def _from_canonical(cls, granule_minutes: int, ranges: tuple[Span, ...]) -> "WeeklyCalendar":
         # For ranges already merged, sorted and on the granule's weekly grid.
         cal = object.__new__(cls)
-        vars(cal).update(
-            resource=resource, granule_minutes=granule_minutes, ranges=ranges
-        )
+        vars(cal).update(granule_minutes=granule_minutes, ranges=ranges)
         return cal
 
     @classmethod
-    def always_on(cls, resource: str, granule_minutes: int = 60) -> "WeeklyCalendar":
-        return cls(resource, granule_minutes, ((0, SECONDS_PER_WEEK),))
+    def always_on(cls, granule_minutes: int = 60) -> "WeeklyCalendar":
+        return cls(granule_minutes, ((0, SECONDS_PER_WEEK),))
 
     @property
     def is_always_on(self) -> bool:
@@ -89,8 +84,8 @@ class WeeklyCalendar(_Value):
 
 
 class AbsoluteAvailability(_Value):
-    def __init__(self, resource: str, available: tuple[Span, ...]) -> None:
-        vars(self).update(resource=resource, available=available)
+    def __init__(self, available: tuple[Span, ...]) -> None:
+        vars(self).update(available=available)
 
 
 def discover_calendar(
@@ -104,7 +99,7 @@ def discover_calendar(
     every observed slot is in.
     """
     if resource == UNKNOWN_RESOURCE:
-        return WeeklyCalendar.always_on(resource, params.granule_minutes)
+        return WeeklyCalendar.always_on(params.granule_minutes)
     seq = log.by_resource.get(resource, ())
     if not seq:
         raise ValueError(f"resource {resource!r} has no instances in the log")
@@ -142,9 +137,7 @@ def discover_calendar(
             first = key
         last = key + 1
     ranges.append((first * size, last * size))
-    return WeeklyCalendar._from_canonical(
-        resource, params.granule_minutes, tuple(ranges)
-    )
+    return WeeklyCalendar._from_canonical(params.granule_minutes, tuple(ranges))
 
 
 def discover_calendars(
@@ -189,7 +182,7 @@ def expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailability:
                     pieces.append((s, e))
                     last_end = e
             w += SECONDS_PER_WEEK
-    return AbsoluteAvailability(cal.resource, tuple(pieces))
+    return AbsoluteAvailability(tuple(pieces))
 
 
 def _parse_minute_of_day(text: str, *, allow_midnight_end: bool) -> int:
@@ -249,7 +242,7 @@ def load_calendar_overrides(path: str | Path) -> dict[str, WeeklyCalendar]:
                 )
             day_s = _DAY_INDEX[day_name] * SECONDS_PER_DAY
             spans.append((day_s + start * 60, day_s + end * 60))
-        overrides[resource] = WeeklyCalendar(resource, 1, spans)
+        overrides[resource] = WeeklyCalendar(1, spans)
     return overrides
 
 

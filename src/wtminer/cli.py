@@ -159,6 +159,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     # Only this verb generates logs, so only it pays for importing `synth`.
     from wtminer.synth import InjectionSpec, generate, write_files
 
+    # An option that the chosen mode ignores is refused, not dropped.
+    if args.grid:
+        for option, given in (
+            ("-o/--output", args.output is not None),
+            ("--causes", args.causes is not None),
+            ("--noisy", args.noisy),
+        ):
+            if given:
+                raise ConfigError(f"generate --grid does not take {option}")
+    elif args.out is not None:
+        raise ConfigError("generate takes --out only with --grid")
     if args.grid:
         out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
@@ -174,7 +185,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     if not args.output:
         raise ConfigError("generate needs -o/--output (or --grid with --out)")
-    flags = _parse_causes(args.causes)
+    flags = _parse_causes("none" if args.causes is None else args.causes)
     spec = InjectionSpec(
         n_cases=args.cases,
         seed=args.seed,
@@ -278,10 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument(
         "--causes",
-        default="none",
         help=(
             "comma-separated causes to inject "
-            f"({', '.join(CAUSES)}) or 'none'"
+            f"({', '.join(CAUSES)}) or 'none' (default none)"
         ),
     )
     gen.add_argument("--cases", type=int, default=20, help="cases to generate")

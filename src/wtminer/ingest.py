@@ -216,6 +216,7 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
     )
     stats = IngestStats()
     instances: list[ActivityInstance] = []
+    rows_total = 0
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv_reader(handle)
@@ -224,21 +225,48 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
             missing = [name for name in names if name and name not in column]
             if missing:
                 raise ConfigError(f"log {path} is missing mapped columns: {missing}")
-            indices = tuple(column[name] if name else None for name in names)
+            case_i, activity_i, resource_i, start_i, end_i, enabled_i = (
+                column[name] if name else None for name in names
+            )
             # A short row reads its missing mapped fields as empty strings.
-            padding = [""] * (max(i for i in indices if i is not None) + 1)
+            padding = [""] * (max(column[name] for name in names if name) + 1)
             stamps = _TimestampMemo(mapping.timestamp_format, stats)
+            # A clean text is one lookup. Epoch 0 is falsy and takes `read`,
+            # which returns it as well.
+            get, read = stamps.get, stamps.read
             for row in reader:
                 if not row:
                     continue  # a blank line is not a row
-                stats.rows_total += 1
+                rows_total += 1
                 if len(row) < len(padding):
                     row += padding[len(row):]
-                inst = _parse_row(row, indices, stamps, stats)
-                if inst is None:
-                    stats.rows_rejected += 1
-                else:
-                    instances.append(inst)
+                case_id = row[case_i].strip()
+                activity = row[activity_i].strip()
+                if not case_id or not activity:
+                    continue
+                resource = row[resource_i].strip()
+                if not resource:
+                    resource = UNKNOWN_RESOURCE
+                    stats.unknown_resources += 1
+                started = get(row[start_i]) or read(row[start_i])
+                if started is None:
+                    continue
+                completed = get(row[end_i]) or read(row[end_i])
+                if completed is None or completed < started:
+                    continue
+                enabled: TimeInstant | None = None
+                if enabled_i is not None:
+                    raw = row[enabled_i].strip()
+                    if raw:
+                        enabled = get(raw) or read(raw)
+                        if enabled is None:
+                            continue
+                        if enabled > started:
+                            enabled = started
+                            stats.clamped_enablements += 1
+                instances.append(
+                    ActivityInstance(case_id, activity, resource, started, completed, enabled)
+                )
     except UnicodeDecodeError as exc:
         raise IngestError(f"log {path} is not UTF-8 text: {exc.reason}") from exc
     except CsvError as exc:
@@ -246,6 +274,9 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
 
     if not instances:
         raise IngestError(f"no usable activity instances in {path}")
+    # Every row that made no instance was rejected.
+    stats.rows_total = rows_total
+    stats.rows_rejected = rows_total - len(instances)
     return LoadResult(EventLog(instances), stats)
 
 
@@ -272,10 +303,19 @@ class _TimestampMemo(dict):
     def read(self, text: str) -> TimeInstant | None:
         if text in self.adjusted:
             entry = self.adjusted[text]
-        elif self.fmt == ISO_8601 and (seconds := _utc_seconds(text)) is not None:
-            self[text] = seconds
-            return seconds
         else:
+            # The exact layout YYYY-MM-DDTHH:MM:SSZ reads without the form check,
+            # the rewrite and the float of `_parse_timestamp`. The C parser
+            # rejects anything but ASCII digits between the marks.
+            if self.fmt == ISO_8601 and _C_PARSER and len(text) == 20 and text[4::3] == "--T::Z":
+                try:
+                    dt = datetime.fromisoformat(text[:19])
+                except ValueError:
+                    dt = None
+                if dt is not None and dt.tzinfo is None and not dt.microsecond:
+                    delta = dt - _EPOCH
+                    self[text] = seconds = delta.days * 86400 + delta.seconds
+                    return seconds
             try:
                 entry = _parse_timestamp(text, self.fmt)
             except ValueError:
@@ -292,53 +332,3 @@ class _TimestampMemo(dict):
         self.stats.naive_timestamps += naive
         self.stats.truncated_timestamps += truncated
         return seconds
-
-
-def _utc_seconds(text: str) -> TimeInstant | None:
-    # The seconds of a text in the exact layout YYYY-MM-DDTHH:MM:SSZ, without
-    # the form check, the rewrite and the float of `_parse_timestamp`; else
-    # None. The C parser rejects anything but ASCII digits between the marks.
-    if len(text) != 20 or text[4::3] != "--T::Z" or not _C_PARSER:
-        return None
-    try:
-        dt = datetime.fromisoformat(text[:19])
-    except ValueError:
-        return None
-    if dt.tzinfo is not None or dt.microsecond:
-        return None
-    delta = dt - _EPOCH
-    return delta.days * 86400 + delta.seconds
-
-
-def _parse_row(
-    row: list[str], indices: tuple, stamps: _TimestampMemo, stats: IngestStats
-) -> ActivityInstance | None:
-    case_i, activity_i, resource_i, start_i, end_i, enabled_i = indices
-    case_id = row[case_i].strip()
-    activity = row[activity_i].strip()
-    if not case_id or not activity:
-        return None
-    resource = row[resource_i].strip()
-    if not resource:
-        resource = UNKNOWN_RESOURCE
-        stats.unknown_resources += 1
-    # A clean text is one lookup. Epoch 0 is falsy and takes `read`, which
-    # returns it as well.
-    started = stamps.get(row[start_i]) or stamps.read(row[start_i])
-    if started is None:
-        return None
-    completed = stamps.get(row[end_i]) or stamps.read(row[end_i])
-    if completed is None or completed < started:
-        return None
-
-    enabled: TimeInstant | None = None
-    if enabled_i is not None:
-        raw = row[enabled_i].strip()
-        if raw:
-            enabled = stamps.get(raw) or stamps.read(raw)
-            if enabled is None:
-                return None
-            if enabled > started:
-                enabled = started
-                stats.clamped_enablements += 1
-    return ActivityInstance(case_id, activity, resource, started, completed, enabled)

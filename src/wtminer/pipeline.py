@@ -41,7 +41,6 @@ class PipelineResult(_Value):
     def __init__(
         self,
         config: PipelineConfig,
-        log: EventLog,
         enablement: EnablementResult,
         transitions: tuple[Transition, ...],
         batching: BatchingResult,
@@ -54,7 +53,6 @@ class PipelineResult(_Value):
     ) -> None:
         vars(self).update(
             config=config,
-            log=log,
             enablement=enablement,
             transitions=transitions,
             batching=batching,
@@ -65,6 +63,11 @@ class PipelineResult(_Value):
             multitasking_rate=multitasking_rate,
             overridden_resources=overridden_resources,
         )
+
+    @property
+    def log(self) -> EventLog:
+        """The log with enablement times set."""
+        return self.enablement.log
 
 
 def run_pipeline(
@@ -114,7 +117,6 @@ def run_pipeline(
 
     return PipelineResult(
         config=config,
-        log=enriched,
         enablement=enablement,
         transitions=transitions,
         batching=batching,

@@ -31,8 +31,8 @@ for the rendered `report.json`, and `transitions_csv`, a separate
 
 `weekday_of`, `week_start`, `contains_point`, `total_duration`,
 `concurrency_relation`, `is_concurrent`, `horizon`, `cause_durations`,
-`is_self_loop` and `impact_label` are small helpers that only tests need, so
-they live here and not in the package. So do `intersect` and `subtract`, the
+`is_self_loop`, `impact_label` and `batches_of` are small helpers that
+only tests need, so they live here and not in the package. So do `intersect` and `subtract`, the
 set algebra that the oracles above are written in; the pipeline splits
 bare span lists with `model._split` instead.
 """
@@ -320,7 +320,7 @@ def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailabi
     the result to the spans."""
     union = _canonicalize(spans)
     if not union:
-        return AbsoluteAvailability(cal.resource, ())
+        return AbsoluteAvailability(())
     hull_start, hull_end = union[0][0], union[-1][1]
     tiles = []
     w = week_start(hull_start)
@@ -329,7 +329,7 @@ def brute_expand_calendar(cal: WeeklyCalendar, *spans: Span) -> AbsoluteAvailabi
             if w + e > hull_start and w + s < hull_end:
                 tiles.append((max(w + s, hull_start), min(w + e, hull_end)))
         w += SECONDS_PER_WEEK
-    return AbsoluteAvailability(cal.resource, intersect(_canonicalize(tiles), union))
+    return AbsoluteAvailability(intersect(_canonicalize(tiles), union))
 
 
 def brute_weekly_ranges(granule: int, cells: Iterable[tuple[int, int]]) -> tuple[Span, ...]:
@@ -346,11 +346,9 @@ def brute_weekly_ranges(granule: int, cells: Iterable[tuple[int, int]]) -> tuple
     return tuple((s, e) for s, e in merged)
 
 
-def calendar_from_cells(
-    resource: str, granule: int, cells: Iterable[tuple[int, int]]
-) -> WeeklyCalendar:
+def calendar_from_cells(granule: int, cells: Iterable[tuple[int, int]]) -> WeeklyCalendar:
     """A calendar given as (weekday, slot) cells on a grid of `granule` minutes."""
-    return WeeklyCalendar(resource, granule, brute_weekly_ranges(granule, cells))
+    return WeeklyCalendar(granule, brute_weekly_ranges(granule, cells))
 
 
 def brute_discover_calendar(
@@ -359,7 +357,7 @@ def brute_discover_calendar(
     """`discover_calendar` with each observation counted under its
     (weekday, slot of the day) key."""
     if resource == UNKNOWN_RESOURCE:
-        return WeeklyCalendar.always_on(resource, params.granule_minutes)
+        return WeeklyCalendar.always_on(params.granule_minutes)
     obs = [
         t
         for inst in log.by_resource.get(resource, ())
@@ -386,7 +384,7 @@ def brute_discover_calendar(
         cut /= 2
     size = params.granule_minutes * 60
     starts = [day * SECONDS_PER_DAY + slot * size for day, slot in working]
-    return WeeklyCalendar(resource, params.granule_minutes, [(s, s + size) for s in starts])
+    return WeeklyCalendar(params.granule_minutes, [(s, s + size) for s in starts])
 
 
 def stdlib_report_json(report: object) -> str:
@@ -468,7 +466,6 @@ def brute_detect_batches(
     [first start, last completion) window. Instances without a known resource
     never batch.
     """
-    batches: list[Batch] = []
     by_instance: dict[ActivityInstance, Batch] = {}
     for resource, seq in log.by_resource.items():
         if resource == UNKNOWN_RESOURCE:
@@ -504,13 +501,18 @@ def brute_detect_batches(
                 break
             if len(run) >= config.min_batch_size:
                 batch = Batch(tuple(run))
-                batches.append(batch)
                 for member in run:
                     by_instance[member] = batch
                 i += len(run)
             else:
                 i += 1
-    return BatchingResult(batches=tuple(batches), by_instance=by_instance)
+    return BatchingResult(by_instance)
+
+
+def batches_of(result: BatchingResult) -> tuple[Batch, ...]:
+    """The batches of a batching result: the distinct values of its
+    `by_instance`, in insertion order."""
+    return tuple(dict.fromkeys(result.by_instance.values()))
 
 
 def batching_interval(inst: ActivityInstance, batch: Batch) -> tuple[Span, ...]:

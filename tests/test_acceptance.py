@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from brute import brute_cause_durations, cause_durations, is_concurrent
+from brute import batches_of, brute_cause_durations, cause_durations, is_concurrent
 from wtminer.analysis import compute_cte, cte_if_eliminated
 from wtminer.batching import BatchingConfig, detect_batches
 from wtminer.calendars import AbsoluteAvailability, WeeklyCalendar, load_calendar_overrides
@@ -41,7 +41,7 @@ def spans(*pairs) -> tuple[Span, ...]:
 
 
 def always_on(*resources) -> dict[str, WeeklyCalendar]:
-    return {r: WeeklyCalendar.always_on(r) for r in resources}
+    return dict.fromkeys(resources, WeeklyCalendar.always_on())
 
 
 def decomposition_for(result, case_id, activity):
@@ -229,14 +229,14 @@ def test_criterion_1_additivity_exact(tmp_path):
 
 # --- criterion 2: brute-force oracle equivalence ----------------------------
 
-def _random_availability(rng, resource, limit):
+def _random_availability(rng, limit):
     points = sorted(rng.sample(range(0, limit), 2 * rng.randint(2, 6)))
     pieces = [
         (points[i], points[i + 1])
         for i in range(0, len(points), 2)
         if points[i] < points[i + 1]
     ]
-    return AbsoluteAvailability(resource, _canonicalize(pieces))
+    return AbsoluteAvailability(_canonicalize(pieces))
 
 
 def _random_log(rng, sparse):
@@ -282,7 +282,7 @@ def test_criterion_2_brute_force_equivalence():
         batching = detect_batches(enriched, BatchingConfig())
         limit = 120_000 if sparse else 6_000
         availability = {
-            r: _random_availability(rng, r, limit) for r in enriched.resources
+            r: _random_availability(rng, limit) for r in enriched.resources
         }
         decomposer = Decomposer(enriched, batching, availability)
         for target in enres.enabler:
@@ -435,7 +435,7 @@ def test_criterion_5_figure_layouts(tmp_path):
         EventLog(instances),
         calendar_overrides=always_on("f1", "f2", "f3", "packer"),
     )
-    assert len(result.batching.batches) == 1
+    assert len(batches_of(result.batching)) == 1
     expect_causes(
         decomposition_for(result, "c1", "pack"),
         batching=spans((mon(9, 0), mon(9, 20))),

@@ -85,7 +85,7 @@ def analyzed_fixture():
     transitions = discover_transitions(enablement)
     span = horizon(enablement.log)
     availability = {
-        res: expand_calendar(WeeklyCalendar.always_on(res), span)
+        res: expand_calendar(WeeklyCalendar.always_on(), span)
         for res in enablement.log.resources
     }
     decomposer = Decomposer(enablement.log, detect_batches(enablement.log), availability)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute import batching_interval, brute_detect_batches, subtract
+from brute import batches_of, batching_interval, brute_detect_batches, subtract
 from wtminer.batching import Batch, BatchingConfig, detect_batches
 from wtminer.concurrency import compute_enablement, discover_concurrency
 from wtminer.model import (
@@ -32,10 +32,20 @@ def sequential_batch_log():
     )
 
 
+def detect_as_oracle(log, config=BatchingConfig()):
+    """`detect_batches`, checked against the oracle: the same batches in the
+    same order, and the same batch for each member."""
+    result = detect_batches(log, config)
+    oracle = brute_detect_batches(log, config)
+    assert batches_of(result) == batches_of(oracle)
+    assert result == oracle
+    return result
+
+
 class TestDetectBatches:
     def test_sequential_batch(self):
         result = detect_batches(sequential_batch_log())
-        (batch,) = result.batches
+        (batch,) = batches_of(result)
         assert len(batch.members) == 3
         assert batch.accumulation_end == 8
         assert batch.members[0].activity == "b"
@@ -43,7 +53,7 @@ class TestDetectBatches:
 
     def test_lone_instance_is_not_a_batch(self):
         log = EventLog([inst("c1", "b", "r1", 0, 10, 20)])
-        assert detect_batches(log).batches == ()
+        assert batches_of(detect_batches(log)) == ()
 
     def test_late_enablement_splits_run(self):
         # Third instance enabled after the first one started: only the first
@@ -55,7 +65,7 @@ class TestDetectBatches:
                 inst("c3", "b", "r1", 12, 30, 40),
             ]
         )
-        (batch,) = detect_batches(log).batches
+        (batch,) = batches_of(detect_batches(log))
         assert len(batch.members) == 2
         assert {m.case_id for m in batch.members} == {"c1", "c2"}
 
@@ -68,7 +78,7 @@ class TestDetectBatches:
                 inst("c4", "z", "r1", 30, 35, 50),
             ]
         )
-        (batch,) = detect_batches(log).batches
+        (batch,) = batches_of(detect_batches(log))
         assert {m.case_id for m in batch.members} == {"c1", "c2"}
 
     def test_simultaneous_batch(self):
@@ -79,7 +89,7 @@ class TestDetectBatches:
                 inst("c3", "b", "r1", 8, 100, 130),
             ]
         )
-        (batch,) = detect_batches(log).batches
+        (batch,) = batches_of(detect_batches(log))
         assert len(batch.members) == 3
         assert batch.accumulation_end == 8
 
@@ -90,7 +100,7 @@ class TestDetectBatches:
                 inst("c2", "b", "r2", 0, 20, 30),
             ]
         )
-        assert detect_batches(log).batches == ()
+        assert batches_of(detect_batches(log)) == ()
 
     def test_unknown_resource_never_batches(self):
         log = EventLog(
@@ -99,7 +109,7 @@ class TestDetectBatches:
                 inst("c2", "b", UNKNOWN_RESOURCE, 5, 20, 30),
             ]
         )
-        assert detect_batches(log).batches == ()
+        assert batches_of(detect_batches(log)) == ()
 
     def test_gap_tolerance(self):
         log = EventLog(
@@ -108,14 +118,14 @@ class TestDetectBatches:
                 inst("c2", "b", "r1", 5, 25, 35),
             ]
         )
-        assert detect_batches(log).batches == ()
-        (batch,) = detect_batches(log, BatchingConfig(gap_tolerance=5)).batches
+        assert batches_of(detect_batches(log)) == ()
+        (batch,) = batches_of(detect_batches(log, BatchingConfig(gap_tolerance=5)))
         assert len(batch.members) == 2
 
     def test_min_batch_size(self):
         log = sequential_batch_log()
-        assert detect_batches(log, BatchingConfig(min_batch_size=3)).batches != ()
-        assert detect_batches(log, BatchingConfig(min_batch_size=4)).batches == ()
+        assert batches_of(detect_batches(log, BatchingConfig(min_batch_size=3))) != ()
+        assert batches_of(detect_batches(log, BatchingConfig(min_batch_size=4))) == ()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -125,7 +135,7 @@ class TestDetectBatches:
 
     def test_membership_map(self):
         result = detect_batches(sequential_batch_log())
-        (batch,) = result.batches
+        (batch,) = batches_of(result)
         assert set(result.by_instance.values()) == {batch}
         assert len(result.by_instance) == 3
 
@@ -148,7 +158,7 @@ class TestBatchingInterval:
 
     def test_last_enabled_member_gets_nothing(self):
         result = detect_batches(sequential_batch_log())
-        (batch,) = result.batches
+        (batch,) = batches_of(result)
         last = max(batch.members, key=lambda m: m.enabled)
         assert not batching_interval(last, batch)
 
@@ -181,7 +191,7 @@ class TestBatchInvariants:
     def test_detected_batches_satisfy_invariants(self, log):
         result = detect_batches(log)
         seen = set()
-        for batch in result.batches:
+        for batch in batches_of(result):
             assert len(batch.members) >= 2
             assert len({m.activity for m in batch.members}) == 1
             assert len({m.resource for m in batch.members}) == 1
@@ -207,7 +217,7 @@ class TestBatchInvariants:
         a = detect_batches(log)
         b = detect_batches(shuffled)
         key = lambda batch: sorted((m.case_id, m.started) for m in batch.members)
-        assert sorted(map(key, a.batches)) == sorted(map(key, b.batches))
+        assert sorted(map(key, batches_of(a))) == sorted(map(key, batches_of(b)))
 
 
 @st.composite
@@ -260,7 +270,7 @@ class TestShrinkOracle:
     def test_matches_rescanning_shrink(self, scenario):
         log, config = scenario
         # Batches compare by activity, resource and member identity.
-        assert detect_batches(log, config) == brute_detect_batches(log, config)
+        detect_as_oracle(log, config)
 
     def test_zero_length_run_after_a_same_instant_predecessor_batches(self):
         # The predecessor rule only cuts a run whose window ends after its
@@ -272,9 +282,8 @@ class TestShrinkOracle:
                 inst("c2", "b", "r1", 95, 100, 100),
             ]
         )
-        result = detect_batches(log)
-        assert result == brute_detect_batches(log)
-        assert [len(batch.members) for batch in result.batches] == [2]
+        result = detect_as_oracle(log)
+        assert [len(batch.members) for batch in batches_of(result)] == [2]
 
     def test_simultaneous_run_with_intruder_finds_no_batch(self):
         # n ship instances start at one instant on the shipper and an inspect
@@ -290,7 +299,7 @@ class TestShrinkOracle:
         instances.append(ActivityInstance("x", "inspect", "shipper", 60 * n + 1, 60 * n + 61))
         log = EventLog(instances)
         enriched = compute_enablement(log, discover_concurrency(log)).log
-        assert detect_batches(enriched).batches == ()
+        assert batches_of(detect_batches(enriched)) == ()
 
 
 class _CountingSeq(tuple):
@@ -313,7 +322,7 @@ def _staggered_run_visits(n: int) -> int:
     log = EventLog(ships + [intruder])
     seq = _CountingSeq(log.by_resource["shipper"])
     vars(log)["by_resource"] = {"shipper": seq}
-    assert detect_batches(log).batches == ()
+    assert batches_of(detect_batches(log)) == ()
     return seq.visits
 
 
@@ -332,7 +341,7 @@ class TestStaggeredRunScaling:
         ]
         intruder = ActivityInstance("x", "inspect", "shipper", 50, 110, enabled=0)
         log = EventLog(ships + [intruder])
-        assert detect_batches(log) == brute_detect_batches(log)
+        detect_as_oracle(log)
 
     def test_later_start_takes_an_end_that_only_it_suits(self):
         # From c1's start the run takes c2 and c3, but no end fits: c1
@@ -347,7 +356,6 @@ class TestStaggeredRunScaling:
                 inst("c4", "b", "r1", 14, 15, 18),
             ]
         )
-        result = detect_batches(log)
-        assert result == brute_detect_batches(log)
-        members = [[m.case_id for m in batch.members] for batch in result.batches]
+        result = detect_as_oracle(log)
+        members = [[m.case_id for m in batch.members] for batch in batches_of(result)]
         assert members == [["c2", "c3"]]

@@ -23,7 +23,6 @@ from test_golden import load_wide_module
 from wtminer.calendars import (
     SECONDS_PER_DAY,
     SECONDS_PER_WEEK,
-    AbsoluteAvailability,
     CalendarParams,
     WeeklyCalendar,
     calendar_to_ranges,
@@ -125,6 +124,21 @@ class TestDiscoverCalendar:
         wide = discover_calendar(log, "r1", CalendarParams(support=0.9))
         assert wide.ranges == brute_weekly_ranges(60, {(0, 9), (1, 11), (2, 13), (3, 15)})
 
+    def test_same_instants_give_equal_calendars(self):
+        # A calendar does not name its resource, so two resources seen at the
+        # same instants discover equal values.
+        log = EventLog(
+            [
+                work(f"{res}-{h}", res, at(0, h), at(0, h, 30))
+                for res in ("r1", "r2")
+                for h in range(9, 17)
+            ]
+        )
+        cals = discover_calendars(log)
+        assert cals["r1"] == cals["r2"]
+        assert hash(cals["r1"]) == hash(cals["r2"])
+        assert cals["r1"].ranges == brute_weekly_ranges(60, ((0, h) for h in range(9, 17)))
+
     def test_discover_all_resources(self):
         log = EventLog(
             [
@@ -194,18 +208,18 @@ class TestDiscoverCalendarOracle:
         for resource in log.resources:
             cal = discover_calendar(log, resource, params)
             assert type(cal.ranges) is tuple
-            assert WeeklyCalendar(resource, granule, cal.ranges) == cal
+            assert WeeklyCalendar(granule, cal.ranges) == cal
 
 
 class TestExpandCalendar:
     def test_always_on_covers_horizon(self):
-        cal = WeeklyCalendar.always_on("r1")
+        cal = WeeklyCalendar.always_on()
         horizon = (at(0, 3, 17), at(11, 22, 4))
         avail = expand_calendar(cal, horizon)
         assert avail.available == _canonicalize((horizon,))
 
     def test_weekly_tiling(self):
-        cal = calendar_from_cells("r1", 60, ((0, h) for h in range(9, 17)))
+        cal = calendar_from_cells(60, ((0, h) for h in range(9, 17)))
         horizon = (MONDAY, MONDAY + 14 * 86400)
         avail = expand_calendar(cal, horizon)
         assert avail.available == _canonicalize(
@@ -213,18 +227,18 @@ class TestExpandCalendar:
         )
 
     def test_empty_horizon(self):
-        cal = WeeklyCalendar.always_on("r1")
+        cal = WeeklyCalendar.always_on()
         avail = expand_calendar(cal, (MONDAY, MONDAY))
         assert not avail.available
 
     def test_clipped_to_horizon(self):
-        cal = calendar_from_cells("r1", 60, {(0, 9)})
+        cal = calendar_from_cells(60, {(0, 9)})
         horizon = (at(0, 9, 30), at(0, 9, 45))
         avail = expand_calendar(cal, horizon)
         assert avail.available == _canonicalize([(at(0, 9, 30), at(0, 9, 45))])
 
     def test_availability_never_exceeds_horizon(self):
-        cal = WeeklyCalendar.always_on("r1")
+        cal = WeeklyCalendar.always_on()
         horizon = (at(0, 0), at(20, 0))
         avail = expand_calendar(cal, horizon)
         assert total_duration(avail.available) <= horizon[1] - horizon[0]
@@ -242,7 +256,7 @@ class TestExpandCalendar:
             assert contains_point(avail.available, inst.started)
 
     def test_midnight_spanning_ranges_merge(self):
-        cal = calendar_from_cells("r1", 60, {(0, 23), (1, 0)})
+        cal = calendar_from_cells(60, {(0, 23), (1, 0)})
         assert cal.ranges == ((23 * 3600, 25 * 3600),)
         horizon = (MONDAY, MONDAY + 7 * 86400)
         avail = expand_calendar(cal, horizon)
@@ -264,12 +278,12 @@ def calendars(draw) -> WeeklyCalendar:
     if kind == "always":
         granule = 60
         slots = {(d, h) for d in range(7) for h in range(24)}
-        cal = WeeklyCalendar.always_on("r1")
+        cal = WeeklyCalendar.always_on()
     elif kind == "sunday":
         # Sunday 23:00-24:00, touching the next Monday 00:00 when that works too.
         granule = 60
         slots = {(6, 23)} | ({(0, 0)} if draw(st.booleans()) else set())
-        cal = WeeklyCalendar("r1", granule, cell_spans(granule, slots))
+        cal = WeeklyCalendar(granule, cell_spans(granule, slots))
     elif kind == "1":
         # Minute slots, as calendar overrides give them: a few day ranges,
         # one span each, which may overlap or touch.
@@ -283,7 +297,7 @@ def calendars(draw) -> WeeklyCalendar:
             slots.update((day, minute) for minute in range(start, end))
             day_s = day * SECONDS_PER_DAY
             spans.append((day_s + start * 60, day_s + end * 60))
-        cal = WeeklyCalendar("r1", granule, spans)
+        cal = WeeklyCalendar(granule, spans)
     else:
         granule = int(kind)
         slots = draw(
@@ -295,7 +309,7 @@ def calendars(draw) -> WeeklyCalendar:
                 max_size=30,
             )
         )
-        cal = WeeklyCalendar("r1", granule, cell_spans(granule, slots))
+        cal = WeeklyCalendar(granule, cell_spans(granule, slots))
     assert cal.ranges == brute_weekly_ranges(granule, slots)
     return cal
 
@@ -310,16 +324,16 @@ class TestWeeklyCalendar:
             assert end < start
 
     def test_ranges_are_stored_canonical(self):
-        cal = WeeklyCalendar("r1", 60, [(7200, 10800), (0, 3600), (3600, 7200), (0, 0)])
+        cal = WeeklyCalendar(60, [(7200, 10800), (0, 3600), (3600, 7200), (0, 0)])
         assert cal.ranges == ((0, 10800),)
-        assert cal == WeeklyCalendar("r1", 60, ((0, 10800),))
+        assert cal == WeeklyCalendar(60, ((0, 10800),))
 
     def test_always_on_is_the_whole_week(self):
-        cal = WeeklyCalendar.always_on("r1", 30)
+        cal = WeeklyCalendar.always_on(30)
         assert cal.ranges == ((0, SECONDS_PER_WEEK),)
         assert cal.granule_minutes == 30
         assert cal.is_always_on
-        assert not WeeklyCalendar("r1", 60, ((0, SECONDS_PER_WEEK - 3600),)).is_always_on
+        assert not WeeklyCalendar(60, ((0, SECONDS_PER_WEEK - 3600),)).is_always_on
 
     @pytest.mark.parametrize(
         "span",
@@ -327,16 +341,16 @@ class TestWeeklyCalendar:
     )
     def test_range_off_the_weekly_grid_rejected(self, span):
         with pytest.raises(ConfigError):
-            WeeklyCalendar("r1", 60, (span,))
+            WeeklyCalendar(60, (span,))
 
     @pytest.mark.parametrize("granule", [7, 0, -60])
     def test_granule_must_divide_a_day(self, granule):
         with pytest.raises(ConfigError):
-            WeeklyCalendar("r1", granule, ())
+            WeeklyCalendar(granule, ())
 
     def test_reversed_range_is_value_error(self):
         with pytest.raises(ValueError):
-            WeeklyCalendar("r1", 60, ((7200, 3600),))
+            WeeklyCalendar(60, ((7200, 3600),))
 
 
 @st.composite
@@ -426,26 +440,26 @@ class TestExpandOverSpans:
     )
     def test_matches_hull_oracle_on_listed_spans(self, spans):
         office_hours = {(day, hour) for day in range(5) for hour in range(9, 17)}
-        office = calendar_from_cells("r1", 60, office_hours)
+        office = calendar_from_cells(60, office_hours)
         # Sunday 23:00-24:00, Monday 00:00-01:00 and Wednesday 10:00-10:30.
-        midnight = calendar_from_cells("r2", 30, {(6, 46), (6, 47), (0, 0), (0, 1), (2, 20)})
-        for cal in (office, midnight, WeeklyCalendar.always_on("r3")):
+        midnight = calendar_from_cells(30, {(6, 46), (6, 47), (0, 0), (0, 1), (2, 20)})
+        for cal in (office, midnight, WeeklyCalendar.always_on()):
             avail = expand_calendar(cal, *spans)
             assert avail == brute_expand_calendar(cal, *spans)
             assert all(start < end for start, end in avail.available)
 
     def test_no_spans_give_empty_set(self):
-        cal = WeeklyCalendar.always_on("r1")
+        cal = WeeklyCalendar.always_on()
         assert not expand_calendar(cal).available
         assert not expand_calendar(cal, (MONDAY, MONDAY)).available
 
     def test_reversed_span_is_rejected(self):
-        cal = WeeklyCalendar.always_on("r1")
+        cal = WeeklyCalendar.always_on()
         with pytest.raises(ValueError):
             expand_calendar(cal, (at(0, 9), at(0, 10)), (at(0, 10), at(0, 9)))
 
     def test_touching_spans_across_sunday_midnight_merge(self):
-        cal = calendar_from_cells("r1", 60, {(6, 23), (0, 0)})
+        cal = calendar_from_cells(60, {(6, 23), (0, 0)})
         sunday_night = (at(6, 23, 30), at(7, 0))
         monday_morning = (at(7, 0), at(7, 0, 30))
         avail = expand_calendar(cal, monday_morning, sunday_night).available
@@ -474,6 +488,27 @@ class TestOverrides:
         path = tmp_path / "calendars.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         return str(path)
+
+    def test_one_calendar_filed_under_two_resources(self):
+        # Each resource's availability is its calendar expanded over its own
+        # waits, whichever key the calendar value is also filed under.
+        office = calendar_from_cells(60, ((d, h) for d in range(5) for h in range(9, 17)))
+        log = EventLog(
+            [
+                work("c1", "r1", at(0, 7), at(0, 7, 10), act="a"),
+                work("c1", "r1", at(0, 10), at(0, 10, 10), act="b"),
+                work("c2", "r2", at(1, 6), at(1, 6, 10), act="a"),
+                work("c2", "r2", at(1, 12), at(1, 12, 10), act="b"),
+            ]
+        )
+        result = run_pipeline(log, calendar_overrides=dict.fromkeys(("r1", "r2"), office))
+        assert result.calendars == {"r1": office, "r2": office}
+        assert result.availability["r1"].available == ((at(0, 9), at(0, 10)),)
+        assert result.availability["r2"].available == ((at(1, 9), at(1, 12)),)
+        unavailable = {
+            d.instance.resource: total_duration(d.unavailability) for d in result.decompositions
+        }
+        assert unavailable == {"r1": at(0, 9) - at(0, 7, 10), "r2": at(1, 9) - at(1, 6, 10)}
 
     def test_basic_override(self, tmp_path):
         path = self.write(
@@ -587,7 +622,7 @@ class TestSerialization:
         ]
 
     def test_ranges_split_at_midnight(self):
-        cal = calendar_from_cells("r1", 60, {(0, 23), (1, 0)})
+        cal = calendar_from_cells(60, {(0, 23), (1, 0)})
         assert calendar_to_ranges(cal) == [
             {"day": "MON", "from": "23:00", "to": "24:00"},
             {"day": "TUE", "from": "00:00", "to": "01:00"},
@@ -622,7 +657,7 @@ class TestCalendarFidelity:
         path.write_text(text, encoding="utf-8", newline="")
         log = load_log(path).log
         discovered = run_pipeline(log)
-        overrides = {r: WeeklyCalendar(r, 1, WIDE_WORKING_WEEK) for r in log.resources}
+        overrides = dict.fromkeys(log.resources, WeeklyCalendar(1, WIDE_WORKING_WEEK))
         given = run_pipeline(log, calendar_overrides=overrides)
 
         found = outside = 0

@@ -472,6 +472,24 @@ class TestGenerate:
         assert "grid_00000.csv" in csvs
         assert "grid_11111.csv" in csvs
 
+    @pytest.mark.parametrize(
+        "mode_args, option",
+        [
+            (["--grid", "--out", "grid", "-o", "x.csv"], "-o/--output"),
+            (["--grid", "--out", "grid", "--causes", "none"], "--causes"),
+            (["--grid", "--out", "grid", "--noisy"], "--noisy"),
+            (["-o", "x.csv", "--out", "grid"], "--out"),
+        ],
+        ids=["grid-output", "grid-causes", "grid-noisy", "out-without-grid"],
+    )
+    def test_option_the_mode_ignores_is_usage_error(
+        self, mode_args, option, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--cases", "2", *mode_args]) == 2
+        assert option in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCalendars:
     def test_dump_to_stdout(self, synth_log, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from brute import (
     SetAlgebraDecomposer,
+    batches_of,
     brute_busy_overlaps,
     brute_cause_durations,
     brute_multitasking_rate,
@@ -54,7 +55,7 @@ def inst(case, act, res, enabled, started, completed):
 def full_availability(log: EventLog):
     span = horizon(log)
     return {
-        res: expand_calendar(WeeklyCalendar.always_on(res), span)
+        res: expand_calendar(WeeklyCalendar.always_on(), span)
         for res in log.resources
     }
 
@@ -158,9 +159,7 @@ class TestRawCauses:
         # Wait from Friday 16:00 to Monday 10:00 against weekday 08-17 hours.
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
         log = EventLog([target])
-        cal = calendar_from_cells(
-            "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
-        )
+        cal = calendar_from_cells(60, ((d, h) for d in range(5) for h in range(8, 17)))
         availability = {"r1": expand_calendar(cal, horizon(log))}
         d = oracle_for(log, availability)
         assert d.raw_unavailability(target) == _canonicalize([(at(4, 17), at(7, 8))])
@@ -221,9 +220,7 @@ class TestDecomposeCascade:
     def test_unavailability_in_cascade(self):
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
         log = EventLog([target])
-        cal = calendar_from_cells(
-            "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
-        )
+        cal = calendar_from_cells(60, ((d, h) for d in range(5) for h in range(8, 17)))
         availability = {"r1": expand_calendar(cal, horizon(log))}
         out = decomposer_for(log, availability).decompose(target)
         assert out.unavailability == _canonicalize([(at(4, 17), at(7, 8))])
@@ -244,9 +241,7 @@ class TestDecomposeCascade:
         target = inst("c1", "b", "r1", at(5, 10), at(5, 14), at(5, 15))
         busy = inst("c2", "z", "r1", at(5, 9), at(5, 10), at(5, 12))
         log = EventLog([target, busy])
-        cal = calendar_from_cells(
-            "r1", 60, ((d, h) for d in range(5) for h in range(8, 17))
-        )
+        cal = calendar_from_cells(60, ((d, h) for d in range(5) for h in range(8, 17)))
         availability = {"r1": expand_calendar(cal, horizon(log))}
         out = decomposer_for(log, availability).decompose(target)
         assert out.contention == _canonicalize([(at(5, 10), at(5, 12))])
@@ -329,7 +324,7 @@ class TestLargeSimultaneousBatch:
                 ActivityInstance(f"c{k}", "ship", "shipper", ship_at, ship_at + 600),
             ]
         result = run_pipeline(EventLog(instances))
-        (batch,) = result.batching.batches
+        (batch,) = batches_of(result.batching)
         assert len(batch.members) == n
         seconds = {
             cause: sum(total_duration(getattr(d, cause)) for d in result.decompositions)
@@ -363,11 +358,9 @@ def random_scenarios(draw):
     for res in log.resources:
         kind = draw(st.sampled_from(["full", "hours", "sparse"]))
         if kind == "full" or res == UNKNOWN_RESOURCE:
-            cal = WeeklyCalendar.always_on(res)
+            cal = WeeklyCalendar.always_on()
         elif kind == "hours":
-            cal = calendar_from_cells(
-                res, 60, ((d, h) for d in range(7) for h in range(8, 17))
-            )
+            cal = calendar_from_cells(60, ((d, h) for d in range(7) for h in range(8, 17)))
         else:
             slots = draw(
                 st.sets(
@@ -379,7 +372,7 @@ def random_scenarios(draw):
                     max_size=20,
                 )
             )
-            cal = calendar_from_cells(res, 60, slots)
+            cal = calendar_from_cells(60, slots)
         availability[res] = expand_calendar(cal, horizon(log))
     return log, availability
 
@@ -447,7 +440,7 @@ def random_availability(draw, log: EventLog) -> dict[str, AbsoluteAvailability]:
             )
         )
         available = _canonicalize((MONDAY + s, MONDAY + s + n) for s, n in spans)
-        availability[res] = AbsoluteAvailability(res, available)
+        availability[res] = AbsoluteAvailability(available)
     return availability
 
 
@@ -543,7 +536,7 @@ class TestCascadeMatchesSetAlgebra:
         others, available, expected = BOUNDARY_CASES[case]
         target = inst("c1", "b", "r1", 100, 400, 450)
         log = EventLog([target, *others])
-        availability = {"r1": AbsoluteAvailability("r1", _canonicalize(available))}
+        availability = {"r1": AbsoluteAvailability(_canonicalize(available))}
         fast = assert_cascade_matches_set_algebra(log, availability)
         out = fast.decompose(target)
         assert tuple(getattr(out, cause) for cause in CAUSES) == expected
@@ -606,7 +599,7 @@ def spread_logs(draw):
     if draw(st.booleans()):
         end = draw(st.integers(min_value=9 * 60 + 1, max_value=1440))
         overrides["r1"] = calendar_from_cells(
-            "r1", 1, ((d, m) for d in range(5) for m in range(9 * 60, end))
+            1, ((d, m) for d in range(5) for m in range(9 * 60, end))
         )
     return EventLog(instances), overrides
 

@@ -233,7 +233,7 @@ def _frozen_examples() -> list:
             "delta",
             0.3,
         ),
-        (AbsoluteAvailability("r1", ((5, 9),)), "available", ()),
+        (AbsoluteAvailability(((5, 9),)), "available", ()),
     ]
 
 
@@ -362,12 +362,12 @@ def _keyword_examples() -> list:
     enablement = EnablementResult(log, relation, {b: a}, EnablementStats())
     transition = Transition("a", "b", (b,), 1.0, 4)
     decomposition = WtDecomposition(b, empty, empty, empty, empty, waits)
-    calendar = WeeklyCalendar("r1", 60, ((0, 3600),))
+    calendar = WeeklyCalendar(60, ((0, 3600),))
     impact = CauseImpact(4, 1.0, 1.0, 0.2)
     per_transition = TransitionImpact("a", "b", 1.0, 1, 4, {"extraneous": 4}, 1.0, 0.2)
     analysis = AnalysisResult(8, 4, 0.8, {"extraneous": impact}, (per_transition,))
     config = PipelineConfig(OracleThresholds(), BatchingConfig(), CalendarParams())
-    availability = AbsoluteAvailability("r1", waits)
+    availability = AbsoluteAvailability(waits)
     return [
         (
             ActivityInstance,
@@ -404,7 +404,7 @@ def _keyword_examples() -> list:
         ),
         (BatchingConfig, {"gap_tolerance": 3, "min_batch_size": 4}),
         (Batch, {"members": (a, b)}),
-        (BatchingResult, {"batches": (batch,), "by_instance": {a: batch, b: batch}}),
+        (BatchingResult, {"by_instance": {a: batch, b: batch}}),
         (
             OracleThresholds,
             {
@@ -429,11 +429,8 @@ def _keyword_examples() -> list:
             {"log": log, "relation": relation, "enabler": {b: a}, "stats": EnablementStats()},
         ),
         (CalendarParams, {"granule_minutes": 30, "confidence": 0.2, "support": 0.3}),
-        (
-            WeeklyCalendar,
-            {"resource": "r1", "granule_minutes": 60, "ranges": ((0, 3600),)},
-        ),
-        (AbsoluteAvailability, {"resource": "r1", "available": waits}),
+        (WeeklyCalendar, {"granule_minutes": 60, "ranges": ((0, 3600),)}),
+        (AbsoluteAvailability, {"available": waits}),
         (
             ColumnMapping,
             {
@@ -502,10 +499,9 @@ def _keyword_examples() -> list:
             PipelineResult,
             {
                 "config": config,
-                "log": log,
                 "enablement": enablement,
                 "transitions": (transition,),
-                "batching": BatchingResult((batch,), {a: batch, b: batch}),
+                "batching": BatchingResult({a: batch, b: batch}),
                 "calendars": {"r1": calendar},
                 "availability": {"r1": availability},
                 "decompositions": (decomposition,),
@@ -584,8 +580,8 @@ def _value_examples() -> list:
             WtDecomposition(target, (), (), (), ((5, 9),), ()),
         ),
         (
-            lambda: WeeklyCalendar("r1", 60, [(3600, 7200), (0, 3600)]),
-            WeeklyCalendar("r2", 60, [(0, 7200)]),
+            lambda: WeeklyCalendar(60, [(3600, 7200), (0, 3600)]),
+            WeeklyCalendar(60, [(0, 3600)]),
         ),
         (lambda: OracleThresholds(0.5, 2), OracleThresholds(0.5, 3)),
         (lambda: BatchingConfig(1, 3), BatchingConfig(1, 2)),
@@ -604,8 +600,8 @@ def _value_examples() -> list:
             CauseImpact(4, 1.0, 0.9, 0.2),
         ),
         (
-            lambda: AbsoluteAvailability("r1", ((5, 9),)),
-            AbsoluteAvailability("r1", ((5, 8),)),
+            lambda: AbsoluteAvailability(((5, 9),)),
+            AbsoluteAvailability(((5, 8),)),
         ),
         (
             lambda: PipelineConfig(OracleThresholds(0.5), BatchingConfig(1)),
@@ -632,8 +628,8 @@ def _unhashable_value_examples() -> list:
             AnalysisResult(8, 4, 0.5, {"batching": cause}, ()),
         ),
         (
-            lambda: BatchingResult((), {}),
-            BatchingResult((), {source: Batch(_ENDPOINTS)}),
+            lambda: BatchingResult({}),
+            BatchingResult({source: Batch(_ENDPOINTS)}),
         ),
         (
             lambda: EnablementResult(log, relation, {target: source}, EnablementStats()),
@@ -676,6 +672,12 @@ class TestTypeContracts:
         for obj in (cls(**kwargs), cls(*kwargs.values())):
             for name, value in kwargs.items():
                 assert getattr(obj, name) == value
+
+    def test_pipeline_result_log_is_the_enablement_log(self):
+        # The enriched log is stored once, in the enablement result.
+        kwargs = dict(_keyword_examples())[PipelineResult]
+        assert "log" not in PipelineResult._fields
+        assert PipelineResult(**kwargs).log is kwargs["enablement"].log
 
     def test_table_covers_every_record(self):
         records = _records()
@@ -759,11 +761,11 @@ class TestTypeContracts:
             (BatchingConfig(), "gap_tolerance"),
             (CalendarParams(), "granule_minutes"),
             (ColumnMapping(), "case_column"),
-            (WeeklyCalendar.always_on("r1"), "ranges"),
+            (WeeklyCalendar.always_on(), "ranges"),
             (ConcurrencyRelation(), "pairs"),
             (CauseImpact(4, 1.0, 0.9, 0.1), "wt_seconds"),
             (AnalysisResult(8, 4, 0.5, {}, ()), "cte"),
-            (BatchingResult((), {}), "batches"),
+            (BatchingResult({}), "by_instance"),
             (ConcurrencyRelation(frozenset({("a", "b")})), "pairs"),
             (
                 EnablementResult(
