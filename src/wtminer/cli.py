@@ -136,18 +136,19 @@ def _write_stdout(text: str) -> None:
 
 def _parse_causes(raw: str) -> dict[str, bool]:
     names = [part.strip() for part in raw.split(",") if part.strip()]
-    if names == ["none"]:
-        return {flag: False for flag in CAUSES}
+    if not names:
+        raise ConfigError("--causes must name at least one cause or 'none'")
     flags = {flag: False for flag in CAUSES}
     for name in names:
-        if name not in flags:
+        if name in flags:
+            flags[name] = True
+        elif name != "none":
             raise ConfigError(
                 f"unknown cause {name!r}; expected any of "
                 f"{', '.join(CAUSES)} or 'none'"
             )
-        flags[name] = True
-    if not names:
-        raise ConfigError("--causes must name at least one cause or 'none'")
+    if "none" in names and any(flags.values()):
+        raise ConfigError(f"--causes cannot combine 'none' with a cause, got {raw!r}")
     return flags
 
 

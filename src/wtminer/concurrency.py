@@ -14,6 +14,8 @@ their own start and carry no waiting time.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from wtminer.model import (
     ActivityInstance,
     ConfigError,
@@ -21,6 +23,7 @@ from wtminer.model import (
     TimeInstant,
     _Record,
     _Value,
+    _sealed_instance,
 )
 
 
@@ -69,23 +72,25 @@ def discover_concurrency(
     log: EventLog, thresholds: OracleThresholds = OracleThresholds()
 ) -> ConcurrencyRelation:
     # Directly-follows counts per ordered pair, and the orderings (a, b) seen
-    # as a length-2 loop a, b, a.
-    pairs: dict[tuple[str, str], int] = {}
-    loops2: set[tuple[str, str]] = set()
+    # as a length-2 loop a, b, a, over every case's activities in one list
+    # with None after each case, so that no pair or loop spans two cases.
+    # The pairs that hold None, and the loops (None, b) of one-instance
+    # cases, name no two activities and are never read.
+    acts: list[str | None] = []
     for seq in log.cases.values():
-        acts = [inst.activity for inst in seq]
-        for a, b in zip(acts, acts[1:]):
-            pairs[(a, b)] = pairs.get((a, b), 0) + 1
-        for a, b, c in zip(acts, acts[1:], acts[2:]):
-            if a == c and a != b:
-                loops2.add((a, b))
+        acts += [inst.activity for inst in seq]
+        acts.append(None)
+    pairs = Counter(zip(acts, acts[1:]))
+    loops2 = {(a, b) for a, b, c in zip(acts, acts[1:], acts[2:]) if a == c and a != b}
 
-    candidates = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    candidates = {
+        (min(a, b), max(a, b)) for a, b in pairs if a != b and a is not None and b is not None
+    }
     concurrent: set[tuple[str, str]] = set()
     m = thresholds.min_bidirectional_observations
     for a, b in candidates:
-        ab = pairs.get((a, b), 0)
-        ba = pairs.get((b, a), 0)
+        ab = pairs[(a, b)]
+        ba = pairs[(b, a)]
         if ab < m or ba < m:
             continue
         dependency = abs(ab - ba) / (ab + ba + 1)
@@ -192,8 +197,9 @@ def compute_enablement(
                     enabled = inst.started
                     stats.clamped += 1
                 stats.derived += 1
+            # Every branch above leaves `enabled` at most `inst.started`.
             instances.append(
-                ActivityInstance(
+                _sealed_instance(
                     inst.case_id,
                     inst.activity,
                     inst.resource,

@@ -42,7 +42,7 @@ CAUSES = ("batching", "contention", "prioritization", "unavailability", "extrane
 
 
 class _WtDecompositionSlots:
-    # The writable layout of `WtDecomposition`, sealed by its constructor:
+    # The writable layout of `WtDecomposition`, sealed by `_sealed_decomposition`:
     # one span tuple per cause, named and ordered as in `CAUSES`.
     __slots__ = ("instance", *CAUSES)
 
@@ -62,19 +62,33 @@ class WtDecomposition(_Value, _WtDecompositionSlots):
         unavailability: tuple[Span, ...],
         extraneous: tuple[Span, ...],
     ) -> "WtDecomposition":
-        self = object.__new__(_WtDecompositionSlots)
-        self.instance = instance
-        self.batching = batching
-        self.contention = contention
-        self.prioritization = prioritization
-        self.unavailability = unavailability
-        self.extraneous = extraneous
-        self.__class__ = cls
-        return self
+        return _sealed_decomposition(
+            instance, batching, contention, prioritization, unavailability, extraneous
+        )
 
     @property
     def waiting_duration(self) -> int:
         return self.instance.started - self.instance.enabled
+
+
+def _sealed_decomposition(
+    instance: ActivityInstance,
+    batching: tuple[Span, ...],
+    contention: tuple[Span, ...],
+    prioritization: tuple[Span, ...],
+    unavailability: tuple[Span, ...],
+    extraneous: tuple[Span, ...],
+) -> WtDecomposition:
+    # The one sealing path; `Decomposer.decompose` calls it directly.
+    self = object.__new__(_WtDecompositionSlots)
+    self.instance = instance
+    self.batching = batching
+    self.contention = contention
+    self.prioritization = prioritization
+    self.unavailability = unavailability
+    self.extraneous = extraneous
+    self.__class__ = WtDecomposition
+    return self
 
 
 # One resource's work sequence, its start times and its longest processing.
@@ -106,13 +120,13 @@ class Decomposer:
         # is read. An unknown enablement is never equal to a start time, so
         # it still reaches `waiting`, which raises.
         if target.enabled == target.started:
-            return WtDecomposition(target, (), (), (), (), ())
+            return _sealed_decomposition(target, (), (), (), (), ())
         wait_start, wait_end = target.waiting
         resource = target.resource
         if resource == UNKNOWN_RESOURCE:
             # No resource identity: no batch, no busy evidence and no
             # calendar, so all of the wait is extraneous.
-            return WtDecomposition(target, (), (), (), (), ((wait_start, wait_end),))
+            return _sealed_decomposition(target, (), (), (), (), ((wait_start, wait_end),))
 
         # Batching claims a prefix of the wait, so what it leaves is one span.
         batching: list[Span] = []
@@ -124,7 +138,7 @@ class Decomposer:
                 batching.append((wait_start, batch_end))
                 rest_start = batch_end
                 if rest_start == wait_end:
-                    return WtDecomposition(target, tuple(batching), (), (), (), ())
+                    return _sealed_decomposition(target, tuple(batching), (), (), (), ())
 
         # Same-resource processing inside the rest of the wait, in one pass
         # over the window: work enabled no later than the target, then work
@@ -158,7 +172,7 @@ class Decomposer:
         lo = bisect_right(available, wait_start, key=_END)
         hi = bisect_left(available, wait_end, lo=lo, key=_START)
         extraneous, unavailability = _split(remaining, available[lo:hi])
-        return WtDecomposition(
+        return _sealed_decomposition(
             target,
             tuple(batching),
             tuple(contention),

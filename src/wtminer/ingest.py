@@ -33,6 +33,7 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
     _Record,
     _Value,
+    _sealed_instance,
 )
 
 ISO_8601 = "iso8601"
@@ -217,6 +218,13 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
     stats = IngestStats()
     instances: list[ActivityInstance] = []
     rows_total = 0
+    # Whether the instances so far are in log order: cases contiguous and
+    # ascending, (started, completed, activity) non-decreasing within each.
+    # While they are, `firsts` holds the position of each case's first one.
+    in_order = True
+    firsts: list[int] = []
+    case = ""
+    last: tuple = ()
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv_reader(handle)
@@ -264,8 +272,19 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
                         if enabled > started:
                             enabled = started
                             stats.clamped_enablements += 1
+                if in_order:
+                    if case_id != case:
+                        # Case ids are non-empty, so the first one is above "".
+                        in_order = case_id > case
+                        firsts.append(len(instances))
+                        case = case_id
+                        last = (started, completed, activity)
+                    else:
+                        key = (started, completed, activity)
+                        in_order = key >= last
+                        last = key
                 instances.append(
-                    ActivityInstance(case_id, activity, resource, started, completed, enabled)
+                    _sealed_instance(case_id, activity, resource, started, completed, enabled)
                 )
     except UnicodeDecodeError as exc:
         raise IngestError(f"log {path} is not UTF-8 text: {exc.reason}") from exc
@@ -277,7 +296,13 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
     # Every row that made no instance was rejected.
     stats.rows_total = rows_total
     stats.rows_rejected = rows_total - len(instances)
-    return LoadResult(EventLog(instances), stats)
+    if not in_order:
+        return LoadResult(EventLog(instances), stats)
+    # Already sorted: the log takes the instances and the case grouping as read.
+    instances = tuple(instances)
+    ends = firsts[1:] + [len(instances)]
+    cases = {instances[i].case_id: instances[i:j] for i, j in zip(firsts, ends)}
+    return LoadResult(EventLog._from_sorted(instances, cases), stats)
 
 
 class _TimestampMemo(dict):

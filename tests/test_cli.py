@@ -461,6 +461,20 @@ class TestGenerate:
         code = main(["generate", "--causes", "teleportation", "-o", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("causes", ["none,batching", "batching, none", "none,none,contention"])
+    def test_none_with_a_cause_is_usage_error(self, tmp_path, capsys, causes):
+        code = main(["generate", "--causes", causes, "-o", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot combine 'none' with a cause" in err
+        assert "unknown cause" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_repeated_none_is_no_cause(self, tmp_path):
+        assert main(["generate", "--causes", "none,none", "-o", str(tmp_path / "z.csv")]) == 0
+        truth = json.loads((tmp_path / "z.truth.json").read_text())
+        assert not any(truth["flags"].values())
+
     def test_grid_writes_32_pairs(self, tmp_path, capsys):
         out = tmp_path / "grid"
         code = main(["generate", "--grid", "--cases", "20", "--out", str(out)])

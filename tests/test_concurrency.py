@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brute import (
@@ -165,6 +165,12 @@ class TestConcurrencyOracle:
         log=directly_follows_logs(),
         threshold=st.one_of(st.sampled_from(_EXACT_THRESHOLDS), st.floats(0.0, 1.0)),
     )
+    # Logs where counting across a case boundary changes the relation:
+    # joined, `ab` then `a` reads b, a and the loop a, b, a, which pairs a
+    # and b once the guard is off; `a` then `b` reads a, b, which with the
+    # `ba` case after them pairs a and b even with the guard on.
+    @example(log=traces_log("ab", "a"), threshold=1.0)
+    @example(log=traces_log("a", "b", "ba"), threshold=1.0)
     def test_matches_pairwise_scan(self, guard, least, log, threshold):
         thresholds = OracleThresholds(threshold, least, guard)
         assert discover_concurrency(log, thresholds) == brute_concurrency(log, thresholds)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from brute import dictreader_load_log, parse_timestamp
 from wtminer.ingest import ISO_8601, ColumnMapping, IngestStats, _TimestampMemo, load_log
-from wtminer.model import ConfigError, IngestError, UNKNOWN_RESOURCE
+from wtminer.model import ActivityInstance, ConfigError, EventLog, IngestError, UNKNOWN_RESOURCE
 
 
 def write_csv(tmp_path, rows, header="case_id,activity,resource,start_time,end_time"):
@@ -658,3 +658,90 @@ class TestDictReaderOracle:
             assert _outcome(load_log, path, mapping) == _outcome(
                 dictreader_load_log, path, mapping
             )
+
+
+CASE_IDS = ("c1", "c2", "c10", "b7", "C3")
+
+
+@st.composite
+def log_writes(draw):
+    """One drawn log written four ways, as (case, activity, resource,
+    started, completed) rows: in log order, reversed, shuffled, and with one
+    case split into two runs that another case separates. Starts and
+    durations come from small ranges, so starts, ends and whole sort keys
+    tie within a case; the resource is outside the sort key, so a full tie
+    still shows its order."""
+    case_ids = draw(st.lists(st.sampled_from(CASE_IDS), min_size=2, max_size=4, unique=True))
+    split = draw(st.sampled_from(case_ids))
+    steps = st.tuples(
+        st.sampled_from("ab"),
+        st.sampled_from(("R1", "R2")),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    rows = []
+    for case_id in case_ids:
+        size = 2 if case_id == split else 1
+        for activity, resource, started, duration in draw(
+            st.lists(steps, min_size=size, max_size=4)
+        ):
+            rows.append((case_id, activity, resource, started, started + duration))
+    in_order = sorted(rows, key=lambda row: (row[0], row[3], row[4], row[1]))
+
+    # Each case's run of positions in the log-order write: (first, end).
+    runs = {}
+    for position, row in enumerate(in_order):
+        first, _ = runs.get(row[0], (position, position))
+        runs[row[0]] = (first, position + 1)
+    order = sorted(runs)
+    first, end = runs[split]
+    cut = draw(st.integers(min_value=first + 1, max_value=end - 1))
+    k = order.index(split)
+    if k + 1 < len(order):
+        # The tail of the split case follows the next case.
+        after = runs[order[k + 1]][1]
+        apart = in_order[:cut] + in_order[end:after] + in_order[cut:end] + in_order[after:]
+    else:
+        # The last case: its head goes before the case ahead of it.
+        before = runs[order[k - 1]][0]
+        apart = in_order[:before] + in_order[first:cut] + in_order[before:first] + in_order[cut:]
+    return {
+        "log-order": in_order,
+        "reversed": in_order[::-1],
+        "shuffled": draw(st.permutations(in_order)),
+        "split-case": apart,
+    }
+
+
+def _fields(inst) -> tuple:
+    return (inst.case_id, inst.activity, inst.resource, inst.started, inst.completed)
+
+
+class TestLogOrderIngest:
+    # `load_log` hands over rows that arrive in log order already grouped by
+    # case, and sorts any other order through `EventLog(...)`: both must give
+    # what `EventLog(...)` gives for the rows as written.
+    @settings(max_examples=200, deadline=None)
+    @given(log_writes())
+    def test_same_instances_and_cases_as_event_log(self, writes):
+        assert sorted(writes["split-case"]) == sorted(writes["log-order"])
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, rows in writes.items():
+                path = Path(tmp) / f"{name}.csv"
+                path.write_text(
+                    "case_id,activity,resource,start_time,end_time\n"
+                    + "".join(f"{c},{a},{r},{s},{e}\n" for c, a, r, s, e in rows),
+                    encoding="utf-8",
+                )
+                log = load_log(path, ColumnMapping(timestamp_format="epoch")).log
+                if name == "log-order":
+                    assert "cases" in vars(log), "the grouping was not taken from the read"
+                expected = EventLog(ActivityInstance(*row) for row in rows)
+                assert [_fields(i) for i in log.instances] == [
+                    _fields(i) for i in expected.instances
+                ], name
+                assert list(log.cases) == list(expected.cases), name
+                assert [_fields(i) for seq in log.cases.values() for i in seq] == [
+                    _fields(i) for i in expected.instances
+                ], name
+                assert [i for seq in log.cases.values() for i in seq] == list(log.instances)

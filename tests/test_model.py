@@ -15,7 +15,9 @@ import inspect
 import itertools
 import pickle
 import pkgutil
+import tempfile
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -33,7 +35,7 @@ from wtminer.concurrency import (
     OracleThresholds,
 )
 from wtminer.decomposition import WtDecomposition, _WtDecompositionSlots
-from wtminer.ingest import ColumnMapping, IngestStats, LoadResult
+from wtminer.ingest import ColumnMapping, IngestStats, LoadResult, load_log
 from wtminer.model import (
     ActivityInstance,
     EventLog,
@@ -44,7 +46,7 @@ from wtminer.model import (
     _Record,
     _canonicalize,
 )
-from wtminer.pipeline import PipelineConfig, PipelineResult
+from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from wtminer.transitions import Transition
 
 HORIZON = 200
@@ -275,10 +277,37 @@ class TestSlottedTypes:
                 assert getattr(obj, name) == value
 
 
+# One target per return of `Decomposer.decompose`, each the `b` of its case:
+# c1 waits only for its batch with c2, c2 waits for c1's `b` on R2, c3's
+# resource is unknown, and c4 does not wait. Epoch seconds.
+_PIPELINE_LOG = """case_id,activity,resource,start_time,end_time
+c1,a,R1,0,10
+c1,b,R2,20,30
+c2,a,R1,10,20
+c2,b,R2,30,40
+c3,a,R3,0,10
+c3,b,,20,30
+c4,a,R3,100,110
+c4,b,R3,110,120
+"""
+
+
+def _pipeline_objects() -> tuple[EventLog, EventLog, tuple[WtDecomposition, ...]]:
+    """The raw log from `load_log`, the enriched log from `compute_enablement`
+    and the decompositions from `Decomposer.decompose` of `_PIPELINE_LOG`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_text(_PIPELINE_LOG, encoding="utf-8")
+        raw = load_log(path, ColumnMapping(timestamp_format="epoch")).log
+    result = run_pipeline(raw)
+    return raw, result.enablement.log, result.decompositions
+
+
 def _sealed_examples() -> list:
-    """(public class, object) for every way the pipeline builds one."""
+    """(public class, object) for every way the package builds one."""
     target = ActivityInstance("c1", "b", "r1", 9, 12, enabled=5)
     waits = ((5, 9),)
+    raw, enriched, decompositions = _pipeline_objects()
     return [
         pytest.param(ActivityInstance, target, id="ActivityInstance"),
         pytest.param(
@@ -291,7 +320,25 @@ def _sealed_examples() -> list:
             WtDecomposition(target, waits, waits, waits, waits, waits),
             id="WtDecomposition",
         ),
+        pytest.param(ActivityInstance, raw.instances[0], id="load_log"),
+        pytest.param(ActivityInstance, enriched.instances[1], id="compute_enablement"),
+        *(
+            pytest.param(WtDecomposition, d, id=f"decompose-{d.instance.case_id}")
+            for d in decompositions
+        ),
     ]
+
+
+def test_pipeline_log_reaches_every_return_of_decompose():
+    # What `_sealed_examples` relies on: one decomposition per return path.
+    _, _, decompositions = _pipeline_objects()
+    by_case = {d.instance.case_id: d for d in decompositions}
+    assert sorted(by_case) == ["c1", "c2", "c3", "c4"]
+    assert by_case["c1"].batching == ((10, 20),) and by_case["c1"].contention == ()
+    assert by_case["c2"].contention == ((20, 30),)
+    assert by_case["c3"].instance.resource == UNKNOWN_RESOURCE
+    assert by_case["c3"].extraneous == ((10, 20),)
+    assert by_case["c4"].waiting_duration == 0
 
 
 class TestSealedLayout:
