@@ -21,6 +21,7 @@ from wtminer.model import (
     UNKNOWN_RESOURCE,
     _Value,
     _canonicalize,
+    _read_json_object,
 )
 
 SECONDS_PER_DAY = 86400
@@ -37,14 +38,18 @@ DAY_NAMES = ("MON", "TUE", "WED", "THU", "FRI", "SAT", "SUN")
 _DAY_INDEX = {name: i for i, name in enumerate(DAY_NAMES)}
 
 
+def _check_granule(granule_minutes: int) -> None:
+    if granule_minutes < 1 or MINUTES_PER_DAY % granule_minutes != 0:
+        raise ConfigError(
+            f"granule must divide {MINUTES_PER_DAY} minutes, got {granule_minutes}"
+        )
+
+
 class CalendarParams(_Value):
     def __init__(
         self, granule_minutes: int = 60, confidence: float = 0.1, support: float = 0.1
     ) -> None:
-        if granule_minutes < 1 or MINUTES_PER_DAY % granule_minutes != 0:
-            raise ConfigError(
-                f"granule must divide {MINUTES_PER_DAY} minutes, got {granule_minutes}"
-            )
+        _check_granule(granule_minutes)
         if not 0.0 <= confidence <= 1.0:
             raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
         if not 0.0 <= support <= 1.0:
@@ -58,8 +63,7 @@ class WeeklyCalendar(_Value):
     """Working time as merged [start, end) second offsets from Monday 00:00."""
 
     def __init__(self, granule_minutes: int, ranges: Iterable[Span]) -> None:
-        if granule_minutes < 1 or MINUTES_PER_DAY % granule_minutes != 0:
-            raise ConfigError(f"granule must divide {MINUTES_PER_DAY} minutes")
+        _check_granule(granule_minutes)
         size = granule_minutes * 60
         ranges = _canonicalize(ranges)
         for start, end in ranges:
@@ -208,18 +212,9 @@ def load_calendar_overrides(path: str | Path) -> dict[str, WeeklyCalendar]:
     Overrides use a 1-minute granule so arbitrary HH:MM bounds are exact.
     Each entry is one weekly range; overlapping and touching entries merge.
     """
-    import json  # only an override file needs the JSON reader
-
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read calendar overrides {path}: {exc}") from exc
-    except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise ConfigError(f"calendar overrides {path} is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("calendar overrides must be a JSON object keyed by resource")
-
+    raw = _read_json_object(
+        Path(path), "calendar overrides", "be a JSON object keyed by resource"
+    )
     overrides: dict[str, WeeklyCalendar] = {}
     for resource, ranges in raw.items():
         if not isinstance(ranges, list):

@@ -18,7 +18,7 @@ from wtminer.calendars import (
 from wtminer.concurrency import OracleThresholds
 from wtminer.decomposition import CAUSES
 from wtminer.ingest import ColumnMapping, LoadResult, load_log
-from wtminer.model import ConfigError, WtMinerError
+from wtminer.model import ConfigError, WtMinerError, _read_json_object
 from wtminer.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from wtminer.report import atomic_write_text, report_json, summary_text, write_report_files
 
@@ -26,18 +26,7 @@ from wtminer.report import atomic_write_text, report_json, summary_text, write_r
 def _load_mapping(path: str | None) -> ColumnMapping:
     if path is None:
         return ColumnMapping()
-    import json  # only a mapping file needs the JSON reader
-
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read mapping file {path}: {exc}")
-    except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise ConfigError(f"mapping file {path} is not UTF-8 JSON: {exc}")
-    if not isinstance(payload, dict):
-        raise ConfigError("mapping file must hold a JSON object")
-    return ColumnMapping.from_dict(payload)
+    return ColumnMapping.from_dict(_read_json_object(path, "mapping file", "hold a JSON object"))
 
 
 def _calendar_params(args: argparse.Namespace) -> CalendarParams:

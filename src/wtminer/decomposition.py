@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from wtminer.batching import BatchingResult
 from wtminer.calendars import AbsoluteAvailability
@@ -37,6 +37,7 @@ from wtminer.model import (
 
 _START = itemgetter(0)
 _END = itemgetter(1)
+_STARTED = attrgetter("started")
 
 CAUSES = ("batching", "contention", "prioritization", "unavailability", "extraneous")
 
@@ -91,8 +92,41 @@ def _sealed_decomposition(
     return self
 
 
-# One resource's work sequence, its start times and its longest processing.
-_Window = tuple[tuple[ActivityInstance, ...], list[int], int]
+# A resource's instances longer than this many times its median duration
+# form its outlier list; see `_window`.
+_OUTLIER_FACTOR = 16
+
+# One resource's work sequence, its start times and its longest processing,
+# then the same three for its outliers: `()`, `[]` and 0 when it has none.
+_Window = tuple[
+    tuple[ActivityInstance, ...], list[int], int,
+    tuple[ActivityInstance, ...], list[int], int,
+]
+
+
+def _window(seq: tuple[ActivityInstance, ...]) -> _Window:
+    # A scan reaches back by its list's longest duration, so one week-long
+    # instance would make every wait scan a week of work. The instances
+    # longer than 16 median durations get their own list, scanned
+    # separately. The median is only taken when the longest exceeds 16
+    # mean durations: otherwise the single window reaches back at most that
+    # far, and the pre-check costs a sum where the median costs a sort.
+    durations = [inst.completed - inst.started for inst in seq]
+    longest = max(durations)
+    if longest * len(seq) > _OUTLIER_FACTOR * sum(durations):
+        cut = _OUTLIER_FACTOR * sorted(durations)[len(seq) // 2]
+        outliers = tuple(inst for inst, d in zip(seq, durations) if d > cut)
+        if outliers:
+            typical = tuple(inst for inst, d in zip(seq, durations) if d <= cut)
+            return (
+                typical,
+                [inst.started for inst in typical],
+                max(d for d in durations if d <= cut),
+                outliers,
+                [inst.started for inst in outliers],
+                longest,
+            )
+    return seq, [inst.started for inst in seq], longest, (), [], 0
 
 
 class Decomposer:
@@ -107,12 +141,7 @@ class Decomposer:
         self.batching = batching
         self.availability = availability
         self._windows: dict[str, _Window] = {
-            resource: (
-                seq,
-                [inst.started for inst in seq],
-                max(inst.completed - inst.started for inst in seq),
-            )
-            for resource, seq in log.by_resource.items()
+            resource: _window(seq) for resource, seq in log.by_resource.items()
         }
 
     def decompose(self, target: ActivityInstance) -> WtDecomposition:
@@ -142,16 +171,22 @@ class Decomposer:
 
         # Same-resource processing inside the rest of the wait, in one pass
         # over the window: work enabled no later than the target, then work
-        # enabled after it. Only instances starting in [rest_start - longest,
-        # wait_end) can overlap it: anything starting earlier has already
-        # completed. The target itself starts at wait_end, so it is never in
-        # the window. Members arrive in start order, so clipped starts never
-        # decrease and each list is merged as it grows.
+        # enabled after it. Only instances of a list starting in
+        # [rest_start - its longest, wait_end) can overlap it: anything
+        # starting earlier has already completed. The target itself starts
+        # at wait_end, so it is never in the window. Members arrive in start
+        # order, the outliers merged in, so clipped starts never decrease
+        # and each list is merged as it grows.
+        seq, starts, longest, outliers, outlier_starts, outlier_longest = self._windows[resource]
+        members = seq[bisect_left(starts, rest_start - longest) : bisect_left(starts, wait_end)]
+        if outliers:
+            lo = bisect_left(outlier_starts, rest_start - outlier_longest)
+            hi = bisect_left(outlier_starts, wait_end, lo)
+            if lo < hi:
+                members = sorted(members + outliers[lo:hi], key=_STARTED)
         earlier: list[Span] = []
         later: list[Span] = []
-        seq, starts, longest = self._windows[resource]
-        for i in range(bisect_left(starts, rest_start - longest), bisect_left(starts, wait_end)):
-            other = seq[i]
+        for other in members:
             start = max(other.started, rest_start)
             end = min(other.completed, wait_end)
             if end > start:
@@ -161,12 +196,22 @@ class Decomposer:
                 else:
                     spans.append((start, end))
 
-        # Each cause claims what the previous ones left; the rest lies inside
-        # the wait, so the availability that overlaps the wait splits it into
-        # unavailability and extraneous exactly. Availability is canonical,
-        # so it is bisected on ends for the first interval ending after the
-        # wait's start and on starts for the first one starting at its end.
-        contention, remaining = _split([(rest_start, wait_end)], earlier)
+        # Each cause claims what the previous ones left. `earlier` is
+        # contention as it stands, clipped to the rest of the wait and
+        # canonical, and its gaps are what it leaves. The rest lies inside
+        # the wait, so the availability that overlaps the wait splits it
+        # into unavailability and extraneous exactly. Availability is
+        # canonical, so it is bisected on ends for the first interval ending
+        # after the wait's start and on starts for the first one starting at
+        # its end.
+        remaining: list[Span] = []
+        cursor = rest_start
+        for start, end in earlier:
+            if start > cursor:
+                remaining.append((cursor, start))
+            cursor = end
+        if cursor < wait_end:
+            remaining.append((cursor, wait_end))
         prioritization, remaining = _split(remaining, later)
         available = self.availability[resource].available
         lo = bisect_right(available, wait_start, key=_END)
@@ -175,7 +220,7 @@ class Decomposer:
         return _sealed_decomposition(
             target,
             tuple(batching),
-            tuple(contention),
+            tuple(earlier),
             tuple(prioritization),
             tuple(unavailability),
             tuple(extraneous),
@@ -185,8 +230,17 @@ class Decomposer:
 def decompose_all(
     decomposer: Decomposer, targets: Iterable[ActivityInstance]
 ) -> tuple[WtDecomposition, ...]:
-    """Decompose many targets, keeping their order."""
-    return tuple(map(decomposer.decompose, targets))
+    """Decompose many targets, keeping their order. A target that does not
+    wait is answered here, without a call of `decompose`."""
+    decompose = decomposer.decompose
+    return tuple(
+        [
+            _sealed_decomposition(target, (), (), (), (), ())
+            if target.enabled == target.started
+            else decompose(target)
+            for target in targets
+        ]
+    )
 
 
 def multitasking_rate(log: EventLog) -> float:

@@ -225,6 +225,10 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
     firsts: list[int] = []
     case = ""
     last: tuple = ()
+    # One `str` object per distinct name: every later lookup, grouping,
+    # sort tie and equality test on a name meets one object whose hash is
+    # cached. A case id equal to the previous row's takes its object.
+    share = {}.setdefault
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv_reader(handle)
@@ -272,17 +276,22 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
                         if enabled > started:
                             enabled = started
                             stats.clamped_enablements += 1
-                if in_order:
-                    if case_id != case:
-                        # Case ids are non-empty, so the first one is above "".
-                        in_order = case_id > case
-                        firsts.append(len(instances))
-                        case = case_id
-                        last = (started, completed, activity)
-                    else:
+                activity = share(activity, activity)
+                resource = share(resource, resource)
+                if case_id == case:
+                    case_id = case
+                    if in_order:
                         key = (started, completed, activity)
                         in_order = key >= last
                         last = key
+                else:
+                    case_id = share(case_id, case_id)
+                    if in_order:
+                        # Case ids are non-empty, so the first one is above "".
+                        in_order = case_id > case
+                        firsts.append(len(instances))
+                        last = (started, completed, activity)
+                    case = case_id
                 instances.append(
                     _sealed_instance(case_id, activity, resource, started, completed, enabled)
                 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from pathlib import Path
 
 # Instants are plain epoch seconds; durations are plain second counts.
 TimeInstant = int
@@ -30,6 +31,27 @@ class ConfigError(WtMinerError):
 
 class IngestError(WtMinerError):
     """The input log could not be turned into a usable event log."""
+
+
+def _read_json_object(path: str | Path, what: str, shape: str) -> dict:
+    """The JSON object in the UTF-8 file `path`, read with or without a BOM.
+
+    An unreadable file, a text that is not UTF-8 JSON, and a value that is
+    not an object are each a `ConfigError` that names the file as `what`;
+    `shape` finishes the last one's "`what` must ..." message.
+    """
+    import json  # only an option file needs the JSON reader
+
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"{what} {path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must {shape}")
+    return payload
 
 
 # The frozen types' own `__setattr__` refuses every assignment, so no

@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 
+from wtminer.calendars import SECONDS_PER_DAY, SECONDS_PER_WEEK
+from wtminer.decomposition import CAUSES
 from wtminer.ingest import format_timestamp
 from wtminer.model import ActivityInstance, ConfigError, EventLog
 
@@ -48,8 +50,6 @@ CASES_PER_DAY = 5
 DAY_START_S = 9 * 3600
 NOON_S = 12 * 3600
 GRID_WEEKDAYS = 3  # cases land on Monday, Tuesday, Wednesday only
-SECONDS_PER_DAY = 86400
-SECONDS_PER_WEEK = 7 * SECONDS_PER_DAY
 # Monday 2023-01-02 00:00:00 UTC.
 ORIGIN = 1672617600
 
@@ -61,8 +61,6 @@ RESOURCE_FOR = {
     "decide": "officer",
     "dispatch": "dispatcher",
 }
-
-CAUSE_FLAGS = ("batching", "contention", "prioritization", "unavailability", "extraneous")
 
 # A cause counts as detected when the analyzer attributes at least this much
 # waiting time to it. Injections deliver >= 900 s per injected day; leak
@@ -88,7 +86,7 @@ class InjectionSpec:
             raise ConfigError("noisy_extraneous requires the extraneous flag")
 
     def flags(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in CAUSE_FLAGS}
+        return {name: getattr(self, name) for name in CAUSES}
 
     @property
     def day_types(self) -> tuple[str, ...]:
@@ -97,9 +95,9 @@ class InjectionSpec:
 
     @classmethod
     def from_bits(cls, bits: str, n_cases: int = 20, seed: int = 0) -> "InjectionSpec":
-        if len(bits) != len(CAUSE_FLAGS) or set(bits) - {"0", "1"}:
-            raise ConfigError(f"expected {len(CAUSE_FLAGS)} bits, got {bits!r}")
-        kwargs = {name: bit == "1" for name, bit in zip(CAUSE_FLAGS, bits)}
+        if len(bits) != len(CAUSES) or set(bits) - {"0", "1"}:
+            raise ConfigError(f"expected {len(CAUSES)} bits, got {bits!r}")
+        kwargs = {name: bit == "1" for name, bit in zip(CAUSES, bits)}
         return cls(n_cases=n_cases, seed=seed, **kwargs)
 
 
@@ -141,7 +139,7 @@ def _plain_case(arrival: int) -> dict[str, tuple[int, int]]:
 
 def generate(spec: InjectionSpec) -> GeneratedLog:
     rng = random.Random(spec.seed)
-    injected = dict.fromkeys(CAUSE_FLAGS, 0)
+    injected = dict.fromkeys(CAUSES, 0)
     instances: list[ActivityInstance] = []
     n_days = ceil(spec.n_cases / CASES_PER_DAY)
     day_types = spec.day_types

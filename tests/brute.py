@@ -524,10 +524,11 @@ def batching_interval(inst: ActivityInstance, batch: Batch) -> tuple[Span, ...]:
 
 
 class SetAlgebraDecomposer(Decomposer):
-    """The cascade in set algebra over the same bisected window of
-    work: each cause's raw set is built, intersected with what is left and
-    subtracted from it. Availability is not bisected: what is left is split
-    on the whole availability set."""
+    """The cascade in set algebra over the same bisected windows of work,
+    each resource's typical instances and its outliers: each cause's raw set
+    is built, intersected with what is left and subtracted from it.
+    Availability is not bisected: what is left is split on the whole
+    availability set."""
 
     def _busy_overlaps(
         self, target: ActivityInstance
@@ -535,15 +536,18 @@ class SetAlgebraDecomposer(Decomposer):
         """Same-resource processing inside the wait, in one pass over the window:
         work enabled no later than the target, then work enabled after it."""
         wait_start, wait_end = target.waiting
-        # Only instances starting in [wait_start - longest, wait_end) can
-        # overlap the wait: anything starting earlier has already completed.
-        # The target itself starts at wait_end, so it is never in the window.
-        seq, starts, longest = self._windows[target.resource]
-        lo = bisect_left(starts, wait_start - longest)
-        hi = bisect_left(starts, wait_end)
+        # Only instances of a list starting in [wait_start - its longest,
+        # wait_end) can overlap the wait: anything starting earlier has
+        # already completed. A resource has its typical instances and its
+        # outliers (maybe none) as two lists. The target itself starts at
+        # wait_end, so it is never in the window.
+        window = self._windows[target.resource]
+        members: tuple[ActivityInstance, ...] = ()
+        for seq, starts, longest in (window[:3], window[3:]):
+            members += seq[bisect_left(starts, wait_start - longest) : bisect_left(starts, wait_end)]
         earlier: list[Span] = []
         later: list[Span] = []
-        for other in seq[lo:hi]:
+        for other in members:
             start = max(other.started, wait_start)
             end = min(other.completed, wait_end)
             if end > start:

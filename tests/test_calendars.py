@@ -348,6 +348,14 @@ class TestWeeklyCalendar:
         with pytest.raises(ConfigError):
             WeeklyCalendar(granule, ())
 
+    @pytest.mark.parametrize("granule", [7, 0, -60, 2880])
+    def test_params_and_calendar_refuse_a_granule_alike(self, granule):
+        message = f"granule must divide 1440 minutes, got {granule}"
+        for build in (lambda: CalendarParams(granule), lambda: WeeklyCalendar(granule, ())):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert str(info.value) == message
+
     def test_reversed_range_is_value_error(self):
         with pytest.raises(ValueError):
             WeeklyCalendar(60, ((7200, 3600),))

@@ -212,6 +212,46 @@ class TestAnalyze:
         assert self.analyze_with(synth_log, tmp_path, "--calendar-overrides", payload) == 2
         assert "not UTF-8 JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "reader, what, shape",
+        [
+            (cli._load_mapping, "mapping file", "must hold a JSON object"),
+            (
+                load_calendar_overrides,
+                "calendar overrides",
+                "must be a JSON object keyed by resource",
+            ),
+        ],
+        ids=["mapping", "calendar-overrides"],
+    )
+    def test_option_file_errors_keep_message_and_cause(self, tmp_path, reader, what, shape):
+        # Both option files are read by one reader: each failure names its
+        # file, and a failed read or parse is chained as the cause.
+        files = {
+            "missing": None,
+            "directory": None,
+            "not-utf8": b"\xff\xfe{}",
+            "not-json": b"{not json",
+            "array": b"[1]",
+        }
+        (tmp_path / "directory").mkdir()
+        for name, payload in files.items():
+            path = tmp_path / name
+            if payload is not None:
+                path.write_bytes(payload)
+            with pytest.raises(ConfigError) as info:
+                reader(str(path))
+            cause = info.value.__cause__
+            if name == "array":
+                assert str(info.value) == f"{what} {shape}"
+                assert cause is None
+            elif name in ("missing", "directory"):
+                assert str(info.value) == f"cannot read {what} {path}: {cause}"
+                assert isinstance(cause, OSError)
+            else:
+                assert str(info.value) == f"{what} {path} is not UTF-8 JSON: {cause}"
+                assert isinstance(cause, ValueError)
+
     @pytest.mark.parametrize("text", ["+9:00", "0_9:00", "\uff10\uff19:00", " 09 : 00 ", "-0:00"])
     def test_non_ascii_digit_override_time_exits_2(self, synth_log, tmp_path, capsys, text):
         overrides = {"assessor": [{"day": "MON", "from": text, "to": "17:00"}]}
@@ -817,10 +857,10 @@ class TestImportFootprint:
 
     def test_cause_names_are_the_injection_flags(self):
         # `generate --causes` is parsed against the decomposition's causes.
+        from wtminer import synth
         from wtminer.decomposition import CAUSES
-        from wtminer.synth import CAUSE_FLAGS
 
-        assert CAUSES == CAUSE_FLAGS
+        assert synth.CAUSES is CAUSES
 
 
 class TestDefaults:

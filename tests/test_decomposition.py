@@ -29,6 +29,7 @@ from wtminer.decomposition import (
     CAUSES,
     Decomposer,
     WtDecomposition,
+    decompose_all,
     multitasking_rate,
 )
 from wtminer.ingest import load_log
@@ -40,6 +41,7 @@ from wtminer.model import (
 )
 from wtminer.pipeline import run_pipeline
 from wtminer.report import write_report_files
+from wtminer.synth import InjectionSpec, generate
 
 MONDAY = 1672617600
 
@@ -216,6 +218,27 @@ class TestDecomposeCascade:
         assert target.enabled is None
         with pytest.raises(ValueError, match="enablement"):
             decomposer_for(log).decompose(target)
+
+    def test_decompose_all_answers_zero_waits_itself(self):
+        # Two of the four targets do not wait; only the two that do reach
+        # `decompose`, and every target still gets its entry, in order.
+        calls = []
+
+        class Counting(Decomposer):
+            def decompose(self, target):
+                calls.append(target)
+                return super().decompose(target)
+
+        waiting = [inst("c1", "b", "r1", 0, 10, 12), inst("c2", "b", "r1", 3, 12, 14)]
+        idle = [inst("c3", "a", "r1", 20, 20, 25), inst("c4", "a", "r2", 1, 1, 3)]
+        log = EventLog([*waiting, *idle])
+        targets = [idle[0], waiting[1], idle[1], waiting[0]]
+        d = Counting(log, detect_batches(log), full_availability(log))
+        out = decompose_all(d, targets)
+        assert calls == [waiting[1], waiting[0]]
+        assert [dec.instance for dec in out] == targets
+        assert list(out) == [decomposer_for(log).decompose(t) for t in targets]
+        assert not any(getattr(out[0], cause) for cause in CAUSES)
 
     def test_unavailability_in_cascade(self):
         target = inst("c1", "b", "r1", at(4, 16), at(7, 10), at(7, 11))
@@ -568,6 +591,116 @@ class TestWindowedScans:
             assert cause_durations(out) == brute_cause_durations(
                 target, log, d.batching, availability
             )
+
+
+WEEK = 7 * 86400
+
+
+@st.composite
+def outlier_windows(draw):
+    """r1 does 17 to 40 short instances over two weeks, and one to three
+    instances one to four weeks long that start up to three weeks before
+    them or among them; waits last up to two weeks. r2 does a few short
+    ones. Availability is a few spans of up to two days."""
+    instances = []
+    for k in range(draw(st.integers(min_value=17, max_value=40))):
+        res = "r1" if k % 8 else "r2"
+        started = MONDAY + draw(st.integers(min_value=0, max_value=2 * WEEK))
+        completed = started + draw(st.sampled_from([0, 30, 120, 600]))
+        enabled = started - draw(st.sampled_from([0, 600, 3600, 86400, 2 * WEEK]))
+        instances.append(inst(f"s{k}", "a", res, enabled, started, completed))
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        started = MONDAY + draw(st.integers(min_value=-3 * WEEK, max_value=2 * WEEK))
+        completed = started + draw(st.integers(min_value=WEEK, max_value=4 * WEEK))
+        enabled = started - draw(st.sampled_from([0, 3600, WEEK]))
+        instances.append(inst(f"o{k}", "z", "r1", enabled, started, completed))
+    log = EventLog(instances)
+    availability = {}
+    for res in log.resources:
+        spans = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=-5 * WEEK, max_value=3 * WEEK),
+                    st.integers(min_value=0, max_value=2 * 86400),
+                ),
+                max_size=8,
+            )
+        )
+        available = _canonicalize((MONDAY + s, MONDAY + s + n) for s, n in spans)
+        availability[res] = AbsoluteAvailability(available)
+    return log, availability
+
+
+def long_instance_log(cases: int) -> EventLog:
+    """The synthetic conveyor log with every cause injected, in which the
+    first instance of each resource starts 1000 days earlier."""
+    log = generate(InjectionSpec.from_bits("11111", n_cases=cases, seed=42)).log
+    firsts = {seq[0] for seq in log.by_resource.values()}
+    return EventLog(
+        ActivityInstance(
+            i.case_id,
+            i.activity,
+            i.resource,
+            i.started - 1000 * 86400 * (i in firsts),
+            i.completed,
+        )
+        for i in log.instances
+    )
+
+
+class _CountingTuple(tuple):
+    """A tuple that counts the members read from it, by index or slice."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        item = super().__getitem__(key)
+        _CountingTuple.reads += len(item) if isinstance(key, slice) else 1
+        return item
+
+
+def scan_visits(log: EventLog) -> int:
+    """Members that the scans of all of the log's waits read from the
+    resource windows."""
+    result = run_pipeline(log)
+    d = Decomposer(result.log, result.batching, result.availability)
+    for resource, (seq, starts, longest, outliers, *rest) in d._windows.items():
+        d._windows[resource] = (_CountingTuple(seq), starts, longest, _CountingTuple(outliers), *rest)
+    _CountingTuple.reads = 0
+    out = decompose_all(d, [dec.instance for dec in result.decompositions])
+    assert out == result.decompositions
+    return _CountingTuple.reads
+
+
+class TestOutlierWindows:
+    @settings(max_examples=200, deadline=None)
+    @given(outlier_windows())
+    def test_every_cause_set_matches(self, scenario):
+        assert_cascade_matches_set_algebra(*scenario)
+
+    def test_long_instances_get_their_own_list(self):
+        # 20 instances of 600 s and one of a week on r1; r2's longest is
+        # not 16 times its mean.
+        instances = [inst(f"s{k}", "a", "r1", MONDAY, MONDAY + 900 * k, MONDAY + 900 * k + 600)
+                     for k in range(20)]
+        week = inst("o", "z", "r1", MONDAY - WEEK, MONDAY - WEEK, MONDAY)
+        other = inst("t", "a", "r2", MONDAY, MONDAY, MONDAY + 6000)
+        log = EventLog([*instances, week, other, inst("u", "a", "r2", MONDAY, MONDAY, MONDAY + 600)])
+        windows = decomposer_for(log)._windows
+        seq, _, longest, outliers, outlier_starts, outlier_longest = windows["r1"]
+        assert outliers == (week,) and outlier_starts == [week.started]
+        assert outlier_longest == WEEK and longest == 600
+        assert seq == tuple(instances)
+        assert windows["r2"][3:] == ((), [], 0)
+        assert_cascade_matches_set_algebra(log, full_availability(log))
+
+    def test_scan_visits_grow_linearly_with_long_instances(self):
+        # Each resource's first instance starts 1000 days before the log.
+        # With it in the resource's window, every wait would scan back over
+        # all earlier work, and doubling the cases would quadruple the visits.
+        small, large = (scan_visits(long_instance_log(cases)) for cases in (100, 200))
+        assert small > 0
+        assert 1.5 < large / small < 2.5
 
 
 def _horizon_decompositions(result) -> list:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute import dictreader_load_log, parse_timestamp
+from wtminer.concurrency import compute_enablement
 from wtminer.ingest import ISO_8601, ColumnMapping, IngestStats, _TimestampMemo, load_log
 from wtminer.model import ActivityInstance, ConfigError, EventLog, IngestError, UNKNOWN_RESOURCE
 
@@ -745,3 +746,58 @@ class TestLogOrderIngest:
                     _fields(i) for i in expected.instances
                 ], name
                 assert [i for seq in log.cases.values() for i in seq] == list(log.instances)
+
+
+def assert_names_shared(instances) -> None:
+    """Equal case, activity and resource texts are one object each."""
+    for field in ("case_id", "activity", "resource"):
+        objects: dict[str, set[int]] = {}
+        for inst in instances:
+            value = getattr(inst, field)
+            objects.setdefault(value, set()).add(id(value))
+        assert all(len(ids) == 1 for ids in objects.values()), field
+
+
+class TestSharedNames:
+    # Every equal name is one `str` object from ingest on, whatever order
+    # the rows arrive in; the log is the one `EventLog(...)` and the
+    # `csv.DictReader` oracle give.
+    def test_padded_and_unknown_names_are_shared(self, tmp_path):
+        path = write_csv(
+            tmp_path,
+            [
+                "c1,a,R1,2024-01-01T00:00:00Z,2024-01-01T01:00:00Z",
+                " c2 ,a , R1,2024-01-01T00:00:00Z,2024-01-01T01:00:00Z",
+                "c1, b,,2024-01-01T02:00:00Z,2024-01-01T03:00:00Z",
+                "c2,b,,2024-01-01T02:00:00Z,2024-01-01T03:00:00Z",
+                "c1,a,R1,2024-01-01T04:00:00Z,2024-01-01T05:00:00Z",
+            ],
+        )
+        log = load_log(path).log
+        assert_names_shared(log.instances)
+        assert {inst.resource for inst in log.instances} == {"R1", UNKNOWN_RESOURCE}
+        enriched = compute_enablement(log).log
+        assert_names_shared((*log.instances, *enriched.instances))
+        for loaded, enabled in zip(log.instances, enriched.instances):
+            assert enabled.case_id is loaded.case_id
+            assert enabled.activity is loaded.activity
+            assert enabled.resource is loaded.resource
+
+    @settings(max_examples=100, deadline=None)
+    @given(log_writes())
+    def test_every_write_shares_names_and_matches_the_oracle(self, writes):
+        mapping = {"timestamp_format": "epoch"}
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, rows in writes.items():
+                path = Path(tmp) / f"{name}.csv"
+                path.write_text(
+                    "case_id,activity,resource,start_time,end_time\n"
+                    + "".join(f"{c},{a},{r},{s},{e}\n" for c, a, r, s, e in rows),
+                    encoding="utf-8",
+                )
+                log = load_log(path, ColumnMapping.from_dict(mapping)).log
+                assert_names_shared(log.instances)
+                assert_names_shared(compute_enablement(log).log.instances)
+                assert _outcome(load_log, path, mapping) == _outcome(
+                    dictreader_load_log, path, mapping
+                ), name

@@ -3,11 +3,11 @@ import itertools
 
 import pytest
 
+from wtminer.decomposition import CAUSES
 from wtminer.ingest import load_log
 from wtminer.model import ConfigError
 from wtminer.pipeline import run_pipeline
 from wtminer.synth import (
-    CAUSE_FLAGS,
     DETECTION_THRESHOLD_S,
     InjectionSpec,
     detected_causes,
@@ -89,7 +89,7 @@ class TestDeterminism:
 
 
 class TestInjectionSoundness:
-    @pytest.mark.parametrize("cause", CAUSE_FLAGS)
+    @pytest.mark.parametrize("cause", CAUSES)
     def test_single_flag_produces_only_its_signal(self, cause):
         spec = InjectionSpec(n_cases=20, seed=7, **{cause: True})
         gen = generate(spec)
@@ -120,12 +120,12 @@ class TestInjectionSoundness:
         spec = InjectionSpec.from_bits("11111", n_cases=30, seed=13)
         gen = generate(spec)
         per_cause = per_cause_seconds(gen)
-        assert detected_causes(per_cause) == set(CAUSE_FLAGS)
+        assert detected_causes(per_cause) == set(CAUSES)
 
     def test_partial_final_day_still_detects_all(self):
         spec = InjectionSpec.from_bits("11111", n_cases=23, seed=1)
         per_cause = per_cause_seconds(generate(spec))
-        assert detected_causes(per_cause) == set(CAUSE_FLAGS)
+        assert detected_causes(per_cause) == set(CAUSES)
 
 
 class TestNoisyExtraneous:
