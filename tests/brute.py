@@ -544,7 +544,8 @@ class SetAlgebraDecomposer(Decomposer):
         window = self._windows[target.resource]
         members: tuple[ActivityInstance, ...] = ()
         for seq, starts, longest in (window[:3], window[3:]):
-            members += seq[bisect_left(starts, wait_start - longest) : bisect_left(starts, wait_end)]
+            lo = bisect_left(starts, wait_start - longest)
+            members += seq[lo : bisect_left(starts, wait_end)]
         earlier: list[Span] = []
         later: list[Span] = []
         for other in members:

@@ -665,7 +665,8 @@ def scan_visits(log: EventLog) -> int:
     result = run_pipeline(log)
     d = Decomposer(result.log, result.batching, result.availability)
     for resource, (seq, starts, longest, outliers, *rest) in d._windows.items():
-        d._windows[resource] = (_CountingTuple(seq), starts, longest, _CountingTuple(outliers), *rest)
+        counted = (_CountingTuple(seq), starts, longest, _CountingTuple(outliers), *rest)
+        d._windows[resource] = counted
     _CountingTuple.reads = 0
     out = decompose_all(d, [dec.instance for dec in result.decompositions])
     assert out == result.decompositions
@@ -681,11 +682,16 @@ class TestOutlierWindows:
     def test_long_instances_get_their_own_list(self):
         # 20 instances of 600 s and one of a week on r1; r2's longest is
         # not 16 times its mean.
-        instances = [inst(f"s{k}", "a", "r1", MONDAY, MONDAY + 900 * k, MONDAY + 900 * k + 600)
-                     for k in range(20)]
+        instances = [
+            inst(f"s{k}", "a", "r1", MONDAY, MONDAY + 900 * k, MONDAY + 900 * k + 600)
+            for k in range(20)
+        ]
         week = inst("o", "z", "r1", MONDAY - WEEK, MONDAY - WEEK, MONDAY)
-        other = inst("t", "a", "r2", MONDAY, MONDAY, MONDAY + 6000)
-        log = EventLog([*instances, week, other, inst("u", "a", "r2", MONDAY, MONDAY, MONDAY + 600)])
+        r2 = [
+            inst("t", "a", "r2", MONDAY, MONDAY, MONDAY + 6000),
+            inst("u", "a", "r2", MONDAY, MONDAY, MONDAY + 600),
+        ]
+        log = EventLog([*instances, week, *r2])
         windows = decomposer_for(log)._windows
         seq, _, longest, outliers, outlier_starts, outlier_longest = windows["r1"]
         assert outliers == (week,) and outlier_starts == [week.started]
