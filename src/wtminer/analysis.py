@@ -117,8 +117,11 @@ def analyze(
 
     # Seconds per cause, in CAUSES order, per transition, folded over its own
     # slice of `decompositions`, which lists every transition's targets in
-    # turn. A zero-length wait has five empty sets, so it adds nothing.
-    slots = []
+    # turn. A zero-length wait has five empty sets, so it adds nothing. Each
+    # transition's slot must add up to its own total, so errors in two
+    # transitions cannot cancel out.
+    cause_totals = dict.fromkeys(CAUSES, 0)
+    per_transition = []
     members = iter(decompositions)
     for t in transitions:
         slot = [0] * len(CAUSES)
@@ -138,30 +141,12 @@ def analyze(
                 slot[3] += end - start
             for start, end in dec.extraneous:
                 slot[4] += end - start
-        slots.append(slot)
-
-    cause_totals = dict.fromkeys(CAUSES, 0)
-    for slot in slots:
+        if sum(slot) != t.total_duration:
+            raise WtMinerError(
+                "decomposed waiting time does not add up to the transition total"
+            )
         for cause, seconds in zip(CAUSES, slot):
             cause_totals[cause] += seconds
-    if sum(cause_totals.values()) != total_wt:
-        raise WtMinerError(
-            "decomposed waiting time does not add up to the transition total"
-        )
-
-    per_cause = {}
-    for cause in CAUSES:
-        wt_cause = cause_totals[cause]
-        after = cte_if_eliminated(total_pt, total_wt, wt_cause)
-        per_cause[cause] = CauseImpact(
-            wt_seconds=wt_cause,
-            share_of_wt=wt_cause / total_wt if total_wt else 0.0,
-            cte_if_eliminated=after,
-            delta=after - cte,
-        )
-
-    per_transition = []
-    for t, slot in zip(transitions, slots):
         after = cte_if_eliminated(total_pt, total_wt, t.total_duration)
         per_transition.append(
             TransitionImpact(
@@ -175,6 +160,18 @@ def analyze(
                 after - cte,
             )
         )
+
+    per_cause = {}
+    for cause in CAUSES:
+        wt_cause = cause_totals[cause]
+        after = cte_if_eliminated(total_pt, total_wt, wt_cause)
+        per_cause[cause] = CauseImpact(
+            wt_seconds=wt_cause,
+            share_of_wt=wt_cause / total_wt if total_wt else 0.0,
+            cte_if_eliminated=after,
+            delta=after - cte,
+        )
+
     return AnalysisResult(
         total_pt_seconds=total_pt,
         total_wt_seconds=total_wt,

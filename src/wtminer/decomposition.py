@@ -145,9 +145,10 @@ class Decomposer:
         }
 
     def decompose(self, target: ActivityInstance) -> WtDecomposition:
-        # Most targets do not wait; they are answered before anything else
-        # is read. An unknown enablement is never equal to a start time, so
-        # it still reaches `waiting`, which raises.
+        # A zero wait is answered before anything else is read; this branch
+        # serves direct callers only, as `decompose_all` answers every zero
+        # wait itself. An unknown enablement is never equal to a start time,
+        # so it still reaches `waiting`, which raises.
         if target.enabled == target.started:
             return _sealed_decomposition(target, (), (), (), (), ())
         wait_start, wait_end = target.waiting

@@ -218,16 +218,9 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
     stats = IngestStats()
     instances: list[ActivityInstance] = []
     rows_total = 0
-    # Whether the instances so far are in log order: cases contiguous and
-    # ascending, (started, completed, activity) non-decreasing within each.
-    # While they are, `firsts` holds the position of each case's first one.
-    in_order = True
-    firsts: list[int] = []
-    case = ""
-    last: tuple = ()
     # One `str` object per distinct name: every later lookup, grouping,
     # sort tie and equality test on a name meets one object whose hash is
-    # cached. A case id equal to the previous row's takes its object.
+    # cached.
     share = {}.setdefault
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -276,22 +269,9 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
                         if enabled > started:
                             enabled = started
                             stats.clamped_enablements += 1
+                case_id = share(case_id, case_id)
                 activity = share(activity, activity)
                 resource = share(resource, resource)
-                if case_id == case:
-                    case_id = case
-                    if in_order:
-                        key = (started, completed, activity)
-                        in_order = key >= last
-                        last = key
-                else:
-                    case_id = share(case_id, case_id)
-                    if in_order:
-                        # Case ids are non-empty, so the first one is above "".
-                        in_order = case_id > case
-                        firsts.append(len(instances))
-                        last = (started, completed, activity)
-                    case = case_id
                 instances.append(
                     _sealed_instance(case_id, activity, resource, started, completed, enabled)
                 )
@@ -305,13 +285,7 @@ def load_log(path: str | Path, mapping: ColumnMapping = ColumnMapping()) -> Load
     # Every row that made no instance was rejected.
     stats.rows_total = rows_total
     stats.rows_rejected = rows_total - len(instances)
-    if not in_order:
-        return LoadResult(EventLog(instances), stats)
-    # Already sorted: the log takes the instances and the case grouping as read.
-    instances = tuple(instances)
-    ends = firsts[1:] + [len(instances)]
-    cases = {instances[i].case_id: instances[i:j] for i, j in zip(firsts, ends)}
-    return LoadResult(EventLog._from_sorted(instances, cases), stats)
+    return LoadResult(EventLog(instances), stats)
 
 
 class _TimestampMemo(dict):

@@ -246,7 +246,8 @@ class EventLog(_Value):
     The constructor takes any iterable of instances and sorts them into
     (case_id, started, completed, activity) order, so downstream passes see
     a deterministic sequence regardless of input row order; the sort is
-    stable, so full ties keep their input order. An empty log is an
+    stable, so full ties keep their input order. `cases` maps each case id,
+    in sorted order, to its instances in that order. An empty log is an
     `IngestError`.
     """
 
@@ -254,7 +255,11 @@ class EventLog(_Value):
         instances = tuple(sorted(instances, key=_log_order))
         if not instances:
             raise IngestError("event log contains no activity instances")
-        vars(self).update(instances=instances)
+        by_case: dict[str, list[ActivityInstance]] = {}
+        for inst in instances:
+            by_case.setdefault(inst.case_id, []).append(inst)
+        cases = {cid: tuple(seq) for cid, seq in by_case.items()}
+        vars(self).update(instances=instances, cases=cases)
 
     @classmethod
     def _from_sorted(
@@ -263,18 +268,10 @@ class EventLog(_Value):
         cases: dict[str, tuple[ActivityInstance, ...]],
     ) -> "EventLog":
         # For non-empty instances already in log order, with `cases` the
-        # grouping the `cases` property would build from them; it is stored
-        # where that cached property keeps its value.
+        # grouping `__init__` would build from them.
         log = object.__new__(cls)
         vars(log).update(instances=instances, cases=cases)
         return log
-
-    @cached_property
-    def cases(self) -> dict[str, tuple[ActivityInstance, ...]]:
-        by_case: dict[str, list[ActivityInstance]] = {}
-        for inst in self.instances:
-            by_case.setdefault(inst.case_id, []).append(inst)
-        return {cid: tuple(seq) for cid, seq in by_case.items()}
 
     @cached_property
     def by_resource(self) -> dict[str, tuple[ActivityInstance, ...]]:

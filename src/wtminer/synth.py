@@ -36,7 +36,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import ceil
 from pathlib import Path
 
@@ -108,15 +108,6 @@ class GroundTruth:
     n_cases: int
     seed: int
     noisy_extraneous: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "flags": self.flags,
-            "injected_seconds": self.injected_seconds,
-            "n_cases": self.n_cases,
-            "seed": self.seed,
-            "noisy_extraneous": self.noisy_extraneous,
-        }
 
 
 @dataclass(frozen=True)
@@ -271,7 +262,7 @@ def write_files(
 ) -> None:
     Path(csv_path).write_text(to_csv(generated), encoding="utf-8", newline="")
     if truth_path is not None:
-        payload = json.dumps(generated.truth.as_dict(), indent=2, sort_keys=True)
+        payload = json.dumps(asdict(generated.truth), indent=2, sort_keys=True)
         Path(truth_path).write_text(payload + "\n", encoding="utf-8")
 
 

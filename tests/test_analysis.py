@@ -10,7 +10,7 @@ from wtminer.analysis import analyze, compute_cte, cte_if_eliminated
 from wtminer.batching import detect_batches
 from wtminer.calendars import WeeklyCalendar, expand_calendar
 from wtminer.concurrency import compute_enablement
-from wtminer.decomposition import CAUSES, Decomposer, decompose_all
+from wtminer.decomposition import CAUSES, Decomposer, WtDecomposition, decompose_all
 from wtminer.model import ActivityInstance, EventLog, WtMinerError
 from wtminer.pipeline import run_pipeline
 from wtminer.synth import InjectionSpec, generate
@@ -170,3 +170,32 @@ class TestTransitionOrder:
         assert in_log_order != result.decompositions
         with pytest.raises(ValueError, match="transition order"):
             analyze(result.log, result.transitions, in_log_order)
+
+    def test_errors_that_cancel_across_transitions_rejected(self, result):
+        # One transition's decomposition 10 s too long and another's 10 s
+        # too short still add up over the whole log, so each transition
+        # must add up to its own total.
+        decompositions = list(result.decompositions)
+        picks = []
+        first = 0
+        for t in result.transitions:
+            members = range(first, first + len(t.instances))
+            picks += [i for i in members if _stretched(decompositions[i], -10)][:1]
+            first += len(t.instances)
+        longer, shorter = picks[:2]
+        decompositions[longer] = _stretched(decompositions[longer], 10)
+        decompositions[shorter] = _stretched(decompositions[shorter], -10)
+        with pytest.raises(WtMinerError, match="does not add up to the transition total"):
+            analyze(result.log, result.transitions, tuple(decompositions))
+
+
+def _stretched(dec: WtDecomposition, seconds: int) -> WtDecomposition | None:
+    """`dec` with its first span longer than 10 s made `seconds` longer, or
+    None when it has no such span."""
+    for cause in CAUSES:
+        spans = getattr(dec, cause)
+        for k, (start, end) in enumerate(spans):
+            if end - start > 10:
+                spans = spans[:k] + ((start, end + seconds),) + spans[k + 1 :]
+                return WtDecomposition(**{**dec.as_dict(), cause: spans})
+    return None

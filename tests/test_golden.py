@@ -300,6 +300,26 @@ def test_output_bytes_match_recorded_digests(digests, name):
     assert digests[name] == GOLDEN[name]
 
 
+# Logs analyzed again with their data rows reversed and shuffled, header
+# first: row order must not change a byte of the output.
+REORDERED_LOGS = ("all_causes_noisy", "loopy", "wide")
+
+
+@pytest.mark.parametrize("order", ("reversed", "shuffled"))
+@pytest.mark.parametrize("name", REORDERED_LOGS)
+def test_reordered_rows_match_recorded_digests(golden_logs, tmp_path, name, order):
+    header, *rows = golden_logs[name].read_text(encoding="utf-8").splitlines()
+    if order == "reversed":
+        rows.reverse()
+    else:
+        random.Random(5).shuffle(rows)
+    log = tmp_path / "reordered.csv"
+    log.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    dest = tmp_path / "out"
+    assert main(["analyze", "--log", str(log), "--out", str(dest)]) == 0
+    assert _output_digests(dest) == GOLDEN[name]
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 # Analyzed by every other interpreter: a generated log with all five causes
 # and noise, and the loopy log.
