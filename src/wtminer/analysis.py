@@ -117,9 +117,9 @@ def analyze(
 
     # Seconds per cause, in CAUSES order, per transition, folded over its own
     # slice of `decompositions`, which lists every transition's targets in
-    # turn. A zero-length wait has five empty sets, so it adds nothing. Each
-    # transition's slot must add up to its own total, so errors in two
-    # transitions cannot cancel out.
+    # turn. Each transition's slot must add up to its own total, a zero-length
+    # wait's seconds included, so errors in two transitions cannot cancel out
+    # and seconds put on a wait that does not exist cannot vanish.
     cause_totals = dict.fromkeys(CAUSES, 0)
     per_transition = []
     members = iter(decompositions)
@@ -128,9 +128,7 @@ def analyze(
         for target, dec in zip(t.instances, members):
             if dec.instance is not target:
                 raise ValueError("decompositions are not in transition order")
-            if target.enabled == target.started:
-                continue
-            # Most cause sets of a waiting target are empty or hold one span.
+            # Most cause sets are empty or hold one span.
             for start, end in dec.batching:
                 slot[0] += end - start
             for start, end in dec.contention:

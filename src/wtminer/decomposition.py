@@ -145,10 +145,9 @@ class Decomposer:
         }
 
     def decompose(self, target: ActivityInstance) -> WtDecomposition:
-        # A zero wait is answered before anything else is read; this branch
-        # serves direct callers only, as `decompose_all` answers every zero
-        # wait itself. An unknown enablement is never equal to a start time,
-        # so it still reaches `waiting`, which raises.
+        # The one place that answers a zero wait: five empty sets, before
+        # anything else is read. An unknown enablement is never equal to a
+        # start time, so it still reaches `waiting`, which raises.
         if target.enabled == target.started:
             return _sealed_decomposition(target, (), (), (), (), ())
         wait_start, wait_end = target.waiting
@@ -158,17 +157,16 @@ class Decomposer:
             # calendar, so all of the wait is extraneous.
             return _sealed_decomposition(target, (), (), (), (), ((wait_start, wait_end),))
 
-        # Batching claims a prefix of the wait, so what it leaves is one span.
-        batching: list[Span] = []
+        # Batching claims a prefix of the wait, so it holds at most one span
+        # and leaves one, empty when the batch covers the whole wait.
+        batching: tuple[Span, ...] = ()
         rest_start = wait_start
         batch = self.batching.by_instance.get(target)
         if batch is not None:
             batch_end = min(batch.accumulation_end, wait_end)
             if batch_end > wait_start:
-                batching.append((wait_start, batch_end))
+                batching = ((wait_start, batch_end),)
                 rest_start = batch_end
-                if rest_start == wait_end:
-                    return _sealed_decomposition(target, tuple(batching), (), (), (), ())
 
         # Same-resource processing inside the rest of the wait, in one pass
         # over the window: work enabled no later than the target, then work
@@ -220,7 +218,7 @@ class Decomposer:
         extraneous, unavailability = _split(remaining, available[lo:hi])
         return _sealed_decomposition(
             target,
-            tuple(batching),
+            batching,
             tuple(earlier),
             tuple(prioritization),
             tuple(unavailability),
@@ -231,17 +229,8 @@ class Decomposer:
 def decompose_all(
     decomposer: Decomposer, targets: Iterable[ActivityInstance]
 ) -> tuple[WtDecomposition, ...]:
-    """Decompose many targets, keeping their order. A target that does not
-    wait is answered here, without a call of `decompose`."""
-    decompose = decomposer.decompose
-    return tuple(
-        [
-            _sealed_decomposition(target, (), (), (), (), ())
-            if target.enabled == target.started
-            else decompose(target)
-            for target in targets
-        ]
-    )
+    """Decompose every target through `decompose`, zero waits too, in order."""
+    return tuple(map(decomposer.decompose, targets))
 
 
 def multitasking_rate(log: EventLog) -> float:

@@ -188,6 +188,20 @@ class TestTransitionOrder:
         with pytest.raises(WtMinerError, match="does not add up to the transition total"):
             analyze(result.log, result.transitions, tuple(decompositions))
 
+    def test_seconds_on_a_zero_wait_rejected(self, result):
+        # Every decomposition is read, a zero wait's too, so seconds put on
+        # a target that does not wait break its transition's total.
+        decompositions = list(result.decompositions)
+        idle = [i for i, dec in enumerate(decompositions) if dec.waiting_duration == 0]
+        assert 0 < len(idle) < len(decompositions)
+        dec = decompositions[idle[0]]
+        start = dec.instance.started
+        decompositions[idle[0]] = WtDecomposition(
+            **{**dec.as_dict(), "batching": ((start, start + 1_000_000),)}
+        )
+        with pytest.raises(WtMinerError, match="does not add up to the transition total"):
+            analyze(result.log, result.transitions, tuple(decompositions))
+
 
 def _stretched(dec: WtDecomposition, seconds: int) -> WtDecomposition | None:
     """`dec` with its first span longer than 10 s made `seconds` longer, or

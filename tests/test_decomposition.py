@@ -219,9 +219,9 @@ class TestDecomposeCascade:
         with pytest.raises(ValueError, match="enablement"):
             decomposer_for(log).decompose(target)
 
-    def test_decompose_all_answers_zero_waits_itself(self):
-        # Two of the four targets do not wait; only the two that do reach
-        # `decompose`, and every target still gets its entry, in order.
+    def test_decompose_all_sends_every_target_through_decompose(self):
+        # Two of the four targets do not wait; every target reaches
+        # `decompose` exactly once, in order, and gets its own entry.
         calls = []
 
         class Counting(Decomposer):
@@ -235,7 +235,7 @@ class TestDecomposeCascade:
         targets = [idle[0], waiting[1], idle[1], waiting[0]]
         d = Counting(log, detect_batches(log), full_availability(log))
         out = decompose_all(d, targets)
-        assert calls == [waiting[1], waiting[0]]
+        assert calls == targets
         assert [dec.instance for dec in out] == targets
         assert list(out) == [decomposer_for(log).decompose(t) for t in targets]
         assert not any(getattr(out[0], cause) for cause in CAUSES)
@@ -544,6 +544,12 @@ BOUNDARY_CASES = {
         # partner's enablement ends the accumulation.
         [_BEFORE, inst("c5", "b", "r1", 250, 400, 450)], [(0, 100), (150, 300)],
         (((100, 250),), (), (), ((300, 400),), ((250, 300),)),
+    ),
+    "batch_covers_whole_wait": (
+        # The partner is enabled as the wait ends, so batching claims all of
+        # it and the scan, the gap walk and both splits leave four empty sets.
+        [_BUSY, inst("c5", "b", "r1", 400, 400, 450)], [(0, 100), (150, 300)],
+        (((100, 400),), (), (), (), ()),
     ),
 }
 
