@@ -124,21 +124,33 @@ def analyze(
     per_transition = []
     members = iter(decompositions)
     for t in transitions:
-        slot = [0] * len(CAUSES)
+        batching = contention = prioritization = unavailability = extraneous = 0
         for target, dec in zip(t.instances, members):
             if dec.instance is not target:
                 raise ValueError("decompositions are not in transition order")
-            # Most cause sets are empty or hold one span.
-            for start, end in dec.batching:
-                slot[0] += end - start
-            for start, end in dec.contention:
-                slot[1] += end - start
-            for start, end in dec.prioritization:
-                slot[2] += end - start
-            for start, end in dec.unavailability:
-                slot[3] += end - start
-            for start, end in dec.extraneous:
-                slot[4] += end - start
+            # Every field is read, but most are empty, and an empty one
+            # starts no loop.
+            spans = dec.batching
+            if spans:
+                for start, end in spans:
+                    batching += end - start
+            spans = dec.contention
+            if spans:
+                for start, end in spans:
+                    contention += end - start
+            spans = dec.prioritization
+            if spans:
+                for start, end in spans:
+                    prioritization += end - start
+            spans = dec.unavailability
+            if spans:
+                for start, end in spans:
+                    unavailability += end - start
+            spans = dec.extraneous
+            if spans:
+                for start, end in spans:
+                    extraneous += end - start
+        slot = (batching, contention, prioritization, unavailability, extraneous)
         if sum(slot) != t.total_duration:
             raise WtMinerError(
                 "decomposed waiting time does not add up to the transition total"

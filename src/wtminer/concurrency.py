@@ -165,23 +165,26 @@ def compute_enablement(
         # Per activity, (completion, position) of its latest-completing
         # instance so far: on equal completion the later position wins.
         # `overall` is the same over every activity, the enabler of an
-        # activity with no concurrent partner.
+        # activity with no concurrent partner. Without any concurrent pair
+        # no activity is ever looked up, so only `overall` is kept.
         latest: dict[str, tuple[TimeInstant, int]] = {}
         overall: tuple[TimeInstant | None, int | None] = (None, None)
         for pos, inst in enumerate(seq, first):
-            skip = concurrent_with.get(inst.activity)
-            if skip:
-                best_completion, enabler_pos = max(
-                    (key for activity, key in latest.items() if activity not in skip),
-                    default=(None, None),
-                )
-            else:
-                best_completion, enabler_pos = overall
-            seen = latest.get(inst.activity)
-            if seen is None or inst.completed >= seen[0]:
-                latest[inst.activity] = (inst.completed, pos)
-                if overall[0] is None or inst.completed >= overall[0]:
-                    overall = (inst.completed, pos)
+            best_completion, enabler_pos = overall
+            if concurrent_with:
+                skip = concurrent_with.get(inst.activity)
+                if skip:
+                    best_completion, enabler_pos = max(
+                        (key for activity, key in latest.items() if activity not in skip),
+                        default=(None, None),
+                    )
+                seen = latest.get(inst.activity)
+                if seen is None or inst.completed >= seen[0]:
+                    latest[inst.activity] = (inst.completed, pos)
+            # `overall` is at least every `latest`, so an instance that
+            # reaches it has reached its own activity's too.
+            if overall[0] is None or inst.completed >= overall[0]:
+                overall = (inst.completed, pos)
             if inst.enabled is not None:
                 enabled = inst.enabled
                 stats.supplied += 1

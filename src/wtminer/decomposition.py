@@ -163,7 +163,9 @@ class Decomposer:
         rest_start = wait_start
         batch = self.batching.by_instance.get(target)
         if batch is not None:
-            batch_end = min(batch.accumulation_end, wait_end)
+            batch_end = batch.accumulation_end
+            if batch_end > wait_end:
+                batch_end = wait_end
             if batch_end > wait_start:
                 batching = ((wait_start, batch_end),)
                 rest_start = batch_end
@@ -175,7 +177,8 @@ class Decomposer:
         # starting earlier has already completed. The target itself starts
         # at wait_end, so it is never in the window. Members arrive in start
         # order, the outliers merged in, so clipped starts never decrease
-        # and each list is merged as it grows.
+        # and each list is merged as it grows. Clamping is by comparison, as
+        # `max` and `min` cost a call each for every member.
         seq, starts, longest, outliers, outlier_starts, outlier_longest = self._windows[resource]
         members = seq[bisect_left(starts, rest_start - longest) : bisect_left(starts, wait_end)]
         if outliers:
@@ -186,12 +189,17 @@ class Decomposer:
         earlier: list[Span] = []
         later: list[Span] = []
         for other in members:
-            start = max(other.started, rest_start)
-            end = min(other.completed, wait_end)
+            start = other.started
+            if start < rest_start:
+                start = rest_start
+            end = other.completed
+            if end > wait_end:
+                end = wait_end
             if end > start:
                 spans = earlier if other.enabled <= wait_start else later
                 if spans and start <= spans[-1][1]:
-                    spans[-1] = (spans[-1][0], max(end, spans[-1][1]))
+                    if end > spans[-1][1]:
+                        spans[-1] = (spans[-1][0], end)
                 else:
                     spans.append((start, end))
 
@@ -202,7 +210,9 @@ class Decomposer:
         # into unavailability and extraneous exactly. Availability is
         # canonical, so it is bisected on ends for the first interval ending
         # after the wait's start and on starts for the first one starting at
-        # its end.
+        # its end. A split against nothing is skipped: with no later work
+        # the gaps are all left, and with no availability inside the wait
+        # they are all unavailability.
         remaining: list[Span] = []
         cursor = rest_start
         for start, end in earlier:
@@ -211,11 +221,15 @@ class Decomposer:
             cursor = end
         if cursor < wait_end:
             remaining.append((cursor, wait_end))
-        prioritization, remaining = _split(remaining, later)
+        prioritization = extraneous = ()
+        if later:
+            prioritization, remaining = _split(remaining, later)
         available = self.availability[resource].available
         lo = bisect_right(available, wait_start, key=_END)
         hi = bisect_left(available, wait_end, lo=lo, key=_START)
-        extraneous, unavailability = _split(remaining, available[lo:hi])
+        unavailability = remaining
+        if lo < hi:
+            extraneous, unavailability = _split(remaining, available[lo:hi])
         return _sealed_decomposition(
             target,
             batching,

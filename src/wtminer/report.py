@@ -282,28 +282,32 @@ def write_report_files(
     emit_calendars: bool = False,
 ) -> dict[str, Path]:
     """`report.json` and `transitions.csv`, from one pass over the transitions:
-    each one's rounded values fill its entry template and its CSV row."""
+    each one's numbers are formatted once, and the same texts fill its entry
+    template and its CSV row. The CSV writer writes a float as its `repr`
+    and an int as its `str`, which are the JSON texts too."""
     buffer = io.StringIO()
     writerow = csv_writer(buffer).writerow
     writerow(TRANSITIONS_CSV_COLUMNS)
     entries = []
     for t in result.analysis.per_transition:
         source, target, wt = t.source_activity, t.target_activity, t.total_wt_seconds
-        by_cause = [t.wt_by_cause[c] for c in CAUSES]
-        case_freq = significant(t.case_frequency)
-        delta = significant(t.delta)
-        writerow((source, target, case_freq, t.total_frequency, wt, *by_cause, delta))
+        case_freq = _number(significant(t.case_frequency))
+        total_freq = int.__repr__(t.total_frequency)
+        wt_text = int.__repr__(wt)
+        by_cause = [int.__repr__(t.wt_by_cause[c]) for c in CAUSES]
+        delta = _number(significant(t.delta))
+        writerow((source, target, case_freq, total_freq, wt_text, *by_cause, delta))
         entries.append(_Encoded(_ENTRY % (
             _quote(source),
             _quote(target),
             _LITERALS[t.is_self_loop],
-            _number(case_freq),
-            int.__repr__(t.total_frequency),
-            int.__repr__(wt),
+            case_freq,
+            total_freq,
+            wt_text,
             _quote(pretty_duration(wt)),
-            *map(int.__repr__, by_cause),
+            *by_cause,
             _number(significant(t.cte_if_eliminated)),
-            _number(delta),
+            delta,
         )))
     report = report_json(_report(result, ingest_stats, emit_calendars, entries))
 

@@ -188,16 +188,18 @@ class TestTransitionOrder:
         with pytest.raises(WtMinerError, match="does not add up to the transition total"):
             analyze(result.log, result.transitions, tuple(decompositions))
 
-    def test_seconds_on_a_zero_wait_rejected(self, result):
-        # Every decomposition is read, a zero wait's too, so seconds put on
-        # a target that does not wait break its transition's total.
+    @pytest.mark.parametrize("cause", CAUSES)
+    def test_seconds_on_a_zero_wait_rejected(self, result, cause):
+        # Every field of every decomposition is read, a zero wait's too, so
+        # seconds put on any cause of a target that does not wait break its
+        # transition's total.
         decompositions = list(result.decompositions)
         idle = [i for i, dec in enumerate(decompositions) if dec.waiting_duration == 0]
         assert 0 < len(idle) < len(decompositions)
         dec = decompositions[idle[0]]
         start = dec.instance.started
         decompositions[idle[0]] = WtDecomposition(
-            **{**dec.as_dict(), "batching": ((start, start + 1_000_000),)}
+            **{**dec.as_dict(), cause: ((start, start + 1_000_000),)}
         )
         with pytest.raises(WtMinerError, match="does not add up to the transition total"):
             analyze(result.log, result.transitions, tuple(decompositions))

@@ -545,6 +545,13 @@ BOUNDARY_CASES = {
         [_BEFORE, inst("c5", "b", "r1", 250, 400, 450)], [(0, 100), (150, 300)],
         (((100, 250),), (), (), ((300, 400),), ((250, 300),)),
     ),
+    "later_work_inside_earlier_work": (
+        # Work enabled after the target runs wholly inside work enabled
+        # before it, so the scan's `later` is not empty but contention has
+        # already claimed all of it, and prioritization is empty.
+        [_BUSY, inst("c7", "y", "r1", 120, 155, 170)], [(0, 100), (200, 300)],
+        ((), ((150, 180),), (), ((100, 150), (180, 200), (300, 400)), ((200, 300),)),
+    ),
     "batch_covers_whole_wait": (
         # The partner is enabled as the wait ends, so batching claims all of
         # it and the scan, the gap walk and both splits leave four empty sets.
