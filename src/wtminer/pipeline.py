@@ -87,24 +87,23 @@ def run_pipeline(
     transitions = discover_transitions(enablement)
     batching = detect_batches(enriched, config.batching)
 
+    # Each resource takes its override or its discovered calendar. Availability
+    # is only read inside waits, so the calendar is expanded over the merged
+    # union of the resource's own non-empty waits. The decomposition never
+    # reads it for the unknown resource, whose set stays empty.
     overrides = calendar_overrides or {}
-    overridden = tuple(sorted(set(overrides) & set(enriched.resources)))
+    overridden: list[str] = []
     calendars: dict[str, WeeklyCalendar] = {}
-    for resource in enriched.resources:
-        if resource in overrides:
-            calendars[resource] = overrides[resource]
-        else:
-            calendars[resource] = discover_calendar(
-                enriched, resource, config.calendars
-            )
-
-    # Availability is only read inside waits, so each resource's calendar is
-    # expanded over the merged union of its own non-empty waits. The
-    # decomposition never reads it for the unknown resource, whose set stays
-    # empty.
     availability: dict[str, AbsoluteAvailability] = {}
-    for resource, calendar in calendars.items():
-        seq = enriched.by_resource[resource] if resource != UNKNOWN_RESOURCE else ()
+    for resource, seq in enriched.by_resource.items():
+        if resource in overrides:
+            calendar = overrides[resource]
+            overridden.append(resource)
+        else:
+            calendar = discover_calendar(enriched, resource, config.calendars)
+        calendars[resource] = calendar
+        if resource == UNKNOWN_RESOURCE:
+            seq = ()
         waits = _canonicalize(
             [(inst.enabled, inst.started) for inst in seq if inst.enabled != inst.started]
         )
@@ -125,5 +124,5 @@ def run_pipeline(
         decompositions=decompositions,
         analysis=analysis,
         multitasking_rate=multitasking_rate(enriched),
-        overridden_resources=overridden,
+        overridden_resources=tuple(sorted(overridden)),
     )

@@ -34,11 +34,7 @@ TRANSITIONS_CSV_COLUMNS = (
     "case_freq",
     "total_freq",
     "total_wt_s",
-    "wt_batching_s",
-    "wt_contention_s",
-    "wt_prioritization_s",
-    "wt_unavailability_s",
-    "wt_extraneous_s",
+    *(f"wt_{cause}_s" for cause in CAUSES),
     "cte_impact",
 )
 

@@ -90,8 +90,9 @@ class InjectionSpec:
 
     @property
     def day_types(self) -> tuple[str, ...]:
-        order = ("batching", "contention", "prioritization", "extraneous")
-        return tuple(name for name in order if getattr(self, name))
+        # Unavailability is injected on every day; the other causes take turns.
+        rotating = (name for name in CAUSES if name != "unavailability")
+        return tuple(name for name in rotating if getattr(self, name))
 
     @classmethod
     def from_bits(cls, bits: str, n_cases: int = 20, seed: int = 0) -> "InjectionSpec":
@@ -180,31 +181,19 @@ def generate(spec: InjectionSpec) -> GeneratedLog:
             noisy = spec.noisy_extraneous
             pattern_b = noisy and k >= 2 and extraneous_days_seen % 2 == 1
             extraneous_days_seen += 1
+            # Hold one case's assessment, shifting its last three activities.
             if not noisy:
-                delay = 900
-                target = cases[k - 1]
-                e = target["prepare"][1]
-                target["assess"] = (e + delay, e + delay + STEP)
-                target["decide"] = (e + delay + STEP, e + delay + 2 * STEP)
-                target["dispatch"] = (e + delay + 2 * STEP, e + delay + 3 * STEP)
-                injected["extraneous"] += delay
+                target, hold = cases[k - 1], 900
             elif pattern_b:
                 # Delay during which a later-enabled instance gets processed.
-                target = cases[k - 2]
-                e = target["prepare"][1]
-                target["assess"] = (e + 1800, e + 1800 + STEP)
-                target["decide"] = (e + 2400, e + 2400 + STEP)
-                target["dispatch"] = (e + 3000, e + 3000 + STEP)
-                injected["extraneous"] += 1800
+                target, hold = cases[k - 2], 1800
             else:
                 # Delay long enough to spill into never-observed hour slots.
-                delay = 14400
-                target = cases[k - 1]
-                e = target["prepare"][1]
-                target["assess"] = (e + delay, e + delay + STEP)
-                target["decide"] = (e + delay + STEP, e + delay + 2 * STEP)
-                target["dispatch"] = (e + delay + 2 * STEP, e + delay + 3 * STEP)
-                injected["extraneous"] += delay
+                target, hold = cases[k - 1], 14400
+            e = target["prepare"][1] + hold
+            for i, act in enumerate(ACTIVITIES[2:]):
+                target[act] = (e + i * STEP, e + (i + 1) * STEP)
+            injected["extraneous"] += hold
 
         if spec.unavailability:
             last = max(range(k), key=lambda i: cases[i]["decide"][1])

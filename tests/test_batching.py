@@ -139,6 +139,10 @@ class TestDetectBatches:
         assert set(result.by_instance.values()) == {batch}
         assert len(result.by_instance) == 3
 
+    def test_one_member_is_not_a_batch(self):
+        with pytest.raises(ValueError, match="at least two members"):
+            Batch((inst("c1", "b", "r1", 0, 10, 20),))
+
     def test_requires_enablement(self):
         log = EventLog(
             [ActivityInstance("c1", "b", "r1", 10, 20)]

@@ -518,6 +518,27 @@ class TestOverrides:
         }
         assert unavailable == {"r1": at(0, 9) - at(0, 7, 10), "r2": at(1, 9) - at(1, 6, 10)}
 
+    def test_overrides_apply_to_present_resources(self):
+        # An override applies to a resource in the log, the unknown resource
+        # included; one for a resource absent from the log is ignored. The
+        # unknown resource's availability stays empty whatever its calendar.
+        office = calendar_from_cells(60, ((d, h) for d in range(5) for h in range(9, 17)))
+        log = EventLog(
+            [
+                work("c1", "r1", at(0, 7), at(0, 7, 10), act="a"),
+                work("c1", UNKNOWN_RESOURCE, at(0, 10), at(0, 10, 10), act="b"),
+                work("c2", "r2", at(1, 6), at(1, 6, 10), act="a"),
+                work("c2", "r2", at(1, 12), at(1, 12, 10), act="b"),
+            ]
+        )
+        overrides = dict.fromkeys(("r2", "absent", UNKNOWN_RESOURCE), office)
+        result = run_pipeline(log, calendar_overrides=overrides)
+        assert set(result.calendars) == {"r1", "r2", UNKNOWN_RESOURCE}
+        assert result.calendars["r2"] == result.calendars[UNKNOWN_RESOURCE] == office
+        assert result.calendars["r1"] != office
+        assert result.availability[UNKNOWN_RESOURCE].available == ()
+        assert result.overridden_resources == (UNKNOWN_RESOURCE, "r2")
+
     def test_basic_override(self, tmp_path):
         path = self.write(
             tmp_path, {"R1": [{"day": "MON", "from": "09:00", "to": "17:00"}]}
@@ -564,6 +585,11 @@ class TestOverrides:
     def test_one_digit_hour_loads(self, tmp_path):
         path = self.write(tmp_path, {"R1": [{"day": "MON", "from": "9:00", "to": "24:00"}]})
         assert load_calendar_overrides(path)["R1"].ranges == ((9 * 3600, 86400),)
+
+    def test_non_list_override_rejected(self, tmp_path):
+        path = self.write(tmp_path, {"R1": {"day": "MON", "from": "09:00", "to": "17:00"}})
+        with pytest.raises(ConfigError, match="override for 'R1' must be a list of ranges"):
+            load_calendar_overrides(path)
 
     def test_non_object_payload_rejected(self, tmp_path):
         path = self.write(tmp_path, ["not", "a", "mapping"])

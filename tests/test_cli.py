@@ -200,6 +200,16 @@ class TestAnalyze:
         assert self.analyze_with(synth_log, tmp_path, "--mapping", payload) == 2
         assert "not UTF-8 JSON" in capsys.readouterr().err
 
+    def test_empty_column_name_exits_2(self, synth_log, tmp_path, capsys):
+        payload = json.dumps({"case_column": ""}).encode()
+        assert self.analyze_with(synth_log, tmp_path, "--mapping", payload) == 2
+        assert "column names must be non-empty" in capsys.readouterr().err
+
+    def test_calendar_override_not_a_list_exits_2(self, synth_log, tmp_path, capsys):
+        payload = json.dumps({"assessor": {"day": "MON"}}).encode()
+        assert self.analyze_with(synth_log, tmp_path, "--calendar-overrides", payload) == 2
+        assert "override for 'assessor' must be a list of ranges" in capsys.readouterr().err
+
     def test_bom_calendar_overrides_load(self, synth_log, tmp_path):
         overrides = {"assessor": [{"day": "MON", "from": "09:00", "to": "17:00"}]}
         payload = b"\xef\xbb\xbf" + json.dumps(overrides).encode()
@@ -500,6 +510,11 @@ class TestGenerate:
     def test_unknown_cause_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--causes", "teleportation", "-o", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_no_cause_named_is_usage_error(self, tmp_path, capsys):
+        assert main(["generate", "--causes", ",", "-o", str(tmp_path / "x.csv")]) == 2
+        assert "--causes must name at least one cause or 'none'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("causes", ["none,batching", "batching, none", "none,none,contention"])
     def test_none_with_a_cause_is_usage_error(self, tmp_path, capsys, causes):

@@ -19,7 +19,7 @@ from brute import (
     total_duration,
 )
 from test_golden import _write_loopy_log
-from wtminer.batching import detect_batches
+from wtminer.batching import Batch, BatchingResult, detect_batches
 from wtminer.calendars import (
     AbsoluteAvailability,
     WeeklyCalendar,
@@ -492,8 +492,11 @@ def batched_windows(draw):
     return log, random_availability(draw, log)
 
 
-def assert_cascade_matches_set_algebra(log: EventLog, availability) -> Decomposer:
-    batching = detect_batches(log)
+def assert_cascade_matches_set_algebra(
+    log: EventLog, availability, batching: BatchingResult | None = None
+) -> Decomposer:
+    if batching is None:
+        batching = detect_batches(log)
     fast = Decomposer(log, batching, availability)
     oracle = SetAlgebraDecomposer(log, batching, availability)
     for target in log.instances:
@@ -502,10 +505,12 @@ def assert_cascade_matches_set_algebra(log: EventLog, availability) -> Decompose
 
 
 # The target waits over [100, 400) on r1. Each case gives the rest of the
-# log, r1's availability and the target's five expected cause spans.
+# log, r1's availability and the target's five expected cause spans, and may
+# give the target's partners in a hand-built batch that replaces detection.
 _BUSY = inst("c2", "z", "r1", 50, 150, 180)
 _BEFORE = inst("c3", "z", "r1", 0, 20, 100)  # completes as the wait starts
 _AT_END = inst("c4", "z", "r1", 120, 400, 420)  # starts as the wait ends
+_LATE = inst("c6", "b", "r1", 450, 460, 470)  # enabled after the target starts
 BOUNDARY_CASES = {
     "availability_ends_at_wait_start": (
         [_BUSY], [(0, 100), (200, 300)],
@@ -558,6 +563,14 @@ BOUNDARY_CASES = {
         [_BUSY, inst("c5", "b", "r1", 400, 400, 450)], [(0, 100), (150, 300)],
         (((100, 400),), (), (), (), ()),
     ),
+    "batch_accumulates_past_wait_end": (
+        # `detect_batches` never builds this batch, since every member is
+        # enabled by the first one's start: its accumulation end lies after
+        # the target's start, so the batch end is clamped to the wait's end.
+        [_BUSY, _LATE], [(0, 100), (150, 300)],
+        (((100, 400),), (), (), (), ()),
+        (_LATE,),
+    ),
 }
 
 
@@ -569,11 +582,15 @@ class TestCascadeMatchesSetAlgebra:
 
     @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
     def test_boundary_case_matches(self, case):
-        others, available, expected = BOUNDARY_CASES[case]
+        others, available, expected, *partners = BOUNDARY_CASES[case]
         target = inst("c1", "b", "r1", 100, 400, 450)
         log = EventLog([target, *others])
         availability = {"r1": AbsoluteAvailability(_canonicalize(available))}
-        fast = assert_cascade_matches_set_algebra(log, availability)
+        batching = None
+        if partners:
+            batch = Batch((target, *partners[0]))
+            batching = BatchingResult(dict.fromkeys(batch.members, batch))
+        fast = assert_cascade_matches_set_algebra(log, availability, batching)
         out = fast.decompose(target)
         assert tuple(getattr(out, cause) for cause in CAUSES) == expected
 

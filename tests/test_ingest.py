@@ -288,6 +288,10 @@ class TestColumnMapping:
         with pytest.raises(ConfigError):
             ColumnMapping(case_column="x", activity_column="x")
 
+    def test_rejects_empty_column_name(self):
+        with pytest.raises(ConfigError, match="column names must be non-empty"):
+            ColumnMapping(case_column="")
+
     def test_rejects_unknown_format(self):
         with pytest.raises(ConfigError):
             ColumnMapping(timestamp_format="rfc2822")
