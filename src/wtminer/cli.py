@@ -158,9 +158,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ):
             if given:
                 raise ConfigError(f"generate --grid does not take {option}")
-    elif args.out is not None:
-        raise ConfigError("generate takes --out only with --grid")
-    if args.grid:
         out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
         for index, combo in enumerate(itertools.product("01", repeat=5)):
@@ -172,7 +169,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             write_files(generate(spec), csv_path, _truth_path(csv_path))
         _write_stdout(f"Wrote 32 logs to {out}\n")
         return 0
-
+    if args.out is not None:
+        raise ConfigError("generate takes --out only with --grid")
     if not args.output:
         raise ConfigError("generate needs -o/--output (or --grid with --out)")
     flags = _parse_causes("none" if args.causes is None else args.causes)

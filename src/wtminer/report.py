@@ -105,14 +105,8 @@ def _report(
             "multitasking_rate": significant(result.multitasking_rate),
         },
         "parameters": {
-            "dependency_threshold": config.thresholds.dependency_threshold,
-            "min_bidirectional_observations": (
-                config.thresholds.min_bidirectional_observations
-            ),
-            "length2_loop_guard": config.thresholds.length2_loop_guard,
-            "granule_minutes": config.calendars.granule_minutes,
-            "confidence": config.calendars.confidence,
-            "support": config.calendars.support,
+            **config.thresholds.as_dict(),
+            **config.calendars.as_dict(),
             "max_relaxations": MAX_RELAXATIONS,
             "gap_tolerance_s": config.batching.gap_tolerance,
             "min_batch_size": config.batching.min_batch_size,

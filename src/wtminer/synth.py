@@ -6,7 +6,10 @@ uninjected day has zero waiting time everywhere. Days sit on a Monday to
 Wednesday grid, 5 cases per day, starting at 09:00 UTC plus a seeded per-day
 jitter of up to 10 minutes.
 
-Causes are injected by direct timestamp construction:
+Every case is laid out by one rule: an activity runs from a given instant,
+one STEP or until a given end, and the rest of the case follows back to
+back, STEP each. So each injection holds one activity until a later instant
+or stretches it to a later end:
 
 - contention:      the first case's assessment runs 500 s long, creating a
                    rate-matched FIFO backlog: every later case waits exactly
@@ -122,11 +125,17 @@ def _day_begin(day_index: int) -> int:
     return ORIGIN + week * SECONDS_PER_WEEK + weekday * SECONDS_PER_DAY
 
 
-def _plain_case(arrival: int) -> dict[str, tuple[int, int]]:
-    return {
-        act: (arrival + i * STEP, arrival + (i + 1) * STEP)
-        for i, act in enumerate(ACTIVITIES)
-    }
+def _lay_out(
+    case: dict[str, tuple[int, int]], activity: str, start: int, end: int = 0
+) -> dict[str, tuple[int, int]]:
+    """Run `activity` from `start` until `end` (one STEP when 0), then the
+    rest of the case back to back, STEP each; return the case."""
+    end = end or start + STEP
+    case[activity] = (start, end)
+    for act in ACTIVITIES[ACTIVITIES.index(activity) + 1 :]:
+        case[act] = (end, end + STEP)
+        end += STEP
+    return case
 
 
 def generate(spec: InjectionSpec) -> GeneratedLog:
@@ -142,46 +151,31 @@ def generate(spec: InjectionSpec) -> GeneratedLog:
         first_case = day * CASES_PER_DAY
         k = min(CASES_PER_DAY, spec.n_cases - first_case)
         base = _day_begin(day) + DAY_START_S + jitter
-        arrivals = [base + i * STEP for i in range(k)]
-        cases = [_plain_case(t) for t in arrivals]
+        cases = [_lay_out({}, "register", base + i * STEP) for i in range(k)]
         day_type = day_types[day % len(day_types)] if day_types else None
 
         if day_type == "contention" and k >= 2:
-            e0 = arrivals[0] + 2 * STEP
-            cases[0]["assess"] = (e0, e0 + STEP + 500)
-            for i in range(1, k):
-                s = arrivals[i] + 2 * STEP + 500
-                cases[i]["assess"] = (s, s + STEP)
-            for i in range(k):
-                a_end = cases[i]["assess"][1]
-                cases[i]["decide"] = (a_end, a_end + STEP)
-                cases[i]["dispatch"] = (a_end + STEP, a_end + 2 * STEP)
+            first = cases[0]["assess"]
+            _lay_out(cases[0], "assess", first[0], first[1] + 500)
+            for before, case in zip(cases, cases[1:]):
+                _lay_out(case, "assess", before["assess"][1])
             injected["contention"] += 500 * (k - 1)
         elif day_type == "batching" and k == CASES_PER_DAY:
-            held_start = arrivals[3] + 4 * STEP
-            for i in (1, 2, 3):
-                injected["batching"] += held_start - (arrivals[i] + 4 * STEP)
-                cases[i]["dispatch"] = (held_start, held_start + STEP)
+            held_start = cases[3]["dispatch"][0]
+            for case in cases[1:4]:
+                injected["batching"] += held_start - case["dispatch"][0]
+                _lay_out(case, "dispatch", held_start)
         elif day_type == "prioritization" and k >= 2:
-            t_o = arrivals[k - 2]
-            runner = {
-                "register": (t_o + 1, t_o + 1 + STEP),
-                "prepare": (t_o + 1 + STEP, t_o + 1 + 2 * STEP),
-                "assess": (t_o + 1 + 2 * STEP, t_o + 2401),
-                "decide": (t_o + 2401, t_o + 3001),
-                "dispatch": (t_o + 3001, t_o + 3601),
-            }
-            cases[k - 1] = runner
-            overtaken = cases[k - 2]
-            overtaken["assess"] = (t_o + 2401, t_o + 3001)
-            overtaken["decide"] = (t_o + 3001, t_o + 3601)
-            overtaken["dispatch"] = (t_o + 3601, t_o + 4201)
+            overtaken, runner = cases[k - 2], cases[k - 1]
+            _lay_out(runner, "register", overtaken["register"][0] + 1)
+            start = runner["assess"][0]
+            _lay_out(runner, "assess", start, start + 2 * STEP)
+            _lay_out(overtaken, "assess", runner["assess"][1])
             injected["prioritization"] += 1200
         elif day_type == "extraneous" and k >= 1:
             noisy = spec.noisy_extraneous
             pattern_b = noisy and k >= 2 and extraneous_days_seen % 2 == 1
             extraneous_days_seen += 1
-            # Hold one case's assessment, shifting its last three activities.
             if not noisy:
                 target, hold = cases[k - 1], 900
             elif pattern_b:
@@ -190,18 +184,16 @@ def generate(spec: InjectionSpec) -> GeneratedLog:
             else:
                 # Delay long enough to spill into never-observed hour slots.
                 target, hold = cases[k - 1], 14400
-            e = target["prepare"][1] + hold
-            for i, act in enumerate(ACTIVITIES[2:]):
-                target[act] = (e + i * STEP, e + (i + 1) * STEP)
+            _lay_out(target, "assess", target["prepare"][1] + hold)
             injected["extraneous"] += hold
 
         if spec.unavailability:
-            last = max(range(k), key=lambda i: cases[i]["decide"][1])
-            decide_start = cases[last]["decide"][0]
+            last = max(cases, key=lambda case: case["decide"][1])
+            decide_start = last["decide"][0]
             decide_end = max(_day_begin(day) + NOON_S, decide_start + STEP)
-            cases[last]["decide"] = (decide_start, decide_end)
+            _lay_out(last, "decide", decide_start, decide_end)
             resume = _day_begin(day + 1) + DAY_START_S
-            cases[last]["dispatch"] = (resume, resume + STEP)
+            _lay_out(last, "dispatch", resume)
             injected["unavailability"] += resume - decide_end
 
         for i, case in enumerate(cases):
@@ -227,11 +219,8 @@ def to_csv(generated: GeneratedLog) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["case_id", "activity", "resource", "start_time", "end_time"])
-    rows = sorted(
-        generated.log.instances,
-        key=lambda inst: (inst.case_id, inst.started, inst.activity),
-    )
-    for inst in rows:
+    # Log order: within a case each activity starts after the one before ends.
+    for inst in generated.log.instances:
         writer.writerow(
             [
                 inst.case_id,

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from wtminer import synth
 from wtminer.cli import main
 from wtminer.ingest import format_timestamp
 
@@ -180,6 +181,11 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "faf94eb746ff5442d4c6038b6be5d81f6e0ec440fcc8dd10c7bf58feedfdc346",
         "d6942736db320ed438300580644ec562819289112470dcfb27b965ddb52aefe4",
     ),
+    # The benchmark's `conveyor` log, seed 1: all five causes, 1200 cases.
+    "conveyor": (
+        "ddcafaf64431447e492acd768e0a4491d5fcdad67bdbc2c0856872e24f14b54e",
+        "3a5a75db0ad0436c27f537b3ee72bf17d3ce69ba1aa56f4c350673dbfff0b245",
+    ),
 }
 
 
@@ -265,6 +271,10 @@ def _logs(root: Path) -> dict[str, Path]:
     logs["wide"].write_text(
         load_wide_module().generate(1).csv_text, encoding="utf-8", newline=""
     )
+    # Built as `perfbench/run.py::make_workload("conveyor", 1, ...)` builds it.
+    logs["conveyor"] = root / "conveyor.csv"
+    conveyor = synth.InjectionSpec.from_bits("11111", n_cases=1200, seed=1)
+    synth.write_files(synth.generate(conveyor), logs["conveyor"])
     return logs
 
 

@@ -1,5 +1,8 @@
 """Tests for the synthetic log generator and its injection guarantees."""
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -157,3 +160,34 @@ class TestGridSweep:
             per_cause = per_cause_seconds(gen)
             expected = {c for c, on in gen.truth.flags.items() if on}
             assert detected_causes(per_cause) == expected, bits
+
+
+def _pinned_specs():
+    """All 32 combinations on seeds 1-3 at 20 cases, each extraneous one also
+    noisy, and the benchmark's `conveyor` spec on seeds 1 and 2: 146 specs."""
+    for seed in (1, 2, 3):
+        for combo in itertools.product("01", repeat=5):
+            spec = InjectionSpec.from_bits("".join(combo), n_cases=20, seed=seed)
+            yield spec
+            if spec.extraneous:
+                yield dataclasses.replace(spec, noisy_extraneous=True)
+    for seed in (1, 2):
+        yield InjectionSpec.from_bits("11111", n_cases=1200, seed=seed)
+
+
+# sha256 over `to_csv` and the sorted truth JSON of every pinned spec, in order.
+GENERATED_DIGEST = (
+    "6ce4225ab316c3d5d67c4611d37251d200c593c0eda31ffce545458905d7cb7d"
+)
+
+
+def test_generated_bytes_are_pinned():
+    specs = list(_pinned_specs())
+    assert len(specs) == 146
+    digest = hashlib.sha256()
+    for spec in specs:
+        generated = generate(spec)
+        digest.update(to_csv(generated).encode())
+        truth = json.dumps(dataclasses.asdict(generated.truth), sort_keys=True)
+        digest.update(truth.encode())
+    assert digest.hexdigest() == GENERATED_DIGEST
