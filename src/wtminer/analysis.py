@@ -30,22 +30,19 @@ def cte_if_eliminated(total_pt: int, total_wt: int, removed: int) -> float:
     return compute_cte(total_pt, total_wt - removed)
 
 
+def _undefined(what: str) -> WtMinerError:
+    # For `cte_if_eliminated`'s 0 / 0 in `analyze`: with no processing time,
+    # eliminating `what` would leave no time at all.
+    return WtMinerError(f"CTE is undefined if {what} is eliminated: the log has no processing time")
+
+
 class CauseImpact(_Value):
     """One cause's impact, the value of its key in `AnalysisResult.per_cause`."""
 
-    def __init__(
-        self,
-        wt_seconds: int,
-        share_of_wt: float,
-        cte_if_eliminated: float,
-        delta: float,
-    ) -> None:
-        vars(self).update(
-            wt_seconds=wt_seconds,
-            share_of_wt=share_of_wt,
-            cte_if_eliminated=cte_if_eliminated,
-            delta=delta,
-        )
+    wt_seconds: int
+    share_of_wt: float
+    cte_if_eliminated: float
+    delta: float
 
 
 class TransitionImpact(_Value):
@@ -79,21 +76,11 @@ class TransitionImpact(_Value):
 class AnalysisResult(_Value):
     """Process-level figures; `per_cause` is keyed in `CAUSES` order."""
 
-    def __init__(
-        self,
-        total_pt_seconds: int,
-        total_wt_seconds: int,
-        cte: float,
-        per_cause: dict[str, CauseImpact],
-        per_transition: tuple[TransitionImpact, ...],
-    ) -> None:
-        vars(self).update(
-            total_pt_seconds=total_pt_seconds,
-            total_wt_seconds=total_wt_seconds,
-            cte=cte,
-            per_cause=per_cause,
-            per_transition=per_transition,
-        )
+    total_pt_seconds: int
+    total_wt_seconds: int
+    cte: float
+    per_cause: dict[str, CauseImpact]
+    per_transition: tuple[TransitionImpact, ...]
 
 
 def analyze(
@@ -157,7 +144,10 @@ def analyze(
             )
         for cause, seconds in zip(CAUSES, slot):
             cause_totals[cause] += seconds
-        after = cte_if_eliminated(total_pt, total_wt, t.total_duration)
+        try:
+            after = cte_if_eliminated(total_pt, total_wt, t.total_duration)
+        except WtMinerError:
+            raise _undefined(f"transition {t.source_activity} -> {t.target_activity}") from None
         per_transition.append(
             TransitionImpact(
                 t.source_activity,
@@ -174,18 +164,11 @@ def analyze(
     per_cause = {}
     for cause in CAUSES:
         wt_cause = cause_totals[cause]
-        after = cte_if_eliminated(total_pt, total_wt, wt_cause)
-        per_cause[cause] = CauseImpact(
-            wt_seconds=wt_cause,
-            share_of_wt=wt_cause / total_wt if total_wt else 0.0,
-            cte_if_eliminated=after,
-            delta=after - cte,
-        )
+        try:
+            after = cte_if_eliminated(total_pt, total_wt, wt_cause)
+        except WtMinerError:
+            raise _undefined(f"cause {cause}") from None
+        share = wt_cause / total_wt if total_wt else 0.0
+        per_cause[cause] = CauseImpact(wt_cause, share, after, after - cte)
 
-    return AnalysisResult(
-        total_pt_seconds=total_pt,
-        total_wt_seconds=total_wt,
-        cte=cte,
-        per_cause=per_cause,
-        per_transition=tuple(per_transition),
-    )
+    return AnalysisResult(total_pt, total_wt, cte, per_cause, tuple(per_transition))

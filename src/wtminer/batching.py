@@ -23,12 +23,14 @@ from wtminer.model import (
 class BatchingConfig(_Value):
     """gap_tolerance: max idle seconds between consecutive member executions."""
 
-    def __init__(self, gap_tolerance: int = 0, min_batch_size: int = 2) -> None:
-        if gap_tolerance < 0:
+    gap_tolerance: int = 0
+    min_batch_size: int = 2
+
+    def _check(self) -> None:
+        if self.gap_tolerance < 0:
             raise ConfigError("gap tolerance must be non-negative")
-        if min_batch_size < 2:
+        if self.min_batch_size < 2:
             raise ConfigError("minimum batch size must be at least 2")
-        vars(self).update(gap_tolerance=gap_tolerance, min_batch_size=min_batch_size)
 
 
 class Batch(_Value):
@@ -51,8 +53,7 @@ class BatchingResult(_Value):
     """Maps each batched instance to its batch. The distinct values, in
     insertion order, are the batches: resource by resource, in work order."""
 
-    def __init__(self, by_instance: dict[ActivityInstance, Batch]) -> None:
-        vars(self).update(by_instance=by_instance)
+    by_instance: dict[ActivityInstance, Batch]
 
 
 def detect_batches(log: EventLog, config: BatchingConfig = BatchingConfig()) -> BatchingResult:

@@ -46,17 +46,16 @@ def _check_granule(granule_minutes: int) -> None:
 
 
 class CalendarParams(_Value):
-    def __init__(
-        self, granule_minutes: int = 60, confidence: float = 0.1, support: float = 0.1
-    ) -> None:
-        _check_granule(granule_minutes)
-        if not 0.0 <= confidence <= 1.0:
-            raise ConfigError(f"confidence must be in [0, 1], got {confidence}")
-        if not 0.0 <= support <= 1.0:
-            raise ConfigError(f"support must be in [0, 1], got {support}")
-        vars(self).update(
-            granule_minutes=granule_minutes, confidence=confidence, support=support
-        )
+    granule_minutes: int = 60
+    confidence: float = 0.1
+    support: float = 0.1
+
+    def _check(self) -> None:
+        _check_granule(self.granule_minutes)
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ConfigError(f"confidence must be in [0, 1], got {self.confidence}")
+        if not 0.0 <= self.support <= 1.0:
+            raise ConfigError(f"support must be in [0, 1], got {self.support}")
 
 
 class WeeklyCalendar(_Value):

@@ -30,11 +30,7 @@ def _load_mapping(path: str | None) -> ColumnMapping:
 
 
 def _calendar_params(args: argparse.Namespace) -> CalendarParams:
-    return CalendarParams(
-        granule_minutes=args.granule,
-        confidence=args.confidence,
-        support=args.support,
-    )
+    return CalendarParams(args.granule, args.confidence, args.support)
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -158,15 +154,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         ):
             if given:
                 raise ConfigError(f"generate --grid does not take {option}")
-        out = Path(args.out or ".")
-        out.mkdir(parents=True, exist_ok=True)
+        # Every log is generated, and so checked, before any is written.
+        grid = {}
         for index, combo in enumerate(itertools.product("01", repeat=5)):
             bits = "".join(combo)
-            spec = InjectionSpec.from_bits(
-                bits, n_cases=args.cases, seed=args.seed + index
-            )
+            spec = InjectionSpec.from_bits(bits, n_cases=args.cases, seed=args.seed + index)
+            grid[bits] = generate(spec)
+        out = Path(args.out or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        for bits, generated in grid.items():
             csv_path = out / f"grid_{bits}.csv"
-            write_files(generate(spec), csv_path, _truth_path(csv_path))
+            write_files(generated, csv_path, _truth_path(csv_path))
         _write_stdout(f"Wrote 32 logs to {out}\n")
         return 0
     if args.out is not None:
@@ -180,10 +178,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         noisy_extraneous=args.noisy,
         **flags,
     )
+    generated = generate(spec)
     csv_path = Path(args.output)
     if csv_path.parent != Path(""):
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-    write_files(generate(spec), csv_path, _truth_path(csv_path))
+    write_files(generated, csv_path, _truth_path(csv_path))
     _write_stdout(f"Wrote {csv_path} and {_truth_path(csv_path)}\n")
     return 0
 

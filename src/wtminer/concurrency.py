@@ -30,23 +30,17 @@ from wtminer.model import (
 class OracleThresholds(_Value):
     """Tunables for the directly-follows concurrency oracle."""
 
-    def __init__(
-        self,
-        dependency_threshold: float = 0.9,
-        min_bidirectional_observations: int = 1,
-        length2_loop_guard: bool = True,
-    ) -> None:
-        if not 0.0 <= dependency_threshold <= 1.0:
+    dependency_threshold: float = 0.9
+    min_bidirectional_observations: int = 1
+    length2_loop_guard: bool = True
+
+    def _check(self) -> None:
+        if not 0.0 <= self.dependency_threshold <= 1.0:
             raise ConfigError(
-                f"dependency threshold must be in [0, 1], got {dependency_threshold}"
+                f"dependency threshold must be in [0, 1], got {self.dependency_threshold}"
             )
-        if min_bidirectional_observations < 1:
+        if self.min_bidirectional_observations < 1:
             raise ConfigError("min bidirectional observations must be at least 1")
-        vars(self).update(
-            dependency_threshold=dependency_threshold,
-            min_bidirectional_observations=min_bidirectional_observations,
-            length2_loop_guard=length2_loop_guard,
-        )
 
 
 class ConcurrencyRelation(_Value):
@@ -105,21 +99,11 @@ def discover_concurrency(
 class EnablementStats(_Record):
     """How each instance's enablement time was determined."""
 
-    def __init__(
-        self,
-        derived: int = 0,
-        supplied: int = 0,
-        first_in_case: int = 0,
-        concurrent_only: int = 0,
-        clamped: int = 0,
-    ) -> None:
-        vars(self).update(
-            derived=derived,
-            supplied=supplied,
-            first_in_case=first_in_case,
-            concurrent_only=concurrent_only,
-            clamped=clamped,
-        )
+    derived: int = 0
+    supplied: int = 0
+    first_in_case: int = 0
+    concurrent_only: int = 0
+    clamped: int = 0
 
 
 class EnablementResult(_Value):
@@ -131,14 +115,10 @@ class EnablementResult(_Value):
     order.
     """
 
-    def __init__(
-        self,
-        log: EventLog,
-        relation: ConcurrencyRelation,
-        enabler: dict[ActivityInstance, ActivityInstance],
-        stats: EnablementStats,
-    ) -> None:
-        vars(self).update(log=log, relation=relation, enabler=enabler, stats=stats)
+    log: EventLog
+    relation: ConcurrencyRelation
+    enabler: dict[ActivityInstance, ActivityInstance]
+    stats: EnablementStats
 
 
 def compute_enablement(

@@ -63,25 +63,15 @@ _ISO_FORM = r"""(?x)
 class ColumnMapping(_Value):
     """Names the CSV columns that hold each instance field."""
 
-    def __init__(
-        self,
-        case_column: str = "case_id",
-        activity_column: str = "activity",
-        resource_column: str = "resource",
-        start_column: str = "start_time",
-        end_column: str = "end_time",
-        enabled_column: str | None = None,
-        timestamp_format: str = ISO_8601,
-    ) -> None:
-        vars(self).update(
-            case_column=case_column,
-            activity_column=activity_column,
-            resource_column=resource_column,
-            start_column=start_column,
-            end_column=end_column,
-            enabled_column=enabled_column,
-            timestamp_format=timestamp_format,
-        )
+    case_column: str = "case_id"
+    activity_column: str = "activity"
+    resource_column: str = "resource"
+    start_column: str = "start_time"
+    end_column: str = "end_time"
+    enabled_column: str | None = None
+    timestamp_format: str = ISO_8601
+
+    def _check(self) -> None:
         for name in self._fields:
             value = getattr(self, name)
             optional = name == "enabled_column" and value is None
@@ -115,28 +105,17 @@ class ColumnMapping(_Value):
 class IngestStats(_Record):
     """Counters describing what happened to the raw rows during the load."""
 
-    def __init__(
-        self,
-        rows_total: int = 0,
-        rows_rejected: int = 0,
-        naive_timestamps: int = 0,
-        truncated_timestamps: int = 0,
-        unknown_resources: int = 0,
-        clamped_enablements: int = 0,
-    ) -> None:
-        vars(self).update(
-            rows_total=rows_total,
-            rows_rejected=rows_rejected,
-            naive_timestamps=naive_timestamps,
-            truncated_timestamps=truncated_timestamps,
-            unknown_resources=unknown_resources,
-            clamped_enablements=clamped_enablements,
-        )
+    rows_total: int = 0
+    rows_rejected: int = 0
+    naive_timestamps: int = 0
+    truncated_timestamps: int = 0
+    unknown_resources: int = 0
+    clamped_enablements: int = 0
 
 
 class LoadResult(_Value):
-    def __init__(self, log: EventLog, stats: IngestStats) -> None:
-        vars(self).update(log=log, stats=stats)
+    log: EventLog
+    stats: IngestStats
 
 
 def _parse_timestamp(raw: str, fmt: str) -> tuple[TimeInstant, bool, bool]:

@@ -63,12 +63,12 @@ def _read_json_object(path: str | Path, what: str, shape: str) -> dict:
 # plain assignment, and seals the object by setting its `__class__` to the
 # public frozen class, which adds no slots. That is about a third faster
 # than storing through each slot's bound `__set__` (338 against 508 ns at
-# best). The public `__new__` checks its arguments and calls the factory;
-# the pipeline's own builders, which already hold what it checks, call the
-# factory directly, because calling the class costs about 165 ns more per
-# object: 482-487 against 307-320 ns for an `ActivityInstance`, and
-# 456-498 against 287-316 ns for a `WtDecomposition` (minimum of 40 rounds
-# of 8000 objects; 2-core x86-64 host, CPython 3.11.7).
+# best). The public `__new__` calls the factory, and in `ActivityInstance`
+# checks its arguments first; the pipeline's own builders call the factory
+# directly, because calling the class costs about 165 ns more per object:
+# 482-487 against 307-320 ns for an `ActivityInstance`, and 456-498
+# against 287-316 ns for a `WtDecomposition` (minimum of 40 rounds of 8000
+# objects; 2-core x86-64 host, CPython 3.11.7).
 # The writable class is a base: a subclass that restored
 # `object.__setattr__` would still take CPython's slow generic path.
 class _Frozen:
@@ -92,22 +92,35 @@ class _Frozen:
 
 
 class _Record:
-    """A type whose fields are its constructor's parameters, in order, as
-    `_fields` names them: those of its `__init__`, or of its `__new__` when
-    it has no `__init__`. The constructor fills every field itself. Two
-    records are equal when they are of one class and their fields are
-    equal."""
+    """A type with named fields, in order, as `_fields` names them. Two
+    records are equal when they are of one class and their fields are equal.
+
+    A record declares its fields as class annotations, each with its default
+    if it has one, and `_fill` is its constructor. A type that writes its own
+    `__init__`, or `__new__` when it has no `__init__`, has that
+    constructor's parameters as its fields and fills them itself."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
-        # A base without a constructor of its own, like `_Value`, has no fields.
+        # A base without a constructor or annotations of its own, like
+        # `_Value`, has no fields.
+        own = vars(cls)
         for name in ("__init__", "__new__"):
-            if name in vars(cls):
+            if name in own:
                 code = getattr(cls, name).__code__
                 cls._fields = code.co_varnames[1 : code.co_argcount]
                 return
+        if "__annotations__" in own:
+            cls._fields = tuple(own["__annotations__"])
+            cls._defaults = {name: own[name] for name in cls._fields if name in own}
+            cls.__init__ = _fill
+
+    def _check(self) -> None:
+        """Raise if the fields do not make a valid record; `_fill` calls it
+        once they are stored."""
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
@@ -116,6 +129,28 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.as_dict() == other.as_dict()
+
+
+def _fill(self: _Record, *args: object, **kwargs: object) -> None:
+    """The constructor of a record with declared fields. It binds `args` and
+    `kwargs` to `_fields` as a call binds them to parameters, takes each
+    omitted field's declared default, stores every field, and runs `_check`."""
+    cls = type(self)
+    fields = cls._fields
+    if len(args) > len(fields):
+        raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(args)}")
+    given = dict(zip(fields, args))
+    for name in kwargs:
+        if name not in fields:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+    values = {**cls._defaults, **given, **kwargs}
+    if len(values) < len(fields):
+        missing = ", ".join(repr(name) for name in fields if name not in values)
+        raise TypeError(f"{cls.__name__}() missing required arguments: {missing}")
+    vars(self).update(values)
+    self._check()
 
 
 class _Value(_Record, _Frozen):

@@ -28,41 +28,22 @@ from wtminer.transitions import Transition, discover_transitions
 
 class PipelineConfig(_Value):
     # The defaults are immutable, so every config can share them.
-    def __init__(
-        self,
-        thresholds: OracleThresholds = OracleThresholds(),
-        batching: BatchingConfig = BatchingConfig(),
-        calendars: CalendarParams = CalendarParams(),
-    ) -> None:
-        vars(self).update(thresholds=thresholds, batching=batching, calendars=calendars)
+    thresholds: OracleThresholds = OracleThresholds()
+    batching: BatchingConfig = BatchingConfig()
+    calendars: CalendarParams = CalendarParams()
 
 
 class PipelineResult(_Value):
-    def __init__(
-        self,
-        config: PipelineConfig,
-        enablement: EnablementResult,
-        transitions: tuple[Transition, ...],
-        batching: BatchingResult,
-        calendars: dict[str, WeeklyCalendar],
-        availability: dict[str, AbsoluteAvailability],
-        decompositions: tuple[WtDecomposition, ...],
-        analysis: AnalysisResult,
-        multitasking_rate: float,
-        overridden_resources: tuple[str, ...],
-    ) -> None:
-        vars(self).update(
-            config=config,
-            enablement=enablement,
-            transitions=transitions,
-            batching=batching,
-            calendars=calendars,
-            availability=availability,
-            decompositions=decompositions,
-            analysis=analysis,
-            multitasking_rate=multitasking_rate,
-            overridden_resources=overridden_resources,
-        )
+    config: PipelineConfig
+    enablement: EnablementResult
+    transitions: tuple[Transition, ...]
+    batching: BatchingResult
+    calendars: dict[str, WeeklyCalendar]
+    availability: dict[str, AbsoluteAvailability]
+    decompositions: tuple[WtDecomposition, ...]
+    analysis: AnalysisResult
+    multitasking_rate: float
+    overridden_resources: tuple[str, ...]
 
     @property
     def log(self) -> EventLog:
@@ -115,14 +96,6 @@ def run_pipeline(
     analysis = analyze(enriched, transitions, decompositions)
 
     return PipelineResult(
-        config=config,
-        enablement=enablement,
-        transitions=transitions,
-        batching=batching,
-        calendars=calendars,
-        availability=availability,
-        decompositions=decompositions,
-        analysis=analysis,
-        multitasking_rate=multitasking_rate(enriched),
-        overridden_resources=tuple(sorted(overridden)),
+        config, enablement, transitions, batching, calendars, availability, decompositions,
+        analysis, multitasking_rate(enriched), tuple(sorted(overridden)),
     )

@@ -244,25 +244,29 @@ _TMP_SERIAL = count()
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a same-directory temp file and rename, never partially. The
-    temp file is created with mode 0666 less the umask, as `open` creates a file."""
+    temp file is created with mode 0666 less the umask, as `open` creates a
+    file. An `OSError` names `path`, never the temp file."""
     path = Path(path)
-    while True:
-        tmp_name = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp")
-        try:
-            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            pass
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
+        while True:
+            tmp_name = path.with_name(f"{path.name}.{os.getpid()}.{next(_TMP_SERIAL)}.tmp")
+            try:
+                fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                pass
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp_name, path)
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def write_report_files(

@@ -139,6 +139,8 @@ def _lay_out(
 
 
 def generate(spec: InjectionSpec) -> GeneratedLog:
+    """The log of `spec`; a `ConfigError` if a cause it flags gets no
+    waiting time, which too few cases leave no day for."""
     rng = random.Random(spec.seed)
     injected = dict.fromkeys(CAUSES, 0)
     instances: list[ActivityInstance] = []
@@ -204,6 +206,9 @@ def generate(spec: InjectionSpec) -> GeneratedLog:
                     ActivityInstance(case_id, act, RESOURCE_FOR[act], s, e)
                 )
 
+    missing = [cause for cause, on in spec.flags().items() if on and not injected[cause]]
+    if missing:
+        raise ConfigError(f"{spec.n_cases} cases are too few to inject {', '.join(missing)}")
     truth = GroundTruth(
         flags=spec.flags(),
         injected_seconds=injected,

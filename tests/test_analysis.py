@@ -136,6 +136,31 @@ class TestAnalyze:
         assert ab.cte_if_eliminated == 1.0
         assert ab.delta == pytest.approx(1.0 - result.cte)
 
+    @pytest.mark.parametrize(
+        "targets, undefined",
+        [
+            ((("b", "r2", 1800), ("b", "r2", 1200)), "transition a -> b"),
+            ((("b", "r2", 1800), ("c", "r3", 1200)), "cause extraneous"),
+        ],
+        ids=["transition", "cause"],
+    )
+    def test_undefined_elimination_without_processing_time(self, targets, undefined):
+        # Every instance starts the moment it completes, so the log has
+        # waiting time but no processing time: removing all of it is 0 / 0.
+        # With one transition that transition holds all of it; with two, only
+        # the extraneous cause does.
+        instances = []
+        for i, (activity, resource, start) in enumerate(targets):
+            base = i * 3600
+            instances.append(ActivityInstance(f"c{i}", "a", "r1", base, base))
+            at = base + start
+            instances.append(ActivityInstance(f"c{i}", activity, resource, at, at))
+        with pytest.raises(WtMinerError) as caught:
+            run_pipeline(EventLog(instances))
+        assert str(caught.value) == (
+            f"CTE is undefined if {undefined} is eliminated: the log has no processing time"
+        )
+
     def test_mismatched_decompositions_rejected(self):
         log, transitions, decompositions = analyzed_fixture()
         with pytest.raises(ValueError):

@@ -105,6 +105,23 @@ class TestAnalyze:
         assert "CTE is undefined" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    def test_undefined_elimination_names_the_transition(self, tmp_path, capsys):
+        # No processing time, but 30 and 20 minutes of waiting, all in a -> b.
+        log = tmp_path / "instants.csv"
+        log.write_text(
+            "case_id,activity,resource,start_time,end_time\n"
+            "c1,a,r1,2023-01-02T09:00:00Z,2023-01-02T09:00:00Z\n"
+            "c1,b,r2,2023-01-02T09:30:00Z,2023-01-02T09:30:00Z\n"
+            "c2,a,r1,2023-01-02T10:00:00Z,2023-01-02T10:00:00Z\n"
+            "c2,b,r2,2023-01-02T10:20:00Z,2023-01-02T10:20:00Z\n"
+        )
+        out = tmp_path / "o"
+        assert main(["analyze", "--log", str(log), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "CTE is undefined if transition a -> b is eliminated" in err
+        assert "the log has no processing time" in err
+        assert not (out / "report.json").exists()
+
     def test_emit_calendars_included(self, synth_log, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -541,6 +558,19 @@ class TestGenerate:
         assert "grid_00000.csv" in csvs
         assert "grid_11111.csv" in csvs
 
+    def test_uninjected_cause_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sub" / "b3.csv"
+        assert main(["generate", "--causes", "batching", "--cases", "3", "-o", str(out)]) == 2
+        assert "3 cases are too few to inject batching" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_grid_with_an_uninjected_spec_writes_nothing(self, tmp_path, capsys):
+        # 14 cases miss extraneous only in 11101 and 11111, the last specs.
+        out = tmp_path / "grid"
+        assert main(["generate", "--grid", "--cases", "14", "--out", str(out)]) == 2
+        assert "14 cases are too few to inject extraneous" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "mode_args, option",
         [
@@ -573,6 +603,12 @@ class TestCalendars:
         out = tmp_path / "cals.json"
         assert main(["calendars", "--log", str(synth_log), "--out", str(out)]) == 0
         assert "MON" in out.read_text()
+
+    def test_unwritable_file_error_names_it(self, synth_log, tmp_path, capsys):
+        out = tmp_path / "missing" / "cal.json"
+        assert main(["calendars", "--log", str(synth_log), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
 
 
 class TestConsoleEntry:

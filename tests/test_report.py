@@ -371,6 +371,22 @@ class TestWriting:
         assert taken.read_text() == "someone else's"
         assert sorted(tmp_path.iterdir()) == [target, taken]
 
+    @pytest.mark.parametrize(
+        "name, error",
+        [("missing/file.txt", FileNotFoundError), ("taken", IsADirectoryError)],
+        ids=["no-directory", "target-is-a-directory"],
+    )
+    def test_os_error_names_the_target_not_the_temp_file(self, tmp_path, name, error):
+        # Creating the temp file fails in the first case, the rename in the second.
+        (tmp_path / "taken").mkdir()
+        target = tmp_path / name
+        with pytest.raises(error) as caught:
+            atomic_write_text(target, "text")
+        assert caught.value.filename == str(target)
+        assert caught.value.filename2 is None
+        assert ".tmp" not in str(caught.value)
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "taken"]
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "file.txt"
         with pytest.raises(UnicodeEncodeError):

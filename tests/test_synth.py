@@ -130,6 +130,29 @@ class TestInjectionSoundness:
         per_cause = per_cause_seconds(generate(spec))
         assert detected_causes(per_cause) == set(CAUSES)
 
+    @pytest.mark.parametrize(
+        "bits, n_cases, missing",
+        [
+            ("10000", 3, "batching"),
+            ("00100", 1, "prioritization"),
+            ("11101", 13, "extraneous"),
+            ("11111", 15, "extraneous"),
+            ("10101", 3, "batching, prioritization, extraneous"),
+        ],
+    )
+    def test_flagged_cause_left_uninjected_is_refused(self, bits, n_cases, missing):
+        # Too few cases leave no day, or no full day, for these causes.
+        spec = InjectionSpec.from_bits(bits, n_cases=n_cases)
+        with pytest.raises(ConfigError, match=f"{n_cases} cases are too few to inject {missing}$"):
+            generate(spec)
+
+    def test_every_flagged_cause_is_injected_from_16_cases(self):
+        for cases in (16, 17, 20):
+            for combo in itertools.product("01", repeat=len(CAUSES)):
+                truth = generate(InjectionSpec.from_bits("".join(combo), n_cases=cases)).truth
+                for cause, flagged in truth.flags.items():
+                    assert (truth.injected_seconds[cause] > 0) == flagged, (cases, combo, cause)
+
 
 class TestNoisyExtraneous:
     def test_reproduces_documented_false_positive_modes(self):
